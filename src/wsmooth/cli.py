@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -37,6 +38,23 @@ _SCHEME_MAP = {"flow": "wasserstein_flow", "pixel": "laplace_pixel"}
 
 _DEFAULT_DATASET = {"kind": "blobs", "train_size": 200, "test_size": 50, "shape": [6, 6]}
 
+# Every key some command reads from a config file, with the keys each
+# section may hold (None for a plain value).  One file serves all commands,
+# so a key is known if any command reads it; anything else is a typo that
+# would silently fall back to a default.
+_CONFIG_KEYS = {
+    "seed": None, "workers": None, "scheme": None, "sigma": None, "checkpoint": None,
+    "out_dir": None,
+    "dataset": {"kind", "train_size", "test_size", "shape"},
+    "idx": {"train_images", "train_labels", "test_images", "test_labels", "num_classes",
+            "label_base"},
+    "train": {"epochs", "batch_size", "learning_rate", "momentum", "weight_decay", "hidden"},
+    "predict": {"n", "alpha"},
+    "certify": {"n0", "n", "alpha"},
+    "attack": {"radii", "max_images", "iterations", "gradient_samples", "growth_factor",
+               "growth_interval", "predict_samples", "predict_alpha"},
+}
+
 
 @dataclass
 class RunConfig:
@@ -59,6 +77,9 @@ class RunConfig:
     def __post_init__(self):
         if self.scheme not in _SCHEME_MAP:
             raise SystemExit(f"error: scheme must be one of {sorted(_SCHEME_MAP)}, got {self.scheme!r}")
+        if (isinstance(self.sigma, bool) or not isinstance(self.sigma, (int, float))
+                or not math.isfinite(self.sigma)):
+            raise SystemExit(f"error: sigma must be a finite number, got {self.sigma!r}")
         if self.command in ("train", "predict", "certify", "attack") and not self.sigma > 0:
             raise SystemExit(
                 f"error: sigma must be > 0 (got {self.sigma!r}); "
@@ -140,15 +161,27 @@ def _load_json(path: Path | None) -> dict:
     return data
 
 
+def _check_config_keys(cfg: dict, path: Path | None):
+    for key, value in cfg.items():
+        if key not in _CONFIG_KEYS:
+            raise SystemExit(f"error: unknown config key {key!r} in {path}")
+        allowed = _CONFIG_KEYS[key]
+        if allowed is None:
+            continue
+        if not isinstance(value, dict):
+            raise SystemExit(f"error: config key {key!r} in {path} must hold a JSON object")
+        for sub in value:
+            if sub not in allowed:
+                raise SystemExit(f"error: unknown config key '{key}.{sub}' in {path}")
+
+
 def _merge_config(args: argparse.Namespace) -> RunConfig:
-    file_cfg = _load_json(getattr(args, "config", None))
+    path = getattr(args, "config", None)
+    file_cfg = _load_json(path)
+    _check_config_keys(file_cfg, path)
     cfg = RunConfig(command=args.command)
-    for key in ("seed", "workers", "scheme", "sigma", "checkpoint", "out_dir"):
-        if key in file_cfg:
-            setattr(cfg, key, file_cfg[key])
-    for key in ("dataset", "idx", "train", "predict", "certify", "attack"):
-        if key in file_cfg:
-            setattr(cfg, key, file_cfg[key])
+    for key, value in file_cfg.items():
+        setattr(cfg, key, value)
     env_out = os.environ.get("WSMOOTH_OUT_DIR")
     if env_out:
         cfg.out_dir = env_out
@@ -499,7 +532,15 @@ def run(argv=None) -> int:
 
 
 def main() -> int:
-    return run(sys.argv[1:])
+    """Console entry point: an `error: ...` exit prints its one line to
+    stderr and ends with status 2, the status argparse uses for bad usage."""
+    try:
+        return run(sys.argv[1:])
+    except SystemExit as exc:
+        if not isinstance(exc.code, str):
+            raise
+        print(exc.code, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -2,15 +2,15 @@
 
 Two independent routes compute the same distance when the ground metric is
 the L1 pixel distance: a dense coupling linear program over all pixel pairs
-(any ground metric, capped at 64 pixels) and a min-cost-flow solver on the
-4-adjacency graph with unit edge costs (successive shortest paths, exact on
-much larger grids).  The min-cost route also yields a feasible local flow
-plan of minimal L1 norm.
+(any ground metric, capped at 64 pixels) and a sparse flow linear program
+over the directed edges of the 4-adjacency grid with unit edge costs (the
+EMD-L1 formulation of Ling & Okada, TPAMI 2007, exact on much larger
+grids).  Both are solved by HiGHS.  The flow route also yields a feasible
+local flow plan of minimal L1 norm.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -33,10 +33,14 @@ from .flow_domain import (
 # and starts being a liability.
 MAX_LP_PIXELS = 64
 
-# Supplies at or below this absolute level are treated as settled by the
-# min-cost-flow solver.  Normalized inputs keep the leftover mass (and thus
-# the distance error) far below the 1e-8 agreement tolerance.
-_SETTLE_TOL = 1e-14
+# HiGHS settings for both transport LPs.  Presolve misclassifies
+# near-degenerate marginals (entries ~1e-10) as infeasible at this primal
+# tolerance, so it stays off.
+_HIGHS_OPTIONS = {
+    "primal_feasibility_tolerance": 1e-10,
+    "dual_feasibility_tolerance": 1e-9,
+    "presolve": False,
+}
 
 
 class ScaleError(ValueError):
@@ -99,6 +103,22 @@ def _check_same_shape(a: np.ndarray, b: np.ndarray):
         raise ShapeMismatchError(f"image shapes differ: {a.shape} vs {b.shape}")
 
 
+def _solve_lp(cost: np.ndarray, a_eq: sp.csr_matrix,
+              b_eq: np.ndarray) -> tuple[float, np.ndarray]:
+    """min cost'x subject to a_eq x = b_eq and x >= 0, by HiGHS.
+
+    Both transport LPs conserve mass, so their equality rows have rank one
+    less than their count; dropping the redundant last row keeps the system
+    exactly consistent under the tight tolerance.  The optimum and the
+    solution are clipped at zero.
+    """
+    res = linprog(cost, A_eq=a_eq[:-1], b_eq=b_eq[:-1], bounds=(0, None), method="highs",
+                  options=_HIGHS_OPTIONS)
+    if res.status != 0:
+        raise RuntimeError(f"transport LP failed: {res.message}")
+    return max(float(res.fun), 0.0), np.maximum(res.x, 0.0)
+
+
 def wasserstein_lp(x, xp, metric: GroundMetric = GroundMetric.L1) -> tuple[float, TransportPlan]:
     """Exact 1-Wasserstein distance by solving the coupling LP directly.
 
@@ -117,128 +137,45 @@ def wasserstein_lp(x, xp, metric: GroundMetric = GroundMetric.L1) -> tuple[float
     ones = sp.csr_matrix(np.ones((1, npix)))
     a_eq = sp.vstack([sp.kron(eye, ones), sp.kron(ones, eye)], format="csr")
     b_eq = np.concatenate([a.ravel(), b.ravel()])
-    # The marginal constraints have rank 2N - 1; dropping the redundant last
-    # row keeps the system exactly consistent under the tight tolerance.
-    # Presolve misclassifies near-degenerate marginals (entries ~1e-10) as
-    # infeasible at that tolerance, so it stays off; the LP is tiny anyway.
-    res = linprog(
-        cost.ravel(), A_eq=a_eq[:-1], b_eq=b_eq[:-1], bounds=(0, None), method="highs",
-        options={
-            "primal_feasibility_tolerance": 1e-10,
-            "dual_feasibility_tolerance": 1e-9,
-            "presolve": False,
-        },
-    )
-    if res.status != 0:
-        raise RuntimeError(f"transport LP failed: {res.message}")
-    plan = TransportPlan(np.maximum(res.x.reshape(npix, npix), 0.0))
-    return max(float(res.fun), 0.0), plan
+    distance, coupling = _solve_lp(cost.ravel(), a_eq, b_eq)
+    return distance, TransportPlan(coupling.reshape(npix, npix))
 
 
 @lru_cache(maxsize=32)
-def _grid_arcs(n: int, m: int):
-    """Arc arrays for the 4-adjacency digraph of an n x m grid.
+def _grid_incidence(n: int, m: int) -> sp.csr_matrix:
+    """Node-arc incidence matrix of the 4-adjacency digraph of an n x m grid.
 
-    Arcs are laid out in four blocks (down, up, right, left) so solved flows
-    reshape directly into an EdgeFlow.  Returns (tails, heads, out_arcs,
-    in_arcs) with adjacency as tuples of arc ids per node.
+    Entry (u, arc) is +1 when the arc leaves pixel u and -1 when it enters
+    it, so the product with an arc flow is each pixel's net outflow.  Arcs
+    are laid out in four blocks (down, up, right, left) so solved flows
+    reshape directly into an EdgeFlow.  Callers share the cached matrix and
+    must not modify it.
     """
     idx = np.arange(n * m).reshape(n, m)
-    down = np.stack([idx[:-1, :].ravel(), idx[1:, :].ravel()], axis=1)
-    right = np.stack([idx[:, :-1].ravel(), idx[:, 1:].ravel()], axis=1)
-    pairs = np.concatenate([down, down[:, ::-1], right, right[:, ::-1]], axis=0)
-    tails, heads = pairs[:, 0], pairs[:, 1]
-    out_arcs = [[] for _ in range(n * m)]
-    in_arcs = [[] for _ in range(n * m)]
-    for arc, (u, v) in enumerate(pairs):
-        out_arcs[u].append(arc)
-        in_arcs[v].append(arc)
-    out_arcs = tuple(tuple(lst) for lst in out_arcs)
-    in_arcs = tuple(tuple(lst) for lst in in_arcs)
-    return tails, heads, out_arcs, in_arcs
+    down = np.stack([idx[:-1, :].ravel(), idx[1:, :].ravel()])
+    right = np.stack([idx[:, :-1].ravel(), idx[:, 1:].ravel()])
+    tails, heads = np.concatenate([down, down[::-1], right, right[::-1]], axis=1)
+    arcs = np.arange(tails.size)
+    values = np.concatenate([np.ones(tails.size), -np.ones(tails.size)])
+    return sp.csr_matrix(
+        (values, (np.concatenate([tails, heads]), np.concatenate([arcs, arcs]))),
+        shape=(n * m, tails.size),
+    )
 
 
 def _min_cost_flow_grid(a: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray]:
     """Minimum-total nonnegative arc flow turning mass field ``a`` into ``b``
     on the 4-adjacency grid with unit arc costs.
 
-    Successive shortest paths with integer node potentials: every arc cost
-    is +-1 under the residual graph, so Dijkstra's reduced costs stay exact
-    integers and path selection never suffers float comparisons.  Only the
-    shipped mass amounts are floats.
+    Solves the EMD-L1 flow LP of Ling & Okada (TPAMI 2007), min 1'f subject
+    to D f = a - b and f >= 0, with D the node-arc incidence matrix, by
+    HiGHS.  Returns the optimal total and the arc flow.
     """
     n, m = a.shape
-    nn = n * m
-    tails, heads, out_arcs, in_arcs = _grid_arcs(n, m)
-    flow = np.zeros(len(tails))
-    supply = (a - b).ravel().astype(float)
-    potential = [0] * nn
-
-    guard = 0
-    max_rounds = 10 * nn * nn + 100
-    while True:
-        sources = np.nonzero(supply > _SETTLE_TOL)[0]
-        if sources.size == 0:
-            break
-        guard += 1
-        if guard > max_rounds:
-            raise RuntimeError("min-cost flow failed to settle; inputs may be unbalanced")
-        s = int(sources[0])
-
-        # Dijkstra over residual arcs with reduced costs.
-        dist = [None] * nn
-        parent = [None] * nn  # (prev node, arc id, is_reverse)
-        dist[s] = 0
-        heap = [(0, s)]
-        while heap:
-            d_u, u = heapq.heappop(heap)
-            if d_u > dist[u]:
-                continue
-            for arc in out_arcs[u]:
-                v = int(heads[arc])
-                nd = d_u + 1 + potential[u] - potential[v]
-                if dist[v] is None or nd < dist[v]:
-                    dist[v] = nd
-                    parent[v] = (u, arc, False)
-                    heapq.heappush(heap, (nd, v))
-            for arc in in_arcs[u]:
-                if flow[arc] <= 0.0:
-                    continue
-                v = int(tails[arc])
-                nd = d_u - 1 + potential[u] - potential[v]
-                if dist[v] is None or nd < dist[v]:
-                    dist[v] = nd
-                    parent[v] = (u, arc, True)
-                    heapq.heappush(heap, (nd, v))
-
-        sinks = np.nonzero(supply < -_SETTLE_TOL)[0]
-        if sinks.size == 0:
-            # Residual imbalance is below tolerance; stop shipping.
-            break
-        t = int(min(sinks, key=lambda v: dist[int(v)]))
-
-        # Bottleneck along the path: supplies bound it, as do reverse arcs.
-        amount = min(supply[s], -supply[t])
-        v = t
-        while v != s:
-            u, arc, is_reverse = parent[v]
-            if is_reverse:
-                amount = min(amount, flow[arc])
-            v = u
-        v = t
-        while v != s:
-            u, arc, is_reverse = parent[v]
-            if is_reverse:
-                flow[arc] -= amount
-            else:
-                flow[arc] += amount
-            v = u
-        supply[s] -= amount
-        supply[t] += amount
-        for v in range(nn):
-            potential[v] += dist[v]
-
-    return float(flow.sum()), flow
+    if n * m == 1:  # a single pixel has no arcs and moves no mass
+        return 0.0, np.zeros(0)
+    incidence = _grid_incidence(n, m)
+    return _solve_lp(np.ones(incidence.shape[1]), incidence, (a - b).ravel())
 
 
 def _edge_flow_from_arcs(flow: np.ndarray, shape: tuple[int, int]) -> EdgeFlow:
@@ -258,7 +195,9 @@ def wasserstein_grid_l1(x, xp) -> tuple[float, EdgeFlow]:
     the minimum total adjacent-pixel flow turning ``x`` into ``xp``.
 
     Moving mass one grid step costs exactly 1 under the L1 metric, so the
-    min-cost flow on the adjacency graph equals the coupling LP's optimum.
+    edge flow LP on the adjacency graph (Ling & Okada, TPAMI 2007) equals
+    the coupling LP's optimum.  The returned flow holds the optimal
+    directed edge flows in the down/up/right/left layout.
     """
     a = _coerce_image(x)
     b = _coerce_image(xp)
@@ -298,11 +237,12 @@ def run_oracle_checks(num_pairs: int = 50, seed: int = 0) -> list[CheckOutcome]:
     """Cross-validate the transport oracles and flow identities on random
     image pairs; every property must hold up to stated numerical tolerance.
 
-    Covered: agreement of the coupling LP and the grid min-cost flow under
-    the L1 ground; the minimal plan's norm and feasibility; the L1/L2
-    distance sandwich; the factor-2 bound of pixelwise L1 distance by the
-    Wasserstein distance, with its exact equality instance; feasibility of
-    the product coupling; and the 1-D cumulative-sum closed form.
+    Covered: agreement of the coupling LP and the grid edge flow LP under
+    the L1 ground; the minimal plan's norm and feasibility, also on one
+    28 x 28 pair drawn after the small ones; the L1/L2 distance sandwich;
+    the factor-2 bound of pixelwise L1 distance by the Wasserstein
+    distance, with its exact equality instance; feasibility of the product
+    coupling; and the 1-D cumulative-sum closed form.
     """
     from .flow_domain import apply_flow, l1_norm, solve_flow_1d
 
@@ -355,6 +295,19 @@ def run_oracle_checks(num_pairs: int = 50, seed: int = 0) -> list[CheckOutcome]:
         res["one_dim_closed_form"] = max(
             res["one_dim_closed_form"], abs(float(np.abs(solve_flow_1d(u, v)).sum()) - d_1d)
         )
+
+    # A pair at the paper's MNIST scale, past the dense LP's reach: the grid
+    # oracle's own plan must still be feasible and as short as its distance.
+    x = _random_image(rng, (28, 28))
+    xp = _random_image(rng, (28, 28))
+    d_grid, edge = wasserstein_grid_l1(x, xp)
+    plan = flow_from_edge(edge)
+    res["min_plan_norm_matches_distance"] = max(
+        res["min_plan_norm_matches_distance"], abs(l1_norm(plan) - d_grid)
+    )
+    res["min_plan_is_feasible"] = max(
+        res["min_plan_is_feasible"], np.abs(apply_flow(x, plan).values - xp.values).max()
+    )
 
     # One unit of mass at a pixel vs keeping half there and shifting half to
     # a neighbor: the pixelwise L1 distance is 1 while the transport cost is

@@ -142,3 +142,61 @@ def brute_force_l1_projection(v: np.ndarray, radius: float) -> np.ndarray:
             if dist < best_dist:
                 best, best_dist = cand, dist
     return best
+
+
+def successive_shortest_paths_grid_l1(a: np.ndarray, b: np.ndarray) -> float:
+    """Independent reference for the grid W1 distance under the L1 ground
+    metric: min-cost flow on the 4-adjacency grid with unit arc costs,
+    solved by successive shortest paths.
+
+    Node potentials are integers and every residual arc costs +-1, so
+    Dijkstra's reduced costs stay exact integers; only shipped amounts are
+    floats.  Pure Python, so keep grids to a few hundred pixels.
+    """
+    import heapq
+
+    n, m = a.shape
+    idx = np.arange(n * m).reshape(n, m)
+    down = np.stack([idx[:-1, :].ravel(), idx[1:, :].ravel()], axis=1)
+    right = np.stack([idx[:, :-1].ravel(), idx[:, 1:].ravel()], axis=1)
+    arcs = [tuple(map(int, p)) for p in np.concatenate([down, down[:, ::-1], right, right[:, ::-1]])]
+    out_arcs = [[] for _ in range(n * m)]
+    in_arcs = [[] for _ in range(n * m)]
+    for arc, (u, v) in enumerate(arcs):
+        out_arcs[u].append(arc)
+        in_arcs[v].append(arc)
+    flow = [0.0] * len(arcs)
+    supply = (a / a.sum() - b / b.sum()).ravel()
+    potential = [0] * (n * m)
+    settle = 1e-14
+    while np.any(supply > settle) and np.any(supply < -settle):
+        s = int(np.argmax(supply > settle))
+        dist = [None] * (n * m)
+        parent = [None] * (n * m)  # (previous node, arc, traversed backwards)
+        dist[s] = 0
+        heap = [(0, s)]
+        while heap:
+            d_u, u = heapq.heappop(heap)
+            if d_u > dist[u]:
+                continue
+            steps = [(arcs[arc][1], arc, False, 1) for arc in out_arcs[u]]
+            steps += [(arcs[arc][0], arc, True, -1) for arc in in_arcs[u] if flow[arc] > 0.0]
+            for v, arc, backwards, cost in steps:
+                nd = d_u + cost + potential[u] - potential[v]
+                if dist[v] is None or nd < dist[v]:
+                    dist[v] = nd
+                    parent[v] = (u, arc, backwards)
+                    heapq.heappush(heap, (nd, v))
+        t = min(np.nonzero(supply < -settle)[0], key=lambda v: dist[int(v)])
+        path = []
+        v = int(t)
+        while v != s:
+            path.append(parent[v])
+            v = parent[v][0]
+        amount = min([supply[s], -supply[t]] + [flow[arc] for _, arc, back in path if back])
+        for _, arc, back in path:
+            flow[arc] += -amount if back else amount
+        supply[s] -= amount
+        supply[t] += amount
+        potential = [p + d for p, d in zip(potential, dist)]
+    return float(sum(flow))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import wsmooth
-from wsmooth.cli import run
+from wsmooth.cli import main, run
 
 
 @pytest.fixture
@@ -210,6 +210,29 @@ class TestConfigHandling:
     def test_rejects_nonpositive_sigma(self, config_path):
         with pytest.raises(SystemExit, match="sigma"):
             run(["certify", "--config", str(config_path), "--sigma", "0"])
+
+    @pytest.mark.parametrize("cfg, needle", [
+        ({"sigma": "0.05"}, "sigma must be a finite number"),
+        ({"train": {"epoch": 2}}, "unknown config key 'train.epoch'"),
+        ({"sigmaa": 0.05}, "unknown config key 'sigmaa'"),
+    ])
+    def test_bad_config_exits_with_one_error_line(self, tmp_path, monkeypatch, capsys,
+                                                  cfg, needle):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        monkeypatch.setattr(sys, "argv", ["wsmooth", "train", "--config", str(path),
+                                          "--out-dir", str(tmp_path / "out")])
+        assert main() == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and needle in err[0]
+        assert not (tmp_path / "out").exists()
+
+    def test_infinite_sigma_flag_exits_with_one_error_line(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["wsmooth", "certify", "--sigma", "inf",
+                                          "--out-dir", str(tmp_path)])
+        assert main() == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: sigma must be a finite number")
 
     def test_rejects_missing_config(self, tmp_path):
         with pytest.raises(SystemExit, match="not found"):

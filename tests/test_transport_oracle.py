@@ -20,6 +20,7 @@ from wsmooth import (
     wasserstein_lp,
 )
 
+from analytic import successive_shortest_paths_grid_l1
 from conftest import image_flow_pairs, image_pairs
 
 
@@ -133,6 +134,50 @@ class TestGridSolver:
             return
         d, _ = wasserstein_grid_l1(x, moved.values / moved.values.sum())
         assert d <= l1_norm(plan) + 1e-8
+
+
+class TestPaperScale:
+    """28 x 28 is the MNIST size the paper certifies at, past the dense LP's
+    64-pixel cap, so the checks here rest on the flow identities, the 1-D
+    closed form and the successive-shortest-paths reference."""
+
+    def test_plan_feasible_and_norm_optimal(self, rng):
+        x = rng.dirichlet(np.ones(784)).reshape(28, 28)
+        xp = rng.dirichlet(np.ones(784)).reshape(28, 28)
+        d, _ = wasserstein_grid_l1(x, xp)
+        plan = min_flow_plan(x, xp)
+        assert np.abs(apply_flow(x, plan).values - xp / xp.sum()).max() < 1e-9
+        assert abs(l1_norm(plan) - d) < 1e-8
+
+    def test_swap_symmetry(self, rng):
+        x = rng.dirichlet(np.ones(784)).reshape(28, 28)
+        xp = rng.dirichlet(np.ones(784)).reshape(28, 28)
+        d, _ = wasserstein_grid_l1(x, xp)
+        d_rev, _ = wasserstein_grid_l1(xp, x)
+        assert abs(d - d_rev) <= 1e-12
+
+    def test_row_matches_1d_closed_form(self, rng):
+        x = rng.dirichlet(np.ones(784))
+        xp = rng.dirichlet(np.ones(784))
+        d, _ = wasserstein_grid_l1(x[None, :], xp[None, :])
+        closed = float(np.abs(solve_flow_1d(x / x.sum(), xp / xp.sum())).sum())
+        assert abs(d - closed) <= 1e-9
+
+    def test_three_channels_are_mass_weighted(self, rng):
+        weights = np.array([0.2, 0.3, 0.5])
+        a = rng.dirichlet(np.ones(784), size=3).reshape(3, 28, 28)
+        b = rng.dirichlet(np.ones(784), size=3).reshape(3, 28, 28)
+        x = MultiChannelImage(weights[:, None, None] * a)
+        xp = MultiChannelImage(weights[:, None, None] * b)
+        expected = sum(w * wasserstein_grid_l1(a[k], b[k])[0] for k, w in enumerate(weights))
+        assert abs(per_channel_wasserstein(x, xp) - expected) <= 1e-10
+
+    @pytest.mark.parametrize("shape", [(12, 12), (10, 16)])
+    def test_matches_successive_shortest_paths(self, rng, shape):
+        x = rng.dirichlet(np.ones(shape[0] * shape[1])).reshape(shape)
+        xp = rng.dirichlet(np.ones(shape[0] * shape[1])).reshape(shape)
+        d, _ = wasserstein_grid_l1(x, xp)
+        assert abs(d - successive_shortest_paths_grid_l1(x, xp)) < 1e-8
 
 
 class TestMinFlowPlan:
