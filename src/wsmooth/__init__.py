@@ -22,12 +22,10 @@ from .dataset_io import (
     IdxLengthError,
     LabeledDataset,
     PairingError,
-    export_csv,
     load_idx,
     load_idx_images,
     load_idx_labels,
     make_dataset,
-    nonzero_mask,
     normalize,
     normalize_multichannel,
     synthetic_dataset,
@@ -43,8 +41,6 @@ from .flow_domain import (
     RawGrid,
     ShapeMismatchError,
     apply_flow,
-    compose,
-    edge_from_flow,
     flow_from_edge,
     l1_norm,
     solve_flow_1d,
@@ -58,12 +54,9 @@ from .smoothing import (
     certify,
     clopper_pearson_lower,
     median_certified_radius,
-    perturb,
     prediction_from_counts,
     radius_from_plower,
-    sample_flow_noise,
     smoothed_predict,
-    soft_smoothed_scores,
 )
 from .transport_oracle import (
     ChannelMassError,

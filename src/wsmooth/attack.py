@@ -3,10 +3,10 @@
 The adversary perturbs the image by a local flow plan whose L1 norm (equal
 to the Wasserstein-L1 cost of the perturbation) is capped by a slowly
 growing radius.  Gradients of the expected cross-entropy are estimated by
-Monte Carlo over the smoothing noise and pulled back through the linear
-flow-application map; after each ascent step the plan is projected onto the
-current L1 ball.  The attacked prediction uses the full abstaining decision
-rule, and abstention counts as a successful attack.
+Monte Carlo over the smoothing noise and pulled back to the flow coordinates
+through the adjoint of the divergence; after each ascent step the plan is
+projected onto the current L1 ball.  The attacked prediction uses the full
+abstaining decision rule, and abstention counts as a successful attack.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .classifier import input_gradient_batch
-from .flow_domain import LocalFlowPlan, MultiChannelImage
+from .flow_domain import LocalFlowPlan, MultiChannelImage, divergence, divergence_adjoint
 from .smoothing import (
     NoiseSpec,
     SmoothedPrediction,
@@ -125,51 +125,37 @@ class AttackResult:
     oracle_radius: float | None
 
 
-def _delta_layout(cshape: tuple[int, int, int]) -> int:
-    _, n, m = cshape
-    return (n - 1) * m + n * (m - 1)
+def _unpack(delta: np.ndarray, cshape: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Per-channel (vert, horiz) stacks of a packed perturbation.
+
+    The packed vector holds, channel by channel, the row-major vertical
+    flows followed by the row-major horizontal flows; _pack inverts this.
+    """
+    c, n, m = cshape
+    nv = (n - 1) * m
+    blocks = delta.reshape(c, nv + n * (m - 1))
+    return blocks[:, :nv].reshape(c, n - 1, m), blocks[:, nv:].reshape(c, n, m - 1)
+
+
+def _pack(vert: np.ndarray, horiz: np.ndarray) -> np.ndarray:
+    c = vert.shape[0]
+    return np.concatenate([vert.reshape(c, -1), horiz.reshape(c, -1)], axis=1).ravel()
 
 
 def _delta_to_plans(delta: np.ndarray, cshape: tuple[int, int, int]) -> list[LocalFlowPlan]:
-    c, n, m = cshape
-    per = _delta_layout(cshape)
-    return [LocalFlowPlan.from_vector(delta[k * per : (k + 1) * per], (n, m)) for k in range(c)]
-
-
-def _increment_from_delta(delta: np.ndarray, cshape: tuple[int, int, int]) -> np.ndarray:
-    """Additive pixel change of applying the packed per-channel plans."""
-    c, n, m = cshape
-    per = _delta_layout(cshape)
-    nv = (n - 1) * m
-    inc = np.zeros(cshape)
-    for k in range(c):
-        block = delta[k * per : (k + 1) * per]
-        vert = block[:nv].reshape(n - 1, m)
-        horiz = block[nv:].reshape(n, m - 1)
-        if vert.size:
-            inc[k, 1:, :] += vert
-            inc[k, :-1, :] -= vert
-        if horiz.size:
-            inc[k, :, 1:] += horiz
-            inc[k, :, :-1] -= horiz
-    return inc
+    return [LocalFlowPlan(v, h) for v, h in zip(*_unpack(delta, cshape))]
 
 
 def _flow_gradient(classifier, perturbed: np.ndarray, orig_shape, label: int,
                    spec: NoiseSpec, samples: int, rng) -> np.ndarray:
     """Monte Carlo gradient of the expected cross-entropy with respect to the
-    packed flow coordinates, via the adjoint of flow application."""
+    packed flow coordinates, via the adjoint of the divergence."""
     cshape = perturbed.shape
     inc = _sample_increments(spec.scheme, spec.sigma, cshape, samples, rng)
     batch = (perturbed[None] + inc).reshape((samples,) + tuple(orig_shape))
     g_pix = input_gradient_batch(classifier, batch, np.full(samples, label))
     g_mean = g_pix.reshape((samples,) + cshape).mean(axis=0)
-    parts = []
-    for k in range(cshape[0]):
-        gv = g_mean[k, 1:, :] - g_mean[k, :-1, :]
-        gh = g_mean[k, :, 1:] - g_mean[k, :, :-1]
-        parts.append(np.concatenate([gv.ravel(), gh.ravel()]))
-    return np.concatenate(parts)
+    return _pack(*divergence_adjoint(g_mean))
 
 
 def _oracle_radius(clean: np.ndarray, perturbed: np.ndarray) -> float | None:
@@ -205,17 +191,17 @@ def flow_pgd_attack(classifier, x, label: int, spec: NoiseSpec,
     clean_pred = smoothed_predict(
         classifier, x, spec, config.predict_samples, config.predict_alpha, next(streams)
     )
-    zero_plans = _delta_to_plans(np.zeros(cshape[0] * _delta_layout(cshape)), cshape)
+    c, n, m = cshape
+    delta = np.zeros(c * ((n - 1) * m + n * (m - 1)))
     if clean_pred.predicted != label:
-        return AttackResult(True, False, zero_plans, 0.0, 0, clean_pred, 0.0)
+        return AttackResult(True, False, _delta_to_plans(delta, cshape), 0.0, 0, clean_pred, 0.0)
 
-    delta = np.zeros(cshape[0] * _delta_layout(cshape))
     last_evaluated = delta
     step = config.resolved_step
     pred = clean_pred
     for it in range(1, config.iterations + 1):
         grad_rng, eval_rng = next(streams), next(streams)
-        grad = _flow_gradient(classifier, channels + _increment_from_delta(delta, cshape),
+        grad = _flow_gradient(classifier, channels + divergence(*_unpack(delta, cshape)),
                               orig_shape, label, spec, config.gradient_samples, grad_rng)
         gnorm = np.abs(grad).sum()
         if gnorm > 0:
@@ -223,7 +209,7 @@ def flow_pgd_attack(classifier, x, label: int, spec: NoiseSpec,
         delta = project_l1_ball(delta, config.radius_at(it))
         if np.array_equal(delta, last_evaluated):
             continue
-        perturbed = channels + _increment_from_delta(delta, cshape)
+        perturbed = channels + divergence(*_unpack(delta, cshape))
         pred = smoothed_predict(
             classifier, perturbed.reshape(orig_shape), spec,
             config.predict_samples, config.predict_alpha, eval_rng,

@@ -85,6 +85,12 @@ class RunConfig:
                 f"error: sigma must be > 0 (got {self.sigma!r}); "
                 "smoothing with nonpositive noise certifies nothing"
             )
+        for key in ("seed", "workers"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise SystemExit(f"error: {key} must be an integer, got {value!r}")
+        if self.seed < 0:
+            raise SystemExit(f"error: seed must be >= 0, got {self.seed!r}")
         if self.workers < 1:
             raise SystemExit("error: workers must be >= 1")
 

@@ -1,10 +1,9 @@
 """Dataset plumbing: IDX-format readers and writers, normalization of raw
-intensity grids into unit-mass images, deterministic synthetic datasets for
-desk-scale experiments, and CSV export."""
+intensity grids into unit-mass images, and deterministic synthetic datasets
+for desk-scale experiments."""
 
 from __future__ import annotations
 
-import csv
 import struct
 from dataclasses import dataclass
 
@@ -184,8 +183,8 @@ def make_dataset(images, labels, num_classes: int | None = None, label_base: int
     """Normalize raw grids and shift labels to the 1-based convention.
 
     label_base says what the smallest raw label means (0 for IDX files).
-    Zero-mass images are rejected outright; filter them beforehand (see
-    nonzero_mask) if the source may contain any.
+    Zero-mass images are rejected outright; drop them beforehand if the
+    source may contain any.
     """
     images = np.asarray(images)
     labels = np.asarray(labels).astype(int)
@@ -201,12 +200,6 @@ def make_dataset(images, labels, num_classes: int | None = None, label_base: int
         except DegenerateImageError as exc:
             raise DegenerateImageError(f"image {i}: {exc}") from None
     return LabeledDataset(normed, shifted, num_classes)
-
-
-def nonzero_mask(images) -> np.ndarray:
-    """Boolean mask of images with positive total mass."""
-    images = np.asarray(images, dtype=float)
-    return images.sum(axis=tuple(range(1, images.ndim))) > 0
 
 
 def synthetic_dataset(kind: str, size: int, shape: tuple[int, int] = (6, 6),
@@ -269,14 +262,3 @@ def synthetic_dataset(kind: str, size: int, shape: tuple[int, int] = (6, 6),
         return LabeledDataset(images, labels, 4)
     raise ValueError(f"unknown synthetic dataset kind {kind!r}")
 
-
-def export_csv(dataset: LabeledDataset, path):
-    """Write a dataset as one flattened row per image: id, label, pixels in
-    row-major order (channel-major first for multichannel)."""
-    x, y = dataset.as_arrays()
-    flat = x.reshape(len(dataset), -1) if len(dataset) else x.reshape(0, 0)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "label"] + [f"v{i}" for i in range(flat.shape[1])])
-        for i in range(len(dataset)):
-            writer.writerow([i, int(y[i])] + [repr(float(v)) for v in flat[i]])

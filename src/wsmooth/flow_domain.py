@@ -2,10 +2,12 @@
 
 An image is a nonnegative grid of intensities with total mass 1.  A local
 flow plan moves mass only between vertically or horizontally adjacent
-pixels; applying a plan adds each pixel's net inflow and subtracts its net
-outflow, so total mass is conserved even though individual pixels may go
-negative.  Plans form a vector space: applying d1 then d2 equals applying
-d1 + d2.
+pixels.  Applying a plan f to an image x gives x + D f, where D is the grid
+divergence: each pixel gains its net inflow, so total mass is conserved
+even though individual pixels may go negative.  ``divergence`` and its
+adjoint ``divergence_adjoint`` are the one implementation of D and D^T
+that smoothing, training and the attack share; both are batched over
+leading axes.
 """
 
 from __future__ import annotations
@@ -156,18 +158,6 @@ class LocalFlowPlan:
     def num_coords(self) -> int:
         return self.vert.size + self.horiz.size
 
-    def to_vector(self) -> np.ndarray:
-        return np.concatenate([self.vert.ravel(), self.horiz.ravel()])
-
-    @classmethod
-    def from_vector(cls, vec: np.ndarray, shape: tuple[int, int]) -> "LocalFlowPlan":
-        n, m = shape
-        nv = (n - 1) * m
-        vec = np.asarray(vec, dtype=float)
-        if vec.shape != (nv + n * (m - 1),):
-            raise ShapeMismatchError(f"vector of length {vec.shape} does not pack a {shape} flow plan")
-        return cls(vec[:nv].reshape(n - 1, m), vec[nv:].reshape(n, m - 1))
-
     def scaled(self, c: float) -> "LocalFlowPlan":
         return LocalFlowPlan(c * self.vert, c * self.horiz)
 
@@ -231,15 +221,29 @@ def _image_values(x) -> np.ndarray:
     return _as_float_grid(x, "image")
 
 
-def _apply_flow_values(a: np.ndarray, vert: np.ndarray, horiz: np.ndarray) -> np.ndarray:
-    out = a.astype(float, copy=True)
-    if vert.size:
-        out[1:, :] += vert
-        out[:-1, :] -= vert
-    if horiz.size:
-        out[:, 1:] += horiz
-        out[:, :-1] -= horiz
+def divergence(vert: np.ndarray, horiz: np.ndarray) -> np.ndarray:
+    """Net inflow D f of every pixel under the signed edge flows f.
+
+    vert has shape (..., n-1, m) and horiz (..., n, m-1), with the sign
+    convention of LocalFlowPlan; the result has shape (..., n, m) and each
+    of its grids sums to zero.
+    """
+    out = np.zeros(horiz.shape[:-1] + vert.shape[-1:])
+    out[..., 1:, :] += vert
+    out[..., :-1, :] -= vert
+    out[..., :, 1:] += horiz
+    out[..., :, :-1] -= horiz
     return out
+
+
+def divergence_adjoint(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """D^T g: the (vert, horiz) edge values with <D f, g> = <f, D^T g>.
+
+    Each edge gets the difference of g across it (head minus tail), so a
+    pixel-space gradient pulls back to the flow coordinates.  g has shape
+    (..., n, m); the result has shapes (..., n-1, m) and (..., n, m-1).
+    """
+    return g[..., 1:, :] - g[..., :-1, :], g[..., :, 1:] - g[..., :, :-1]
 
 
 def apply_flow(x, plan: LocalFlowPlan) -> RawGrid:
@@ -252,14 +256,7 @@ def apply_flow(x, plan: LocalFlowPlan) -> RawGrid:
     a = _image_values(x)
     if plan.image_shape != a.shape:
         raise ShapeMismatchError(f"plan for {plan.image_shape} applied to image of shape {a.shape}")
-    return RawGrid(_apply_flow_values(a, plan.vert, plan.horiz))
-
-
-def compose(d1: LocalFlowPlan, d2: LocalFlowPlan) -> LocalFlowPlan:
-    """Plan equivalent to applying ``d1`` then ``d2`` (coordinatewise sum)."""
-    if d1.image_shape != d2.image_shape:
-        raise ShapeMismatchError(f"cannot compose plans for {d1.image_shape} and {d2.image_shape}")
-    return LocalFlowPlan(d1.vert + d2.vert, d1.horiz + d2.horiz)
+    return RawGrid(a + divergence(plan.vert, plan.horiz))
 
 
 def l1_norm(plan: LocalFlowPlan) -> float:
@@ -298,16 +295,3 @@ def flow_from_edge(g: EdgeFlow) -> LocalFlowPlan:
     """
     return LocalFlowPlan(g.down - g.up, g.right - g.left)
 
-
-def edge_from_flow(plan: LocalFlowPlan) -> EdgeFlow:
-    """Directed edge flow shipping each net flow in its sign's direction.
-
-    This is the minimal-total directed representation: its total equals the
-    plan's L1 norm and flow_from_edge inverts it exactly.
-    """
-    return EdgeFlow(
-        np.maximum(plan.vert, 0.0),
-        np.maximum(-plan.vert, 0.0),
-        np.maximum(plan.horiz, 0.0),
-        np.maximum(-plan.horiz, 0.0),
-    )

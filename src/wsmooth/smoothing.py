@@ -4,10 +4,13 @@ pixels, plus the statistical certification pipeline: Monte Carlo voting, a
 Clopper-Pearson lower bound on the top-class probability, and closed-form
 certified Wasserstein radii.
 
-Sampling is deterministic given a seeded generator and independent of the
-worker count: draws are partitioned into fixed-size batches, each batch gets
-its own child stream via Generator.spawn, and partial results are merged in
-batch order.
+A flow draw f reaches the pixels as the increment D f of
+flow_domain.divergence; pixel noise is its own increment.  One engine,
+_vote_counts, turns batches of increments into votes for prediction and
+certification.  Sampling is deterministic given a seeded generator and
+independent of the worker count: draws are partitioned into fixed-size
+batches, each batch gets its own child stream via Generator.spawn, and
+partial results are merged in batch order.
 """
 
 from __future__ import annotations
@@ -19,14 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import beta, binomtest
 
-from .flow_domain import (
-    GridImage,
-    LocalFlowPlan,
-    MultiChannelImage,
-    RawGrid,
-    ShapeMismatchError,
-    _apply_flow_values,
-)
+from .flow_domain import GridImage, MultiChannelImage, RawGrid, ShapeMismatchError, divergence
 from .transport_oracle import GroundMetric
 
 # Sentinel prediction for "not enough evidence to name a class".
@@ -145,64 +141,11 @@ def _canonical_channels(x) -> tuple[np.ndarray, tuple[int, ...]]:
     raise ShapeMismatchError(f"expected a 2-D or 3-D image, got shape {a.shape}")
 
 
-def sample_flow_noise(shape: tuple[int, ...], sigma: float, rng) -> LocalFlowPlan | list[LocalFlowPlan]:
-    """Draw a Laplace flow plan with per-coordinate standard deviation sigma.
-
-    For a (C, n, m) shape, returns one independent plan per channel (noise
-    never moves mass across channels).  sigma = 0 yields zero plans without
-    consuming randomness.
-    """
-    if sigma < 0:
-        raise ValueError("sigma must be >= 0")
-    if len(shape) == 3:
-        return [sample_flow_noise(shape[1:], sigma, rng) for _ in range(shape[0])]
-    n, m = shape
-    if sigma == 0.0:
-        return LocalFlowPlan.zeros((n, m))
-    rng = _as_rng(rng)
-    b = sigma / math.sqrt(2.0)
-    vert = rng.laplace(0.0, b, size=(n - 1, m))
-    horiz = rng.laplace(0.0, b, size=(n, m - 1))
-    return LocalFlowPlan(vert, horiz)
-
-
-def perturb(x, noise, scheme: str) -> np.ndarray:
-    """Apply one noise draw to an image and return the noisy pixel array.
-
-    Flow noise is a LocalFlowPlan (or one per channel) and conserves mass;
-    pixel noise is an additive array of the image's shape and does not.
-    Either way pixels may go negative, so the result is a plain array in the
-    input's layout.
-    """
-    _check_scheme(scheme)
-    channels, orig_shape = _canonical_channels(x)
-    if scheme == FLOW:
-        plans = noise if isinstance(noise, (list, tuple)) else [noise]
-        if len(plans) != channels.shape[0]:
-            raise ShapeMismatchError(
-                f"{len(plans)} flow plans for {channels.shape[0]} channels"
-            )
-        out = np.empty_like(channels)
-        for k, plan in enumerate(plans):
-            if plan.image_shape != channels.shape[1:]:
-                raise ShapeMismatchError(
-                    f"plan for {plan.image_shape} applied to channels of shape {channels.shape[1:]}"
-                )
-            out[k] = _apply_flow_values(channels[k], plan.vert, plan.horiz)
-    else:
-        noise_arr = np.asarray(noise, dtype=float)
-        if noise_arr.shape != orig_shape:
-            raise ShapeMismatchError(f"pixel noise shape {noise_arr.shape} != image shape {orig_shape}")
-        out = channels + noise_arr.reshape(channels.shape)
-    return out.reshape(orig_shape)
-
-
 def _sample_increments(scheme: str, sigma: float, cshape: tuple[int, int, int], size: int,
                        rng: np.random.Generator) -> np.ndarray:
     """Batch of additive pixel increments equivalent to ``size`` noise draws.
 
-    Flow application is linear in the plan, so a flow draw is the increment
-    obtained by applying it to a zero grid; pixel noise is its own
+    A flow draw's increment is its divergence; pixel noise is its own
     increment.  Returns shape (size, C, n, m).
     """
     c, n, m = cshape
@@ -211,46 +154,26 @@ def _sample_increments(scheme: str, sigma: float, cshape: tuple[int, int, int], 
     b = sigma / math.sqrt(2.0)
     if scheme == PIXEL:
         return rng.laplace(0.0, b, size=(size, c, n, m))
-    vert = rng.laplace(0.0, b, size=(size, c, n - 1, m)) if n > 1 else None
-    horiz = rng.laplace(0.0, b, size=(size, c, n, m - 1)) if m > 1 else None
-    inc = np.zeros((size, c, n, m))
-    if vert is not None:
-        inc[:, :, 1:, :] += vert
-        inc[:, :, :-1, :] -= vert
-    if horiz is not None:
-        inc[:, :, :, 1:] += horiz
-        inc[:, :, :, :-1] -= horiz
-    return inc
-
-
-def _batch_sizes(n: int) -> list[int]:
-    sizes = [VOTE_BATCH] * (n // VOTE_BATCH)
-    if n % VOTE_BATCH:
-        sizes.append(n % VOTE_BATCH)
-    return sizes
-
-
-def _run_batches(job, streams, workers: int) -> list:
-    if workers <= 1 or len(streams) <= 1:
-        return [job(s) for s in streams]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(job, streams))
+    vert = rng.laplace(0.0, b, size=(size, c, n - 1, m))
+    horiz = rng.laplace(0.0, b, size=(size, c, n, m - 1))
+    return divergence(vert, horiz)
 
 
 def _vote_counts(classifier, x, spec: NoiseSpec, n: int, rng, workers: int) -> np.ndarray:
     channels, orig_shape = _canonical_channels(x)
-    num_classes = classifier.num_classes
-    sizes = _batch_sizes(n)
-    streams = list(zip(_as_rng(rng).spawn(len(sizes)), sizes))
+    sizes = [VOTE_BATCH] * (n // VOTE_BATCH) + ([n % VOTE_BATCH] if n % VOTE_BATCH else [])
+    streams = _as_rng(rng).spawn(len(sizes))
 
-    def job(stream_size):
-        stream, size = stream_size
+    def job(stream, size):
         inc = _sample_increments(spec.scheme, spec.sigma, channels.shape, size, stream)
-        batch = (channels[None] + inc).reshape((size,) + orig_shape)
-        scores = classifier.forward_batch(batch)
-        return np.bincount(np.argmax(scores, axis=1), minlength=num_classes)
+        scores = classifier.forward_batch((channels[None] + inc).reshape((size,) + orig_shape))
+        return np.bincount(np.argmax(scores, axis=1), minlength=classifier.num_classes)
 
-    parts = _run_batches(job, streams, workers)
+    if workers <= 1 or len(sizes) <= 1:
+        parts = [job(stream, size) for stream, size in zip(streams, sizes)]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as ex:
+            parts = list(ex.map(job, streams, sizes))
     return np.sum(parts, axis=0, dtype=np.int64)
 
 
@@ -287,32 +210,6 @@ def smoothed_predict(classifier, x, spec: NoiseSpec, n: int = 10000, alpha: floa
         raise ValueError("need at least one sample")
     counts = _vote_counts(classifier, x, spec, n, rng, workers)
     return prediction_from_counts(counts, alpha)
-
-
-def soft_smoothed_scores(classifier, x, spec: NoiseSpec, n: int = 1000,
-                         rng=None, workers: int = 1) -> np.ndarray:
-    """Monte Carlo estimate of the expected score vector under the noise.
-
-    Partial sums are accumulated in batch order, so the result is
-    reproducible and worker-count independent.
-    """
-    if n < 1:
-        raise ValueError("need at least one sample")
-    channels, orig_shape = _canonical_channels(x)
-    sizes = _batch_sizes(n)
-    streams = list(zip(_as_rng(rng).spawn(len(sizes)), sizes))
-
-    def job(stream_size):
-        stream, size = stream_size
-        inc = _sample_increments(spec.scheme, spec.sigma, channels.shape, size, stream)
-        batch = (channels[None] + inc).reshape((size,) + orig_shape)
-        return classifier.forward_batch(batch).sum(axis=0)
-
-    parts = _run_batches(job, streams, workers)
-    total = parts[0].astype(float)
-    for p in parts[1:]:
-        total = total + p
-    return total / n
 
 
 def clopper_pearson_lower(k: int, n: int, alpha: float) -> float:

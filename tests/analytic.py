@@ -16,6 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate, stats
 
+from wsmooth import EdgeFlow
+
 
 def laplace_sum_sf(u: float, k: int) -> float:
     """P(S > u) for S a sum of k iid Laplace(0, 1) variables.
@@ -112,6 +114,18 @@ class RegionThresholdClassifier:
         scores[self.positive_index] = p
         scores[1 - self.positive_index] = 1.0 - p
         return scores
+
+
+def edge_from_flow(plan) -> EdgeFlow:
+    """Directed edge flow shipping each net flow of a LocalFlowPlan in its
+    sign's direction: the minimal-total directed representation, whose total
+    equals the plan's L1 norm and which flow_from_edge inverts exactly."""
+    return EdgeFlow(
+        np.maximum(plan.vert, 0.0),
+        np.maximum(-plan.vert, 0.0),
+        np.maximum(plan.horiz, 0.0),
+        np.maximum(-plan.horiz, 0.0),
+    )
 
 
 def brute_force_l1_projection(v: np.ndarray, radius: float) -> np.ndarray:

@@ -215,6 +215,11 @@ class TestConfigHandling:
         ({"sigma": "0.05"}, "sigma must be a finite number"),
         ({"train": {"epoch": 2}}, "unknown config key 'train.epoch'"),
         ({"sigmaa": 0.05}, "unknown config key 'sigmaa'"),
+        ({"workers": "2"}, "workers must be an integer"),
+        ({"workers": True}, "workers must be an integer"),
+        ({"seed": "1"}, "seed must be an integer"),
+        ({"seed": 1.5}, "seed must be an integer"),
+        ({"seed": -1}, "seed must be >= 0"),
     ])
     def test_bad_config_exits_with_one_error_line(self, tmp_path, monkeypatch, capsys,
                                                   cfg, needle):

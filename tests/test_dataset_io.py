@@ -1,4 +1,3 @@
-import csv
 import struct
 
 import numpy as np
@@ -13,12 +12,10 @@ from wsmooth import (
     MultiChannelImage,
     NormalizationError,
     PairingError,
-    export_csv,
     load_idx,
     load_idx_images,
     load_idx_labels,
     make_dataset,
-    nonzero_mask,
     normalize,
     normalize_multichannel,
     synthetic_dataset,
@@ -166,14 +163,6 @@ class TestMakeDataset:
         with pytest.raises(DegenerateImageError, match="image 1"):
             make_dataset(x, np.array([0, 0, 1]))
 
-    def test_nonzero_mask_filters(self):
-        x = np.ones((3, 2, 2))
-        x[1] = 0.0
-        mask = nonzero_mask(x)
-        assert np.array_equal(mask, [True, False, True])
-        ds = make_dataset(x[mask], np.array([0, 1])[: mask.sum()])
-        assert len(ds) == 2
-
 
 class TestSynthetic:
     @pytest.mark.parametrize("kind,classes", [("bars", 2), ("blobs", 2), ("corners", 4)])
@@ -211,17 +200,3 @@ class TestSynthetic:
         with pytest.raises(ValueError):
             synthetic_dataset("bars", 0)
 
-
-class TestExportCsv:
-    def test_round_trip_exact_floats(self, tmp_path):
-        ds = synthetic_dataset("blobs", 4, shape=(4, 4), seed=3)
-        path = tmp_path / "data.csv"
-        export_csv(ds, path)
-        with open(path) as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0][:2] == ["id", "label"]
-        assert len(rows) == 5
-        x, y = ds.as_arrays()
-        parsed = np.array([[float(v) for v in row[2:]] for row in rows[1:]])
-        assert np.array_equal(parsed, x.reshape(4, -1))
-        assert [int(r[1]) for r in rows[1:]] == list(y)

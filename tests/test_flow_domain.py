@@ -12,13 +12,14 @@ from wsmooth import (
     RawGrid,
     ShapeMismatchError,
     apply_flow,
-    compose,
-    edge_from_flow,
     flow_from_edge,
     l1_norm,
     solve_flow_1d,
 )
+from wsmooth.flow_domain import divergence, divergence_adjoint
+from wsmooth.transport_oracle import _grid_incidence
 
+from analytic import edge_from_flow
 from conftest import flow_plans, grid_images, image_flow_pairs
 
 
@@ -44,12 +45,6 @@ class TestTypes:
         LocalFlowPlan(np.zeros((1, 2)), np.zeros((2, 1)))
         with pytest.raises(ShapeMismatchError):
             LocalFlowPlan(np.zeros((2, 2)), np.zeros((2, 1)))
-
-    def test_plan_vector_round_trip(self):
-        plan = LocalFlowPlan(np.array([[0.1, -0.2]]), np.array([[0.3], [-0.4]]))
-        back = LocalFlowPlan.from_vector(plan.to_vector(), (2, 2))
-        assert np.array_equal(back.vert, plan.vert)
-        assert np.array_equal(back.horiz, plan.horiz)
 
     def test_edge_flow_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -102,7 +97,7 @@ class TestApplyFlow:
         x, d1 = pair
         d2 = data.draw(flow_plans(shape=d1.image_shape))
         once = apply_flow(apply_flow(x, d1), d2).values
-        combined = apply_flow(x, compose(d1, d2)).values
+        combined = apply_flow(x, LocalFlowPlan(d1.vert + d2.vert, d1.horiz + d2.horiz)).values
         assert np.allclose(once, combined, atol=1e-12)
 
     @settings(max_examples=100)
@@ -111,6 +106,52 @@ class TestApplyFlow:
         x, plan = pair
         back = apply_flow(apply_flow(x, plan), -plan).values
         assert np.allclose(back, x.values, atol=1e-12)
+
+
+SHAPES = [(1, 1), (1, 7), (7, 1), (2, 2), (4, 5), (6, 3)]
+SHAPE_IDS = [f"{n}x{m}" for n, m in SHAPES]
+
+
+def _random_flows(rng, lead, shape):
+    n, m = shape
+    return rng.normal(size=lead + (n - 1, m)), rng.normal(size=lead + (n, m - 1))
+
+
+class TestDivergence:
+    @pytest.mark.parametrize("shape", SHAPES, ids=SHAPE_IDS)
+    def test_matches_sparse_incidence(self, rng, shape):
+        # The oracle's node-arc incidence gives each pixel's net outflow, so
+        # with only the down and right arcs carrying the signed flows its
+        # negation is the net inflow D f.
+        for _ in range(5):
+            vert, horiz = _random_flows(rng, (), shape)
+            arcs = np.concatenate([vert.ravel(), np.zeros(vert.size),
+                                   horiz.ravel(), np.zeros(horiz.size)])
+            reference = -(_grid_incidence(*shape) @ arcs).reshape(shape)
+            assert np.abs(divergence(vert, horiz) - reference).max() <= 1e-15
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=SHAPE_IDS)
+    def test_adjoint_identity(self, rng, shape):
+        for _ in range(5):
+            vert, horiz = _random_flows(rng, (), shape)
+            g = rng.normal(size=shape)
+            gv, gh = divergence_adjoint(g)
+            lhs = float(np.sum(divergence(vert, horiz) * g))
+            rhs = float(np.sum(vert * gv) + np.sum(horiz * gh))
+            assert lhs == pytest.approx(rhs, abs=1e-12)
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=SHAPE_IDS)
+    def test_batched_call_equals_loop_over_slices(self, rng, shape):
+        vert, horiz = _random_flows(rng, (3, 2), shape)
+        out = divergence(vert, horiz)
+        g = rng.normal(size=(3, 2) + shape)
+        gv, gh = divergence_adjoint(g)
+        assert out.shape == (3, 2) + shape
+        assert gv.shape == vert.shape and gh.shape == horiz.shape
+        for idx in np.ndindex(3, 2):
+            assert np.array_equal(out[idx], divergence(vert[idx], horiz[idx]))
+            loop_v, loop_h = divergence_adjoint(g[idx])
+            assert np.array_equal(gv[idx], loop_v) and np.array_equal(gh[idx], loop_h)
 
 
 class TestNorm:
@@ -130,7 +171,8 @@ class TestNorm:
     @given(flow_plans(), st.data())
     def test_triangle_inequality(self, d1, data):
         d2 = data.draw(flow_plans(shape=d1.image_shape))
-        assert l1_norm(compose(d1, d2)) <= l1_norm(d1) + l1_norm(d2) + 1e-12
+        total = LocalFlowPlan(d1.vert + d2.vert, d1.horiz + d2.horiz)
+        assert l1_norm(total) <= l1_norm(d1) + l1_norm(d2) + 1e-12
 
 
 class TestSolveFlow1d:

@@ -11,22 +11,16 @@ from wsmooth import (
     Certificate,
     CertificationRecord,
     GroundMetric,
-    LocalFlowPlan,
-    MultiChannelImage,
     NoiseSpec,
-    ShapeMismatchError,
     certify,
     clopper_pearson_lower,
     init_params,
     median_certified_radius,
-    perturb,
     prediction_from_counts,
     radius_from_plower,
-    sample_flow_noise,
     smoothed_predict,
-    soft_smoothed_scores,
 )
-from wsmooth.smoothing import FLOW, PIXEL
+from wsmooth.smoothing import FLOW, PIXEL, _sample_increments
 
 from analytic import RegionThresholdClassifier, laplace_sum_sf, laplace_sum_sf_quad
 
@@ -53,55 +47,33 @@ class TestNoiseSpec:
 
 class TestSampling:
     def test_flow_noise_shapes(self, rng):
-        plan = sample_flow_noise((4, 5), 0.1, rng)
-        assert plan.vert.shape == (3, 5)
-        assert plan.horiz.shape == (4, 4)
+        for scheme in (FLOW, PIXEL):
+            assert _sample_increments(scheme, 0.1, (2, 4, 5), 3, rng).shape == (3, 2, 4, 5)
 
     def test_zero_sigma_consumes_no_randomness(self):
         rng = np.random.default_rng(0)
         before = rng.bit_generator.state
-        plan = sample_flow_noise((3, 3), 0.0, rng)
+        for scheme in (FLOW, PIXEL):
+            assert not _sample_increments(scheme, 0.0, (2, 3, 3), 4, rng).any()
         assert rng.bit_generator.state == before
-        assert not plan.vert.any() and not plan.horiz.any()
 
-    def test_multichannel_gives_plan_per_channel(self, rng):
-        plans = sample_flow_noise((3, 4, 4), 0.1, rng)
-        assert isinstance(plans, list) and len(plans) == 3
-        assert all(p.image_shape == (4, 4) for p in plans)
+    def test_multichannel_gives_plan_per_channel(self):
+        # Each channel gets its own flow draw, which moves mass within that
+        # channel only: every channel's increment sums to zero.
+        inc = _sample_increments(FLOW, 0.3, (3, 4, 5), 200, np.random.default_rng(5))
+        assert np.abs(inc.sum(axis=(2, 3))).max() <= 1e-12
+        assert not np.array_equal(inc[:, 0], inc[:, 1])
 
     def test_empirical_standard_deviation(self):
-        rng = np.random.default_rng(77)
-        draws = [sample_flow_noise((8, 8), 0.2, rng) for _ in range(200)]
-        coords = np.concatenate([p.to_vector() for p in draws])
-        # 22400 samples, sd of the sd estimate is well under 1%.
-        assert coords.std() == pytest.approx(0.2, rel=0.05)
-
-    def test_perturb_flow_conserves_mass(self, rng):
-        x = rng.dirichlet(np.ones(16)).reshape(4, 4)
-        plan = sample_flow_noise((4, 4), 0.3, rng)
-        noisy = perturb(x, plan, FLOW)
-        assert noisy.sum() == pytest.approx(1.0, abs=1e-12)
-
-    def test_perturb_pixel_adds(self, rng):
-        x = np.full((2, 2), 0.25)
-        noise = np.array([[0.1, -0.1], [0.0, 0.2]])
-        noisy = perturb(x, noise, PIXEL)
-        assert np.array_equal(noisy, x + noise)
-
-    def test_perturb_rejects_mismatched_plan(self, rng):
-        x = np.full((3, 3), 1 / 9)
-        plan = sample_flow_noise((2, 2), 0.1, rng)
-        with pytest.raises(ShapeMismatchError):
-            perturb(x, plan, FLOW)
-
-    def test_perturb_multichannel_round_trip(self, rng):
-        raw = rng.uniform(0.1, 1.0, size=(2, 3, 3))
-        img = MultiChannelImage(raw / raw.sum())
-        plans = sample_flow_noise((2, 3, 3), 0.1, rng)
-        noisy = perturb(img, plans, FLOW)
-        assert noisy.shape == (2, 3, 3)
-        # Per-channel mass is untouched: flow noise never crosses channels.
-        assert np.allclose(noisy.sum(axis=(1, 2)), img.channels.sum(axis=(1, 2)), atol=1e-12)
+        # On a 1x2 grid the increment is (-h, +h) for the single edge draw h,
+        # which must be Laplace with standard deviation sigma.
+        sigma = 0.2
+        inc = _sample_increments(FLOW, sigma, (1, 1, 2), 20000, np.random.default_rng(77))
+        h = inc[:, 0, 0, 1]
+        assert np.array_equal(inc[:, 0, 0, 0], -h)
+        assert stats.kstest(h, "laplace", args=(0.0, sigma / math.sqrt(2.0))).pvalue > 1e-3
+        # 20000 samples: the sd of the sd estimate is under 1%.
+        assert h.std() == pytest.approx(sigma, rel=0.05)
 
 
 class TestDecisionRule:
@@ -154,8 +126,10 @@ class TestSmoothedPredict:
                                 rng=np.random.default_rng(1))
         assert pred.predicted == 1
 
-    def test_vote_fraction_matches_exact_probability(self):
-        clf = RegionThresholdClassifier((3, 3), "rows", 1, threshold=0.55)
+    @pytest.mark.parametrize("orientation", ["rows", "cols"])
+    def test_vote_fraction_matches_exact_probability(self, orientation):
+        # "rows" sees only vertical flow noise, "cols" only horizontal.
+        clf = RegionThresholdClassifier((3, 3), orientation, 1, threshold=0.55)
         rng = np.random.default_rng(31)
         x = rng.dirichlet(np.ones(9)).reshape(3, 3)
         sigma = 0.15
@@ -165,35 +139,6 @@ class TestSmoothedPredict:
         votes_for_positive = pred.top_counts[0] if pred.predicted == 1 else pred.top_counts[1]
         se = math.sqrt(p_exact * (1 - p_exact) / 20000)
         assert votes_for_positive / 20000 == pytest.approx(p_exact, abs=5 * se)
-
-
-class TestSoftScores:
-    def test_scores_stay_distributions(self, rng):
-        params = init_params((3, 3), 4, rng=rng)
-        x = np.full((3, 3), 1 / 9)
-        scores = soft_smoothed_scores(params, x, NoiseSpec(PIXEL, 0.1), n=500,
-                                      rng=np.random.default_rng(2))
-        assert scores.shape == (4,)
-        assert scores.sum() == pytest.approx(1.0, abs=1e-9)
-
-    def test_worker_invariant_to_the_bit(self, rng):
-        params = init_params((4, 4), 3, rng=rng)
-        x = np.full((4, 4), 1 / 16)
-        spec = NoiseSpec(FLOW, 0.2)
-        solo = soft_smoothed_scores(params, x, spec, n=3333, rng=np.random.default_rng(3))
-        team = soft_smoothed_scores(params, x, spec, n=3333, rng=np.random.default_rng(3),
-                                    workers=4)
-        assert np.array_equal(solo, team)
-
-    def test_matches_analytic_smoothed_scores(self):
-        clf = RegionThresholdClassifier((3, 3), "cols", 0, threshold=0.4, positive_index=1)
-        rng = np.random.default_rng(17)
-        x = rng.dirichlet(np.ones(9)).reshape(3, 3)
-        sigma = 0.1
-        estimate = soft_smoothed_scores(clf, x, NoiseSpec(FLOW, sigma), n=40000,
-                                        rng=np.random.default_rng(23))
-        exact = clf.exact_smoothed_scores(x, sigma)
-        assert np.abs(estimate - exact).max() < 0.01
 
 
 class TestLaplaceSumClosedForm:
