@@ -8,7 +8,6 @@ from .classifier import (
     TrainConfig,
     TrainResult,
     accuracy,
-    gradient,
     init_params,
     input_gradient_batch,
     load_checkpoint,
@@ -27,16 +26,13 @@ from .dataset_io import (
     load_idx_labels,
     make_dataset,
     normalize,
-    normalize_multichannel,
     synthetic_dataset,
     write_idx_images,
     write_idx_labels,
 )
 from .flow_domain import (
     EdgeFlow,
-    GridImage,
     LocalFlowPlan,
-    MultiChannelImage,
     NormalizationError,
     RawGrid,
     ShapeMismatchError,

@@ -17,15 +17,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .classifier import input_gradient_batch
-from .flow_domain import LocalFlowPlan, MultiChannelImage, divergence, divergence_adjoint
-from .smoothing import (
-    NoiseSpec,
-    SmoothedPrediction,
-    _as_rng,
-    _canonical_channels,
-    _sample_increments,
-    smoothed_predict,
-)
+from .flow_domain import LocalFlowPlan, as_channels, divergence, divergence_adjoint
+from .smoothing import NoiseSpec, SmoothedPrediction, _as_rng, _sample_increments, smoothed_predict
 from .transport_oracle import per_channel_wasserstein, wasserstein_grid_l1
 
 
@@ -146,16 +139,13 @@ def _delta_to_plans(delta: np.ndarray, cshape: tuple[int, int, int]) -> list[Loc
     return [LocalFlowPlan(v, h) for v, h in zip(*_unpack(delta, cshape))]
 
 
-def _flow_gradient(classifier, perturbed: np.ndarray, orig_shape, label: int,
-                   spec: NoiseSpec, samples: int, rng) -> np.ndarray:
+def _flow_gradient(classifier, perturbed: np.ndarray, label: int, spec: NoiseSpec,
+                   samples: int, rng) -> np.ndarray:
     """Monte Carlo gradient of the expected cross-entropy with respect to the
     packed flow coordinates, via the adjoint of the divergence."""
-    cshape = perturbed.shape
-    inc = _sample_increments(spec.scheme, spec.sigma, cshape, samples, rng)
-    batch = (perturbed[None] + inc).reshape((samples,) + tuple(orig_shape))
-    g_pix = input_gradient_batch(classifier, batch, np.full(samples, label))
-    g_mean = g_pix.reshape((samples,) + cshape).mean(axis=0)
-    return _pack(*divergence_adjoint(g_mean))
+    inc = _sample_increments(spec.scheme, spec.sigma, perturbed.shape, samples, rng)
+    g_pix = input_gradient_batch(classifier, perturbed[None] + inc, np.full(samples, label))
+    return _pack(*divergence_adjoint(g_pix.mean(axis=0)))
 
 
 def _oracle_radius(clean: np.ndarray, perturbed: np.ndarray) -> float | None:
@@ -169,10 +159,7 @@ def _oracle_radius(clean: np.ndarray, perturbed: np.ndarray) -> float | None:
     clipped = np.maximum(perturbed, 0.0)
     if clean.shape[0] == 1:
         return wasserstein_grid_l1(clean[0], clipped[0] / clipped[0].sum())[0]
-    total = clipped.sum()
-    return per_channel_wasserstein(
-        MultiChannelImage(clean / clean.sum()), MultiChannelImage(clipped / total)
-    )
+    return per_channel_wasserstein(clean / clean.sum(), clipped / clipped.sum())
 
 
 def flow_pgd_attack(classifier, x, label: int, spec: NoiseSpec,
@@ -183,7 +170,7 @@ def flow_pgd_attack(classifier, x, label: int, spec: NoiseSpec,
     Predictions are only re-evaluated when the perturbation actually moved,
     so a zero-gradient plateau cannot flip an image by resampling alone.
     """
-    channels, orig_shape = _canonical_channels(x)
+    channels = as_channels(x)
     cshape = channels.shape
     rng = np.random.default_rng(config.seed) if rng is None else _as_rng(rng)
     streams = iter(rng.spawn(1 + 2 * config.iterations))
@@ -202,7 +189,7 @@ def flow_pgd_attack(classifier, x, label: int, spec: NoiseSpec,
     for it in range(1, config.iterations + 1):
         grad_rng, eval_rng = next(streams), next(streams)
         grad = _flow_gradient(classifier, channels + divergence(*_unpack(delta, cshape)),
-                              orig_shape, label, spec, config.gradient_samples, grad_rng)
+                              label, spec, config.gradient_samples, grad_rng)
         gnorm = np.abs(grad).sum()
         if gnorm > 0:
             delta = delta + step * grad / gnorm
@@ -210,10 +197,8 @@ def flow_pgd_attack(classifier, x, label: int, spec: NoiseSpec,
         if np.array_equal(delta, last_evaluated):
             continue
         perturbed = channels + divergence(*_unpack(delta, cshape))
-        pred = smoothed_predict(
-            classifier, perturbed.reshape(orig_shape), spec,
-            config.predict_samples, config.predict_alpha, eval_rng,
-        )
+        pred = smoothed_predict(classifier, perturbed, spec, config.predict_samples,
+                                config.predict_alpha, eval_rng)
         last_evaluated = delta
         if pred.predicted != label:
             return AttackResult(

@@ -103,15 +103,6 @@ class ClassifierParams:
         logits = h @ self.weights[-1] + self.biases[-1]
         return _softmax(logits)
 
-    def forward(self, x) -> np.ndarray:
-        """Scores for a single image."""
-        return self.forward_batch(np.asarray(x, dtype=float)[None])[0]
-
-    def predict(self, x) -> int:
-        """Base classifier's class for one image (1-based, ties to the
-        lowest index)."""
-        return int(np.argmax(self.forward(x))) + 1
-
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
     z = logits - logits.max(axis=1, keepdims=True)
@@ -187,13 +178,6 @@ def loss_and_gradients(params: ClassifierParams, X, labels) -> tuple[float, list
             delta = (delta @ params.weights[layer].T) * (pres[layer - 1] > 0)
     grads.reverse()
     return loss, grads
-
-
-def gradient(params: ClassifierParams, x, label: int) -> list[np.ndarray]:
-    """Gradient of the cross-entropy loss -log score[label] for one image,
-    in arrays() order."""
-    _, grads = loss_and_gradients(params, np.asarray(x, dtype=float)[None], np.array([label]))
-    return grads
 
 
 def input_gradient_batch(params: ClassifierParams, X, labels) -> np.ndarray:

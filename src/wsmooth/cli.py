@@ -26,6 +26,7 @@ from . import dataset_io
 from .attack import AttackConfig, robustness_curve
 from .smoothing import (
     ABSTAIN,
+    Certificate,
     CertificationRecord,
     NoiseSpec,
     certify,
@@ -294,15 +295,23 @@ def _cmd_train(cfg: RunConfig) -> int:
     ckpt.parent.mkdir(parents=True, exist_ok=True)
     clf.save_checkpoint(ckpt, result.params, tc)
     train_acc = clf.accuracy(result.params, dataset)
+    final_loss = result.epoch_losses[-1]
+    # A uniform guess over K classes scores cross-entropy ln K; NaN or inf
+    # compares false, so a diverged run is flagged too.
+    chance = math.log(dataset.num_classes)
+    at_chance = not final_loss < chance
     summary = {
         "command": "train", "scheme": cfg.scheme, "sigma": cfg.sigma, "seed": cfg.seed,
         "num_images": len(dataset), "epochs": tc.epochs,
-        "final_loss": result.epoch_losses[-1], "train_accuracy": train_acc,
-        "checkpoint": str(ckpt),
+        "final_loss": final_loss, "train_accuracy": train_acc,
+        "loss_at_or_above_chance": at_chance, "checkpoint": str(ckpt),
     }
     _write_summary(Path(cfg.out_dir) / "train_summary.json", summary)
     print(f"train: {len(dataset)} images, {tc.epochs} epochs, "
-          f"final loss {result.epoch_losses[-1]:.6f}, train accuracy {train_acc:.3f}")
+          f"final loss {final_loss:.6f}, train accuracy {train_acc:.3f}")
+    if at_chance:
+        print(f"warning: final loss {final_loss:.6f} is not below ln {dataset.num_classes} = "
+              f"{chance:.6f}; the classifier is no better than chance")
     print(f"checkpoint written to {ckpt}")
     return 0
 
@@ -481,19 +490,24 @@ def _cmd_report(cfg: RunConfig, tables: list[Path]) -> int:
         if not rows:
             raise SystemExit(f"error: {path} holds no rows")
         # Recompute every summary statistic from the per-image rows.
-        correct = [r for r in rows if r["prediction"] == r["label"] and r["abstained"] == "0"]
-        abstained = sum(1 for r in rows if r["abstained"] == "1")
+        try:
+            spec = NoiseSpec(_SCHEME_MAP[meta["scheme"]], float(meta["sigma"]))
+            records = [CertificationRecord(r["id"], int(r["label"]), Certificate(
+                int(r["prediction"]), float(r["p_lower"]), float(r["rho2"]) if r["rho2"] else None,
+                spec, int(meta["n0"]), int(meta["n"]), float(meta["alpha"]))) for r in rows]
+        except (KeyError, ValueError) as exc:
+            raise SystemExit(f"error: {path} has malformed metadata or rows ({exc!r})")
+        correct = sum(rec.correct for rec in records)
+        abstained = sum(rec.certificate.predicted == ABSTAIN for rec in records)
         base_hits = sum(1 for r in rows if r.get("base_prediction") == r["label"])
-        radii = sorted((float(r["rho2"]) for r in correct if r["rho2"] != ""), reverse=True)
-        need = (len(rows) + 1) // 2
-        median = radii[need - 1] if len(radii) >= need else None
+        median = median_certified_radius(records)
         entries.append({
-            "scheme": meta.get("scheme", "?"),
-            "sigma": float(meta.get("sigma", "nan")),
+            "scheme": meta["scheme"],
+            "sigma": spec.sigma,
             "seed": meta.get("seed", "?"),
             "num_images": len(rows),
             "base_accuracy": base_hits / len(rows),
-            "accuracy": len(correct) / len(rows),
+            "accuracy": correct / len(rows),
             "abstention_rate": abstained / len(rows),
             "median_certified_radius": median,
         })

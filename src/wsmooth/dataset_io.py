@@ -9,12 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flow_domain import (
-    GridImage,
-    MultiChannelImage,
-    NormalizationError,
-    _as_float_grid,
-)
+from .flow_domain import NormalizationError, ShapeMismatchError, unit_mass
 
 # IDX magic numbers: unsigned-byte data, rank 3 for image stacks and rank 1
 # for label vectors.
@@ -103,44 +98,39 @@ def write_idx_labels(path, labels):
         fh.write(labels.tobytes())
 
 
-def normalize(raw) -> GridImage:
-    """Scale a nonnegative grid to total mass 1.
+def normalize(raw) -> np.ndarray:
+    """Scale a nonnegative (n, m) or (C, n, m) grid to grand total mass 1.
 
     Intensity grids (e.g. 0..255 bytes) become distributions; an all-zero
     grid has no distribution and is rejected, since smoothing one would be
     meaningless.  Already-normalized input passes through unchanged.
     """
-    a = _as_float_grid(raw, "raw image")
+    a = np.asarray(raw, dtype=float)
+    if a.ndim not in (2, 3) or a.size == 0:
+        raise ShapeMismatchError(f"raw image must be a nonempty 2-D or 3-D array, got {a.shape}")
     if np.any(a < 0):
         raise NormalizationError("raw image intensities must be nonnegative")
     total = float(a.sum())
     if total <= 0.0:
         raise DegenerateImageError("image has zero total mass")
-    return GridImage(a / total)
-
-
-def normalize_multichannel(raw) -> MultiChannelImage:
-    """Scale a nonnegative (C, n, m) stack so the grand total mass is 1."""
-    a = np.asarray(raw, dtype=float)
-    if a.ndim != 3 or a.size == 0:
-        raise ValueError(f"expected a nonempty (C, n, m) array, got shape {a.shape}")
-    if np.any(a < 0):
-        raise NormalizationError("raw intensities must be nonnegative")
-    total = float(a.sum())
-    if total <= 0.0:
-        raise DegenerateImageError("image has zero total mass")
-    return MultiChannelImage(a / total)
+    return unit_mass(a / total)
 
 
 @dataclass
 class LabeledDataset:
-    """Normalized images with 1-based integer labels."""
+    """Unit-mass images with 1-based integer labels.
 
-    images: list
+    ``images`` is kept as one read-only (N, n, m) or (N, C, n, m) float
+    array; each image is checked with ``unit_mass`` on construction.  An
+    array passed in is not copied, only viewed read-only.
+    """
+
+    images: np.ndarray
     labels: np.ndarray
     num_classes: int
 
     def __post_init__(self):
+        self.images = np.asarray(self.images, dtype=float).view()
         self.labels = np.asarray(self.labels, dtype=int)
         if self.labels.ndim != 1 or len(self.images) != self.labels.size:
             raise PairingError(
@@ -150,33 +140,24 @@ class LabeledDataset:
             raise ValueError("need at least two classes")
         if self.labels.size and (self.labels.min() < 1 or self.labels.max() > self.num_classes):
             raise ValueError(f"labels must lie in [1, {self.num_classes}]")
-        kinds = {type(img) for img in self.images}
-        if len(kinds) > 1:
-            raise ValueError(f"mixed image types in one dataset: {sorted(k.__name__ for k in kinds)}")
+        for img in self.images:
+            unit_mass(img)
+        self.images.setflags(write=False)
 
     def __len__(self) -> int:
         return len(self.images)
 
     @property
     def image_shape(self) -> tuple[int, ...]:
-        img = self.images[0]
-        return img.channels.shape if isinstance(img, MultiChannelImage) else img.shape
+        return self.images.shape[1:]
 
     def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Dense (N, n, m) or (N, C, n, m) pixel array plus 1-based labels."""
-        if not self.images:
-            return np.zeros((0,)), self.labels.copy()
-        if isinstance(self.images[0], MultiChannelImage):
-            x = np.stack([img.channels for img in self.images])
-        else:
-            x = np.stack([img.values for img in self.images])
-        return x, self.labels.copy()
+        """The read-only image array itself, plus a copy of the 1-based labels."""
+        return self.images, self.labels.copy()
 
     def subset(self, indices) -> "LabeledDataset":
         indices = np.asarray(indices, dtype=int)
-        return LabeledDataset(
-            [self.images[i] for i in indices], self.labels[indices], self.num_classes
-        )
+        return LabeledDataset(self.images[indices], self.labels[indices], self.num_classes)
 
 
 def make_dataset(images, labels, num_classes: int | None = None, label_base: int = 0) -> LabeledDataset:
@@ -193,10 +174,10 @@ def make_dataset(images, labels, num_classes: int | None = None, label_base: int
     shifted = labels + (1 - label_base)
     if num_classes is None:
         num_classes = int(shifted.max()) if shifted.size else 2
-    normed = []
+    normed = np.empty(images.shape)
     for i, arr in enumerate(images):
         try:
-            normed.append(normalize(arr))
+            normed[i] = normalize(arr)
         except DegenerateImageError as exc:
             raise DegenerateImageError(f"image {i}: {exc}") from None
     return LabeledDataset(normed, shifted, num_classes)
@@ -218,7 +199,7 @@ def synthetic_dataset(kind: str, size: int, shape: tuple[int, int] = (6, 6),
     n, m = shape
     rng = np.random.default_rng(seed)
     rows_idx, cols_idx = np.indices((n, m))
-    images = []
+    images = np.empty((size, n, m))
     labels = np.empty(size, dtype=int)
     if kind == "bars":
         if n < 2 or m < 2:
@@ -230,7 +211,7 @@ def synthetic_dataset(kind: str, size: int, shape: tuple[int, int] = (6, 6),
                 base[n // 2, :] += 1.0
             else:
                 base[:, m // 2] += 1.0
-            images.append(normalize(base))
+            images[i] = normalize(base)
             labels[i] = label
         return LabeledDataset(images, labels, 2)
     if kind == "blobs":
@@ -245,7 +226,7 @@ def synthetic_dataset(kind: str, size: int, shape: tuple[int, int] = (6, 6),
             cj = rng.uniform(1.0, m - 2.0)
             blob = np.exp(-((rows_idx - ci) ** 2 + (cols_idx - cj) ** 2) / (2 * 0.9**2))
             base = blob + rng.uniform(0.0, 0.05, size=(n, m))
-            images.append(normalize(base))
+            images[i] = normalize(base)
             labels[i] = label
         return LabeledDataset(images, labels, 2)
     if kind == "corners":
@@ -257,7 +238,7 @@ def synthetic_dataset(kind: str, size: int, shape: tuple[int, int] = (6, 6),
             base = rng.uniform(0.0, 0.05, size=(n, m))
             r0, c0 = anchors[label - 1]
             base[r0 : r0 + 2, c0 : c0 + 2] += 0.5
-            images.append(normalize(base))
+            images[i] = normalize(base)
             labels[i] = label
         return LabeledDataset(images, labels, 4)
     raise ValueError(f"unknown synthetic dataset kind {kind!r}")

@@ -1,13 +1,15 @@
 """Grid images and signed local flows between 4-adjacent pixels.
 
-An image is a nonnegative grid of intensities with total mass 1.  A local
-flow plan moves mass only between vertically or horizontally adjacent
-pixels.  Applying a plan f to an image x gives x + D f, where D is the grid
-divergence: each pixel gains its net inflow, so total mass is conserved
-even though individual pixels may go negative.  ``divergence`` and its
-adjoint ``divergence_adjoint`` are the one implementation of D and D^T
-that smoothing, training and the attack share; both are batched over
-leading axes.
+An image is a plain float array, (n, m) or (C, n, m), of nonnegative
+intensities whose grand total is 1; ``unit_mass`` checks that where an
+image enters the package and ``as_channels`` views either form as
+(C, n, m).  A local flow plan moves mass only between vertically or
+horizontally adjacent pixels.  Applying a plan f to an image x gives
+x + D f, where D is the grid divergence: each pixel gains its net inflow,
+so total mass is conserved even though individual pixels may go negative.
+``divergence`` and its adjoint ``divergence_adjoint`` are the one
+implementation of D and D^T that smoothing, training and the attack
+share; both are batched over leading axes.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Tolerance for the unit-mass check on image construction.
+# Tolerance for the unit-mass check on incoming images.
 MASS_TOL = 1e-9
 
 
@@ -40,24 +42,31 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass
-class GridImage:
-    """Nonnegative n x m intensity grid summing to 1 (within MASS_TOL)."""
+def as_channels(x) -> np.ndarray:
+    """View an (n, m) or (C, n, m) image as a (C, n, m) float array."""
+    a = np.asarray(x, dtype=float)
+    if a.ndim == 2:
+        return a[None]
+    if a.ndim != 3:
+        raise ShapeMismatchError(f"expected a 2-D or 3-D image, got shape {a.shape}")
+    return a
 
-    values: np.ndarray
 
-    def __post_init__(self):
-        a = _as_float_grid(self.values)
-        if np.any(a < 0):
-            raise NormalizationError("image intensities must be nonnegative")
-        total = float(a.sum())
-        if abs(total - 1.0) > MASS_TOL:
-            raise NormalizationError(f"total mass {total!r} is not 1 within {MASS_TOL}")
-        self.values = _freeze(a.copy())
+def unit_mass(x) -> np.ndarray:
+    """``x`` as a float array, checked to be a nonempty (n, m) or (C, n, m)
+    nonnegative image whose grand total is 1 within MASS_TOL.
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.values.shape
+    Individual channels may carry any nonnegative share of the mass.
+    """
+    a = np.asarray(x, dtype=float)
+    if a.ndim not in (2, 3) or a.size == 0:
+        raise ShapeMismatchError(f"image must be a nonempty 2-D or 3-D array, got shape {a.shape}")
+    if np.any(a < 0):
+        raise NormalizationError("image intensities must be nonnegative")
+    total = float(a.sum())
+    if abs(total - 1.0) > MASS_TOL:
+        raise NormalizationError(f"total mass {total!r} is not 1 within {MASS_TOL}")
+    return a
 
 
 @dataclass
@@ -80,40 +89,6 @@ class RawGrid:
     @property
     def shape(self) -> tuple[int, int]:
         return self.values.shape
-
-
-@dataclass
-class MultiChannelImage:
-    """Stack of nonnegative channel grids whose grand total mass is 1.
-
-    Individual channels carry arbitrary nonnegative mass; only the sum over
-    all channels is normalized.
-    """
-
-    channels: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.channels, dtype=float)
-        if a.ndim != 3 or a.size == 0:
-            raise ShapeMismatchError(f"channels must be a nonempty (C, n, m) array, got shape {a.shape}")
-        if np.any(a < 0):
-            raise NormalizationError("channel intensities must be nonnegative")
-        total = float(a.sum())
-        if abs(total - 1.0) > MASS_TOL:
-            raise NormalizationError(f"grand total mass {total!r} is not 1 within {MASS_TOL}")
-        self.channels = _freeze(a.copy())
-
-    @property
-    def num_channels(self) -> int:
-        return self.channels.shape[0]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.channels.shape[1:]
-
-    @property
-    def channel_masses(self) -> np.ndarray:
-        return self.channels.sum(axis=(1, 2))
 
 
 @dataclass
@@ -145,24 +120,9 @@ class LocalFlowPlan:
         self.vert = _freeze(v.copy())
         self.horiz = _freeze(h.copy())
 
-    @classmethod
-    def zeros(cls, shape: tuple[int, int]) -> "LocalFlowPlan":
-        n, m = shape
-        return cls(np.zeros((n - 1, m)), np.zeros((n, m - 1)))
-
     @property
     def image_shape(self) -> tuple[int, int]:
         return (self.horiz.shape[0], self.vert.shape[1])
-
-    @property
-    def num_coords(self) -> int:
-        return self.vert.size + self.horiz.size
-
-    def scaled(self, c: float) -> "LocalFlowPlan":
-        return LocalFlowPlan(c * self.vert, c * self.horiz)
-
-    def __neg__(self) -> "LocalFlowPlan":
-        return self.scaled(-1.0)
 
 
 @dataclass
@@ -200,26 +160,6 @@ class EdgeFlow:
         self.down, self.up = _freeze(d.copy()), _freeze(u.copy())
         self.right, self.left = _freeze(r.copy()), _freeze(l.copy())
 
-    @classmethod
-    def zeros(cls, shape: tuple[int, int]) -> "EdgeFlow":
-        n, m = shape
-        z_v = np.zeros((n - 1, m))
-        z_h = np.zeros((n, m - 1))
-        return cls(z_v, z_v.copy(), z_h, z_h.copy())
-
-    @property
-    def image_shape(self) -> tuple[int, int]:
-        return (self.right.shape[0], self.down.shape[1])
-
-    def total(self) -> float:
-        return float(self.down.sum() + self.up.sum() + self.right.sum() + self.left.sum())
-
-
-def _image_values(x) -> np.ndarray:
-    if isinstance(x, (GridImage, RawGrid)):
-        return x.values
-    return _as_float_grid(x, "image")
-
 
 def divergence(vert: np.ndarray, horiz: np.ndarray) -> np.ndarray:
     """Net inflow D f of every pixel under the signed edge flows f.
@@ -247,13 +187,14 @@ def divergence_adjoint(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def apply_flow(x, plan: LocalFlowPlan) -> RawGrid:
-    """Redistribute the mass of ``x`` along the signed flows in ``plan``.
+    """Redistribute the mass of ``x`` (an (n, m) array or a RawGrid) along
+    the signed flows in ``plan``.
 
     Each pixel gains what its up/left neighbors push in and loses what it
     pushes out, so the total is preserved exactly up to float rounding.
     Destination pixels can go negative; the result is a RawGrid.
     """
-    a = _image_values(x)
+    a = _as_float_grid(x.values if isinstance(x, RawGrid) else x, "image")
     if plan.image_shape != a.shape:
         raise ShapeMismatchError(f"plan for {plan.image_shape} applied to image of shape {a.shape}")
     return RawGrid(a + divergence(plan.vert, plan.horiz))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import beta, binomtest
 
-from .flow_domain import GridImage, MultiChannelImage, RawGrid, ShapeMismatchError, divergence
+from .flow_domain import as_channels, divergence
 from .transport_oracle import GroundMetric
 
 # Sentinel prediction for "not enough evidence to name a class".
@@ -126,21 +126,6 @@ def _as_rng(rng) -> np.random.Generator:
     return np.random.default_rng(rng)
 
 
-def _canonical_channels(x) -> tuple[np.ndarray, tuple[int, ...]]:
-    """View any accepted image type as a (C, n, m) float array plus the shape
-    the classifier expects to see."""
-    if isinstance(x, MultiChannelImage):
-        return x.channels, x.channels.shape
-    if isinstance(x, (GridImage, RawGrid)):
-        return x.values[None], x.values.shape
-    a = np.asarray(x, dtype=float)
-    if a.ndim == 2:
-        return a[None], a.shape
-    if a.ndim == 3:
-        return a, a.shape
-    raise ShapeMismatchError(f"expected a 2-D or 3-D image, got shape {a.shape}")
-
-
 def _sample_increments(scheme: str, sigma: float, cshape: tuple[int, int, int], size: int,
                        rng: np.random.Generator) -> np.ndarray:
     """Batch of additive pixel increments equivalent to ``size`` noise draws.
@@ -160,13 +145,13 @@ def _sample_increments(scheme: str, sigma: float, cshape: tuple[int, int, int], 
 
 
 def _vote_counts(classifier, x, spec: NoiseSpec, n: int, rng, workers: int) -> np.ndarray:
-    channels, orig_shape = _canonical_channels(x)
+    channels = as_channels(x)
     sizes = [VOTE_BATCH] * (n // VOTE_BATCH) + ([n % VOTE_BATCH] if n % VOTE_BATCH else [])
     streams = _as_rng(rng).spawn(len(sizes))
 
     def job(stream, size):
         inc = _sample_increments(spec.scheme, spec.sigma, channels.shape, size, stream)
-        scores = classifier.forward_batch((channels[None] + inc).reshape((size,) + orig_shape))
+        scores = classifier.forward_batch(channels[None] + inc)
         return np.bincount(np.argmax(scores, axis=1), minlength=classifier.num_classes)
 
     if workers <= 1 or len(sizes) <= 1:

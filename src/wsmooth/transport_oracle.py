@@ -19,15 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import linprog
 
-from .flow_domain import (
-    EdgeFlow,
-    GridImage,
-    LocalFlowPlan,
-    MultiChannelImage,
-    RawGrid,
-    ShapeMismatchError,
-    flow_from_edge,
-)
+from .flow_domain import EdgeFlow, LocalFlowPlan, ShapeMismatchError, flow_from_edge, unit_mass
 
 # The dense LP has N^2 variables; past 64 pixels it stops being an oracle
 # and starts being a liability.
@@ -88,14 +80,13 @@ class TransportPlan:
 
 
 def _coerce_image(x) -> np.ndarray:
-    """Validate as a unit-mass nonnegative grid, then renormalize exactly so
-    paired inputs give a consistent transport instance."""
-    if isinstance(x, (GridImage, RawGrid)):
-        vals = np.asarray(x.values, dtype=float)
-    else:
-        vals = np.asarray(x, dtype=float)
-    img = x if isinstance(x, GridImage) else GridImage(vals)
-    return img.values / img.values.sum()
+    """Validate as a unit-mass nonnegative (n, m) grid, then renormalize
+    exactly so paired inputs give a consistent transport instance."""
+    a = np.asarray(x, dtype=float)
+    if a.ndim != 2:
+        raise ShapeMismatchError(f"expected an (n, m) image, got shape {a.shape}")
+    a = unit_mass(a)
+    return a / a.sum()
 
 
 def _check_same_shape(a: np.ndarray, b: np.ndarray):
@@ -229,8 +220,8 @@ class CheckOutcome:
         return self.max_residual <= self.tolerance
 
 
-def _random_image(rng: np.random.Generator, shape: tuple[int, int]) -> GridImage:
-    return GridImage(rng.dirichlet(np.ones(shape[0] * shape[1])).reshape(shape))
+def _random_image(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
+    return rng.dirichlet(np.ones(shape[0] * shape[1])).reshape(shape)
 
 
 def run_oracle_checks(num_pairs: int = 50, seed: int = 0) -> list[CheckOutcome]:
@@ -272,21 +263,21 @@ def run_oracle_checks(num_pairs: int = 50, seed: int = 0) -> list[CheckOutcome]:
         res["min_plan_norm_matches_distance"] = max(
             res["min_plan_norm_matches_distance"], abs(l1_norm(plan) - d_grid)
         )
-        feas = np.abs(apply_flow(x, plan).values - xp.values).max()
+        feas = np.abs(apply_flow(x, plan).values - xp).max()
         res["min_plan_is_feasible"] = max(res["min_plan_is_feasible"], feas)
         res["metric_sandwich_l2_l1_sqrt2"] = max(
             res["metric_sandwich_l2_l1_sqrt2"], d_l2 - d_l1, d_l1 - np.sqrt(2.0) * d_l2
         )
-        pix_l1 = float(np.abs(x.values - xp.values).sum())
+        pix_l1 = float(np.abs(x - xp).sum())
         res["pixel_l1_at_most_two_wasserstein"] = max(
             res["pixel_l1_at_most_two_wasserstein"], pix_l1 - 2.0 * d_l2, pix_l1 - 2.0 * d_l1
         )
-        coupling = TransportPlan(np.outer(x.values.ravel(), xp.values.ravel()))
+        coupling = TransportPlan(np.outer(x.ravel(), xp.ravel()))
         row, col = coupling.marginals()
         res["product_coupling_feasible"] = max(
             res["product_coupling_feasible"],
-            np.abs(row - x.values.ravel()).max(),
-            np.abs(col - xp.values.ravel()).max(),
+            np.abs(row - x.ravel()).max(),
+            np.abs(col - xp.ravel()).max(),
         )
         width = shape[0] * shape[1]
         u = rng.dirichlet(np.ones(width))
@@ -306,7 +297,7 @@ def run_oracle_checks(num_pairs: int = 50, seed: int = 0) -> list[CheckOutcome]:
         res["min_plan_norm_matches_distance"], abs(l1_norm(plan) - d_grid)
     )
     res["min_plan_is_feasible"] = max(
-        res["min_plan_is_feasible"], np.abs(apply_flow(x, plan).values - xp.values).max()
+        res["min_plan_is_feasible"], np.abs(apply_flow(x, plan).values - xp).max()
     )
 
     # One unit of mass at a pixel vs keeping half there and shifting half to
@@ -332,31 +323,26 @@ def run_oracle_checks(num_pairs: int = 50, seed: int = 0) -> list[CheckOutcome]:
     return [CheckOutcome(name, float(res[name]), tolerances[name]) for name in res]
 
 
-def per_channel_wasserstein(x: MultiChannelImage, xp: MultiChannelImage) -> float:
-    """Wasserstein distance between multichannel images without cross-channel
+def per_channel_wasserstein(x, xp) -> float:
+    """Wasserstein distance between (C, n, m) images without cross-channel
     transport: the mass-weighted sum of per-channel distances.
 
     Requires matching per-channel masses; channels with zero mass on both
     sides contribute nothing.
     """
-    if not isinstance(x, MultiChannelImage) or not isinstance(xp, MultiChannelImage):
-        raise TypeError("per_channel_wasserstein expects MultiChannelImage inputs")
-    if x.channels.shape != xp.channels.shape:
-        raise ShapeMismatchError(
-            f"channel stacks differ: {x.channels.shape} vs {xp.channels.shape}"
-        )
-    s_x = x.channel_masses
-    s_xp = xp.channel_masses
+    a, b = unit_mass(x), unit_mass(xp)
+    if a.ndim != 3 or a.shape != b.shape:
+        raise ShapeMismatchError(f"need two (C, n, m) images of one shape: {a.shape}, {b.shape}")
+    s_x = a.sum(axis=(1, 2))
+    s_xp = b.sum(axis=(1, 2))
     if np.any(np.abs(s_x - s_xp) > 1e-9):
         raise ChannelMassError(f"per-channel masses differ: {s_x} vs {s_xp}")
     total = 0.0
-    for k in range(x.num_channels):
+    for k in range(a.shape[0]):
         if s_x[k] == 0.0 or s_xp[k] == 0.0:
             continue
         # Rescale one side so the pair is exactly balanced, then ship the
         # unnormalized fields directly; the result is already mass-weighted.
-        ch_a = x.channels[k]
-        ch_b = xp.channels[k] * (s_x[k] / s_xp[k])
-        distance, _ = _min_cost_flow_grid(ch_a, ch_b)
+        distance, _ = _min_cost_flow_grid(a[k], b[k] * (s_x[k] / s_xp[k]))
         total += distance
     return total

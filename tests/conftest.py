@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from wsmooth import GridImage, LocalFlowPlan
+from wsmooth import LocalFlowPlan
 
 # Keep test-wide rng construction in one place so seeds stay greppable.
 
@@ -28,7 +28,7 @@ def grid_images(draw, shape=None, min_side=1, max_side=4):
         shape = draw(grid_shapes(min_side, max_side))
     vals = draw(hnp.arrays(np.float64, shape, elements=_finite_floats(0.0, 1.0)))
     assume(vals.sum() > 1e-3)
-    return GridImage(vals / vals.sum())
+    return vals / vals.sum()
 
 
 @st.composite

@@ -181,10 +181,16 @@ class TestFlowPgd:
         params = halves_classifier()
         a = flow_pgd_attack(params, split_image(0.6), 1, self.spec, self.cfg())
         b = flow_pgd_attack(params, split_image(0.6), 1, self.spec, self.cfg())
-        assert (a.success, a.budget, a.iteration) == (b.success, b.budget, b.iteration)
-        for pa, pb in zip(a.plans, b.plans):
-            assert np.array_equal(pa.vert, pb.vert)
-            assert np.array_equal(pa.horiz, pb.horiz)
+        # The same image with an explicit channel axis is the same input.
+        c = flow_pgd_attack(params, split_image(0.6)[None], 1, self.spec, self.cfg())
+        for other in (b, c):
+            assert ((a.success, a.budget, a.iteration, a.prediction, a.oracle_radius)
+                    == (other.success, other.budget, other.iteration, other.prediction,
+                        other.oracle_radius))
+            assert len(a.plans) == len(other.plans) == 1
+            for pa, pb in zip(a.plans, other.plans):
+                assert np.array_equal(pa.vert, pb.vert)
+                assert np.array_equal(pa.horiz, pb.horiz)
 
     def test_robust_image_survives_small_budget(self):
         params = halves_classifier()

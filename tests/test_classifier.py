@@ -5,10 +5,10 @@ from hypothesis import strategies as st
 
 from wsmooth import (
     ClassifierParams,
+    LabeledDataset,
     ShapeMismatchError,
     TrainConfig,
     accuracy,
-    gradient,
     init_params,
     input_gradient_batch,
     load_checkpoint,
@@ -67,8 +67,9 @@ class TestParams:
 
     def test_predict_is_one_based(self, rng):
         params = ClassifierParams((1, 2), 2, [np.array([[1.0, 0.0], [0.0, 1.0]])], [np.zeros(2)])
-        assert params.predict(np.array([[2.0, 1.0]])) == 1
-        assert params.predict(np.array([[1.0, 2.0]])) == 2
+        images = np.array([[[0.7, 0.3]], [[0.3, 0.7]]])
+        assert accuracy(params, LabeledDataset(images, np.array([1, 2]), 2)) == 1.0
+        assert accuracy(params, LabeledDataset(images, np.array([2, 1]), 2)) == 0.0
 
     def test_pack_unpack_round_trip(self, rng):
         params = small_params(rng)
@@ -123,12 +124,15 @@ class TestGradients:
         assert rel < 1e-4
 
     def test_single_image_gradient_matches_batch(self, rng):
+        # The batch loss is a mean, so its gradient is the mean of the
+        # single-image gradients.
         params = small_params(rng)
-        x = rng.normal(size=(3, 3))
-        grads_one = gradient(params, x, 2)
-        _, grads_batch = loss_and_gradients(params, x[None], np.array([2]))
-        for a, b in zip(grads_one, grads_batch):
-            assert np.array_equal(a, b)
+        X = rng.normal(size=(4, 3, 3))
+        labels = np.array([2, 1, 3, 2])
+        _, grads_batch = loss_and_gradients(params, X, labels)
+        singles = [loss_and_gradients(params, X[i : i + 1], labels[i : i + 1])[1] for i in range(4)]
+        for k, g in enumerate(grads_batch):
+            assert np.allclose(g, np.mean([s[k] for s in singles], axis=0), rtol=0, atol=1e-12)
 
     def test_input_gradient_matches_finite_differences(self, rng):
         params = small_params(rng)

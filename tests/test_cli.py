@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -66,6 +67,29 @@ class TestTrainCommand:
         run(["train", "--config", str(config_path), "--epochs", "3"])
         summary = json.loads((tmp_path / "out" / "train_summary.json").read_text())
         assert summary["epochs"] == 3
+
+
+    def test_flags_loss_at_or_above_chance(self, tmp_path, capsys):
+        # Three epochs at the default learning rate leave this model no
+        # better than a uniform guess between the two bar orientations.
+        path = tmp_path / "chance.json"
+        path.write_text(json.dumps({
+            "seed": 0, "scheme": "flow", "sigma": 0.05, "out_dir": str(tmp_path / "out"),
+            "dataset": {"kind": "bars", "train_size": 100, "test_size": 10, "shape": [4, 4]},
+            "train": {"epochs": 3},
+        }))
+        assert run(["train", "--config", str(path)]) == 0
+        summary = json.loads((tmp_path / "out" / "train_summary.json").read_text())
+        assert summary["final_loss"] >= math.log(2)
+        assert summary["loss_at_or_above_chance"] is True
+        assert capsys.readouterr().out.count("warning: final loss") == 1
+
+    def test_trained_model_is_not_flagged(self, config_path, tmp_path, capsys):
+        run(["train", "--config", str(config_path)])
+        summary = json.loads((tmp_path / "out" / "train_summary.json").read_text())
+        assert summary["final_loss"] < math.log(2)
+        assert summary["loss_at_or_above_chance"] is False
+        assert "warning" not in capsys.readouterr().out
 
 
 class TestPredictCommand:
@@ -197,6 +221,19 @@ class TestReportCommand:
         run(["predict", "--config", str(config_path)])
         table = tmp_path / "out" / "predictions.csv"
         with pytest.raises(SystemExit, match="not a certify table"):
+            run(["report", "--out-dir", str(tmp_path), str(table)])
+
+
+    @pytest.mark.parametrize("meta,row", [
+        ("scheme=flow sigma=0.1 n0=100 n=800 alpha=0.05", "0,1,1,1,0.9,zzz,0"),
+        ("sigma=0.1 n0=100 n=800 alpha=0.05", "0,1,1,1,0.9,0.01,0"),
+    ], ids=["bad_radius", "no_scheme"])
+    def test_rejects_malformed_table(self, tmp_path, meta, row):
+        table = tmp_path / "certificates.csv"
+        table.write_text(f"# command=certify seed=1 {meta}\n"
+                         "id,label,base_prediction,prediction,p_lower,rho2,abstained\n"
+                         f"{row}\n")
+        with pytest.raises(SystemExit, match="^error: .*malformed"):
             run(["report", "--out-dir", str(tmp_path), str(table)])
 
 

@@ -5,19 +5,17 @@ import pytest
 
 from wsmooth import (
     DegenerateImageError,
-    GridImage,
     IdxFormatError,
     IdxLengthError,
     LabeledDataset,
-    MultiChannelImage,
     NormalizationError,
     PairingError,
+    ShapeMismatchError,
     load_idx,
     load_idx_images,
     load_idx_labels,
     make_dataset,
     normalize,
-    normalize_multichannel,
     synthetic_dataset,
     write_idx_images,
     write_idx_labels,
@@ -84,13 +82,13 @@ class TestIdxFiles:
 class TestNormalize:
     def test_scales_to_unit_mass(self):
         img = normalize(np.array([[0, 255], [255, 0]], dtype=np.uint8))
-        assert isinstance(img, GridImage)
-        assert img.values.sum() == pytest.approx(1.0, abs=1e-15)
-        assert img.values[0, 1] == pytest.approx(0.5)
+        assert isinstance(img, np.ndarray) and img.dtype == np.float64
+        assert img.sum() == pytest.approx(1.0, abs=1e-15)
+        assert img[0, 1] == pytest.approx(0.5)
 
     def test_already_normalized_unchanged(self):
         x = np.array([[0.25, 0.25], [0.25, 0.25]])
-        assert np.array_equal(normalize(x).values, x)
+        assert np.array_equal(normalize(x), x)
 
     def test_rejects_negative_intensities(self):
         with pytest.raises(NormalizationError):
@@ -100,19 +98,24 @@ class TestNormalize:
         with pytest.raises(DegenerateImageError):
             normalize(np.zeros((2, 2)))
 
+    def test_rejects_wrong_rank(self):
+        for bad in (np.ones(4), np.ones((1, 1, 2, 2)), np.ones((0, 2))):
+            with pytest.raises(ShapeMismatchError):
+                normalize(bad)
+
     def test_multichannel_grand_total(self):
-        img = normalize_multichannel(np.ones((3, 2, 2)))
-        assert isinstance(img, MultiChannelImage)
-        assert img.channels.sum() == pytest.approx(1.0, abs=1e-15)
+        img = normalize(np.ones((3, 2, 2)))
+        assert img.shape == (3, 2, 2)
+        assert img.sum() == pytest.approx(1.0, abs=1e-15)
         with pytest.raises(DegenerateImageError):
-            normalize_multichannel(np.zeros((2, 2, 2)))
+            normalize(np.zeros((2, 2, 2)))
         with pytest.raises(NormalizationError):
-            normalize_multichannel(-np.ones((1, 2, 2)))
+            normalize(-np.ones((1, 2, 2)))
 
 
 class TestLabeledDataset:
     def images(self, k=3):
-        return [GridImage(np.full((2, 2), 0.25)) for _ in range(k)]
+        return np.full((k, 2, 2), 0.25)
 
     def test_len_shape_arrays(self):
         ds = LabeledDataset(self.images(), np.array([1, 2, 1]), 2)
@@ -133,16 +136,41 @@ class TestLabeledDataset:
             LabeledDataset(self.images(2), np.array([1, 3]), 2)
 
     def test_rejects_mixed_image_types(self):
-        mixed = [GridImage(np.full((2, 2), 0.25)),
-                 MultiChannelImage(np.full((1, 2, 2), 0.25))]
+        mixed = [np.full((2, 2), 0.25), np.full((1, 2, 2), 0.25)]
         with pytest.raises(ValueError):
             LabeledDataset(mixed, np.array([1, 2]), 2)
 
+    def test_rejects_images_that_are_not_unit_mass(self):
+        for bad, error in ((np.full((2, 2, 2), 0.3), NormalizationError),
+                           (np.array([[[1.5, -0.5]]]), NormalizationError),
+                           (np.full((2, 4), 0.25), ShapeMismatchError)):
+            with pytest.raises(error):
+                LabeledDataset(bad, np.array([1, 2])[: len(bad)], 2)
+
+    def test_holds_multichannel_images(self):
+        ds = LabeledDataset(np.full((2, 3, 2, 2), 1 / 12), np.array([1, 2]), 2)
+        assert ds.image_shape == (3, 2, 2)
+        assert ds.as_arrays()[0].shape == (2, 3, 2, 2)
+
+    def test_as_arrays_is_read_only_and_not_restacked(self):
+        source = np.full((3, 2, 2), 0.25)
+        ds = LabeledDataset(source, np.array([1, 2, 1]), 2)
+        x, y = ds.as_arrays()
+        x_again, y_again = ds.as_arrays()
+        assert x is x_again and np.shares_memory(x, source)
+        assert not x.flags.writeable
+        with pytest.raises(ValueError):
+            x[0, 0, 0] = 1.0
+        y[0] = 2
+        assert np.array_equal(y_again, [1, 2, 1]) and np.array_equal(ds.labels, [1, 2, 1])
+
     def test_subset_keeps_alignment(self):
-        ds = LabeledDataset(self.images(4), np.array([1, 2, 1, 2]), 2)
+        # Image k holds all its mass on pixel k, so the images are distinct.
+        ds = LabeledDataset(np.eye(4).reshape(4, 2, 2), np.array([1, 2, 1, 2]), 2)
         sub = ds.subset([3, 0])
         assert len(sub) == 2
         assert np.array_equal(sub.labels, [2, 1])
+        assert np.array_equal(sub.as_arrays()[0], ds.as_arrays()[0][[3, 0]])
 
 
 class TestMakeDataset:

@@ -116,7 +116,9 @@ class TestSmoothedPredict:
         a = smoothed_predict(params, x, spec, n=2500, rng=np.random.default_rng(5))
         b = smoothed_predict(params, x, spec, n=2500, rng=np.random.default_rng(5))
         c = smoothed_predict(params, x, spec, n=2500, rng=np.random.default_rng(5), workers=3)
-        assert a == b == c
+        # The same image with an explicit channel axis is the same input.
+        d = smoothed_predict(params, x[None], spec, n=2500, rng=np.random.default_rng(5))
+        assert a == b == c == d
 
     def test_obvious_classifier_never_abstains(self):
         clf = RegionThresholdClassifier((3, 3), "rows", 0, threshold=0.05)
@@ -275,7 +277,9 @@ class TestCertify:
         spec = NoiseSpec(PIXEL, 0.1)
         a = certify(clf, x, spec, n0=500, n=2500, rng=np.random.default_rng(7))
         b = certify(clf, x, spec, n0=500, n=2500, rng=np.random.default_rng(7), workers=3)
-        assert a == b
+        # The same image with an explicit channel axis is the same input.
+        c = certify(clf, x[None], spec, n0=500, n=2500, rng=np.random.default_rng(7))
+        assert a == b == c
 
     def test_zero_sigma_certifies_zero_radius(self):
         clf = RegionThresholdClassifier((2, 2), "rows", 0, threshold=0.3)

@@ -4,9 +4,8 @@ from hypothesis import given, settings
 
 from wsmooth import (
     ChannelMassError,
-    GridImage,
     GroundMetric,
-    MultiChannelImage,
+    NormalizationError,
     ScaleError,
     ShapeMismatchError,
     TransportPlan,
@@ -34,12 +33,12 @@ def corner_images():
 
 class TestCouplingLp:
     def test_identical_images_diagonal_plan(self):
-        x = GridImage(np.full((2, 3), 1 / 6))
+        x = np.full((2, 3), 1 / 6)
         dist, plan = wasserstein_lp(x, x)
         assert dist == 0.0
         off_diag = plan.coupling - np.diag(np.diag(plan.coupling))
         assert np.abs(off_diag).max() < 1e-9
-        assert np.allclose(np.diag(plan.coupling), x.values.ravel(), atol=1e-9)
+        assert np.allclose(np.diag(plan.coupling), x.ravel(), atol=1e-9)
 
     def test_corner_to_corner_both_metrics(self):
         a, b = corner_images()
@@ -71,8 +70,8 @@ class TestCouplingLp:
         x, xp = pair
         _, plan = wasserstein_lp(x, xp)
         row, col = plan.marginals()
-        assert np.abs(row - x.values.ravel() / x.values.sum()).max() < 1e-8
-        assert np.abs(col - xp.values.ravel() / xp.values.sum()).max() < 1e-8
+        assert np.abs(row - x.ravel() / x.sum()).max() < 1e-8
+        assert np.abs(col - xp.ravel() / xp.sum()).max() < 1e-8
 
     @settings(max_examples=30, deadline=None)
     @given(image_pairs(min_side=2, max_side=3))
@@ -88,7 +87,7 @@ class TestCouplingLp:
     def test_pixel_l1_within_twice_wasserstein(self, pair):
         x, xp = pair
         d2, _ = wasserstein_lp(x, xp, GroundMetric.L2)
-        assert np.abs(x.values - xp.values).sum() <= 2.0 * d2 + 1e-8
+        assert np.abs(x - xp).sum() <= 2.0 * d2 + 1e-8
 
 
 class TestGridSolver:
@@ -96,7 +95,7 @@ class TestGridSolver:
         x = np.full((3, 3), 1 / 9)
         dist, edge = wasserstein_grid_l1(x, x)
         assert dist == 0.0
-        assert edge.total() == 0.0
+        assert all(not arr.any() for arr in (edge.down, edge.up, edge.right, edge.left))
 
     def test_corner_to_corner(self):
         a, b = corner_images()
@@ -135,6 +134,17 @@ class TestGridSolver:
         d, _ = wasserstein_grid_l1(x, moved.values / moved.values.sum())
         assert d <= l1_norm(plan) + 1e-8
 
+    def test_rejects_bad_images(self):
+        x = np.full((2, 2), 0.25)
+        for bad, error in ((np.full((1, 2, 2), 0.25), ShapeMismatchError),
+                           (np.full(4, 0.25), ShapeMismatchError),
+                           (np.full((2, 2), 0.3), NormalizationError),
+                           (np.array([[0.75, 0.5], [0.0, -0.25]]), NormalizationError)):
+            with pytest.raises(error):
+                wasserstein_grid_l1(x, bad)
+            with pytest.raises(error):
+                wasserstein_grid_l1(bad, x)
+
 
 class TestPaperScale:
     """28 x 28 is the MNIST size the paper certifies at, past the dense LP's
@@ -167,8 +177,8 @@ class TestPaperScale:
         weights = np.array([0.2, 0.3, 0.5])
         a = rng.dirichlet(np.ones(784), size=3).reshape(3, 28, 28)
         b = rng.dirichlet(np.ones(784), size=3).reshape(3, 28, 28)
-        x = MultiChannelImage(weights[:, None, None] * a)
-        xp = MultiChannelImage(weights[:, None, None] * b)
+        x = weights[:, None, None] * a
+        xp = weights[:, None, None] * b
         expected = sum(w * wasserstein_grid_l1(a[k], b[k])[0] for k, w in enumerate(weights))
         assert abs(per_channel_wasserstein(x, xp) - expected) <= 1e-10
 
@@ -203,7 +213,7 @@ class TestMinFlowPlan:
         x, xp = pair
         plan = min_flow_plan(x, xp)
         d, _ = wasserstein_grid_l1(x, xp)
-        target = xp.values / xp.values.sum()
+        target = xp / xp.sum()
         assert np.abs(apply_flow(x, plan).values - target).max() < 1e-9
         assert abs(l1_norm(plan) - d) < 1e-8
 
@@ -227,42 +237,54 @@ class TestTransportPlanType:
 
 class TestPerChannel:
     def test_identical_images(self):
-        img = MultiChannelImage(np.full((3, 2, 2), 1 / 12))
+        img = np.full((3, 2, 2), 1 / 12)
         assert per_channel_wasserstein(img, img) == 0.0
 
     def test_two_corner_channels(self):
         a, b = corner_images()
-        x = MultiChannelImage(np.stack([a, a]) / 2.0)
-        xp = MultiChannelImage(np.stack([b, b]) / 2.0)
+        x = np.stack([a, a]) / 2.0
+        xp = np.stack([b, b]) / 2.0
         # each channel holds mass 0.5 moved across distance 2
         assert per_channel_wasserstein(x, xp) == pytest.approx(2.0, abs=1e-12)
 
     def test_single_channel_matches_grid_solver(self, rng):
         a = rng.dirichlet(np.ones(9)).reshape(3, 3)
         b = rng.dirichlet(np.ones(9)).reshape(3, 3)
-        d_multi = per_channel_wasserstein(MultiChannelImage(a[None]), MultiChannelImage(b[None]))
+        d_multi = per_channel_wasserstein(a[None], b[None])
         d_grid, _ = wasserstein_grid_l1(a, b)
         assert d_multi == pytest.approx(d_grid, abs=1e-12)
 
     def test_zero_mass_channel_contributes_nothing(self):
         a, b = corner_images()
-        x = MultiChannelImage(np.stack([a, np.zeros((2, 2))]))
-        xp = MultiChannelImage(np.stack([b, np.zeros((2, 2))]))
+        x = np.stack([a, np.zeros((2, 2))])
+        xp = np.stack([b, np.zeros((2, 2))])
         assert per_channel_wasserstein(x, xp) == pytest.approx(2.0, abs=1e-12)
 
     def test_mass_mismatch_rejected(self):
         a, b = corner_images()
-        x = MultiChannelImage(np.stack([0.7 * a, 0.3 * a]))
-        xp = MultiChannelImage(np.stack([0.4 * b, 0.6 * b]))
+        x = np.stack([0.7 * a, 0.3 * a])
+        xp = np.stack([0.4 * b, 0.6 * b])
         with pytest.raises(ChannelMassError):
             per_channel_wasserstein(x, xp)
+
+    def test_rejects_bad_images(self):
+        x = np.full((2, 2, 2), 0.125)
+        for bad, error in ((np.full((2, 2), 0.25), ShapeMismatchError),
+                           (np.full((2, 2, 3), 1 / 12), ShapeMismatchError),
+                           (np.full((2, 2, 2), 0.25), NormalizationError),
+                           (np.stack([np.full((2, 2), 0.5), np.full((2, 2), -0.25)]),
+                            NormalizationError)):
+            with pytest.raises(error):
+                per_channel_wasserstein(x, bad)
+            with pytest.raises(error):
+                per_channel_wasserstein(bad, x)
 
     def test_mass_weighting(self, rng):
         a = rng.dirichlet(np.ones(9)).reshape(3, 3)
         b = rng.dirichlet(np.ones(9)).reshape(3, 3)
         d_unit, _ = wasserstein_grid_l1(a, b)
-        x = MultiChannelImage(np.stack([0.25 * a, 0.75 * a]))
-        xp = MultiChannelImage(np.stack([0.25 * b, 0.75 * b]))
+        x = np.stack([0.25 * a, 0.75 * a])
+        xp = np.stack([0.25 * b, 0.75 * b])
         assert per_channel_wasserstein(x, xp) == pytest.approx(d_unit, abs=1e-10)
 
 
