@@ -16,7 +16,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -37,73 +36,89 @@ from .transport_oracle import run_oracle_checks
 
 _SCHEME_MAP = {"flow": "wasserstein_flow", "pixel": "laplace_pixel"}
 
-_DEFAULT_DATASET = {"kind": "blobs", "train_size": 200, "test_size": 50, "shape": [6, 6]}
+# Ranges: the words an error message uses, and the test.
+_AT_LEAST_0 = (">= 0", lambda v: v >= 0)
+_AT_LEAST_1 = (">= 1", lambda v: v >= 1)
+_POSITIVE = ("> 0", lambda v: v > 0)
+_OPEN_UNIT = ("in (0, 1)", lambda v: 0 < v < 1)
+_SCHEME = (f"one of {sorted(_SCHEME_MAP)}", lambda v: v in _SCHEME_MAP)
 
-# Every key some command reads from a config file, with the keys each
-# section may hold (None for a plain value).  One file serves all commands,
-# so a key is known if any command reads it; anything else is a typo that
-# would silently fall back to a default.
-_CONFIG_KEYS = {
-    "seed": None, "workers": None, "scheme": None, "sigma": None, "checkpoint": None,
-    "out_dir": None,
-    "dataset": {"kind", "train_size", "test_size", "shape"},
-    "idx": {"train_images", "train_labels", "test_images", "test_labels", "num_classes",
-            "label_base"},
-    "train": {"epochs", "batch_size", "learning_rate", "momentum", "weight_decay", "hidden"},
-    "predict": {"n", "alpha"},
-    "certify": {"n0", "n", "alpha"},
-    "attack": {"radii", "max_images", "iterations", "gradient_samples", "growth_factor",
-               "growth_interval", "predict_samples", "predict_alpha"},
+_IDX_PATHS = ("train_images", "train_labels", "test_images", "test_labels")
+
+# Every config key ("section.key", or a bare top-level name) with the type
+# of its value ([t]: a nonempty list of t), the range it must lie in, and
+# its default (None: unset).  One file serves all commands, so a key is
+# known if any command reads it; anything else is a typo that would
+# silently fall back to a default.  The train and attack keys that
+# TrainConfig and AttackConfig take get their defaults and ranges from
+# those classes, and the dataset kind, shape and class count are checked
+# where the dataset is built.  A flag's argparse dest is the key it sets.
+_SCHEMA = {
+    "seed": (int, _AT_LEAST_0, 0),
+    "workers": (int, _AT_LEAST_1, 1),
+    "scheme": (str, _SCHEME, "flow"),
+    "sigma": (float, _POSITIVE, 0.05),
+    "checkpoint": (str, None, None),
+    "out_dir": (str, None, "runs"),
+    "dataset.kind": (str, None, "blobs"),
+    "dataset.train_size": (int, _AT_LEAST_1, 200),
+    "dataset.test_size": (int, _AT_LEAST_1, 50),
+    "dataset.shape": ([int], None, [6, 6]),
+    **{f"idx.{name}": (str, None, None) for name in _IDX_PATHS},
+    "idx.num_classes": (int, None, None),
+    "idx.label_base": (int, None, None),
+    "train.epochs": (int, None, None),
+    "train.batch_size": (int, None, None),
+    "train.learning_rate": (float, None, None),
+    "train.momentum": (float, None, None),
+    "train.weight_decay": (float, None, None),
+    "train.hidden": (int, _AT_LEAST_1, None),
+    "predict.n": (int, _AT_LEAST_1, 10000),
+    "predict.alpha": (float, _OPEN_UNIT, 0.05),
+    "certify.n0": (int, _AT_LEAST_1, 1000),
+    "certify.n": (int, _AT_LEAST_1, 10000),
+    "certify.alpha": (float, _OPEN_UNIT, 0.05),
+    "attack.radii": ([float], _AT_LEAST_0, [0.0, 0.005, 0.01, 0.02]),
+    "attack.max_images": (int, _AT_LEAST_1, None),
+    "attack.iterations": (int, None, None),
+    "attack.gradient_samples": (int, None, None),
+    "attack.growth_factor": (float, None, None),
+    "attack.growth_interval": (int, None, None),
+    "attack.predict_samples": (int, None, None),
+    "attack.predict_alpha": (float, None, None),
 }
+_SECTIONS = {key.split(".")[0] for key in _SCHEMA if "." in key}
+_TYPE_WORDS = {int: "an integer", float: "a finite number", str: "a string"}
 
 
-@dataclass
-class RunConfig:
-    """Merged settings for one command invocation."""
+def _checked_one(key: str, kind: type, rule, value):
+    ok = (isinstance(value, (int, float) if kind is float else kind)
+          and not isinstance(value, bool))
+    # The bound also refuses nan, inf and integers too large for a float.
+    if not ok or kind is float and not abs(value) <= sys.float_info.max:
+        raise SystemExit(f"error: {key} must be {_TYPE_WORDS[kind]}, got {value!r}")
+    value = float(value) if kind is float else value
+    if rule is not None and not rule[1](value):
+        raise SystemExit(f"error: {key} must be {rule[0]}, got {value!r}")
+    return value
 
-    command: str
-    seed: int = 0
-    out_dir: str = "runs"
-    workers: int = 1
-    scheme: str = "flow"
-    sigma: float = 0.05
-    checkpoint: str | None = None
-    dataset: dict = field(default_factory=lambda: dict(_DEFAULT_DATASET))
-    idx: dict | None = None
-    train: dict = field(default_factory=dict)
-    predict: dict = field(default_factory=dict)
-    certify: dict = field(default_factory=dict)
-    attack: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        if self.scheme not in _SCHEME_MAP:
-            raise SystemExit(f"error: scheme must be one of {sorted(_SCHEME_MAP)}, got {self.scheme!r}")
-        if (isinstance(self.sigma, bool) or not isinstance(self.sigma, (int, float))
-                or not math.isfinite(self.sigma)):
-            raise SystemExit(f"error: sigma must be a finite number, got {self.sigma!r}")
-        if self.command in ("train", "predict", "certify", "attack") and not self.sigma > 0:
-            raise SystemExit(
-                f"error: sigma must be > 0 (got {self.sigma!r}); "
-                "smoothing with nonpositive noise certifies nothing"
-            )
-        for key in ("seed", "workers"):
-            value = getattr(self, key)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise SystemExit(f"error: {key} must be an integer, got {value!r}")
-        if self.seed < 0:
-            raise SystemExit(f"error: seed must be >= 0, got {self.seed!r}")
-        if self.workers < 1:
-            raise SystemExit("error: workers must be >= 1")
+def _checked(key: str, value):
+    """``value`` checked against the schema entry of ``key``; a float key
+    given as an integer comes back as a float."""
+    kind, rule, _ = _SCHEMA[key]
+    if not isinstance(kind, list):
+        return _checked_one(key, kind, rule, value)
+    if not isinstance(value, list) or not value:
+        raise SystemExit(f"error: {key} must be a nonempty list, got {value!r}")
+    return [_checked_one(f"{key}[{i}]", kind[0], rule, v) for i, v in enumerate(value)]
 
-    @property
-    def noise_spec(self) -> NoiseSpec:
-        return NoiseSpec(_SCHEME_MAP[self.scheme], self.sigma)
 
-    @property
-    def checkpoint_path(self) -> Path:
-        if self.checkpoint:
-            return Path(self.checkpoint)
-        return Path(self.out_dir) / f"model_{self.scheme}_sigma{self.sigma:g}.npz"
+def _number_list(text: str) -> list[float]:
+    try:
+        return [float(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise SystemExit(f"error: --radii must be comma-separated numbers, got {text!r}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -113,35 +128,39 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add(p, flag, key, help):
+        kind = _SCHEMA[key][0]
+        p.add_argument(flag, dest=key, type=_number_list if kind == [float] else kind, help=help)
+
     def add_common(p, with_noise=True):
         p.add_argument("--config", type=Path, help="JSON settings file")
-        p.add_argument("--seed", type=int, help="master seed for all randomness")
-        p.add_argument("--out-dir", help="directory for outputs")
-        p.add_argument("--workers", type=int, help="sampling worker threads")
+        add(p, "--seed", "seed", "master seed for all randomness")
+        add(p, "--out-dir", "out_dir", "directory for outputs")
+        add(p, "--workers", "workers", "sampling worker threads")
         if with_noise:
-            p.add_argument("--scheme", choices=sorted(_SCHEME_MAP), help="noise scheme")
-            p.add_argument("--sigma", type=float, help="noise standard deviation (> 0)")
-            p.add_argument("--checkpoint", help="model checkpoint path (.npz)")
+            add(p, "--scheme", "scheme", "noise scheme: flow or pixel")
+            add(p, "--sigma", "sigma", "noise standard deviation (> 0)")
+            add(p, "--checkpoint", "checkpoint", "model checkpoint path (.npz)")
 
     p = sub.add_parser("train", help="train a base classifier under smoothing noise")
     add_common(p)
-    p.add_argument("--epochs", type=int, help="training epochs")
+    add(p, "--epochs", "train.epochs", "training epochs")
 
     p = sub.add_parser("predict", help="smoothed predictions on the test split")
     add_common(p)
-    p.add_argument("--n", type=int, help="prediction sample count")
-    p.add_argument("--alpha", type=float, help="abstention significance level")
+    add(p, "--n", "predict.n", "prediction sample count")
+    add(p, "--alpha", "predict.alpha", "abstention significance level")
 
     p = sub.add_parser("certify", help="certified radii on the test split")
     add_common(p)
-    p.add_argument("--n0", type=int, help="class-guess sample count")
-    p.add_argument("--n", type=int, help="bound sample count")
-    p.add_argument("--alpha", type=float, help="confidence level alpha")
+    add(p, "--n0", "certify.n0", "class-guess sample count")
+    add(p, "--n", "certify.n", "bound sample count")
+    add(p, "--alpha", "certify.alpha", "confidence level alpha")
 
     p = sub.add_parser("attack", help="flow-domain PGD attack curve on the test split")
     add_common(p)
-    p.add_argument("--radii", help="comma-separated L1 budgets, e.g. 0,0.005,0.01")
-    p.add_argument("--max-images", type=int, help="attack at most this many test images")
+    add(p, "--radii", "attack.radii", "comma-separated L1 budgets, e.g. 0,0.005,0.01")
+    add(p, "--max-images", "attack.max_images", "attack at most this many test images")
 
     p = sub.add_parser("oracle-check", help="cross-validate the transport oracles")
     add_common(p, with_noise=False)
@@ -161,88 +180,78 @@ def _load_json(path: Path | None) -> dict:
             data = json.load(fh)
     except FileNotFoundError:
         raise SystemExit(f"error: config file {path} not found")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise SystemExit(f"error: config file {path} is not valid JSON: {exc}")
     if not isinstance(data, dict):
         raise SystemExit(f"error: config file {path} must hold a JSON object")
     return data
 
 
-def _check_config_keys(cfg: dict, path: Path | None):
-    for key, value in cfg.items():
-        if key not in _CONFIG_KEYS:
-            raise SystemExit(f"error: unknown config key {key!r} in {path}")
-        allowed = _CONFIG_KEYS[key]
-        if allowed is None:
-            continue
-        if not isinstance(value, dict):
-            raise SystemExit(f"error: config key {key!r} in {path} must hold a JSON object")
-        for sub in value:
-            if sub not in allowed:
-                raise SystemExit(f"error: unknown config key '{key}.{sub}' in {path}")
+def _section(cfg: dict, name: str, *skip: str) -> dict:
+    """The keys of one section that are set, by their names in the section."""
+    prefix = name + "."
+    return {key[len(prefix):]: value for key, value in cfg.items()
+            if key.startswith(prefix) and key[len(prefix):] not in skip}
 
 
-def _merge_config(args: argparse.Namespace) -> RunConfig:
+def _merge_config(args: argparse.Namespace) -> dict:
+    """Every key that is set, checked: schema defaults, then the config
+    file, then WSMOOTH_OUT_DIR, then flags.  Also the run's ``noise`` spec,
+    and the TrainConfig and AttackConfig built from the ``train`` and
+    ``attack`` sections, under those names."""
     path = getattr(args, "config", None)
     file_cfg = _load_json(path)
-    _check_config_keys(file_cfg, path)
-    cfg = RunConfig(command=args.command)
+    values = {key: default for key, (_, _, default) in _SCHEMA.items() if default is not None}
     for key, value in file_cfg.items():
-        setattr(cfg, key, value)
-    env_out = os.environ.get("WSMOOTH_OUT_DIR")
-    if env_out:
-        cfg.out_dir = env_out
-    for key in ("seed", "workers", "scheme", "sigma", "checkpoint"):
-        val = getattr(args, key, None)
-        if val is not None:
-            setattr(cfg, key, val)
-    if getattr(args, "out_dir", None) is not None:
-        cfg.out_dir = args.out_dir
-    if getattr(args, "epochs", None) is not None:
-        cfg.train = {**cfg.train, "epochs": args.epochs}
-    if getattr(args, "n0", None) is not None:
-        cfg.certify = {**cfg.certify, "n0": args.n0}
-    if getattr(args, "n", None) is not None:
-        cfg.certify = {**cfg.certify, "n": args.n}
-        cfg.predict = {**cfg.predict, "n": args.n}
-    if getattr(args, "alpha", None) is not None:
-        cfg.certify = {**cfg.certify, "alpha": args.alpha}
-        cfg.predict = {**cfg.predict, "alpha": args.alpha}
-    if getattr(args, "radii", None) is not None:
+        if key in _SECTIONS and not isinstance(value, dict):
+            raise SystemExit(f"error: config key {key!r} in {path} must hold a JSON object")
+        given = ({f"{key}.{sub}": v for sub, v in value.items()} if key in _SECTIONS
+                 else {key: value})
+        for name in given:
+            if "." in key or name not in _SCHEMA:
+                raise SystemExit(f"error: unknown config key {name!r} in {path}")
+        values.update(given)
+    if os.environ.get("WSMOOTH_OUT_DIR"):
+        values["out_dir"] = os.environ["WSMOOTH_OUT_DIR"]
+    values.update((key, v) for key, v in vars(args).items() if key in _SCHEMA and v is not None)
+    cfg = {key: _checked(key, value) for key, value in values.items()}
+    missing = [name for name in _IDX_PATHS if f"idx.{name}" not in cfg]
+    if "idx" in file_cfg and missing:
+        raise SystemExit(f"error: the idx section in {path} must name {', '.join(missing)}")
+    if not cfg.get("checkpoint"):
+        cfg["checkpoint"] = str(Path(cfg["out_dir"]) /
+                                f"model_{cfg['scheme']}_sigma{cfg['sigma']:g}.npz")
+    cfg["noise"] = NoiseSpec(_SCHEME_MAP[cfg["scheme"]], cfg["sigma"])
+    seeds = _derived_seeds(cfg)
+    train_noise = {"noise": cfg["noise"].scheme, "sigma": cfg["sigma"]}
+    for name, build, skip, extra in (("train", clf.TrainConfig, ("hidden",), train_noise),
+                                     ("attack", AttackConfig, ("radii", "max_images"), {})):
+        seed = int(np.random.default_rng(seeds[name]).integers(2**31))
         try:
-            radii = [float(tok) for tok in str(args.radii).split(",") if tok.strip()]
-        except ValueError:
-            raise SystemExit(f"error: --radii must be comma-separated numbers, got {args.radii!r}")
-        cfg.attack = {**cfg.attack, "radii": radii}
-    if getattr(args, "max_images", None) is not None:
-        cfg.attack = {**cfg.attack, "max_images": args.max_images}
-    # Revalidate after overrides.
-    cfg.__post_init__()
+            cfg[name] = build(**_section(cfg, name, *skip), **extra, seed=seed)
+        except ValueError as exc:
+            raise SystemExit(f"error: {name}: {exc}")
     return cfg
 
 
-def _derived_seeds(cfg: RunConfig) -> dict[str, np.random.SeedSequence]:
-    root = np.random.SeedSequence(cfg.seed)
+def _derived_seeds(cfg: dict) -> dict[str, np.random.SeedSequence]:
+    root = np.random.SeedSequence(cfg["seed"])
     names = ("dataset_train", "dataset_test", "train", "predict", "certify", "attack")
     return dict(zip(names, root.spawn(len(names))))
 
 
-def _load_split(cfg: RunConfig, split: str) -> dataset_io.LabeledDataset:
+def _load_split(cfg: dict, split: str) -> dataset_io.LabeledDataset:
     """Build the train or test dataset from the config (synthetic or IDX)."""
-    if cfg.idx:
-        images = cfg.idx[f"{split}_images"]
-        labels = cfg.idx[f"{split}_labels"]
-        raw_x, raw_y = dataset_io.load_idx(images, labels)
-        return dataset_io.make_dataset(
-            raw_x, raw_y,
-            num_classes=cfg.idx.get("num_classes"),
-            label_base=cfg.idx.get("label_base", 0),
-        )
-    ds = dict(_DEFAULT_DATASET)
-    ds.update(cfg.dataset)
-    seeds = _derived_seeds(cfg)
-    seed = seeds["dataset_train"] if split == "train" else seeds["dataset_test"]
-    return dataset_io.synthetic_dataset(ds["kind"], ds[f"{split}_size"], tuple(ds["shape"]), seed=seed)
+    try:
+        if "idx.train_images" in cfg:
+            raw_x, raw_y = dataset_io.load_idx(cfg[f"idx.{split}_images"],
+                                               cfg[f"idx.{split}_labels"])
+            return dataset_io.make_dataset(raw_x, raw_y, **_section(cfg, "idx", *_IDX_PATHS))
+        return dataset_io.synthetic_dataset(
+            cfg["dataset.kind"], cfg[f"dataset.{split}_size"], tuple(cfg["dataset.shape"]),
+            seed=_derived_seeds(cfg)[f"dataset_{split}"])
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"error: cannot load the {split} split: {exc}")
 
 
 def _fmt(value) -> str:
@@ -269,29 +278,16 @@ def _write_summary(path: Path, summary: dict):
         fh.write("\n")
 
 
-def _meta(cfg: RunConfig, **extra) -> dict:
-    base = {"command": cfg.command, "scheme": cfg.scheme, "sigma": _fmt(float(cfg.sigma)),
-            "seed": cfg.seed}
-    base.update(extra)
-    return base
+def _meta(cfg: dict, command: str, **extra) -> dict:
+    return {"command": command, "scheme": cfg["scheme"], "sigma": _fmt(cfg["sigma"]),
+            "seed": cfg["seed"], **extra}
 
 
-def _cmd_train(cfg: RunConfig) -> int:
+def _cmd_train(cfg: dict) -> int:
     dataset = _load_split(cfg, "train")
-    train_seed = int(np.random.default_rng(_derived_seeds(cfg)["train"]).integers(2**31))
-    tc = clf.TrainConfig(
-        epochs=int(cfg.train.get("epochs", 200)),
-        batch_size=int(cfg.train.get("batch_size", 128)),
-        learning_rate=float(cfg.train.get("learning_rate", 1e-3)),
-        momentum=float(cfg.train.get("momentum", 0.9)),
-        weight_decay=float(cfg.train.get("weight_decay", 5e-4)),
-        noise=_SCHEME_MAP[cfg.scheme],
-        sigma=float(cfg.sigma),
-        seed=train_seed,
-    )
-    hidden = cfg.train.get("hidden")
-    result = clf.train(dataset, tc, hidden=int(hidden) if hidden else None)
-    ckpt = cfg.checkpoint_path
+    tc = cfg["train"]
+    result = clf.train(dataset, tc, hidden=cfg.get("train.hidden"))
+    ckpt = Path(cfg["checkpoint"])
     ckpt.parent.mkdir(parents=True, exist_ok=True)
     clf.save_checkpoint(ckpt, result.params, tc)
     train_acc = clf.accuracy(result.params, dataset)
@@ -301,12 +297,12 @@ def _cmd_train(cfg: RunConfig) -> int:
     chance = math.log(dataset.num_classes)
     at_chance = not final_loss < chance
     summary = {
-        "command": "train", "scheme": cfg.scheme, "sigma": cfg.sigma, "seed": cfg.seed,
+        "command": "train", "scheme": cfg["scheme"], "sigma": cfg["sigma"], "seed": cfg["seed"],
         "num_images": len(dataset), "epochs": tc.epochs,
         "final_loss": final_loss, "train_accuracy": train_acc,
         "loss_at_or_above_chance": at_chance, "checkpoint": str(ckpt),
     }
-    _write_summary(Path(cfg.out_dir) / "train_summary.json", summary)
+    _write_summary(Path(cfg["out_dir"]) / "train_summary.json", summary)
     print(f"train: {len(dataset)} images, {tc.epochs} epochs, "
           f"final loss {final_loss:.6f}, train accuracy {train_acc:.3f}")
     if at_chance:
@@ -316,19 +312,24 @@ def _cmd_train(cfg: RunConfig) -> int:
     return 0
 
 
-def _load_model(cfg: RunConfig) -> clf.ClassifierParams:
-    ckpt = cfg.checkpoint_path
+def _load_model(cfg: dict) -> clf.ClassifierParams:
+    """The checkpoint's classifier, if it was trained under this run's noise."""
+    ckpt = Path(cfg["checkpoint"])
     if not ckpt.exists():
         raise SystemExit(f"error: checkpoint {ckpt} not found; run `wsmooth train` first")
-    params, _ = clf.load_checkpoint(ckpt)
+    params, trained = clf.load_checkpoint(ckpt)
+    noise = cfg["noise"]
+    if (trained.noise, trained.sigma) != (noise.scheme, noise.sigma):
+        raise SystemExit(
+            f"error: checkpoint {ckpt} was trained under {trained.noise} noise at sigma "
+            f"{trained.sigma!r}, but this run smooths with {noise.scheme} at sigma {noise.sigma!r}")
     return params
 
 
-def _cmd_predict(cfg: RunConfig) -> int:
+def _cmd_predict(cfg: dict) -> int:
     dataset = _load_split(cfg, "test")
     params = _load_model(cfg)
-    n = int(cfg.predict.get("n", 10000))
-    alpha = float(cfg.predict.get("alpha", 0.05))
+    n, alpha = cfg["predict.n"], cfg["predict.alpha"]
     rng = np.random.default_rng(_derived_seeds(cfg)["predict"])
     streams = rng.spawn(len(dataset))
     x_all, y_all = dataset.as_arrays()
@@ -336,18 +337,18 @@ def _cmd_predict(cfg: RunConfig) -> int:
     hits = 0
     abstentions = 0
     for i in range(len(dataset)):
-        pred = smoothed_predict(params, x_all[i], cfg.noise_spec, n, alpha, streams[i],
-                                workers=cfg.workers)
+        pred = smoothed_predict(params, x_all[i], cfg["noise"], n, alpha, streams[i],
+                                workers=cfg["workers"])
         abstained = int(pred.predicted == ABSTAIN)
         abstentions += abstained
         hits += int(pred.predicted == int(y_all[i]))
         rows.append([i, int(y_all[i]), pred.predicted, float(pred.p_value), abstained])
-    meta = _meta(cfg, n=n, alpha=_fmt(alpha))
-    out = Path(cfg.out_dir)
+    meta = _meta(cfg, "predict", n=n, alpha=_fmt(alpha))
+    out = Path(cfg["out_dir"])
     _write_table(out / "predictions.csv", meta,
                  ["id", "label", "prediction", "p_value", "abstained"], rows)
     summary = {
-        "command": "predict", "scheme": cfg.scheme, "sigma": cfg.sigma, "seed": cfg.seed,
+        "command": "predict", "scheme": cfg["scheme"], "sigma": cfg["sigma"], "seed": cfg["seed"],
         "n": n, "alpha": alpha, "num_images": len(dataset),
         "accuracy": hits / len(dataset), "abstention_rate": abstentions / len(dataset),
     }
@@ -357,12 +358,10 @@ def _cmd_predict(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_certify(cfg: RunConfig) -> int:
+def _cmd_certify(cfg: dict) -> int:
     dataset = _load_split(cfg, "test")
     params = _load_model(cfg)
-    n0 = int(cfg.certify.get("n0", 1000))
-    n = int(cfg.certify.get("n", 10000))
-    alpha = float(cfg.certify.get("alpha", 0.05))
+    n0, n, alpha = cfg["certify.n0"], cfg["certify.n"], cfg["certify.alpha"]
     rng = np.random.default_rng(_derived_seeds(cfg)["certify"])
     streams = rng.spawn(len(dataset))
     x_all, y_all = dataset.as_arrays()
@@ -372,8 +371,8 @@ def _cmd_certify(cfg: RunConfig) -> int:
     abstentions = 0
     base_hits = 0
     for i in range(len(dataset)):
-        cert = certify(params, x_all[i], cfg.noise_spec, n0, n, alpha, streams[i],
-                       workers=cfg.workers)
+        cert = certify(params, x_all[i], cfg["noise"], n0, n, alpha, streams[i],
+                       workers=cfg["workers"])
         label = int(y_all[i])
         records.append(CertificationRecord(i, label, cert))
         base_pred = int(np.argmax(params.forward_batch(x_all[i][None])[0])) + 1
@@ -384,13 +383,13 @@ def _cmd_certify(cfg: RunConfig) -> int:
         rows.append([i, label, base_pred, cert.predicted, float(cert.p_lower),
                      cert.rho2, abstained])
     median = median_certified_radius(records)
-    meta = _meta(cfg, n0=n0, n=n, alpha=_fmt(alpha))
-    out = Path(cfg.out_dir)
+    meta = _meta(cfg, "certify", n0=n0, n=n, alpha=_fmt(alpha))
+    out = Path(cfg["out_dir"])
     _write_table(out / "certificates.csv", meta,
                  ["id", "label", "base_prediction", "prediction", "p_lower", "rho2", "abstained"],
                  rows)
     summary = {
-        "command": "certify", "scheme": cfg.scheme, "sigma": cfg.sigma, "seed": cfg.seed,
+        "command": "certify", "scheme": cfg["scheme"], "sigma": cfg["sigma"], "seed": cfg["seed"],
         "n0": n0, "n": n, "alpha": alpha, "num_images": len(dataset),
         "base_accuracy": base_hits / len(dataset),
         "accuracy": hits / len(dataset),
@@ -405,29 +404,16 @@ def _cmd_certify(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_attack(cfg: RunConfig) -> int:
+def _cmd_attack(cfg: dict) -> int:
     dataset = _load_split(cfg, "test")
     params = _load_model(cfg)
-    acfg_dict = dict(cfg.attack)
-    radii = [float(r) for r in acfg_dict.pop("radii", [0.0, 0.005, 0.01, 0.02])]
-    max_images = acfg_dict.pop("max_images", None)
-    if max_images is not None:
-        dataset = dataset.subset(np.arange(min(int(max_images), len(dataset))))
-    attack_seed = int(np.random.default_rng(_derived_seeds(cfg)["attack"]).integers(2**31))
-    acfg = AttackConfig(
-        iterations=int(acfg_dict.get("iterations", 200)),
-        gradient_samples=int(acfg_dict.get("gradient_samples", 128)),
-        max_radius=max(radii) if radii and max(radii) > 0 else 1.0,
-        growth_factor=float(acfg_dict.get("growth_factor", 1.5)),
-        growth_interval=int(acfg_dict.get("growth_interval", 10)),
-        predict_samples=int(acfg_dict.get("predict_samples", 10000)),
-        predict_alpha=float(acfg_dict.get("predict_alpha", 0.05)),
-        seed=attack_seed,
-    )
-    curve, results = robustness_curve(params, dataset, cfg.noise_spec, radii, acfg)
-    meta = _meta(cfg, iterations=acfg.iterations, gradient_samples=acfg.gradient_samples,
-                 predict_samples=acfg.predict_samples)
-    out = Path(cfg.out_dir)
+    if "attack.max_images" in cfg:
+        dataset = dataset.subset(np.arange(min(cfg["attack.max_images"], len(dataset))))
+    radii, acfg = cfg["attack.radii"], cfg["attack"]
+    curve, results = robustness_curve(params, dataset, cfg["noise"], radii, acfg)
+    meta = _meta(cfg, "attack", iterations=acfg.iterations,
+                 gradient_samples=acfg.gradient_samples, predict_samples=acfg.predict_samples)
+    out = Path(cfg["out_dir"])
     _write_table(out / "attack_curve.csv", meta, ["radius", "accuracy"],
                  [[rho, acc] for rho, acc in curve])
     res_rows = []
@@ -441,7 +427,7 @@ def _cmd_attack(cfg: RunConfig) -> int:
                   "first_iteration", "oracle_radius"], res_rows)
     clean_acc = float(np.mean([r.clean_correct for r in results]))
     summary = {
-        "command": "attack", "scheme": cfg.scheme, "sigma": cfg.sigma, "seed": cfg.seed,
+        "command": "attack", "scheme": cfg["scheme"], "sigma": cfg["sigma"], "seed": cfg["seed"],
         "num_images": len(dataset), "radii": radii,
         "clean_accuracy": clean_acc,
         "curve": {repr(float(rho)): acc for rho, acc in curve},
@@ -452,8 +438,11 @@ def _cmd_attack(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_oracle_check(cfg: RunConfig, pairs: int) -> int:
-    outcomes = run_oracle_checks(num_pairs=pairs, seed=cfg.seed)
+def _cmd_oracle_check(cfg: dict, pairs: int) -> int:
+    try:
+        outcomes = run_oracle_checks(num_pairs=pairs, seed=cfg["seed"])
+    except ValueError as exc:
+        raise SystemExit(f"error: --pairs {pairs}: {exc}")
     failed = 0
     for oc in outcomes:
         status = "PASS" if oc.passed else "FAIL"
@@ -462,7 +451,8 @@ def _cmd_oracle_check(cfg: RunConfig, pairs: int) -> int:
     if failed:
         print(f"{failed} oracle properties failed")
         return 1
-    print(f"all {len(outcomes)} oracle properties hold over {pairs} random pairs (seed {cfg.seed})")
+    print(f"all {len(outcomes)} oracle properties hold over {pairs} random pairs "
+          f"(seed {cfg['seed']})")
     return 0
 
 
@@ -481,7 +471,7 @@ def _read_table(path: Path) -> tuple[dict, list[dict]]:
     return meta, rows
 
 
-def _cmd_report(cfg: RunConfig, tables: list[Path]) -> int:
+def _cmd_report(cfg: dict, tables: list[Path]) -> int:
     entries = []
     for path in tables:
         meta, rows = _read_table(path)
@@ -512,10 +502,10 @@ def _cmd_report(cfg: RunConfig, tables: list[Path]) -> int:
             "median_certified_radius": median,
         })
     entries.sort(key=lambda e: (e["scheme"], e["sigma"]))
-    out = Path(cfg.out_dir)
+    out = Path(cfg["out_dir"])
     header = ["scheme", "sigma", "seed", "num_images", "base_accuracy", "accuracy",
               "abstention_rate", "median_certified_radius"]
-    _write_table(out / "report.csv", {"command": "report", "seed": cfg.seed}, header,
+    _write_table(out / "report.csv", {"command": "report", "seed": cfg["seed"]}, header,
                  [[e[h] for h in header] for e in entries])
     widths = {h: max(len(h), 12) for h in header}
     print("  ".join(h.ljust(widths[h]) for h in header))

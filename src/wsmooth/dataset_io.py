@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flow_domain import NormalizationError, ShapeMismatchError, unit_mass
+from .flow_domain import MASS_TOL, NormalizationError, ShapeMismatchError, unit_mass
 
 # IDX magic numbers: unsigned-byte data, rank 3 for image stacks and rank 1
 # for label vectors.
@@ -36,13 +36,14 @@ class DegenerateImageError(ValueError):
 def _read_exact(fh, count: int, what: str) -> bytes:
     data = fh.read(count)
     if len(data) != count:
-        raise IdxLengthError(f"truncated file: expected {count} bytes of {what}, got {len(data)}")
+        raise IdxLengthError(f"truncated file {fh.name}: expected {count} bytes of {what}, "
+                             f"got {len(data)}")
     return data
 
 
 def _check_no_trailing(fh):
     if fh.read(1):
-        raise IdxLengthError("trailing bytes after declared payload")
+        raise IdxLengthError(f"trailing bytes after declared payload in {fh.name}")
 
 
 def load_idx_images(path) -> np.ndarray:
@@ -121,8 +122,8 @@ class LabeledDataset:
     """Unit-mass images with 1-based integer labels.
 
     ``images`` is kept as one read-only (N, n, m) or (N, C, n, m) float
-    array; each image is checked with ``unit_mass`` on construction.  An
-    array passed in is not copied, only viewed read-only.
+    array, checked in one pass to hold ``unit_mass`` images.  An array
+    passed in is not copied, only viewed read-only.
     """
 
     images: np.ndarray
@@ -140,9 +141,16 @@ class LabeledDataset:
             raise ValueError("need at least two classes")
         if self.labels.size and (self.labels.min() < 1 or self.labels.max() > self.num_classes):
             raise ValueError(f"labels must lie in [1, {self.num_classes}]")
-        for img in self.images:
-            unit_mass(img)
-        self.images.setflags(write=False)
+        x = self.images
+        if x.ndim not in (3, 4) or 0 in x.shape[1:]:
+            raise ShapeMismatchError(f"images must stack nonempty 2-D or 3-D arrays, got {x.shape}")
+        axes = tuple(range(1, x.ndim))
+        off_mass = ~(np.abs(x.sum(axis=axes) - 1.0) <= MASS_TOL)  # NaN is off too
+        bad = np.flatnonzero((x < 0).any(axis=axes) | off_mass)
+        if bad.size:
+            raise NormalizationError(f"image {bad[0]} has a negative pixel or a total mass "
+                                     f"that is not 1 within {MASS_TOL}")
+        x.setflags(write=False)
 
     def __len__(self) -> int:
         return len(self.images)

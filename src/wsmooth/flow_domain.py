@@ -64,7 +64,7 @@ def unit_mass(x) -> np.ndarray:
     if np.any(a < 0):
         raise NormalizationError("image intensities must be nonnegative")
     total = float(a.sum())
-    if abs(total - 1.0) > MASS_TOL:
+    if not abs(total - 1.0) <= MASS_TOL:  # NaN fails too
         raise NormalizationError(f"total mass {total!r} is not 1 within {MASS_TOL}")
     return a
 

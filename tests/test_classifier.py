@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wsmooth import (
@@ -111,6 +111,7 @@ class TestGradients:
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
+    @example(seed=3606)  # every hidden ReLU dead: the exact gradient is 0
     def test_random_instances_match_finite_differences(self, seed):
         rng = np.random.default_rng(seed)
         hidden = int(rng.integers(2, 6)) if rng.random() < 0.7 else None
@@ -120,8 +121,9 @@ class TestGradients:
         _, grads = loss_and_gradients(params, X, labels)
         analytic = np.concatenate([g.ravel() for g in grads])
         fd = finite_difference_grads(params, X, labels)
-        rel = np.abs(analytic - fd).max() / (np.abs(fd).max() + 1e-12)
-        assert rel < 1e-4
+        # Relative to the largest entry, plus central differences' own
+        # round-off (~1e-10), which is all fd holds where the gradient is 0.
+        assert np.abs(analytic - fd).max() < 1e-4 * np.abs(fd).max() + 1e-9
 
     def test_single_image_gradient_matches_batch(self, rng):
         # The batch loss is a mean, so its gradient is the mean of the

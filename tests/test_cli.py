@@ -3,13 +3,56 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wsmooth
-from wsmooth.cli import main, run
+from wsmooth import write_idx_images, write_idx_labels
+from wsmooth.cli import _SCHEMA, _build_parser, _merge_config, main, run
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                 max_size=3),
+    max_leaves=5)
+PLAUSIBLE = {int: st.integers(-1, 300), float: st.floats(-0.5, 2.0),
+             str: st.sampled_from(["flow", "pixel", "blobs", "x"])}
+
+
+def mostly(typed, other=JSON_VALUES):
+    """A draw from ``typed`` nine times in ten, else from ``other``."""
+    return st.integers(0, 9).flatmap(lambda i: typed if i else other)
+
+
+def schema_value(key):
+    """A value of the key's type (in range or not), or any JSON value."""
+    kind = _SCHEMA[key][0]
+    return mostly(st.lists(PLAUSIBLE[kind[0]], max_size=3) if isinstance(kind, list)
+                  else PLAUSIBLE[kind])
+
+
+def with_typos(known):
+    """Dicts drawn from ``known``, now and then with one extra key of any name."""
+    typo = st.dictionaries(st.text(max_size=4), JSON_VALUES, min_size=1, max_size=1)
+    return st.builds(lambda a, b: {**a, **b}, known, mostly(st.just({}), typo))
+
+
+def config_files():
+    """JSON objects whose keys come mostly from the real schema."""
+    sections = {}
+    for key in _SCHEMA:
+        head, _, sub = key.partition(".")
+        if sub:
+            sections.setdefault(head, {})[sub] = schema_value(key)
+    top = {key: schema_value(key) for key in _SCHEMA if "." not in key}
+    for name, subs in sections.items():
+        top[name] = mostly(with_typos(st.fixed_dictionaries({}, optional=subs)))
+    return with_typos(st.fixed_dictionaries({}, optional=top))
 
 
 @pytest.fixture
@@ -257,6 +300,23 @@ class TestConfigHandling:
         ({"seed": "1"}, "seed must be an integer"),
         ({"seed": 1.5}, "seed must be an integer"),
         ({"seed": -1}, "seed must be >= 0"),
+        ({"train": {"epochs": "3"}}, "train.epochs must be an integer"),
+        ({"train": {"epochs": 2.7}}, "train.epochs must be an integer"),
+        ({"train": {"hidden": 0}}, "train.hidden must be >= 1"),
+        ({"idx": {}}, "idx section"),
+        ({"dataset": {"train_size": 0}}, "dataset.train_size must be >= 1"),
+        ({"certify": {"n": 0}}, "certify.n must be >= 1"),
+        ({"certify": {"alpha": 1.5}}, "certify.alpha must be in (0, 1)"),
+        ({"attack": {"radii": "abc"}}, "attack.radii must be a nonempty list"),
+        ({"attack": {"max_images": 0}}, "attack.max_images must be >= 1"),
+        ({"attack": {"radii": [0.1, -0.1]}}, "attack.radii[1] must be >= 0"),
+        ({"train": {"learning_rate": float("nan")}}, "train.learning_rate must be a finite number"),
+        ({"train": {"momentum": 1}}, "train: momentum must be in [0, 1)"),
+        ({"attack": {"growth_factor": 0.5}}, "attack: growth_factor must be >= 1"),
+        ({"idx": {"train_images": "x", "test_images": "y"}}, "must name train_labels, test_labels"),
+        ({"train.epochs": 3}, "unknown config key 'train.epochs'"),
+        ({"dataset": {"kind": "stripes"}}, "unknown synthetic dataset kind 'stripes'"),
+        ({"dataset": {"shape": [3, 3]}}, "blobs need at least a 4x3 grid"),
     ])
     def test_bad_config_exits_with_one_error_line(self, tmp_path, monkeypatch, capsys,
                                                   cfg, needle):
@@ -268,6 +328,76 @@ class TestConfigHandling:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and needle in err[0]
         assert not (tmp_path / "out").exists()
+
+    @settings(max_examples=200, deadline=None)
+    @given(cfg=config_files())
+    def test_any_json_object_merges_or_exits_with_an_error_line(self, cfg):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "cfg.json"
+            path.write_text(json.dumps(cfg))
+            args = _build_parser().parse_args(["certify", "--config", str(path)])
+            try:
+                merged = _merge_config(args)
+            except SystemExit as exc:
+                assert isinstance(exc.code, str) and exc.code.startswith("error:")
+                assert "\n" not in exc.code
+                return
+        for key, value in merged.items():
+            if key in _SCHEMA:
+                kind = _SCHEMA[key][0]
+                assert type(value) is (list if isinstance(kind, list) else kind)
+
+    @pytest.mark.parametrize("fault, needle", [
+        ("truncated", "truncated file {images}: expected 48 bytes of pixels, got 43"),
+        ("missing", "No such file or directory: '{images}'"),
+    ])
+    def test_malformed_idx_file_exits_with_one_error_line(self, tmp_path, monkeypatch, capsys,
+                                                           fault, needle):
+        idx = {}
+        for split in ("train", "test"):
+            write_idx_images(tmp_path / f"{split}-images", np.full((3, 4, 4), 7))
+            write_idx_labels(tmp_path / f"{split}-labels", np.array([0, 1, 0]))
+            idx[f"{split}_images"] = str(tmp_path / f"{split}-images")
+            idx[f"{split}_labels"] = str(tmp_path / f"{split}-labels")
+        images = tmp_path / "train-images"
+        if fault == "truncated":
+            images.write_bytes(images.read_bytes()[:-5])
+        else:
+            images.unlink()
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"idx": idx}))
+        monkeypatch.setattr(sys, "argv", ["wsmooth", "train", "--config", str(path),
+                                          "--out-dir", str(tmp_path / "out")])
+        assert main() == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: cannot load the train split: ")
+        assert needle.format(images=images) in err[0]
+        assert not (tmp_path / "out").exists()
+
+    def test_zero_pairs_exits_with_one_error_line(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["wsmooth", "oracle-check", "--pairs", "0",
+                                          "--out-dir", str(tmp_path / "out")])
+        assert main() == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: --pairs 0")
+
+    @pytest.mark.parametrize("flags, needle", [
+        (["--scheme", "pixel"], "laplace_pixel at sigma 0.1"),
+        (["--sigma", "0.2"], "wasserstein_flow at sigma 0.2"),
+    ], ids=["scheme", "sigma"])
+    def test_refuses_checkpoint_trained_under_other_noise(self, config_path, tmp_path,
+                                                          monkeypatch, capsys, flags, needle):
+        run(["train", "--config", str(config_path)])
+        ckpt = tmp_path / "out" / "model_flow_sigma0.1.npz"
+        monkeypatch.setattr(sys, "argv", ["wsmooth", "certify", "--config", str(config_path),
+                                          "--checkpoint", str(ckpt)] + flags)
+        capsys.readouterr()
+        assert main() == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: checkpoint {ckpt} was trained under "
+                                                   "wasserstein_flow noise at sigma 0.1")
+        assert needle in err[0]
+        assert not (tmp_path / "out" / "certificates.csv").exists()
 
     def test_infinite_sigma_flag_exits_with_one_error_line(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(sys, "argv", ["wsmooth", "certify", "--sigma", "inf",

@@ -143,9 +143,20 @@ class TestLabeledDataset:
     def test_rejects_images_that_are_not_unit_mass(self):
         for bad, error in ((np.full((2, 2, 2), 0.3), NormalizationError),
                            (np.array([[[1.5, -0.5]]]), NormalizationError),
-                           (np.full((2, 4), 0.25), ShapeMismatchError)):
+                           (np.full((2, 4), 0.25), ShapeMismatchError),
+                           (np.full((2, 1, 0), 0.25), ShapeMismatchError),
+                           (np.full((2, 1, 2), np.nan), NormalizationError)):
             with pytest.raises(error):
                 LabeledDataset(bad, np.array([1, 2])[: len(bad)], 2)
+
+    def test_names_the_first_bad_image(self):
+        # One pass over the stack must still say which image is at fault.
+        for k, broken in ((2, [[0.5, 0.6]]), (1, [[1.5, -0.5]]), (3, [[np.nan, 0.5]])):
+            images = np.full((5, 1, 2), 0.5)
+            images[k] = broken
+            images[4] = broken
+            with pytest.raises(NormalizationError, match=f"^image {k} "):
+                LabeledDataset(images, np.ones(5, dtype=int), 2)
 
     def test_holds_multichannel_images(self):
         ds = LabeledDataset(np.full((2, 3, 2, 2), 1 / 12), np.array([1, 2]), 2)

@@ -34,8 +34,9 @@ class TestTypes:
             unit_mass(np.array([[[1.5, -0.5]]]))
 
     def test_unit_mass_rejects_wrong_mass(self):
-        with pytest.raises(NormalizationError):
-            unit_mass(np.array([[0.3, 0.3]]))
+        for bad in (np.array([[0.3, 0.3]]), np.array([[np.nan, 0.5]])):
+            with pytest.raises(NormalizationError):
+                unit_mass(bad)
 
     def test_unit_mass_rejects_wrong_rank(self):
         for bad in (np.ones(4) / 4, np.ones((1, 1, 2, 2)) / 4, np.zeros((0, 3))):

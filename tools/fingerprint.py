@@ -4,6 +4,11 @@ change a single bit.
     python tools/fingerprint.py OUT.pkl          # record every case
     python tools/fingerprint.py --compare A B    # exit 1 on any difference
 
+Library cases call the package's public names; ``cli/...`` cases run the
+train/predict/certify/attack/report commands on a tiny fixed config in a
+temporary directory and record the bytes of every file they write and what
+they print.
+
 The package is imported from PYTHONPATH when it is set there, otherwise from
 the ``src`` directory next to this script, so one copy of the tool can
 fingerprint any checkout:
@@ -19,9 +24,14 @@ wrote: loading a pickle can run arbitrary code.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import io
+import json
+import os
 import pickle
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -161,6 +171,51 @@ def cases() -> dict:
     return out
 
 
+CLI_CONFIG = {
+    "seed": 3, "scheme": "flow", "sigma": 0.05,
+    "dataset": {"kind": "blobs", "train_size": 40, "test_size": 5, "shape": [5, 5]},
+    "train": {"epochs": 40, "batch_size": 16, "learning_rate": 0.5, "weight_decay": 0,
+              "hidden": 4},
+    "predict": {"n": 300, "alpha": 0.05},
+    "certify": {"n0": 50, "n": 400, "alpha": 0.05},
+    "attack": {"radii": [0.0, 0.02], "iterations": 6, "gradient_samples": 8,
+               "predict_samples": 200, "growth_factor": 2},
+}
+CLI_COMMANDS = [
+    ["train", "--out-dir", "flow"],
+    ["predict", "--out-dir", "flow", "--workers", "2"],
+    ["certify", "--out-dir", "flow", "--n0", "60"],
+    ["attack", "--out-dir", "flow", "--radii", "0,0.03", "--max-images", "2"],
+    ["train", "--out-dir", "pixel", "--scheme", "pixel", "--epochs", "30"],
+    ["certify", "--out-dir", "pixel", "--scheme", "pixel", "--alpha", "0.1"],
+    ["report", "--out-dir", "report", "flow/certificates.csv", "pixel/certificates.csv"],
+]
+
+
+def cli_cases() -> dict:
+    """Run CLI_COMMANDS in a fresh directory; every file they leave, and
+    each command's exit status and printed lines."""
+    from wsmooth.cli import run
+
+    out = {}
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            Path("config.json").write_text(json.dumps(CLI_CONFIG))
+            for i, argv in enumerate(CLI_COMMANDS):
+                printed = io.StringIO()
+                with contextlib.redirect_stdout(printed):
+                    status = run(argv + ["--config", "config.json"])
+                out[f"cli/{i}/{argv[0]}"] = [status, printed.getvalue()]
+            for path in sorted(Path(".").rglob("*")):
+                if path.is_file():
+                    out[f"cli/{path}"] = path.read_bytes()
+        finally:
+            os.chdir(home)
+    return out
+
+
 def _diff(a, b, path: str, found: list):
     if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
         same = (isinstance(a, np.ndarray) and isinstance(b, np.ndarray)
@@ -211,7 +266,7 @@ def main(argv=None) -> int:
         return compare(*args.compare)
     if args.out is None:
         parser.error("give OUT.pkl or --compare A B")
-    recorded = cases()
+    recorded = {**cases(), **cli_cases()}
     with open(args.out, "wb") as fh:
         pickle.dump({"package": wsmooth.__file__, "cases": recorded}, fh)
     print(f"{len(recorded)} cases from {wsmooth.__file__} written to {args.out}")
