@@ -58,7 +58,6 @@ from .transport_oracle import (
     ChannelMassError,
     GroundMetric,
     ScaleError,
-    TransportPlan,
     min_flow_plan,
     per_channel_wasserstein,
     run_oracle_checks,

@@ -16,11 +16,11 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .flow_domain import ShapeMismatchError
-from .smoothing import _as_rng, _sample_increments
+from .smoothing import _SCHEMES, _as_rng, _sample_increments
 
 CHECKPOINT_VERSION = 1
 
-_NOISE_MODES = ("none", "wasserstein_flow", "laplace_pixel")
+_NOISE_MODES = ("none",) + _SCHEMES
 
 
 @dataclass
@@ -91,22 +91,11 @@ class ClassifierParams:
 
     def forward_batch(self, X) -> np.ndarray:
         """Softmax class scores for a batch, shape (S, num_classes)."""
-        X = np.asarray(X, dtype=float)
-        flat = X.reshape(X.shape[0], -1)
-        if flat.shape[1] != self.input_dim:
-            raise ShapeMismatchError(
-                f"batch of width {flat.shape[1]} fed to classifier expecting {self.input_dim}"
-            )
-        h = flat
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            h = np.maximum(h @ w + b, 0.0)
-        logits = h @ self.weights[-1] + self.biases[-1]
-        return _softmax(logits)
+        return _softmax(_forward(self, X)[0])
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
     return e / e.sum(axis=1, keepdims=True)
 
 
@@ -130,72 +119,61 @@ def init_params(input_shape, num_classes: int, hidden: int | None = None,
     return ClassifierParams(tuple(input_shape), num_classes, weights, biases)
 
 
-def _forward_caches(params: ClassifierParams, flat: np.ndarray):
-    """Forward pass keeping per-layer activations for backprop."""
+def _forward(params: ClassifierParams, X) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Logits of a batch and the input of every layer: the flattened batch,
+    then each hidden layer's ReLU output."""
+    X = np.asarray(X, dtype=float)
+    flat = X.reshape(X.shape[0], -1)
+    if flat.shape[1] != params.input_dim:
+        raise ShapeMismatchError(f"batch of width {flat.shape[1]} fed to classifier "
+                                 f"expecting {params.input_dim}")
     acts = [flat]
-    pres = []
-    h = flat
     for w, b in zip(params.weights[:-1], params.biases[:-1]):
-        pre = h @ w + b
-        pres.append(pre)
-        h = np.maximum(pre, 0.0)
-        acts.append(h)
-    logits = h @ params.weights[-1] + params.biases[-1]
-    return logits, acts, pres
+        acts.append(np.maximum(acts[-1] @ w + b, 0.0))
+    return acts[-1] @ params.weights[-1] + params.biases[-1], acts
 
 
-def _check_labels(labels: np.ndarray, num_classes: int):
-    if labels.size and (labels.min() < 1 or labels.max() > num_classes):
-        raise ValueError(f"labels must lie in [1, {num_classes}]")
+def _backward(params: ClassifierParams, X, labels, mean: bool):
+    """Backprop of each row's cross-entropy loss against its 1-based label.
+
+    Returns the per-row losses (through log-sum-exp, so saturated logits do
+    not produce infinities), the layer inputs, and the gradient at each
+    layer's output: of the batch-mean loss when ``mean``, else of each
+    row's own loss.
+    """
+    logits, acts = _forward(params, X)
+    labels = np.asarray(labels, dtype=int)
+    if labels.shape != (len(logits),):
+        raise ShapeMismatchError("one label per batch row required")
+    if labels.size and (labels.min() < 1 or labels.max() > params.num_classes):
+        raise ValueError(f"labels must lie in [1, {params.num_classes}]")
+    rows = np.arange(len(labels))
+    zmax = logits.max(axis=1, keepdims=True)
+    e = np.exp(logits - zmax)
+    total = e.sum(axis=1)
+    losses = zmax[:, 0] + np.log(total) - logits[rows, labels - 1]
+    delta = e / total[:, None]
+    delta[rows, labels - 1] -= 1.0
+    if mean:
+        delta /= len(labels)
+    deltas = [delta]
+    for layer in range(params.num_layers - 1, 0, -1):
+        deltas.append((deltas[-1] @ params.weights[layer].T) * (acts[layer] > 0))
+    return losses, acts, deltas[::-1]
 
 
 def loss_and_gradients(params: ClassifierParams, X, labels) -> tuple[float, list[np.ndarray]]:
-    """Mean cross-entropy over the batch and its gradients in arrays() order.
-
-    Labels are 1-based.  The loss is computed through log-sum-exp, so
-    saturated logits do not produce infinities.
-    """
-    X = np.asarray(X, dtype=float)
-    labels = np.asarray(labels, dtype=int)
-    flat = X.reshape(X.shape[0], -1)
-    if labels.shape != (flat.shape[0],):
-        raise ShapeMismatchError("one label per batch row required")
-    _check_labels(labels, params.num_classes)
-    y0 = labels - 1
-    logits, acts, pres = _forward_caches(params, flat)
-    zmax = logits.max(axis=1, keepdims=True)
-    lse = zmax[:, 0] + np.log(np.exp(logits - zmax).sum(axis=1))
-    loss = float(np.mean(lse - logits[np.arange(len(y0)), y0]))
-    probs = _softmax(logits)
-    delta = probs
-    delta[np.arange(len(y0)), y0] -= 1.0
-    delta /= len(y0)
-    grads: list[np.ndarray] = []
-    for layer in range(params.num_layers - 1, -1, -1):
-        grads.append(delta.sum(axis=0))
-        grads.append(acts[layer].T @ delta)
-        if layer > 0:
-            delta = (delta @ params.weights[layer].T) * (pres[layer - 1] > 0)
-    grads.reverse()
-    return loss, grads
+    """Mean cross-entropy over the batch and its gradients in arrays() order."""
+    losses, acts, deltas = _backward(params, X, labels, mean=True)
+    grads = [g for a, d in zip(acts, deltas) for g in (a.T @ d, d.sum(axis=0))]
+    return float(np.mean(losses)), grads
 
 
 def input_gradient_batch(params: ClassifierParams, X, labels) -> np.ndarray:
     """Per-sample gradient of each sample's own cross-entropy loss with
     respect to its input pixels; shape matches X."""
-    X = np.asarray(X, dtype=float)
-    labels = np.asarray(labels, dtype=int)
-    flat = X.reshape(X.shape[0], -1)
-    if labels.shape != (flat.shape[0],):
-        raise ShapeMismatchError("one label per batch row required")
-    _check_labels(labels, params.num_classes)
-    y0 = labels - 1
-    logits, acts, pres = _forward_caches(params, flat)
-    delta = _softmax(logits)
-    delta[np.arange(len(y0)), y0] -= 1.0
-    for layer in range(params.num_layers - 1, 0, -1):
-        delta = (delta @ params.weights[layer].T) * (pres[layer - 1] > 0)
-    return (delta @ params.weights[0].T).reshape(X.shape)
+    _, _, deltas = _backward(params, X, labels, mean=False)
+    return (deltas[0] @ params.weights[0].T).reshape(np.shape(X))
 
 
 @dataclass(frozen=True)

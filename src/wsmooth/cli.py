@@ -312,23 +312,42 @@ def _cmd_train(cfg: dict) -> int:
     return 0
 
 
-def _load_model(cfg: dict) -> clf.ClassifierParams:
-    """The checkpoint's classifier, if it was trained under this run's noise."""
+def _load_model(cfg: dict, dataset: dataset_io.LabeledDataset) -> clf.ClassifierParams:
+    """The checkpoint's classifier, if it was trained under this run's noise
+    on images of the dataset's shape."""
     ckpt = Path(cfg["checkpoint"])
     if not ckpt.exists():
         raise SystemExit(f"error: checkpoint {ckpt} not found; run `wsmooth train` first")
-    params, trained = clf.load_checkpoint(ckpt)
+    try:
+        params, trained = clf.load_checkpoint(ckpt)
+    except (OSError, ValueError, KeyError) as exc:
+        raise SystemExit(f"error: checkpoint {ckpt} is not a readable wsmooth checkpoint: {exc!r}")
     noise = cfg["noise"]
     if (trained.noise, trained.sigma) != (noise.scheme, noise.sigma):
         raise SystemExit(
             f"error: checkpoint {ckpt} was trained under {trained.noise} noise at sigma "
             f"{trained.sigma!r}, but this run smooths with {noise.scheme} at sigma {noise.sigma!r}")
+    if params.input_shape != dataset.image_shape:
+        raise SystemExit(f"error: checkpoint {ckpt} takes {params.input_shape} images, but the "
+                         f"dataset holds {dataset.image_shape} images")
     return params
+
+
+def _certify_stats(records: list[CertificationRecord], base_predictions: list[int]) -> dict:
+    """Summary statistics of a certify run, from its per-image records and
+    the base classifier's predictions on the same images."""
+    num = len(records)
+    return {
+        "base_accuracy": sum(p == r.label for p, r in zip(base_predictions, records)) / num,
+        "accuracy": sum(r.correct for r in records) / num,
+        "abstention_rate": sum(r.certificate.predicted == ABSTAIN for r in records) / num,
+        "median_certified_radius": median_certified_radius(records),
+    }
 
 
 def _cmd_predict(cfg: dict) -> int:
     dataset = _load_split(cfg, "test")
-    params = _load_model(cfg)
+    params = _load_model(cfg, dataset)
     n, alpha = cfg["predict.n"], cfg["predict.alpha"]
     rng = np.random.default_rng(_derived_seeds(cfg)["predict"])
     streams = rng.spawn(len(dataset))
@@ -360,29 +379,22 @@ def _cmd_predict(cfg: dict) -> int:
 
 def _cmd_certify(cfg: dict) -> int:
     dataset = _load_split(cfg, "test")
-    params = _load_model(cfg)
+    params = _load_model(cfg, dataset)
     n0, n, alpha = cfg["certify.n0"], cfg["certify.n"], cfg["certify.alpha"]
     rng = np.random.default_rng(_derived_seeds(cfg)["certify"])
     streams = rng.spawn(len(dataset))
     x_all, y_all = dataset.as_arrays()
     rows = []
     records = []
-    hits = 0
-    abstentions = 0
-    base_hits = 0
+    base_predictions = []
     for i in range(len(dataset)):
         cert = certify(params, x_all[i], cfg["noise"], n0, n, alpha, streams[i],
                        workers=cfg["workers"])
         label = int(y_all[i])
         records.append(CertificationRecord(i, label, cert))
-        base_pred = int(np.argmax(params.forward_batch(x_all[i][None])[0])) + 1
-        base_hits += int(base_pred == label)
-        abstained = int(cert.predicted == ABSTAIN)
-        abstentions += abstained
-        hits += int(cert.predicted == label)
-        rows.append([i, label, base_pred, cert.predicted, float(cert.p_lower),
-                     cert.rho2, abstained])
-    median = median_certified_radius(records)
+        base_predictions.append(int(np.argmax(params.forward_batch(x_all[i][None])[0])) + 1)
+        rows.append([i, label, base_predictions[-1], cert.predicted, float(cert.p_lower),
+                     cert.rho2, int(cert.predicted == ABSTAIN)])
     meta = _meta(cfg, "certify", n0=n0, n=n, alpha=_fmt(alpha))
     out = Path(cfg["out_dir"])
     _write_table(out / "certificates.csv", meta,
@@ -391,12 +403,10 @@ def _cmd_certify(cfg: dict) -> int:
     summary = {
         "command": "certify", "scheme": cfg["scheme"], "sigma": cfg["sigma"], "seed": cfg["seed"],
         "n0": n0, "n": n, "alpha": alpha, "num_images": len(dataset),
-        "base_accuracy": base_hits / len(dataset),
-        "accuracy": hits / len(dataset),
-        "abstention_rate": abstentions / len(dataset),
-        "median_certified_radius": median,
+        **_certify_stats(records, base_predictions),
     }
     _write_summary(out / "certify_summary.json", summary)
+    median = summary["median_certified_radius"]
     med = "not certified" if median is None else f"{median:.6f}"
     print(f"certify: accuracy {summary['accuracy']:.3f}, "
           f"abstention rate {summary['abstention_rate']:.3f}, "
@@ -406,7 +416,7 @@ def _cmd_certify(cfg: dict) -> int:
 
 def _cmd_attack(cfg: dict) -> int:
     dataset = _load_split(cfg, "test")
-    params = _load_model(cfg)
+    params = _load_model(cfg, dataset)
     if "attack.max_images" in cfg:
         dataset = dataset.subset(np.arange(min(cfg["attack.max_images"], len(dataset))))
     radii, acfg = cfg["attack.radii"], cfg["attack"]
@@ -485,21 +495,15 @@ def _cmd_report(cfg: dict, tables: list[Path]) -> int:
             records = [CertificationRecord(r["id"], int(r["label"]), Certificate(
                 int(r["prediction"]), float(r["p_lower"]), float(r["rho2"]) if r["rho2"] else None,
                 spec, int(meta["n0"]), int(meta["n"]), float(meta["alpha"]))) for r in rows]
+            base_predictions = [int(r["base_prediction"]) for r in rows]
         except (KeyError, ValueError) as exc:
             raise SystemExit(f"error: {path} has malformed metadata or rows ({exc!r})")
-        correct = sum(rec.correct for rec in records)
-        abstained = sum(rec.certificate.predicted == ABSTAIN for rec in records)
-        base_hits = sum(1 for r in rows if r.get("base_prediction") == r["label"])
-        median = median_certified_radius(records)
         entries.append({
             "scheme": meta["scheme"],
             "sigma": spec.sigma,
             "seed": meta.get("seed", "?"),
             "num_images": len(rows),
-            "base_accuracy": base_hits / len(rows),
-            "accuracy": correct / len(rows),
-            "abstention_rate": abstained / len(rows),
-            "median_certified_radius": median,
+            **_certify_stats(records, base_predictions),
         })
     entries.sort(key=lambda e: (e["scheme"], e["sigma"]))
     out = Path(cfg["out_dir"])

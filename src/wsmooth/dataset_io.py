@@ -191,6 +191,36 @@ def make_dataset(images, labels, num_classes: int | None = None, label_base: int
     return LabeledDataset(normed, shifted, num_classes)
 
 
+def _bars(rng: np.random.Generator, label: int, n: int, m: int) -> np.ndarray:
+    base = rng.uniform(0.0, 0.1, size=(n, m))
+    if label == 1:
+        base[n // 2, :] += 1.0
+    else:
+        base[:, m // 2] += 1.0
+    return base
+
+
+def _blobs(rng: np.random.Generator, label: int, n: int, m: int) -> np.ndarray:
+    ci = rng.uniform(0.5, n / 2 - 1.5) if label == 1 else rng.uniform(n / 2 + 0.5, n - 1.5)
+    cj = rng.uniform(1.0, m - 2.0)
+    rows, cols = np.ogrid[:n, :m]
+    blob = np.exp(-((rows - ci) ** 2 + (cols - cj) ** 2) / (2 * 0.9**2))
+    return blob + rng.uniform(0.0, 0.05, size=(n, m))
+
+
+def _corners(rng: np.random.Generator, label: int, n: int, m: int) -> np.ndarray:
+    base = rng.uniform(0.0, 0.05, size=(n, m))
+    r0 = 0 if label <= 2 else n - 2
+    c0 = 0 if label % 2 else m - 2
+    base[r0 : r0 + 2, c0 : c0 + 2] += 0.5
+    return base
+
+
+# kind: (class count, smallest grid, draw of one unnormalized image of a label)
+_SYNTHETIC = {"bars": (2, (2, 2), _bars), "blobs": (2, (4, 3), _blobs),
+              "corners": (4, (3, 3), _corners)}
+
+
 def synthetic_dataset(kind: str, size: int, shape: tuple[int, int] = (6, 6),
                       seed=0) -> LabeledDataset:
     """Deterministic synthetic image sets for desk-scale experiments.
@@ -204,50 +234,16 @@ def synthetic_dataset(kind: str, size: int, shape: tuple[int, int] = (6, 6),
     """
     if size < 1:
         raise ValueError("size must be >= 1")
+    if kind not in _SYNTHETIC:
+        raise ValueError(f"unknown synthetic dataset kind {kind!r}")
+    num_classes, (min_n, min_m), draw = _SYNTHETIC[kind]
     n, m = shape
+    if n < min_n or m < min_m:
+        raise ValueError(f"{kind} need at least a {min_n}x{min_m} grid")
     rng = np.random.default_rng(seed)
-    rows_idx, cols_idx = np.indices((n, m))
     images = np.empty((size, n, m))
     labels = np.empty(size, dtype=int)
-    if kind == "bars":
-        if n < 2 or m < 2:
-            raise ValueError("bars need at least a 2x2 grid")
-        for i in range(size):
-            label = int(rng.integers(1, 3))
-            base = rng.uniform(0.0, 0.1, size=(n, m))
-            if label == 1:
-                base[n // 2, :] += 1.0
-            else:
-                base[:, m // 2] += 1.0
-            images[i] = normalize(base)
-            labels[i] = label
-        return LabeledDataset(images, labels, 2)
-    if kind == "blobs":
-        if n < 4 or m < 3:
-            raise ValueError("blobs need at least a 4x3 grid")
-        for i in range(size):
-            label = int(rng.integers(1, 3))
-            if label == 1:
-                ci = rng.uniform(0.5, n / 2 - 1.5)
-            else:
-                ci = rng.uniform(n / 2 + 0.5, n - 1.5)
-            cj = rng.uniform(1.0, m - 2.0)
-            blob = np.exp(-((rows_idx - ci) ** 2 + (cols_idx - cj) ** 2) / (2 * 0.9**2))
-            base = blob + rng.uniform(0.0, 0.05, size=(n, m))
-            images[i] = normalize(base)
-            labels[i] = label
-        return LabeledDataset(images, labels, 2)
-    if kind == "corners":
-        if n < 3 or m < 3:
-            raise ValueError("corners need at least a 3x3 grid")
-        anchors = [(0, 0), (0, m - 2), (n - 2, 0), (n - 2, m - 2)]
-        for i in range(size):
-            label = int(rng.integers(1, 5))
-            base = rng.uniform(0.0, 0.05, size=(n, m))
-            r0, c0 = anchors[label - 1]
-            base[r0 : r0 + 2, c0 : c0 + 2] += 0.5
-            images[i] = normalize(base)
-            labels[i] = label
-        return LabeledDataset(images, labels, 4)
-    raise ValueError(f"unknown synthetic dataset kind {kind!r}")
-
+    for i in range(size):
+        labels[i] = int(rng.integers(1, num_classes + 1))
+        images[i] = normalize(draw(rng, labels[i], n, m))
+    return LabeledDataset(images, labels, num_classes)

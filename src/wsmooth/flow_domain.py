@@ -82,7 +82,7 @@ class RawGrid:
     def __post_init__(self):
         a = _as_float_grid(self.values)
         total = float(a.sum())
-        if abs(total - 1.0) > MASS_TOL:
+        if not abs(total - 1.0) <= MASS_TOL:  # NaN fails too
             raise NormalizationError(f"total mass {total!r} is not 1 within {MASS_TOL}")
         self.values = _freeze(a.copy())
 
@@ -222,7 +222,7 @@ def solve_flow_1d(x, xp) -> np.ndarray:
     for name, arr in (("x", xa), ("xp", xpa)):
         if np.any(arr < 0):
             raise NormalizationError(f"{name} must be nonnegative")
-        if abs(float(arr.sum()) - 1.0) > MASS_TOL:
+        if not abs(float(arr.sum()) - 1.0) <= MASS_TOL:
             raise NormalizationError(f"{name} must sum to 1 within {MASS_TOL}")
     return (np.cumsum(xa) - np.cumsum(xpa))[:-1]
 

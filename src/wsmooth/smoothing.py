@@ -226,8 +226,8 @@ def radius_from_plower(p_lower: float, sigma: float, scheme: str,
         raise ValueError(f"ground must be a GroundMetric, got {ground!r}")
     if not 0.0 <= p_lower <= 1.0:
         raise ValueError(f"p_lower must be in [0, 1], got {p_lower!r}")
-    if sigma <= 0.0:
-        raise ValueError(f"sigma must be > 0, got {sigma!r}")
+    if not 0.0 < sigma < math.inf:
+        raise ValueError(f"sigma must be finite and > 0, got {sigma!r}")
     if p_lower <= 0.5:
         return None
     coeff = _RADIUS_COEFF[(scheme, ground)]

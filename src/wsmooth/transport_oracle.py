@@ -60,25 +60,6 @@ class GroundMetric(Enum):
         return np.hypot(di, dj)
 
 
-@dataclass
-class TransportPlan:
-    """Coupling matrix over flattened pixel pairs; entry (s, t) is the mass
-    moved from source pixel s to target pixel t (row-major indexing)."""
-
-    coupling: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.coupling, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ShapeMismatchError(f"coupling must be square, got shape {a.shape}")
-        if np.any(a < 0):
-            raise ValueError("coupling entries must be nonnegative")
-        self.coupling = a
-
-    def marginals(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.coupling.sum(axis=1), self.coupling.sum(axis=0)
-
-
 def _coerce_image(x) -> np.ndarray:
     """Validate as a unit-mass nonnegative (n, m) grid, then renormalize
     exactly so paired inputs give a consistent transport instance."""
@@ -110,12 +91,14 @@ def _solve_lp(cost: np.ndarray, a_eq: sp.csr_matrix,
     return max(float(res.fun), 0.0), np.maximum(res.x, 0.0)
 
 
-def wasserstein_lp(x, xp, metric: GroundMetric = GroundMetric.L1) -> tuple[float, TransportPlan]:
+def wasserstein_lp(x, xp, metric: GroundMetric = GroundMetric.L1) -> tuple[float, np.ndarray]:
     """Exact 1-Wasserstein distance by solving the coupling LP directly.
 
     Minimizes sum(C * P) over couplings P with row marginal x and column
-    marginal xp.  Dense in the number of pixel pairs, so inputs are capped
-    at MAX_LP_PIXELS pixels.
+    marginal xp.  Returns the distance and the optimal (N, N) coupling over
+    flattened pixel pairs: entry (s, t) is the mass moved from source pixel
+    s to target pixel t.  Dense in the number of pixel pairs, so inputs are
+    capped at MAX_LP_PIXELS pixels.
     """
     a = _coerce_image(x)
     b = _coerce_image(xp)
@@ -129,7 +112,7 @@ def wasserstein_lp(x, xp, metric: GroundMetric = GroundMetric.L1) -> tuple[float
     a_eq = sp.vstack([sp.kron(eye, ones), sp.kron(ones, eye)], format="csr")
     b_eq = np.concatenate([a.ravel(), b.ravel()])
     distance, coupling = _solve_lp(cost.ravel(), a_eq, b_eq)
-    return distance, TransportPlan(coupling.reshape(npix, npix))
+    return distance, coupling.reshape(npix, npix)
 
 
 @lru_cache(maxsize=32)
@@ -224,6 +207,19 @@ def _random_image(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarra
     return rng.dirichlet(np.ones(shape[0] * shape[1])).reshape(shape)
 
 
+# Each cross-validated property and the largest residual it may show.
+_CHECK_TOLERANCES = {
+    "lp_vs_grid_l1": 1e-8,
+    "min_plan_norm_matches_distance": 1e-8,
+    "min_plan_is_feasible": 1e-9,
+    "metric_sandwich_l2_l1_sqrt2": 1e-8,
+    "pixel_l1_at_most_two_wasserstein": 1e-8,
+    "factor_two_equality_instance": 1e-12,
+    "product_coupling_feasible": 1e-12,
+    "one_dim_closed_form": 1e-9,
+}
+
+
 def run_oracle_checks(num_pairs: int = 50, seed: int = 0) -> list[CheckOutcome]:
     """Cross-validate the transport oracles and flow identities on random
     image pairs; every property must hold up to stated numerical tolerance.
@@ -240,65 +236,43 @@ def run_oracle_checks(num_pairs: int = 50, seed: int = 0) -> list[CheckOutcome]:
     if num_pairs < 1:
         raise ValueError("need at least one pair")
     rng = np.random.default_rng(seed)
+    res = dict.fromkeys(_CHECK_TOLERANCES, 0.0)
+
+    def worse(name: str, *residuals: float):
+        res[name] = max(res[name], *residuals)
+
+    def check_grid_plan(x: np.ndarray, xp: np.ndarray) -> float:
+        """The grid oracle's distance; its plan must be feasible and as
+        short as that distance."""
+        d_grid, edge = wasserstein_grid_l1(x, xp)
+        plan = flow_from_edge(edge)
+        worse("min_plan_norm_matches_distance", abs(l1_norm(plan) - d_grid))
+        worse("min_plan_is_feasible", np.abs(apply_flow(x, plan).values - xp).max())
+        return d_grid
+
     shapes = [(3, 3), (4, 4)]
-    res = {
-        "lp_vs_grid_l1": 0.0,
-        "min_plan_norm_matches_distance": 0.0,
-        "min_plan_is_feasible": 0.0,
-        "metric_sandwich_l2_l1_sqrt2": 0.0,
-        "pixel_l1_at_most_two_wasserstein": 0.0,
-        "factor_two_equality_instance": 0.0,
-        "product_coupling_feasible": 0.0,
-        "one_dim_closed_form": 0.0,
-    }
     for pair in range(num_pairs):
         shape = shapes[pair % len(shapes)]
         x = _random_image(rng, shape)
         xp = _random_image(rng, shape)
         d_l1, _ = wasserstein_lp(x, xp, GroundMetric.L1)
         d_l2, _ = wasserstein_lp(x, xp, GroundMetric.L2)
-        d_grid, _ = wasserstein_grid_l1(x, xp)
-        plan = min_flow_plan(x, xp)
-        res["lp_vs_grid_l1"] = max(res["lp_vs_grid_l1"], abs(d_l1 - d_grid))
-        res["min_plan_norm_matches_distance"] = max(
-            res["min_plan_norm_matches_distance"], abs(l1_norm(plan) - d_grid)
-        )
-        feas = np.abs(apply_flow(x, plan).values - xp).max()
-        res["min_plan_is_feasible"] = max(res["min_plan_is_feasible"], feas)
-        res["metric_sandwich_l2_l1_sqrt2"] = max(
-            res["metric_sandwich_l2_l1_sqrt2"], d_l2 - d_l1, d_l1 - np.sqrt(2.0) * d_l2
-        )
+        d_grid = check_grid_plan(x, xp)
+        worse("lp_vs_grid_l1", abs(d_l1 - d_grid))
+        worse("metric_sandwich_l2_l1_sqrt2", d_l2 - d_l1, d_l1 - np.sqrt(2.0) * d_l2)
         pix_l1 = float(np.abs(x - xp).sum())
-        res["pixel_l1_at_most_two_wasserstein"] = max(
-            res["pixel_l1_at_most_two_wasserstein"], pix_l1 - 2.0 * d_l2, pix_l1 - 2.0 * d_l1
-        )
-        coupling = TransportPlan(np.outer(x.ravel(), xp.ravel()))
-        row, col = coupling.marginals()
-        res["product_coupling_feasible"] = max(
-            res["product_coupling_feasible"],
-            np.abs(row - x.ravel()).max(),
-            np.abs(col - xp.ravel()).max(),
-        )
+        worse("pixel_l1_at_most_two_wasserstein", pix_l1 - 2.0 * d_l2, pix_l1 - 2.0 * d_l1)
+        product = np.outer(x.ravel(), xp.ravel())
+        worse("product_coupling_feasible", np.abs(product.sum(axis=1) - x.ravel()).max(),
+              np.abs(product.sum(axis=0) - xp.ravel()).max())
         width = shape[0] * shape[1]
         u = rng.dirichlet(np.ones(width))
         v = rng.dirichlet(np.ones(width))
         d_1d, _ = wasserstein_grid_l1(u.reshape(1, width), v.reshape(1, width))
-        res["one_dim_closed_form"] = max(
-            res["one_dim_closed_form"], abs(float(np.abs(solve_flow_1d(u, v)).sum()) - d_1d)
-        )
+        worse("one_dim_closed_form", abs(float(np.abs(solve_flow_1d(u, v)).sum()) - d_1d))
 
-    # A pair at the paper's MNIST scale, past the dense LP's reach: the grid
-    # oracle's own plan must still be feasible and as short as its distance.
-    x = _random_image(rng, (28, 28))
-    xp = _random_image(rng, (28, 28))
-    d_grid, edge = wasserstein_grid_l1(x, xp)
-    plan = flow_from_edge(edge)
-    res["min_plan_norm_matches_distance"] = max(
-        res["min_plan_norm_matches_distance"], abs(l1_norm(plan) - d_grid)
-    )
-    res["min_plan_is_feasible"] = max(
-        res["min_plan_is_feasible"], np.abs(apply_flow(x, plan).values - xp).max()
-    )
+    # A pair at the paper's MNIST scale, past the dense LP's reach.
+    check_grid_plan(_random_image(rng, (28, 28)), _random_image(rng, (28, 28)))
 
     # One unit of mass at a pixel vs keeping half there and shifting half to
     # a neighbor: the pixelwise L1 distance is 1 while the transport cost is
@@ -306,21 +280,9 @@ def run_oracle_checks(num_pairs: int = 50, seed: int = 0) -> list[CheckOutcome]:
     split_x = np.array([[1.0, 0.0]])
     split_xp = np.array([[0.5, 0.5]])
     d_split, _ = wasserstein_grid_l1(split_x, split_xp)
-    res["factor_two_equality_instance"] = max(
-        abs(d_split - 0.5), abs(float(np.abs(split_x - split_xp).sum()) - 1.0)
-    )
-
-    tolerances = {
-        "lp_vs_grid_l1": 1e-8,
-        "min_plan_norm_matches_distance": 1e-8,
-        "min_plan_is_feasible": 1e-9,
-        "metric_sandwich_l2_l1_sqrt2": 1e-8,
-        "pixel_l1_at_most_two_wasserstein": 1e-8,
-        "factor_two_equality_instance": 1e-12,
-        "product_coupling_feasible": 1e-12,
-        "one_dim_closed_form": 1e-9,
-    }
-    return [CheckOutcome(name, float(res[name]), tolerances[name]) for name in res]
+    worse("factor_two_equality_instance", abs(d_split - 0.5),
+          abs(float(np.abs(split_x - split_xp).sum()) - 1.0))
+    return [CheckOutcome(name, float(res[name]), tol) for name, tol in _CHECK_TOLERANCES.items()]
 
 
 def per_channel_wasserstein(x, xp) -> float:

@@ -85,8 +85,12 @@ class TestParams:
 
     def test_rejects_wrong_input_width(self, rng):
         params = small_params(rng)
+        wide = np.zeros((2, 4, 4))
         with pytest.raises(ShapeMismatchError):
-            params.forward_batch(np.zeros((2, 4, 4)))
+            params.forward_batch(wide)
+        for backprop in (loss_and_gradients, input_gradient_batch):
+            with pytest.raises(ShapeMismatchError):
+                backprop(params, wide, np.array([1, 2]))
 
 
 class TestGradients:

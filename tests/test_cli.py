@@ -251,6 +251,7 @@ class TestReportCommand:
         assert set(by_scheme) == {"flow", "pixel"}
         for scheme, summary in (("flow", flow_summary), ("pixel", pixel_summary)):
             row = by_scheme[scheme]
+            assert float(row["base_accuracy"]) == pytest.approx(summary["base_accuracy"])
             assert float(row["accuracy"]) == pytest.approx(summary["accuracy"])
             assert float(row["abstention_rate"]) == pytest.approx(summary["abstention_rate"])
             med = summary["median_certified_radius"]
@@ -398,6 +399,34 @@ class TestConfigHandling:
                                                    "wasserstein_flow noise at sigma 0.1")
         assert needle in err[0]
         assert not (tmp_path / "out" / "certificates.csv").exists()
+
+    @pytest.mark.parametrize("fault, needle", [
+        ("shape", "takes (5, 5) images, but the dataset holds (6, 6) images"),
+        ("text", "is not a readable wsmooth checkpoint: ValueError("),
+        ("no_meta", "is not a readable wsmooth checkpoint: KeyError("),
+    ])
+    def test_refuses_a_checkpoint_that_does_not_fit(self, config_path, tmp_path, monkeypatch,
+                                                     capsys, fault, needle):
+        ckpt = tmp_path / "model.npz"
+        cfg = json.loads(config_path.read_text())
+        if fault == "shape":
+            run(["train", "--config", str(config_path), "--checkpoint", str(ckpt)])
+            cfg["dataset"]["shape"] = [6, 6]
+        elif fault == "text":
+            ckpt.write_text("not a checkpoint\n")
+        else:
+            np.savez(ckpt, w0=np.zeros((25, 2)), b0=np.zeros(2))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        monkeypatch.setattr(sys, "argv", ["wsmooth", "certify", "--config", str(path),
+                                          "--checkpoint", str(ckpt),
+                                          "--out-dir", str(tmp_path / "certify")])
+        capsys.readouterr()
+        assert main() == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: checkpoint {ckpt} ")
+        assert needle in err[0]
+        assert not (tmp_path / "certify").exists()
 
     def test_infinite_sigma_flag_exits_with_one_error_line(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(sys, "argv", ["wsmooth", "certify", "--sigma", "inf",

@@ -58,8 +58,9 @@ class TestTypes:
 
     def test_raw_grid_allows_negative_but_checks_mass(self):
         RawGrid(np.array([[1.5, -0.5]]))
-        with pytest.raises(NormalizationError):
-            RawGrid(np.array([[1.5, 0.5]]))
+        for bad in (np.array([[1.5, 0.5]]), np.array([[np.nan, 1.0]])):
+            with pytest.raises(NormalizationError):
+                RawGrid(bad)
 
     def test_plan_shape_consistency(self):
         LocalFlowPlan(np.zeros((1, 2)), np.zeros((2, 1)))
@@ -211,6 +212,10 @@ class TestSolveFlow1d:
             solve_flow_1d([0.5, 0.2], [0.5, 0.5])
         with pytest.raises(NormalizationError):
             solve_flow_1d([1.5, -0.5], [0.5, 0.5])
+        with pytest.raises(NormalizationError):
+            solve_flow_1d([np.nan, 0.5], [0.5, 0.5])
+        with pytest.raises(NormalizationError):
+            solve_flow_1d([0.5, 0.5], [0.5, np.nan])
 
     @settings(max_examples=150)
     @given(st.integers(2, 9), st.data())

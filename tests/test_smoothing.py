@@ -249,6 +249,11 @@ class TestRadiusFormulas:
         with pytest.raises(ValueError):
             radius_from_plower(0.9, 0.1, "ball")
 
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf])
+    def test_rejects_non_finite_sigma(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be finite"):
+            radius_from_plower(0.9, sigma, FLOW)
+
 
 class TestCertify:
     def test_confident_classifier_gets_certificate(self):

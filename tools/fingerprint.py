@@ -65,6 +65,12 @@ PIXEL = "laplace_pixel"
 _channels = getattr(wsmooth, "MultiChannelImage", lambda a: a)
 
 
+def _coupling(plan):
+    """The coupling array; releases before wasserstein_lp returned the array
+    wrapped it in a TransportPlan."""
+    return getattr(plan, "coupling", plan)
+
+
 def _plain(value):
     """Reduce library results to numpy arrays and plain Python values."""
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
@@ -162,7 +168,8 @@ def cases() -> dict:
         out[f"grid_l1/{key}"] = _plain(wasserstein_grid_l1(a, b))
         out[f"min_flow_plan/{key}"] = _plain(min_flow_plan(a, b))
         if a.size <= 64:
-            out[f"lp/{key}"] = _plain(wasserstein_lp(a, b))
+            distance, coupling = wasserstein_lp(a, b)
+            out[f"lp/{key}"] = _plain((distance, _coupling(coupling)))
     weights = np.array([0.2, 0.3, 0.5])[:, None, None]
     a = weights * rng.dirichlet(np.ones(36), size=3).reshape(3, 6, 6)
     b = weights * rng.dirichlet(np.ones(36), size=3).reshape(3, 6, 6)
