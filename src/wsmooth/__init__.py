@@ -27,8 +27,6 @@ from .dataset_io import (
     make_dataset,
     normalize,
     synthetic_dataset,
-    write_idx_images,
-    write_idx_labels,
 )
 from .flow_domain import (
     EdgeFlow,
@@ -58,7 +56,6 @@ from .transport_oracle import (
     ChannelMassError,
     GroundMetric,
     ScaleError,
-    min_flow_plan,
     per_channel_wasserstein,
     run_oracle_checks,
     wasserstein_grid_l1,

@@ -28,7 +28,7 @@ def project_l1_ball(v, radius: float) -> np.ndarray:
     Sort-based soft thresholding: find the largest shrinkage that keeps the
     surviving coordinates summing to the radius, then shrink toward zero.
     """
-    if radius < 0:
+    if not radius >= 0:  # also refuses NaN
         raise ValueError(f"radius must be >= 0, got {radius!r}")
     v = np.asarray(v, dtype=float)
     mag = np.abs(v)
@@ -68,7 +68,6 @@ class AttackConfig:
     step_size: float | None = None
     predict_samples: int = 10000
     predict_alpha: float = 0.05
-    seed: int = 0
 
     def __post_init__(self):
         if self.iterations < 0:
@@ -143,7 +142,7 @@ def _flow_gradient(classifier, perturbed: np.ndarray, label: int, spec: NoiseSpe
                    samples: int, rng) -> np.ndarray:
     """Monte Carlo gradient of the expected cross-entropy with respect to the
     packed flow coordinates, via the adjoint of the divergence."""
-    inc = _sample_increments(spec.scheme, spec.sigma, perturbed.shape, samples, rng)
+    inc = _sample_increments(spec, perturbed.shape, samples, rng)
     g_pix = input_gradient_batch(classifier, perturbed[None] + inc, np.full(samples, label))
     return _pack(*divergence_adjoint(g_pix.mean(axis=0)))
 
@@ -172,8 +171,7 @@ def flow_pgd_attack(classifier, x, label: int, spec: NoiseSpec,
     """
     channels = as_channels(x)
     cshape = channels.shape
-    rng = np.random.default_rng(config.seed) if rng is None else _as_rng(rng)
-    streams = iter(rng.spawn(1 + 2 * config.iterations))
+    streams = iter(_as_rng(rng).spawn(1 + 2 * config.iterations))
 
     clean_pred = smoothed_predict(
         classifier, x, spec, config.predict_samples, config.predict_alpha, next(streams)
@@ -231,8 +229,7 @@ def robustness_curve(classifier, dataset, spec: NoiseSpec, radii,
         init = config.initial_radius
         config = replace(config, max_radius=max_r,
                          initial_radius=min(init, max_r) if init is not None else None)
-    rng = np.random.default_rng(config.seed) if rng is None else _as_rng(rng)
-    children = rng.spawn(len(dataset))
+    children = _as_rng(rng).spawn(len(dataset))
     x_all, y_all = dataset.as_arrays()
     results = []
     success_radius = np.empty(len(dataset))

@@ -16,11 +16,9 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .flow_domain import ShapeMismatchError
-from .smoothing import _SCHEMES, _as_rng, _sample_increments
+from .smoothing import FLOW, NoiseSpec, _as_rng, _sample_increments
 
 CHECKPOINT_VERSION = 1
-
-_NOISE_MODES = ("none",) + _SCHEMES
 
 
 @dataclass
@@ -65,29 +63,11 @@ class ClassifierParams:
 
     def arrays(self) -> list[np.ndarray]:
         """Parameters in the fixed order [W0, b0, W1, b1, ...] used by
-        gradients, the optimizer, and pack/unpack."""
+        gradients and the optimizer."""
         out = []
         for w, b in zip(self.weights, self.biases):
             out.extend([w, b])
         return out
-
-    def pack(self) -> np.ndarray:
-        return np.concatenate([a.ravel() for a in self.arrays()])
-
-    def unpack(self, vec: np.ndarray) -> "ClassifierParams":
-        """New params with this architecture and values taken from ``vec``
-        (the inverse of pack)."""
-        vec = np.asarray(vec, dtype=float)
-        weights, biases = [], []
-        pos = 0
-        for w, b in zip(self.weights, self.biases):
-            weights.append(vec[pos : pos + w.size].reshape(w.shape).copy())
-            pos += w.size
-            biases.append(vec[pos : pos + b.size].copy())
-            pos += b.size
-        if pos != vec.size:
-            raise ShapeMismatchError(f"vector of size {vec.size} does not pack these params")
-        return ClassifierParams(self.input_shape, self.num_classes, weights, biases)
 
     def forward_batch(self, X) -> np.ndarray:
         """Softmax class scores for a batch, shape (S, num_classes)."""
@@ -180,10 +160,10 @@ def input_gradient_batch(params: ClassifierParams, X, labels) -> np.ndarray:
 class TrainConfig:
     """SGD-with-momentum hyperparameters and the training-time noise.
 
-    noise selects the scheme ("none", "wasserstein_flow" or
-    "laplace_pixel"); sigma is its standard deviation.  One noise draw is
-    shared by every image in a minibatch, which is cheap and sufficient
-    since fresh noise arrives every batch.
+    noise and sigma are a NoiseSpec's smoothing scheme and standard
+    deviation; sigma = 0 trains without noise.  One noise draw is shared by
+    every image in a minibatch, which is cheap and sufficient since fresh
+    noise arrives every batch.
     """
 
     epochs: int = 200
@@ -191,7 +171,7 @@ class TrainConfig:
     learning_rate: float = 1e-3
     momentum: float = 0.9
     weight_decay: float = 5e-4
-    noise: str = "none"
+    noise: str = FLOW
     sigma: float = 0.0
     seed: int = 0
 
@@ -204,10 +184,7 @@ class TrainConfig:
             raise ValueError("momentum must be in [0, 1)")
         if self.weight_decay < 0:
             raise ValueError("weight_decay must be >= 0")
-        if self.noise not in _NOISE_MODES:
-            raise ValueError(f"noise must be one of {_NOISE_MODES}")
-        if self.sigma < 0:
-            raise ValueError("sigma must be >= 0")
+        NoiseSpec(self.noise, self.sigma)  # refuses a bad scheme, or sigma < 0, NaN or inf
 
 
 @dataclass
@@ -220,8 +197,8 @@ def train(dataset, config: TrainConfig, hidden: int | None = None) -> TrainResul
     """Train a classifier on a labeled dataset under the configured noise.
 
     Randomness (init, shuffling, noise) flows from config.seed through three
-    spawned streams, so runs are bit-for-bit reproducible; with noise "none"
-    or sigma 0 the noise stream is never consumed and results match exactly.
+    spawned streams, so runs are bit-for-bit reproducible; with sigma 0 the
+    noise stream is never consumed, whatever the scheme.
     """
     X, y = dataset.as_arrays()
     if len(X) == 0:
@@ -230,7 +207,7 @@ def train(dataset, config: TrainConfig, hidden: int | None = None) -> TrainResul
     r_init, r_shuffle, r_noise = root.spawn(3)
     params = init_params(X.shape[1:], dataset.num_classes, hidden, r_init)
     velocity = [np.zeros_like(a) for a in params.arrays()]
-    use_noise = config.noise != "none" and config.sigma > 0
+    spec = NoiseSpec(config.noise, config.sigma)
     cshape = X.shape[1:] if X.ndim == 4 else (1,) + X.shape[1:]
     losses = []
     num = len(X)
@@ -240,8 +217,8 @@ def train(dataset, config: TrainConfig, hidden: int | None = None) -> TrainResul
         for start in range(0, num, config.batch_size):
             idx = perm[start : start + config.batch_size]
             xb = X[idx]
-            if use_noise:
-                inc = _sample_increments(config.noise, config.sigma, cshape, 1, r_noise)
+            if spec.sigma > 0:
+                inc = _sample_increments(spec, cshape, 1, r_noise)
                 xb = xb + inc.reshape((1,) + X.shape[1:])
             loss, grads = loss_and_gradients(params, xb, y[idx])
             for p, g, v in zip(params.arrays(), grads, velocity):
@@ -286,12 +263,18 @@ def save_checkpoint(path, params: ClassifierParams, config: TrainConfig):
 
 
 def load_checkpoint(path) -> tuple[ClassifierParams, TrainConfig]:
-    """Inverse of save_checkpoint; rejects unknown format versions."""
+    """Inverse of save_checkpoint.  Raises ValueError for an unknown format
+    version and for a meta that does not describe the params and config."""
     with np.load(path, allow_pickle=False) as z:
         meta = json.loads(str(z["meta"]))
+        if not isinstance(meta, dict):
+            raise ValueError(f"checkpoint meta is not a JSON object: {meta!r:.60}")
         if meta.get("version") != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {meta.get('version')!r}")
-        weights = [z[f"w{i}"] for i in range(meta["num_layers"])]
-        biases = [z[f"b{i}"] for i in range(meta["num_layers"])]
-    params = ClassifierParams(tuple(meta["input_shape"]), meta["num_classes"], weights, biases)
-    return params, TrainConfig(**meta["config"])
+        try:
+            layers = range(meta["num_layers"])
+            params = ClassifierParams(tuple(meta["input_shape"]), meta["num_classes"],
+                                      [z[f"w{i}"] for i in layers], [z[f"b{i}"] for i in layers])
+            return params, TrainConfig(**meta["config"])
+        except (KeyError, TypeError) as exc:  # a missing key, an unknown one, a wrong type
+            raise ValueError(f"checkpoint meta does not fit: {exc!r}") from None

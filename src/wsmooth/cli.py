@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,8 @@ from . import dataset_io
 from .attack import AttackConfig, robustness_curve
 from .smoothing import (
     ABSTAIN,
+    FLOW,
+    PIXEL,
     Certificate,
     CertificationRecord,
     NoiseSpec,
@@ -34,7 +37,7 @@ from .smoothing import (
 )
 from .transport_oracle import run_oracle_checks
 
-_SCHEME_MAP = {"flow": "wasserstein_flow", "pixel": "laplace_pixel"}
+_SCHEME_MAP = {"flow": FLOW, "pixel": PIXEL}
 
 # Ranges: the words an error message uses, and the test.
 _AT_LEAST_0 = (">= 0", lambda v: v >= 0)
@@ -222,13 +225,12 @@ def _merge_config(args: argparse.Namespace) -> dict:
         cfg["checkpoint"] = str(Path(cfg["out_dir"]) /
                                 f"model_{cfg['scheme']}_sigma{cfg['sigma']:g}.npz")
     cfg["noise"] = NoiseSpec(_SCHEME_MAP[cfg["scheme"]], cfg["sigma"])
-    seeds = _derived_seeds(cfg)
-    train_noise = {"noise": cfg["noise"].scheme, "sigma": cfg["sigma"]}
-    for name, build, skip, extra in (("train", clf.TrainConfig, ("hidden",), train_noise),
+    train_extra = {"noise": cfg["noise"].scheme, "sigma": cfg["sigma"],
+                   "seed": _seed_int(cfg, "train")}
+    for name, build, skip, extra in (("train", clf.TrainConfig, ("hidden",), train_extra),
                                      ("attack", AttackConfig, ("radii", "max_images"), {})):
-        seed = int(np.random.default_rng(seeds[name]).integers(2**31))
         try:
-            cfg[name] = build(**_section(cfg, name, *skip), **extra, seed=seed)
+            cfg[name] = build(**_section(cfg, name, *skip), **extra)
         except ValueError as exc:
             raise SystemExit(f"error: {name}: {exc}")
     return cfg
@@ -238,6 +240,11 @@ def _derived_seeds(cfg: dict) -> dict[str, np.random.SeedSequence]:
     root = np.random.SeedSequence(cfg["seed"])
     names = ("dataset_train", "dataset_test", "train", "predict", "certify", "attack")
     return dict(zip(names, root.spawn(len(names))))
+
+
+def _seed_int(cfg: dict, name: str) -> int:
+    """An integer seed drawn from the derived seed of ``name``."""
+    return int(np.random.default_rng(_derived_seeds(cfg)[name]).integers(2**31))
 
 
 def _load_split(cfg: dict, split: str) -> dataset_io.LabeledDataset:
@@ -320,7 +327,7 @@ def _load_model(cfg: dict, dataset: dataset_io.LabeledDataset) -> clf.Classifier
         raise SystemExit(f"error: checkpoint {ckpt} not found; run `wsmooth train` first")
     try:
         params, trained = clf.load_checkpoint(ckpt)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, zipfile.BadZipFile) as exc:
         raise SystemExit(f"error: checkpoint {ckpt} is not a readable wsmooth checkpoint: {exc!r}")
     noise = cfg["noise"]
     if (trained.noise, trained.sigma) != (noise.scheme, noise.sigma):
@@ -420,7 +427,8 @@ def _cmd_attack(cfg: dict) -> int:
     if "attack.max_images" in cfg:
         dataset = dataset.subset(np.arange(min(cfg["attack.max_images"], len(dataset))))
     radii, acfg = cfg["attack.radii"], cfg["attack"]
-    curve, results = robustness_curve(params, dataset, cfg["noise"], radii, acfg)
+    curve, results = robustness_curve(params, dataset, cfg["noise"], radii, acfg,
+                                      _seed_int(cfg, "attack"))
     meta = _meta(cfg, "attack", iterations=acfg.iterations,
                  gradient_samples=acfg.gradient_samples, predict_samples=acfg.predict_samples)
     out = Path(cfg["out_dir"])
@@ -467,17 +475,16 @@ def _cmd_oracle_check(cfg: dict, pairs: int) -> int:
 
 
 def _read_table(path: Path) -> tuple[dict, list[dict]]:
-    with open(path) as fh:
-        first = fh.readline()
-        if not first.startswith("#"):
-            raise SystemExit(f"error: {path} lacks the `# key=value` metadata line")
-        meta = dict(tok.split("=", 1) for tok in first[1:].split())
-        header = fh.readline().strip().split(",")
-        rows = []
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append(dict(zip(header, line.split(","))))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            first = fh.readline()
+            if not first.startswith("#"):
+                raise SystemExit(f"error: {path} lacks the `# key=value` metadata line")
+            meta = dict(tok.split("=", 1) for tok in first[1:].split())
+            header = fh.readline().strip().split(",")
+            rows = [dict(zip(header, line.split(","))) for line in map(str.strip, fh) if line]
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a token without "="
+        raise SystemExit(f"error: cannot read table {path}: {exc}")
     return meta, rows
 
 

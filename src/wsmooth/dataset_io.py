@@ -1,4 +1,4 @@
-"""Dataset plumbing: IDX-format readers and writers, normalization of raw
+"""Dataset plumbing: IDX-format readers, normalization of raw
 intensity grids into unit-mass images, and deterministic synthetic datasets
 for desk-scale experiments."""
 
@@ -79,24 +79,6 @@ def load_idx(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
     if len(images) != len(labels):
         raise PairingError(f"{len(images)} images but {len(labels)} labels")
     return images, labels
-
-
-def write_idx_images(path, images):
-    images = np.ascontiguousarray(np.asarray(images, dtype=np.uint8))
-    if images.ndim != 3:
-        raise ValueError(f"expected (N, rows, cols) array, got shape {images.shape}")
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(">iiii", IMAGE_MAGIC, *images.shape))
-        fh.write(images.tobytes())
-
-
-def write_idx_labels(path, labels):
-    labels = np.ascontiguousarray(np.asarray(labels, dtype=np.uint8))
-    if labels.ndim != 1:
-        raise ValueError(f"expected flat label array, got shape {labels.shape}")
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(">ii", LABEL_MAGIC, labels.size))
-        fh.write(labels.tobytes())
 
 
 def normalize(raw) -> np.ndarray:

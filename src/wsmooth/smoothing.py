@@ -126,7 +126,7 @@ def _as_rng(rng) -> np.random.Generator:
     return np.random.default_rng(rng)
 
 
-def _sample_increments(scheme: str, sigma: float, cshape: tuple[int, int, int], size: int,
+def _sample_increments(spec: NoiseSpec, cshape: tuple[int, int, int], size: int,
                        rng: np.random.Generator) -> np.ndarray:
     """Batch of additive pixel increments equivalent to ``size`` noise draws.
 
@@ -134,10 +134,10 @@ def _sample_increments(scheme: str, sigma: float, cshape: tuple[int, int, int], 
     increment.  Returns shape (size, C, n, m).
     """
     c, n, m = cshape
-    if sigma == 0.0:
+    if spec.sigma == 0.0:
         return np.zeros((size, c, n, m))
-    b = sigma / math.sqrt(2.0)
-    if scheme == PIXEL:
+    b = spec.scale
+    if spec.scheme == PIXEL:
         return rng.laplace(0.0, b, size=(size, c, n, m))
     vert = rng.laplace(0.0, b, size=(size, c, n - 1, m))
     horiz = rng.laplace(0.0, b, size=(size, c, n, m - 1))
@@ -150,7 +150,7 @@ def _vote_counts(classifier, x, spec: NoiseSpec, n: int, rng, workers: int) -> n
     streams = _as_rng(rng).spawn(len(sizes))
 
     def job(stream, size):
-        inc = _sample_increments(spec.scheme, spec.sigma, channels.shape, size, stream)
+        inc = _sample_increments(spec, channels.shape, size, stream)
         scores = classifier.forward_batch(channels[None] + inc)
         return np.bincount(np.argmax(scores, axis=1), minlength=classifier.num_classes)
 

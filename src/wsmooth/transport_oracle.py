@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import linprog
 
-from .flow_domain import EdgeFlow, LocalFlowPlan, ShapeMismatchError, flow_from_edge, unit_mass
+from .flow_domain import EdgeFlow, ShapeMismatchError, flow_from_edge, unit_mass
 
 # The dense LP has N^2 variables; past 64 pixels it stops being an oracle
 # and starts being a liability.
@@ -171,23 +171,15 @@ def wasserstein_grid_l1(x, xp) -> tuple[float, EdgeFlow]:
     Moving mass one grid step costs exactly 1 under the L1 metric, so the
     edge flow LP on the adjacency graph (Ling & Okada, TPAMI 2007) equals
     the coupling LP's optimum.  The returned flow holds the optimal
-    directed edge flows in the down/up/right/left layout.
+    directed edge flows in the down/up/right/left layout.  Netting it with
+    flow_from_edge cannot create opposing flows on a pixel pair, so the
+    resulting plan moves ``x`` to ``xp`` with L1 norm equal to the distance.
     """
     a = _coerce_image(x)
     b = _coerce_image(xp)
     _check_same_shape(a, b)
     distance, flow = _min_cost_flow_grid(a, b)
     return distance, _edge_flow_from_arcs(flow, a.shape)
-
-
-def min_flow_plan(x, xp) -> LocalFlowPlan:
-    """Local flow plan of minimal L1 norm with apply_flow(x, plan) == xp.
-
-    Netting the optimal directed edge flow cannot create opposing flows on
-    a pixel pair, so the plan's L1 norm equals the Wasserstein distance.
-    """
-    _, edge = wasserstein_grid_l1(x, xp)
-    return flow_from_edge(edge)
 
 
 @dataclass(frozen=True)

@@ -11,12 +11,15 @@ against quadrature in the tests).
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from scipy import integrate, stats
 
-from wsmooth import EdgeFlow
+from wsmooth import (EdgeFlow, LocalFlowPlan, flow_from_edge, loss_and_gradients,
+                     wasserstein_grid_l1)
 
 
 def laplace_sum_sf(u: float, k: int) -> float:
@@ -126,6 +129,38 @@ def edge_from_flow(plan) -> EdgeFlow:
         np.maximum(plan.horiz, 0.0),
         np.maximum(-plan.horiz, 0.0),
     )
+
+
+def min_flow_plan(x, xp) -> LocalFlowPlan:
+    """The grid oracle's optimal edge flow from x to xp, netted into a local
+    flow plan: feasible, with L1 norm equal to the Wasserstein distance."""
+    return flow_from_edge(wasserstein_grid_l1(x, xp)[1])
+
+
+def write_idx(path, array):
+    """Write an unsigned-byte IDX file: magic 0x0800 + rank, each dimension
+    as a big-endian int32, then the row-major bytes."""
+    a = np.ascontiguousarray(array, dtype=np.uint8)
+    Path(path).write_bytes(struct.pack(f">{1 + a.ndim}i", 0x800 + a.ndim, *a.shape) + a.tobytes())
+
+
+def finite_difference_grads(params, X, labels, eps=1e-6) -> np.ndarray:
+    """Central differences of the mean loss for every entry of
+    params.arrays(), each perturbed in place and restored, concatenated in
+    that order."""
+    fd = []
+    for a in params.arrays():
+        grad = np.empty_like(a)
+        for idx in np.ndindex(a.shape):
+            saved = a[idx]
+            a[idx] = saved + eps
+            up, _ = loss_and_gradients(params, X, labels)
+            a[idx] = saved - eps
+            down, _ = loss_and_gradients(params, X, labels)
+            a[idx] = saved
+            grad[idx] = (up - down) / (2 * eps)
+        fd.append(grad.ravel())
+    return np.concatenate(fd)
 
 
 def brute_force_l1_projection(v: np.ndarray, radius: float) -> np.ndarray:

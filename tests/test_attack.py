@@ -55,6 +55,8 @@ class TestProjection:
     def test_rejects_negative_radius(self):
         with pytest.raises(ValueError):
             project_l1_ball(np.array([1.0]), -0.1)
+        with pytest.raises(ValueError):
+            project_l1_ball(np.array([1.0]), float("nan"))
 
     def test_matches_brute_force_oracle(self, rng):
         worst = 0.0
@@ -148,13 +150,13 @@ class TestFlowPgd:
 
     def cfg(self, **kw):
         base = dict(iterations=40, gradient_samples=32, max_radius=0.5,
-                    growth_interval=5, predict_samples=1000, seed=7)
+                    growth_interval=5, predict_samples=1000)
         base.update(kw)
         return AttackConfig(**base)
 
     def test_flips_borderline_image(self):
         params = halves_classifier()
-        res = flow_pgd_attack(params, split_image(0.56), 1, self.spec, self.cfg())
+        res = flow_pgd_attack(params, split_image(0.56), 1, self.spec, self.cfg(), rng=7)
         assert res.success and res.clean_correct
         assert res.prediction.predicted != 1
         assert 0 < res.budget <= 0.5 + 1e-12
@@ -163,14 +165,14 @@ class TestFlowPgd:
 
     def test_budget_upper_bounds_oracle_distance(self):
         params = halves_classifier()
-        res = flow_pgd_attack(params, split_image(0.60), 1, self.spec, self.cfg())
+        res = flow_pgd_attack(params, split_image(0.60), 1, self.spec, self.cfg(), rng=7)
         assert res.success
         assert res.oracle_radius is not None
         assert res.oracle_radius <= res.budget + 1e-9
 
     def test_wrong_clean_prediction_short_circuits(self):
         params = halves_classifier()
-        res = flow_pgd_attack(params, split_image(0.56), 2, self.spec, self.cfg())
+        res = flow_pgd_attack(params, split_image(0.56), 2, self.spec, self.cfg(), rng=7)
         assert res.success and not res.clean_correct
         assert res.budget == 0.0
         assert res.iteration == 0
@@ -179,10 +181,10 @@ class TestFlowPgd:
 
     def test_deterministic_given_seed(self):
         params = halves_classifier()
-        a = flow_pgd_attack(params, split_image(0.6), 1, self.spec, self.cfg())
-        b = flow_pgd_attack(params, split_image(0.6), 1, self.spec, self.cfg())
+        a = flow_pgd_attack(params, split_image(0.6), 1, self.spec, self.cfg(), rng=7)
+        b = flow_pgd_attack(params, split_image(0.6), 1, self.spec, self.cfg(), rng=7)
         # The same image with an explicit channel axis is the same input.
-        c = flow_pgd_attack(params, split_image(0.6)[None], 1, self.spec, self.cfg())
+        c = flow_pgd_attack(params, split_image(0.6)[None], 1, self.spec, self.cfg(), rng=7)
         for other in (b, c):
             assert ((a.success, a.budget, a.iteration, a.prediction, a.oracle_radius)
                     == (other.success, other.budget, other.iteration, other.prediction,
@@ -196,7 +198,7 @@ class TestFlowPgd:
         params = halves_classifier()
         # 0.9 top mass needs ~0.2 moved; a 0.05 cap cannot reach it.
         res = flow_pgd_attack(params, split_image(0.9), 1, self.spec,
-                              self.cfg(max_radius=0.05, iterations=20))
+                              self.cfg(max_radius=0.05, iterations=20), rng=7)
         assert not res.success
         assert res.iteration is None
         assert res.budget <= 0.05 + 1e-12
@@ -204,7 +206,7 @@ class TestFlowPgd:
     def test_zero_iterations_only_checks_clean(self):
         params = halves_classifier()
         res = flow_pgd_attack(params, split_image(0.75), 1, self.spec,
-                              self.cfg(iterations=0))
+                              self.cfg(iterations=0), rng=7)
         assert not res.success and res.clean_correct
 
 
@@ -215,13 +217,13 @@ class TestRobustnessCurve:
         labels = [1, 1, 1, 2]  # the last image is deliberately mislabeled
         ds = make_dataset(np.array(raws), np.array(labels), num_classes=2, label_base=1)
         cfg = AttackConfig(iterations=40, gradient_samples=32, max_radius=0.5,
-                           growth_interval=5, predict_samples=1000, seed=7)
+                           growth_interval=5, predict_samples=1000)
         return params, ds, cfg
 
     def test_curve_shape_and_anchors(self):
         params, ds, cfg = self.build()
         spec = NoiseSpec(FLOW, 0.05)
-        curve, results = robustness_curve(params, ds, spec, [0.0, 0.08, 0.15, 0.5], cfg)
+        curve, results = robustness_curve(params, ds, spec, [0.0, 0.08, 0.15, 0.5], cfg, rng=7)
         radii = [rho for rho, _ in curve]
         accs = [acc for _, acc in curve]
         assert radii == sorted(radii)
@@ -234,7 +236,7 @@ class TestRobustnessCurve:
     def test_unsorted_radii_are_sorted(self):
         params, ds, cfg = self.build()
         spec = NoiseSpec(FLOW, 0.05)
-        curve, _ = robustness_curve(params, ds.subset([0]), spec, [0.1, 0.0], cfg)
+        curve, _ = robustness_curve(params, ds.subset([0]), spec, [0.1, 0.0], cfg, rng=7)
         assert [rho for rho, _ in curve] == [0.0, 0.1]
 
     def test_rejects_bad_inputs(self):

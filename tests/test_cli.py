@@ -12,8 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wsmooth
-from wsmooth import write_idx_images, write_idx_labels
 from wsmooth.cli import _SCHEMA, _build_parser, _merge_config, main, run
+
+from analytic import write_idx
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
@@ -268,17 +269,27 @@ class TestReportCommand:
             run(["report", "--out-dir", str(tmp_path), str(table)])
 
 
-    @pytest.mark.parametrize("meta,row", [
-        ("scheme=flow sigma=0.1 n0=100 n=800 alpha=0.05", "0,1,1,1,0.9,zzz,0"),
-        ("sigma=0.1 n0=100 n=800 alpha=0.05", "0,1,1,1,0.9,0.01,0"),
-    ], ids=["bad_radius", "no_scheme"])
-    def test_rejects_malformed_table(self, tmp_path, meta, row):
+    @pytest.mark.parametrize("text, needle", [
+        (b"# command=certify seed=1 scheme=flow sigma=0.1 n0=100 n=800 alpha=0.05\n"
+         b"id,label,base_prediction,prediction,p_lower,rho2,abstained\n0,1,1,1,0.9,zzz,0\n",
+         "malformed"),
+        (b"# command=certify seed=1 sigma=0.1 n0=100 n=800 alpha=0.05\n"
+         b"id,label,base_prediction,prediction,p_lower,rho2,abstained\n0,1,1,1,0.9,0.01,0\n",
+         "malformed"),
+        (None, "cannot read table"),
+        (b"# command=certify junk\n", "cannot read table"),
+        (b"# command=certify seed=\xff\n", "cannot read table"),
+    ], ids=["bad_radius", "no_scheme", "missing", "token_without_equals", "not_utf8"])
+    def test_rejects_malformed_table(self, tmp_path, monkeypatch, capsys, text, needle):
         table = tmp_path / "certificates.csv"
-        table.write_text(f"# command=certify seed=1 {meta}\n"
-                         "id,label,base_prediction,prediction,p_lower,rho2,abstained\n"
-                         f"{row}\n")
-        with pytest.raises(SystemExit, match="^error: .*malformed"):
-            run(["report", "--out-dir", str(tmp_path), str(table)])
+        if text is not None:
+            table.write_bytes(text)
+        monkeypatch.setattr(sys, "argv", ["wsmooth", "report", "--out-dir",
+                                          str(tmp_path / "out"), str(table)])
+        assert main() == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and needle in err[0]
+        assert not (tmp_path / "out").exists()
 
 
 class TestConfigHandling:
@@ -356,8 +367,8 @@ class TestConfigHandling:
                                                            fault, needle):
         idx = {}
         for split in ("train", "test"):
-            write_idx_images(tmp_path / f"{split}-images", np.full((3, 4, 4), 7))
-            write_idx_labels(tmp_path / f"{split}-labels", np.array([0, 1, 0]))
+            write_idx(tmp_path / f"{split}-images", np.full((3, 4, 4), 7))
+            write_idx(tmp_path / f"{split}-labels", np.array([0, 1, 0]))
             idx[f"{split}_images"] = str(tmp_path / f"{split}-images")
             idx[f"{split}_labels"] = str(tmp_path / f"{split}-labels")
         images = tmp_path / "train-images"
@@ -404,6 +415,10 @@ class TestConfigHandling:
         ("shape", "takes (5, 5) images, but the dataset holds (6, 6) images"),
         ("text", "is not a readable wsmooth checkpoint: ValueError("),
         ("no_meta", "is not a readable wsmooth checkpoint: KeyError("),
+        ("unknown_key", "does not fit: TypeError(\"TrainConfig.__init__() got an unexpected"),
+        ("wrong_type", "does not fit: TypeError("),
+        ("list_meta", "ValueError(\"checkpoint meta is not a JSON object: [{"),
+        ("truncated", "is not a readable wsmooth checkpoint: BadZipFile("),
     ])
     def test_refuses_a_checkpoint_that_does_not_fit(self, config_path, tmp_path, monkeypatch,
                                                      capsys, fault, needle):
@@ -414,8 +429,17 @@ class TestConfigHandling:
             cfg["dataset"]["shape"] = [6, 6]
         elif fault == "text":
             ckpt.write_text("not a checkpoint\n")
-        else:
+        elif fault == "no_meta":
             np.savez(ckpt, w0=np.zeros((25, 2)), b0=np.zeros(2))
+        elif fault == "truncated":
+            np.savez(ckpt, w0=np.zeros((25, 2)), b0=np.zeros(2))
+            ckpt.write_bytes(ckpt.read_bytes()[:40])
+        else:
+            bad = {"unknown_key": {"colour": 1}, "wrong_type": {"epochs": "3"}}.get(fault, {})
+            meta = {"version": 1, "input_shape": [5, 5], "num_classes": 2, "num_layers": 1,
+                    "config": {"noise": "wasserstein_flow", "sigma": 0.1, **bad}}
+            meta = [meta] if fault == "list_meta" else meta
+            np.savez(ckpt, meta=np.array(json.dumps(meta)), w0=np.zeros((25, 2)), b0=np.zeros(2))
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         monkeypatch.setattr(sys, "argv", ["wsmooth", "certify", "--config", str(path),

@@ -17,22 +17,22 @@ from wsmooth import (
     make_dataset,
     normalize,
     synthetic_dataset,
-    write_idx_images,
-    write_idx_labels,
 )
+
+from analytic import write_idx
 
 
 class TestIdxFiles:
     def test_image_round_trip(self, tmp_path, rng):
         images = rng.integers(0, 256, size=(5, 3, 4), dtype=np.uint8)
         path = tmp_path / "imgs.idx"
-        write_idx_images(path, images)
+        write_idx(path, images)
         assert np.array_equal(load_idx_images(path), images)
 
     def test_label_round_trip(self, tmp_path):
         labels = np.array([0, 1, 9, 3], dtype=np.uint8)
         path = tmp_path / "labels.idx"
-        write_idx_labels(path, labels)
+        write_idx(path, labels)
         assert np.array_equal(load_idx_labels(path), labels)
 
     def test_reads_hand_built_bytes(self, tmp_path):
@@ -73,8 +73,8 @@ class TestIdxFiles:
             load_idx_labels(path)
 
     def test_paired_load_checks_counts(self, tmp_path, rng):
-        write_idx_images(tmp_path / "x.idx", rng.integers(0, 256, (3, 2, 2), dtype=np.uint8))
-        write_idx_labels(tmp_path / "y.idx", np.array([1, 2], dtype=np.uint8))
+        write_idx(tmp_path / "x.idx", rng.integers(0, 256, (3, 2, 2), dtype=np.uint8))
+        write_idx(tmp_path / "y.idx", np.array([1, 2], dtype=np.uint8))
         with pytest.raises(PairingError):
             load_idx(tmp_path / "x.idx", tmp_path / "y.idx")
 

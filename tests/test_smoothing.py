@@ -48,19 +48,20 @@ class TestNoiseSpec:
 class TestSampling:
     def test_flow_noise_shapes(self, rng):
         for scheme in (FLOW, PIXEL):
-            assert _sample_increments(scheme, 0.1, (2, 4, 5), 3, rng).shape == (3, 2, 4, 5)
+            inc = _sample_increments(NoiseSpec(scheme, 0.1), (2, 4, 5), 3, rng)
+            assert inc.shape == (3, 2, 4, 5)
 
     def test_zero_sigma_consumes_no_randomness(self):
         rng = np.random.default_rng(0)
         before = rng.bit_generator.state
         for scheme in (FLOW, PIXEL):
-            assert not _sample_increments(scheme, 0.0, (2, 3, 3), 4, rng).any()
+            assert not _sample_increments(NoiseSpec(scheme, 0.0), (2, 3, 3), 4, rng).any()
         assert rng.bit_generator.state == before
 
     def test_multichannel_gives_plan_per_channel(self):
         # Each channel gets its own flow draw, which moves mass within that
         # channel only: every channel's increment sums to zero.
-        inc = _sample_increments(FLOW, 0.3, (3, 4, 5), 200, np.random.default_rng(5))
+        inc = _sample_increments(NoiseSpec(FLOW, 0.3), (3, 4, 5), 200, np.random.default_rng(5))
         assert np.abs(inc.sum(axis=(2, 3))).max() <= 1e-12
         assert not np.array_equal(inc[:, 0], inc[:, 1])
 
@@ -68,7 +69,8 @@ class TestSampling:
         # On a 1x2 grid the increment is (-h, +h) for the single edge draw h,
         # which must be Laplace with standard deviation sigma.
         sigma = 0.2
-        inc = _sample_increments(FLOW, sigma, (1, 1, 2), 20000, np.random.default_rng(77))
+        inc = _sample_increments(NoiseSpec(FLOW, sigma), (1, 1, 2), 20000,
+                                 np.random.default_rng(77))
         h = inc[:, 0, 0, 1]
         assert np.array_equal(inc[:, 0, 0, 0], -h)
         assert stats.kstest(h, "laplace", args=(0.0, sigma / math.sqrt(2.0))).pvalue > 1e-3

@@ -10,7 +10,6 @@ from wsmooth import (
     ShapeMismatchError,
     apply_flow,
     l1_norm,
-    min_flow_plan,
     per_channel_wasserstein,
     run_oracle_checks,
     solve_flow_1d,
@@ -18,7 +17,7 @@ from wsmooth import (
     wasserstein_lp,
 )
 
-from analytic import successive_shortest_paths_grid_l1
+from analytic import min_flow_plan, successive_shortest_paths_grid_l1
 from conftest import image_flow_pairs, image_pairs
 
 
