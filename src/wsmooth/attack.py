@@ -17,7 +17,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .classifier import input_gradient_batch
-from .flow_domain import LocalFlowPlan, as_channels, divergence, divergence_adjoint
+from .flow_domain import (LocalFlowPlan, as_channels, divergence, divergence_adjoint, edge_count,
+                          pack_edges, unpack_edges)
 from .smoothing import NoiseSpec, SmoothedPrediction, _as_rng, _sample_increments, smoothed_predict
 from .transport_oracle import per_channel_wasserstein, wasserstein_grid_l1
 
@@ -117,25 +118,8 @@ class AttackResult:
     oracle_radius: float | None
 
 
-def _unpack(delta: np.ndarray, cshape: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """Per-channel (vert, horiz) stacks of a packed perturbation.
-
-    The packed vector holds, channel by channel, the row-major vertical
-    flows followed by the row-major horizontal flows; _pack inverts this.
-    """
-    c, n, m = cshape
-    nv = (n - 1) * m
-    blocks = delta.reshape(c, nv + n * (m - 1))
-    return blocks[:, :nv].reshape(c, n - 1, m), blocks[:, nv:].reshape(c, n, m - 1)
-
-
-def _pack(vert: np.ndarray, horiz: np.ndarray) -> np.ndarray:
-    c = vert.shape[0]
-    return np.concatenate([vert.reshape(c, -1), horiz.reshape(c, -1)], axis=1).ravel()
-
-
 def _delta_to_plans(delta: np.ndarray, cshape: tuple[int, int, int]) -> list[LocalFlowPlan]:
-    return [LocalFlowPlan(v, h) for v, h in zip(*_unpack(delta, cshape))]
+    return [LocalFlowPlan(v, h) for v, h in zip(*unpack_edges(delta, cshape))]
 
 
 def _flow_gradient(classifier, perturbed: np.ndarray, label: int, spec: NoiseSpec,
@@ -144,7 +128,7 @@ def _flow_gradient(classifier, perturbed: np.ndarray, label: int, spec: NoiseSpe
     packed flow coordinates, via the adjoint of the divergence."""
     inc = _sample_increments(spec, perturbed.shape, samples, rng)
     g_pix = input_gradient_batch(classifier, perturbed[None] + inc, np.full(samples, label))
-    return _pack(*divergence_adjoint(g_pix.mean(axis=0)))
+    return pack_edges(*divergence_adjoint(g_pix.mean(axis=0)))
 
 
 def _oracle_radius(clean: np.ndarray, perturbed: np.ndarray) -> float | None:
@@ -176,8 +160,7 @@ def flow_pgd_attack(classifier, x, label: int, spec: NoiseSpec,
     clean_pred = smoothed_predict(
         classifier, x, spec, config.predict_samples, config.predict_alpha, next(streams)
     )
-    c, n, m = cshape
-    delta = np.zeros(c * ((n - 1) * m + n * (m - 1)))
+    delta = np.zeros(edge_count(cshape))
     if clean_pred.predicted != label:
         return AttackResult(True, False, _delta_to_plans(delta, cshape), 0.0, 0, clean_pred, 0.0)
 
@@ -186,7 +169,7 @@ def flow_pgd_attack(classifier, x, label: int, spec: NoiseSpec,
     pred = clean_pred
     for it in range(1, config.iterations + 1):
         grad_rng, eval_rng = next(streams), next(streams)
-        grad = _flow_gradient(classifier, channels + divergence(*_unpack(delta, cshape)),
+        grad = _flow_gradient(classifier, channels + divergence(*unpack_edges(delta, cshape)),
                               label, spec, config.gradient_samples, grad_rng)
         gnorm = np.abs(grad).sum()
         if gnorm > 0:
@@ -194,7 +177,7 @@ def flow_pgd_attack(classifier, x, label: int, spec: NoiseSpec,
         delta = project_l1_ball(delta, config.radius_at(it))
         if np.array_equal(delta, last_evaluated):
             continue
-        perturbed = channels + divergence(*_unpack(delta, cshape))
+        perturbed = channels + divergence(*unpack_edges(delta, cshape))
         pred = smoothed_predict(classifier, perturbed, spec, config.predict_samples,
                                 config.predict_alpha, eval_rng)
         last_evaluated = delta

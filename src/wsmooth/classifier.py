@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -176,8 +177,14 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("epochs", "batch_size", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
         if not 0.0 <= self.momentum < 1.0:
@@ -276,5 +283,5 @@ def load_checkpoint(path) -> tuple[ClassifierParams, TrainConfig]:
             params = ClassifierParams(tuple(meta["input_shape"]), meta["num_classes"],
                                       [z[f"w{i}"] for i in layers], [z[f"b{i}"] for i in layers])
             return params, TrainConfig(**meta["config"])
-        except (KeyError, TypeError) as exc:  # a missing key, an unknown one, a wrong type
+        except (KeyError, TypeError, ValueError) as exc:  # a missing or unknown key, a bad value
             raise ValueError(f"checkpoint meta does not fit: {exc!r}") from None

@@ -9,7 +9,10 @@ x + D f, where D is the grid divergence: each pixel gains its net inflow,
 so total mass is conserved even though individual pixels may go negative.
 ``divergence`` and its adjoint ``divergence_adjoint`` are the one
 implementation of D and D^T that smoothing, training and the attack
-share; both are batched over leading axes.
+share; both are batched over leading axes.  ``pack_edges`` /
+``unpack_edges`` are the one flat layout of a (C, n, m) image's edge
+values, in which smoothing draws its noise and the attack keeps its
+perturbation.
 """
 
 from __future__ import annotations
@@ -184,6 +187,35 @@ def divergence_adjoint(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     (..., n, m); the result has shapes (..., n-1, m) and (..., n, m-1).
     """
     return g[..., 1:, :] - g[..., :-1, :], g[..., :, 1:] - g[..., :, :-1]
+
+
+def edge_count(cshape: tuple[int, int, int]) -> int:
+    """Length C((n-1)m + n(m-1)) of the packed edge vector of a (C, n, m) image."""
+    c, n, m = cshape
+    return c * ((n - 1) * m + n * (m - 1))
+
+
+def unpack_edges(edges: np.ndarray, cshape: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Per-channel (vert, horiz) stacks of packed edge vectors.
+
+    The packed vector holds, channel by channel, the row-major vertical
+    edges followed by the row-major horizontal edges; pack_edges inverts
+    this.  edges has shape (..., edge_count(cshape)); the results have
+    shapes (..., C, n-1, m) and (..., C, n, m-1).
+    """
+    c, n, m = cshape
+    nv = (n - 1) * m
+    blocks = edges.reshape(edges.shape[:-1] + (c, nv + n * (m - 1)))
+    lead = blocks.shape[:-1]
+    return blocks[..., :nv].reshape(lead + (n - 1, m)), blocks[..., nv:].reshape(lead + (n, m - 1))
+
+
+def pack_edges(vert: np.ndarray, horiz: np.ndarray) -> np.ndarray:
+    """Inverse of unpack_edges: (..., C, n-1, m) and (..., C, n, m-1) stacks
+    to packed vectors of shape (..., edge_count)."""
+    lead = vert.shape[:-2]
+    flat = np.concatenate([vert.reshape(lead + (-1,)), horiz.reshape(lead + (-1,))], axis=-1)
+    return flat.reshape(lead[:-1] + (-1,))
 
 
 def apply_flow(x, plan: LocalFlowPlan) -> RawGrid:

@@ -1,11 +1,11 @@
 """Analytic companions for the test suite.
 
-A family of two-class classifiers that threshold the total mass of a leading
-block of full rows (or columns).  Flow noise changes that aggregate only
-through the flow coordinates crossing the block boundary, so the smoothed
-classifier's exact score is the survival function of a sum of independent
-Laplace variables, for which a closed form is given (and cross-checked
-against quadrature in the tests).
+A family of two-class linear classifiers that threshold the total mass of a
+leading block of full rows (or columns).  Flow noise changes that aggregate
+only through the flow coordinates crossing the block boundary, so the
+smoothed classifier's exact score is the survival function of a sum of
+independent Laplace variables, for which a closed form is given (and
+cross-checked against quadrature in the tests).
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 from scipy import integrate, stats
 
-from wsmooth import (EdgeFlow, LocalFlowPlan, flow_from_edge, loss_and_gradients,
-                     wasserstein_grid_l1)
+from wsmooth import (ClassifierParams, EdgeFlow, LocalFlowPlan, flow_from_edge,
+                     loss_and_gradients, wasserstein_grid_l1)
 
 
 def laplace_sum_sf(u: float, k: int) -> float:
@@ -56,10 +56,11 @@ def laplace_sum_sf_quad(u: float, k: int) -> float:
 
 @dataclass
 class RegionThresholdClassifier:
-    """Two-class hard classifier on the mass of a leading row/column block.
+    """Two-class linear classifier on the mass of a leading row/column block.
 
     The aggregate is the total mass of rows 0..boundary (or columns for the
-    "cols" orientation).  Scores are one-hot: positive_index wins when the
+    "cols" orientation).  params() builds the classifier: its logits are
+    (aggregate - threshold, 0), ordered so that positive_index wins when the
     aggregate exceeds the threshold.  Under flow noise every interior flow
     coordinate cancels out of the aggregate, leaving a sum of exactly
     boundary_coords() iid Laplace terms, which makes the smoothed score
@@ -71,7 +72,6 @@ class RegionThresholdClassifier:
     boundary: int
     threshold: float
     positive_index: int = 0
-    num_classes: int = 2
 
     def __post_init__(self):
         n, m = self.image_shape
@@ -94,13 +94,18 @@ class RegionThresholdClassifier:
             return X[:, : self.boundary + 1, :].sum(axis=(1, 2))
         return X[:, :, : self.boundary + 1].sum(axis=(1, 2))
 
-    def forward_batch(self, X: np.ndarray) -> np.ndarray:
-        agg = self.aggregate_batch(X)
-        scores = np.zeros((agg.size, 2))
-        hit = agg > self.threshold
-        scores[hit, self.positive_index] = 1.0
-        scores[~hit, 1 - self.positive_index] = 1.0
-        return scores
+    def params(self) -> ClassifierParams:
+        n, m = self.image_shape
+        block = np.zeros((n, m))
+        if self.orientation == "rows":
+            block[: self.boundary + 1, :] = 1.0
+        else:
+            block[:, : self.boundary + 1] = 1.0
+        weight = np.zeros((n * m, 2))
+        weight[:, self.positive_index] = block.ravel()
+        bias = np.zeros(2)
+        bias[self.positive_index] = -self.threshold
+        return ClassifierParams((n, m), 2, [weight], [bias])
 
     def exact_positive_probability(self, x, sigma: float) -> float:
         """Exact probability that flow noise of standard deviation sigma

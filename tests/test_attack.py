@@ -14,7 +14,8 @@ from wsmooth import (
     project_l1_ball,
     robustness_curve,
 )
-from wsmooth.attack import _delta_to_plans, _pack, _unpack
+from wsmooth.attack import _delta_to_plans
+from wsmooth.flow_domain import pack_edges, unpack_edges
 from wsmooth.smoothing import FLOW
 
 from analytic import brute_force_l1_projection
@@ -93,19 +94,19 @@ class TestProjection:
 class TestPacking:
     def test_layout_is_vert_then_horiz_per_channel(self):
         delta = np.array([0.1, -0.2, 0.3, -0.4])
-        vert, horiz = _unpack(delta, (1, 2, 2))
+        vert, horiz = unpack_edges(delta, (1, 2, 2))
         assert np.array_equal(vert, [[[0.1, -0.2]]])
         assert np.array_equal(horiz, [[[0.3], [-0.4]]])
-        assert np.array_equal(_pack(vert, horiz), delta)
+        assert np.array_equal(pack_edges(vert, horiz), delta)
 
     @pytest.mark.parametrize("cshape", [(1, 2, 2), (3, 4, 5), (2, 1, 6), (2, 6, 1)])
     def test_round_trip(self, rng, cshape):
         c, n, m = cshape
         delta = rng.normal(size=c * ((n - 1) * m + n * (m - 1)))
-        assert np.array_equal(_pack(*_unpack(delta, cshape)), delta)
+        assert np.array_equal(pack_edges(*unpack_edges(delta, cshape)), delta)
         plans = _delta_to_plans(delta, cshape)
         assert len(plans) == c and all(p.image_shape == (n, m) for p in plans)
-        assert np.array_equal(_pack(np.stack([p.vert for p in plans]),
+        assert np.array_equal(pack_edges(np.stack([p.vert for p in plans]),
                                     np.stack([p.horiz for p in plans])), delta)
 
 

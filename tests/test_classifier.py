@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -170,6 +172,10 @@ class TestTrainConfig:
             {"sigma": float("nan")},
             {"sigma": float("inf")},
             {"noise": "none"},
+            {"epochs": 2.5},
+            {"batch_size": 2.5},
+            {"epochs": True},
+            {"seed": -1},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -254,4 +260,18 @@ class TestCheckpoints:
         payload["meta"] = np.array(meta)
         np.savez(tmp_path / "bad.npz", **payload)
         with pytest.raises(ValueError):
+            load_checkpoint(tmp_path / "bad.npz")
+
+    @pytest.mark.parametrize("key, value", [("epochs", 2.5), ("batch_size", 2.5),
+                                            ("epochs", True), ("seed", -1)])
+    def test_rejects_config_values_train_cannot_use(self, rng, tmp_path, key, value):
+        path = tmp_path / "model.npz"
+        save_checkpoint(path, small_params(rng), TrainConfig())
+        with np.load(path) as z:
+            payload = {k: z[k] for k in z.files}
+        meta = json.loads(payload["meta"].item())
+        meta["config"][key] = value
+        payload["meta"] = np.array(json.dumps(meta))
+        np.savez(tmp_path / "bad.npz", **payload)
+        with pytest.raises(ValueError, match=key):
             load_checkpoint(tmp_path / "bad.npz")

@@ -416,7 +416,7 @@ class TestConfigHandling:
         ("text", "is not a readable wsmooth checkpoint: ValueError("),
         ("no_meta", "is not a readable wsmooth checkpoint: KeyError("),
         ("unknown_key", "does not fit: TypeError(\"TrainConfig.__init__() got an unexpected"),
-        ("wrong_type", "does not fit: TypeError("),
+        ("wrong_type", "does not fit: ValueError(\"epochs must be an integer"),
         ("list_meta", "ValueError(\"checkpoint meta is not a JSON object: [{"),
         ("truncated", "is not a readable wsmooth checkpoint: BadZipFile("),
     ])

@@ -20,7 +20,9 @@ from wsmooth import (
     radius_from_plower,
     smoothed_predict,
 )
-from wsmooth.smoothing import FLOW, PIXEL, _sample_increments
+from wsmooth.classifier import _forward
+from wsmooth.flow_domain import divergence, unpack_edges
+from wsmooth.smoothing import FLOW, PIXEL, _edge_noise, _fold_first_layer, _sample_increments
 
 from analytic import RegionThresholdClassifier, laplace_sum_sf, laplace_sum_sf_quad
 
@@ -77,6 +79,48 @@ class TestSampling:
         # 20000 samples: the sd of the sd estimate is under 1%.
         assert h.std() == pytest.approx(sigma, rel=0.05)
 
+    @pytest.mark.parametrize("scheme", [FLOW, PIXEL])
+    def test_edge_draws_are_laplace(self, scheme):
+        # 4x5 grid: 31 edges (flow) or 20 pixels (pixel) per draw, so 1000
+        # draws give at least 20000 values, all iid Laplace(sigma / sqrt 2).
+        sigma = 0.3
+        noise = _edge_noise(NoiseSpec(scheme, sigma), (1, 4, 5), 1000, np.random.default_rng(12))
+        assert noise.shape == (1000, 31 if scheme == FLOW else 20)
+        draws = noise.ravel()
+        assert stats.kstest(draws, "laplace", args=(0.0, sigma / math.sqrt(2.0))).pvalue > 1e-3
+        assert abs(draws.mean()) <= 0.05 * sigma
+        assert draws.std() == pytest.approx(sigma, rel=0.05)
+
+    def test_increments_are_divergence_of_edge_draws(self):
+        spec, cshape = NoiseSpec(FLOW, 0.2), (2, 3, 4)
+        noise = _edge_noise(spec, cshape, 5, np.random.default_rng(3))
+        inc = _sample_increments(spec, cshape, 5, np.random.default_rng(3))
+        assert np.array_equal(inc, divergence(*unpack_edges(noise, cshape)))
+
+
+class TestFold:
+    @pytest.mark.parametrize("scheme", [FLOW, PIXEL])
+    @pytest.mark.parametrize("hidden", [None, 16])
+    @pytest.mark.parametrize("cshape", [(1, 1, 7), (1, 7, 1), (3, 1, 7), (3, 7, 1), (3, 4, 5)])
+    def test_folded_logits_equal_noisy_forward(self, scheme, hidden, cshape):
+        # (x + D e) W0 + b0 = e (D^T W0) + (x W0 + b0), through every layer.
+        rng = np.random.default_rng(sum(cshape) + (hidden or 0))
+        params = init_params(cshape, 3, hidden=hidden, rng=rng)
+        x = rng.dirichlet(np.ones(int(np.prod(cshape)))).reshape(cshape)
+        spec = NoiseSpec(scheme, 0.3)
+        noise = _edge_noise(spec, cshape, 200, rng)
+        if scheme == PIXEL:
+            inc = noise.reshape((200,) + cshape)
+        else:
+            inc = divergence(*unpack_edges(noise, cshape))
+        folded = _forward(_fold_first_layer(params, x, spec), noise)[0]
+        assert np.abs(folded - _forward(params, x[None] + inc)[0]).max() <= 1e-12
+
+    def test_rejects_image_of_wrong_size(self):
+        params = init_params((3, 3), 2, rng=np.random.default_rng(0))
+        with pytest.raises(ValueError, match="9"):
+            smoothed_predict(params, np.full((2, 2), 0.25), NoiseSpec(FLOW, 0.1), n=10)
+
 
 class TestDecisionRule:
     def test_clear_majority_predicts(self):
@@ -123,7 +167,7 @@ class TestSmoothedPredict:
         assert a == b == c == d
 
     def test_obvious_classifier_never_abstains(self):
-        clf = RegionThresholdClassifier((3, 3), "rows", 0, threshold=0.05)
+        clf = RegionThresholdClassifier((3, 3), "rows", 0, threshold=0.05).params()
         x = np.zeros((3, 3))
         x[0, 0] = 1.0
         pred = smoothed_predict(clf, x, NoiseSpec(FLOW, 0.02), n=2000,
@@ -133,13 +177,13 @@ class TestSmoothedPredict:
     @pytest.mark.parametrize("orientation", ["rows", "cols"])
     def test_vote_fraction_matches_exact_probability(self, orientation):
         # "rows" sees only vertical flow noise, "cols" only horizontal.
-        clf = RegionThresholdClassifier((3, 3), orientation, 1, threshold=0.55)
+        region = RegionThresholdClassifier((3, 3), orientation, 1, threshold=0.55)
         rng = np.random.default_rng(31)
         x = rng.dirichlet(np.ones(9)).reshape(3, 3)
         sigma = 0.15
-        pred = smoothed_predict(clf, x, NoiseSpec(FLOW, sigma), n=20000,
+        pred = smoothed_predict(region.params(), x, NoiseSpec(FLOW, sigma), n=20000,
                                 rng=np.random.default_rng(8), alpha=0.5)
-        p_exact = clf.exact_positive_probability(x, sigma)
+        p_exact = region.exact_positive_probability(x, sigma)
         votes_for_positive = pred.top_counts[0] if pred.predicted == 1 else pred.top_counts[1]
         se = math.sqrt(p_exact * (1 - p_exact) / 20000)
         assert votes_for_positive / 20000 == pytest.approx(p_exact, abs=5 * se)
@@ -259,7 +303,7 @@ class TestRadiusFormulas:
 
 class TestCertify:
     def test_confident_classifier_gets_certificate(self):
-        clf = RegionThresholdClassifier((3, 3), "rows", 0, threshold=0.2)
+        clf = RegionThresholdClassifier((3, 3), "rows", 0, threshold=0.2).params()
         x = np.zeros((3, 3))
         x[0, :] = 1 / 3
         spec = NoiseSpec(FLOW, 0.05)
@@ -271,7 +315,7 @@ class TestCertify:
 
     def test_coin_flip_classifier_abstains(self):
         # Aggregate sits exactly at the threshold, so votes split evenly.
-        clf = RegionThresholdClassifier((2, 2), "rows", 0, threshold=0.5)
+        clf = RegionThresholdClassifier((2, 2), "rows", 0, threshold=0.5).params()
         x = np.full((2, 2), 0.25)
         cert = certify(clf, x, NoiseSpec(FLOW, 0.1), n0=100, n=1000,
                        rng=np.random.default_rng(6))
@@ -279,7 +323,7 @@ class TestCertify:
         assert cert.rho2 is None
 
     def test_deterministic_and_worker_invariant(self):
-        clf = RegionThresholdClassifier((3, 3), "cols", 1, threshold=0.6)
+        clf = RegionThresholdClassifier((3, 3), "cols", 1, threshold=0.6).params()
         x = np.full((3, 3), 1 / 9)
         spec = NoiseSpec(PIXEL, 0.1)
         a = certify(clf, x, spec, n0=500, n=2500, rng=np.random.default_rng(7))
@@ -289,7 +333,7 @@ class TestCertify:
         assert a == b == c
 
     def test_zero_sigma_certifies_zero_radius(self):
-        clf = RegionThresholdClassifier((2, 2), "rows", 0, threshold=0.3)
+        clf = RegionThresholdClassifier((2, 2), "rows", 0, threshold=0.3).params()
         x = np.array([[0.5, 0.5], [0.0, 0.0]])
         cert = certify(clf, x, NoiseSpec(FLOW, 0.0), n0=50, n=500,
                        rng=np.random.default_rng(8))
@@ -297,7 +341,7 @@ class TestCertify:
         assert cert.rho2 == 0.0
 
     def test_rejects_bad_budgets(self):
-        clf = RegionThresholdClassifier((2, 2), "rows", 0, threshold=0.3)
+        clf = RegionThresholdClassifier((2, 2), "rows", 0, threshold=0.3).params()
         x = np.full((2, 2), 0.25)
         with pytest.raises(ValueError):
             certify(clf, x, NoiseSpec(FLOW, 0.1), n0=0)
