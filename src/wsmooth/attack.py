@@ -3,10 +3,13 @@
 The adversary perturbs the image by a local flow plan whose L1 norm (equal
 to the Wasserstein-L1 cost of the perturbation) is capped by a slowly
 growing radius.  Gradients of the expected cross-entropy are estimated by
-Monte Carlo over the smoothing noise and pulled back to the flow coordinates
-through the adjoint of the divergence; after each ascent step the plan is
-projected onto the current L1 ball.  The attacked prediction uses the full
-abstaining decision rule, and abstention counts as a successful attack.
+Monte Carlo over the smoothing noise on the folded classifier that votes in
+smoothing, whose input is the noise draw itself: under flow noise its
+gradient is already in the flow coordinates, and under pixel noise it is
+pulled back through the adjoint of the divergence.  After each ascent step
+the plan is projected onto the current L1 ball.  The attacked prediction
+uses the full abstaining decision rule, and abstention counts as a
+successful attack.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ import numpy as np
 from .classifier import input_gradient_batch
 from .flow_domain import (LocalFlowPlan, as_channels, divergence, divergence_adjoint, edge_count,
                           pack_edges, unpack_edges)
-from .smoothing import NoiseSpec, SmoothedPrediction, _as_rng, _sample_increments, smoothed_predict
+from .smoothing import (PIXEL, NoiseSpec, SmoothedPrediction, _as_rng, _edge_noise,
+                        _fold_first_layer, smoothed_predict)
 from .transport_oracle import per_channel_wasserstein, wasserstein_grid_l1
 
 
@@ -125,10 +129,21 @@ def _delta_to_plans(delta: np.ndarray, cshape: tuple[int, int, int]) -> list[Loc
 def _flow_gradient(classifier, perturbed: np.ndarray, label: int, spec: NoiseSpec,
                    samples: int, rng) -> np.ndarray:
     """Monte Carlo gradient of the expected cross-entropy with respect to the
-    packed flow coordinates, via the adjoint of the divergence."""
-    inc = _sample_increments(spec, perturbed.shape, samples, rng)
-    g_pix = input_gradient_batch(classifier, perturbed[None] + inc, np.full(samples, label))
-    return pack_edges(*divergence_adjoint(g_pix.mean(axis=0)))
+    packed flow coordinates.
+
+    The classifier sees perturbed + D e with perturbed = x + D delta, so
+    delta and the flow noise e enter the same way.  The gradient is taken
+    with respect to the noise input of the classifier folded at
+    ``perturbed``: under flow noise it is already in packed edge
+    coordinates; under pixel noise (D = I) it is a pixel gradient, pulled
+    back through the adjoint of the divergence.
+    """
+    folded = _fold_first_layer(classifier, perturbed, spec)
+    noise = _edge_noise(spec, perturbed.shape, samples, rng)
+    grad = input_gradient_batch(folded, noise, np.full(samples, label)).mean(axis=0)
+    if spec.scheme == PIXEL:
+        return pack_edges(*divergence_adjoint(grad.reshape(perturbed.shape)))
+    return grad
 
 
 def _oracle_radius(clean: np.ndarray, perturbed: np.ndarray) -> float | None:

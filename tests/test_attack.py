@@ -9,14 +9,16 @@ from wsmooth import (
     ClassifierParams,
     NoiseSpec,
     flow_pgd_attack,
+    init_params,
+    input_gradient_batch,
     l1_norm,
     make_dataset,
     project_l1_ball,
     robustness_curve,
 )
-from wsmooth.attack import _delta_to_plans
-from wsmooth.flow_domain import pack_edges, unpack_edges
-from wsmooth.smoothing import FLOW
+from wsmooth.attack import _delta_to_plans, _flow_gradient
+from wsmooth.flow_domain import divergence, divergence_adjoint, edge_count, pack_edges, unpack_edges
+from wsmooth.smoothing import FLOW, PIXEL, _sample_increments
 
 from analytic import brute_force_l1_projection
 
@@ -209,6 +211,35 @@ class TestFlowPgd:
         res = flow_pgd_attack(params, split_image(0.75), 1, self.spec,
                               self.cfg(iterations=0), rng=7)
         assert not res.success and res.clean_correct
+
+
+class TestFoldedGradient:
+    @pytest.mark.parametrize("scheme", [FLOW, PIXEL])
+    @pytest.mark.parametrize("hidden", [None, 16])
+    def test_equals_pixel_backprop_pulled_back(self, scheme, hidden):
+        # The gradient of the folded classifier is the pixel-space gradient
+        # of the noisy images pulled back through D^T, on the same draws.
+        cshape, samples, label = (2, 4, 5), 64, 2
+        rng = np.random.default_rng(21 + (hidden or 0))
+        params = init_params(cshape, 3, hidden=hidden, rng=rng)
+        x = rng.dirichlet(np.ones(40)).reshape(cshape)
+        perturbed = x + divergence(*unpack_edges(0.01 * rng.normal(size=edge_count(cshape)), cshape))
+        spec = NoiseSpec(scheme, 0.2)
+        inc = _sample_increments(spec, cshape, samples, np.random.default_rng(4))
+        g_pix = input_gradient_batch(params, perturbed[None] + inc, np.full(samples, label))
+        reference = pack_edges(*divergence_adjoint(g_pix.mean(axis=0)))
+        grad = _flow_gradient(params, perturbed, label, spec, samples, np.random.default_rng(4))
+        assert grad.shape == reference.shape
+        assert np.abs(grad - reference).max() <= 1e-12 * np.abs(reference).max()
+
+    @pytest.mark.parametrize("scheme", [FLOW, PIXEL])
+    def test_attack_runs_under_both_schemes(self, scheme):
+        cfg = AttackConfig(iterations=40, gradient_samples=32, max_radius=0.5,
+                           growth_interval=5, predict_samples=1000)
+        res = flow_pgd_attack(halves_classifier(), split_image(0.56), 1, NoiseSpec(scheme, 0.01),
+                              cfg, rng=7)
+        assert res.clean_correct and res.success
+        assert 0 < res.budget <= 0.5 + 1e-12
 
 
 class TestRobustnessCurve:

@@ -22,7 +22,8 @@ from wsmooth import (
 )
 from wsmooth.classifier import _forward
 from wsmooth.flow_domain import divergence, unpack_edges
-from wsmooth.smoothing import FLOW, PIXEL, _edge_noise, _fold_first_layer, _sample_increments
+from wsmooth.smoothing import (DRAW_BLOCK, FLOW, PIXEL, _edge_noise, _fold_first_layer,
+                               _sample_increments, _vote_counts)
 
 from analytic import RegionThresholdClassifier, laplace_sum_sf, laplace_sum_sf_quad
 
@@ -140,6 +141,24 @@ class TestDecisionRule:
     def test_exact_tie_abstains(self):
         assert prediction_from_counts(np.array([500, 500]), 0.05).predicted == ABSTAIN
 
+    def test_closed_form_matches_binomtest(self):
+        # The rule sees a tally only as (top, runner-up), so (k, n - k) with
+        # k >= n - k covers every two-class tally up to n = 300.  Above that,
+        # a seeded sample up to n = 10^4: a tie, a count near the middle and
+        # a count anywhere in [0, n] for each sampled n.
+        pairs = [(k, n) for n in range(1, 301) for k in range((n + 1) // 2, n + 1)]
+        sample = np.random.default_rng(2019)
+        for n in sample.integers(301, 10**4 + 1, size=100):
+            n = int(n)
+            pairs += [(n // 2, 2 * (n // 2)), (int(sample.binomial(n, sample.uniform(0.4, 0.6))), n),
+                      (int(sample.integers(0, n + 1)), n)]
+        for k, n in pairs:
+            reference = stats.binomtest(k, n, 0.5).pvalue
+            for alpha in (0.01, 0.05):
+                pred = prediction_from_counts(np.array([k, n - k]), alpha)
+                assert (pred.predicted != ABSTAIN) == (reference <= alpha), (k, n, alpha)
+            assert abs(pred.p_value - reference) <= 1e-11 * reference, (k, n)
+
     def test_runner_up_is_second_best(self):
         pred = prediction_from_counts(np.array([10, 700, 290]), alpha=0.05)
         assert pred.predicted == 2
@@ -187,6 +206,67 @@ class TestSmoothedPredict:
         votes_for_positive = pred.top_counts[0] if pred.predicted == 1 else pred.top_counts[1]
         se = math.sqrt(p_exact * (1 - p_exact) / 20000)
         assert votes_for_positive / 20000 == pytest.approx(p_exact, abs=5 * se)
+
+
+class TestDrawBlocks:
+    @pytest.mark.parametrize("n", [1, DRAW_BLOCK - 1, DRAW_BLOCK, DRAW_BLOCK + 1, 1001, 2125])
+    def test_ragged_blocks_count_every_draw(self, n):
+        params = init_params((4, 5), 3, hidden=8, rng=np.random.default_rng(n))
+        x = np.full((4, 5), 1 / 20)
+        spec = NoiseSpec(FLOW, 0.3)
+        counts = _vote_counts(params, x, spec, n, np.random.default_rng(9), workers=1)
+        assert counts.sum() == n
+        assert np.array_equal(counts, _vote_counts(params, x, spec, n, np.random.default_rng(9),
+                                                   workers=3))
+        pred = [smoothed_predict(params, x, spec, n=n, rng=np.random.default_rng(10), workers=w)
+                for w in (1, 3)]
+        assert pred[0] == pred[1] and pred[0].num_samples == n
+        cert = [certify(params, x, spec, n0=n, n=n, rng=np.random.default_rng(11), workers=w)
+                for w in (1, 3)]
+        assert cert[0] == cert[1]
+
+
+class TestSharpInstance:
+    """Soundness on an instance where the certificate can be checked exactly.
+
+    RegionThresholdClassifier((1, m), "cols", j, t) sees flow noise through
+    one coordinate, edge j, so its smoothed score at margin = aggregate - t
+    is exactly p = 1 - exp(-margin / b) / 2.  Moving margin of mass across
+    edge j puts the score at 1/2, so no sound flow-L1 radius exceeds the
+    margin.
+    """
+
+    x = np.array([[0.3, 0.3, 0.2, 0.2]])
+
+    def region(self, margin):
+        return RegionThresholdClassifier((1, 4), "cols", 1, threshold=0.6 - margin)
+
+    @pytest.mark.parametrize("sigma", [0.05, 0.2])
+    @pytest.mark.parametrize("ratio", [0.05, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0])
+    def test_exact_radius_within_margin(self, sigma, ratio):
+        b = sigma / math.sqrt(2.0)
+        margin = ratio * b
+        p = 1.0 - 0.5 * math.exp(-margin / b)
+        assert self.region(margin).exact_positive_probability(self.x, sigma) == pytest.approx(
+            p, rel=1e-12)
+        radius = radius_from_plower(p, sigma, FLOW, GroundMetric.L1)
+        assert radius <= margin * (1.0 + 1e-9)
+
+    def test_monte_carlo_radius_within_margin(self):
+        # Fixed before measuring: 40 seeds, n0 = 100, n = 1000, alpha = 0.05
+        # and margin = 1.5 b.  The Clopper-Pearson bound exceeds p in at most
+        # an alpha share of runs, so more than binom.ppf(1 - 1e-3, 40, alpha)
+        # = 7 over-claims fails a sound pipeline with probability < 1e-3.
+        sigma, alpha, seeds = 0.1, 0.05, 40
+        margin = 1.5 * sigma / math.sqrt(2.0)
+        params = self.region(margin).params()
+        over = 0
+        for seed in range(seeds):
+            cert = certify(params, self.x, NoiseSpec(FLOW, sigma), n0=100, n=1000, alpha=alpha,
+                           rng=np.random.default_rng(seed))
+            assert cert.predicted == 1
+            over += radius_from_plower(cert.p_lower, sigma, FLOW, GroundMetric.L1) > margin
+        assert over <= stats.binom.ppf(1.0 - 1e-3, seeds, alpha)
 
 
 class TestLaplaceSumClosedForm:
