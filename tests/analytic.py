@@ -198,6 +198,28 @@ def brute_force_l1_projection(v: np.ndarray, radius: float) -> np.ndarray:
     return best
 
 
+def full_coupling_lp(a: np.ndarray, b: np.ndarray, cost: np.ndarray) -> float:
+    """Reference W1 distance from the full coupling LP over all N^2 pixel
+    pairs, with row marginal a, column marginal b and any ground cost: no
+    assumption that shared mass stays in place.  Solved by HiGHS at the
+    tolerances the package uses; the redundant last marginal row is dropped.
+    """
+    from scipy.optimize import linprog
+    import scipy.sparse as sp
+
+    npix = a.size
+    eye = sp.eye(npix, format="csr")
+    ones = sp.csr_matrix(np.ones((1, npix)))
+    a_eq = sp.vstack([sp.kron(eye, ones), sp.kron(ones, eye)], format="csr")
+    b_eq = np.concatenate([a.ravel(), b.ravel()])
+    res = linprog(cost.ravel(), A_eq=a_eq[:-1], b_eq=b_eq[:-1], bounds=(0, None),
+                  method="highs", options={"primal_feasibility_tolerance": 1e-10,
+                                           "dual_feasibility_tolerance": 1e-9,
+                                           "presolve": False})
+    assert res.status == 0, res.message
+    return float(res.fun)
+
+
 def successive_shortest_paths_grid_l1(a: np.ndarray, b: np.ndarray) -> float:
     """Independent reference for the grid W1 distance under the L1 ground
     metric: min-cost flow on the 4-adjacency grid with unit arc costs,

@@ -16,8 +16,9 @@ from wsmooth import (
     wasserstein_grid_l1,
     wasserstein_lp,
 )
+from wsmooth.transport_oracle import MAX_LP_PIXELS
 
-from analytic import min_flow_plan, successive_shortest_paths_grid_l1
+from analytic import full_coupling_lp, min_flow_plan, successive_shortest_paths_grid_l1
 from conftest import image_flow_pairs, image_pairs
 
 
@@ -64,16 +65,6 @@ class TestCouplingLp:
 
     @settings(max_examples=30, deadline=None)
     @given(image_pairs(min_side=2, max_side=3))
-    def test_plan_marginals(self, pair):
-        x, xp = pair
-        _, plan = wasserstein_lp(x, xp)
-        assert plan.shape == (x.size, x.size) and plan.min() >= 0.0
-        row, col = plan.sum(axis=1), plan.sum(axis=0)
-        assert np.abs(row - x.ravel() / x.sum()).max() < 1e-8
-        assert np.abs(col - xp.ravel() / xp.sum()).max() < 1e-8
-
-    @settings(max_examples=30, deadline=None)
-    @given(image_pairs(min_side=2, max_side=3))
     def test_metric_sandwich(self, pair):
         x, xp = pair
         d1, _ = wasserstein_lp(x, xp, GroundMetric.L1)
@@ -87,6 +78,59 @@ class TestCouplingLp:
         x, xp = pair
         d2, _ = wasserstein_lp(x, xp, GroundMetric.L2)
         assert np.abs(x - xp).sum() <= 2.0 * d2 + 1e-8
+
+
+def check_reduced_coupling(x, xp, metric):
+    """wasserstein_lp against the full N^2 coupling LP: same distance, and a
+    nonnegative coupling with the right marginals, min(a, b) on its diagonal
+    and cost equal to the distance."""
+    a, b = x / x.sum(), xp / xp.sum()
+    cost = metric.cost_matrix(a.shape)
+    dist, plan = wasserstein_lp(x, xp, metric)
+    assert abs(dist - full_coupling_lp(a, b, cost)) <= 1e-9
+    assert plan.shape == (a.size, a.size) and plan.min() >= 0.0
+    assert np.abs(plan.sum(axis=1) - a.ravel()).max() <= 1e-9
+    assert np.abs(plan.sum(axis=0) - b.ravel()).max() <= 1e-9
+    assert np.array_equal(np.diag(plan), np.minimum(a, b).ravel())
+    assert abs(float((cost * plan).sum()) - dist) <= 1e-9
+    return dist, plan
+
+
+@pytest.mark.parametrize("metric", list(GroundMetric))
+class TestReducedCouplingLp:
+    """The coupling LP ships only x - xp; the full LP over every pixel pair
+    is the reference."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(image_pairs(min_side=2, max_side=3))
+    def test_small_grids_match_full_lp(self, metric, pair):
+        check_reduced_coupling(*pair, metric)
+
+    def test_largest_grids_match_full_lp(self, metric, rng):
+        side = int(np.sqrt(MAX_LP_PIXELS))
+        for _ in range(20):
+            x, xp = rng.dirichlet(np.ones(side * side), size=2).reshape(2, side, side)
+            check_reduced_coupling(x, xp, metric)
+
+    def test_one_ulp_apart(self, metric, rng):
+        x = rng.dirichlet(np.ones(9)).reshape(3, 3)
+        xp = x.copy()
+        xp[0, 0] = np.nextafter(xp[0, 0], 1.0)
+        xp[2, 1] = np.nextafter(xp[2, 1], 0.0)
+        dist, _ = check_reduced_coupling(x, xp, metric)
+        assert dist <= 1e-15
+
+    def test_disjoint_supports(self, metric, rng):
+        x = np.zeros((3, 3))
+        xp = np.zeros((3, 3))
+        x[:, 0] = rng.dirichlet(np.ones(3))
+        xp[:, 2] = rng.dirichlet(np.ones(3))
+        dist, plan = check_reduced_coupling(x, xp, metric)
+        assert dist >= 2.0 - 1e-9 and not np.diag(plan).any()
+
+    def test_single_pixel(self, metric):
+        dist, plan = wasserstein_lp(np.ones((1, 1)), np.ones((1, 1)), metric)
+        assert dist == 0.0 and np.array_equal(plan, np.ones((1, 1)))
 
 
 class TestGridSolver:
