@@ -29,8 +29,6 @@ from .dataset_io import (
     synthetic_dataset,
 )
 from .flow_domain import (
-    EdgeFlow,
-    LocalFlowPlan,
     NormalizationError,
     RawGrid,
     ShapeMismatchError,

@@ -20,8 +20,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .classifier import input_gradient_batch
-from .flow_domain import (LocalFlowPlan, as_channels, divergence, divergence_adjoint, edge_count,
-                          pack_edges, unpack_edges)
+from .flow_domain import (as_channels, divergence, divergence_adjoint, edge_count, pack_edges,
+                          unpack_edges)
 from .smoothing import (PIXEL, NoiseSpec, SmoothedPrediction, _as_rng, _edge_noise,
                         _fold_first_layer, smoothed_predict)
 from .transport_oracle import per_channel_wasserstein, wasserstein_grid_l1
@@ -105,25 +105,24 @@ class AttackConfig:
 class AttackResult:
     """Outcome of attacking one image.
 
-    plans holds the final per-channel flow perturbation; budget is its L1
-    norm, which upper bounds the true Wasserstein cost.  oracle_radius is
-    the exact Wasserstein-L1 distance between the clean and perturbed image
-    when the perturbed image stayed nonnegative (None otherwise).  iteration
-    is the first iteration whose full prediction disagreed with the label,
-    with 0 meaning the clean prediction was already wrong.
+    plans holds the final flow perturbation as a (C, E_c) array: row k is
+    channel k's packed edge vector (the flow_domain.unpack_edges layout of
+    one channel), so the rows in order are the attack's packed delta.
+    budget is its L1 norm, which upper bounds the true Wasserstein cost.
+    oracle_radius is the exact Wasserstein-L1 distance between the clean
+    and perturbed image when the perturbed image stayed nonnegative (None
+    otherwise).  iteration is the first iteration whose full prediction
+    disagreed with the label, with 0 meaning the clean prediction was
+    already wrong.
     """
 
     success: bool
     clean_correct: bool
-    plans: list[LocalFlowPlan]
+    plans: np.ndarray
     budget: float
     iteration: int | None
     prediction: SmoothedPrediction
     oracle_radius: float | None
-
-
-def _delta_to_plans(delta: np.ndarray, cshape: tuple[int, int, int]) -> list[LocalFlowPlan]:
-    return [LocalFlowPlan(v, h) for v, h in zip(*unpack_edges(delta, cshape))]
 
 
 def _flow_gradient(classifier, perturbed: np.ndarray, label: int, spec: NoiseSpec,
@@ -177,7 +176,7 @@ def flow_pgd_attack(classifier, x, label: int, spec: NoiseSpec,
     )
     delta = np.zeros(edge_count(cshape))
     if clean_pred.predicted != label:
-        return AttackResult(True, False, _delta_to_plans(delta, cshape), 0.0, 0, clean_pred, 0.0)
+        return AttackResult(True, False, delta.reshape(cshape[0], -1), 0.0, 0, clean_pred, 0.0)
 
     last_evaluated = delta
     step = config.resolved_step
@@ -198,11 +197,11 @@ def flow_pgd_attack(classifier, x, label: int, spec: NoiseSpec,
         last_evaluated = delta
         if pred.predicted != label:
             return AttackResult(
-                True, True, _delta_to_plans(delta, cshape), float(np.abs(delta).sum()),
+                True, True, delta.reshape(cshape[0], -1), float(np.abs(delta).sum()),
                 it, pred, _oracle_radius(channels, perturbed),
             )
     return AttackResult(
-        False, True, _delta_to_plans(delta, cshape), float(np.abs(delta).sum()),
+        False, True, delta.reshape(cshape[0], -1), float(np.abs(delta).sum()),
         None, pred, None,
     )
 

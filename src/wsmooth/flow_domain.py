@@ -3,16 +3,18 @@
 An image is a plain float array, (n, m) or (C, n, m), of nonnegative
 intensities whose grand total is 1; ``unit_mass`` checks that where an
 image enters the package and ``as_channels`` views either form as
-(C, n, m).  A local flow plan moves mass only between vertically or
-horizontally adjacent pixels.  Applying a plan f to an image x gives
+(C, n, m).  A local flow moves mass only between vertically or
+horizontally adjacent pixels.  Applying a flow f to an image x gives
 x + D f, where D is the grid divergence: each pixel gains its net inflow,
 so total mass is conserved even though individual pixels may go negative.
 ``divergence`` and its adjoint ``divergence_adjoint`` are the one
 implementation of D and D^T that smoothing, training and the attack
 share; both are batched over leading axes.  ``pack_edges`` /
 ``unpack_edges`` are the one flat layout of a (C, n, m) image's edge
-values, in which smoothing draws its noise and the attack keeps its
-perturbation.
+values, and a flow is always an array in that layout: smoothing draws its
+noise there, the attack keeps its perturbation there, and the grid oracle
+returns its directed edge flow as a (2, E) array whose rows ship forward
+and backward along the same packed edges.
 """
 
 from __future__ import annotations
@@ -37,11 +39,6 @@ def _as_float_grid(values, name: str = "values") -> np.ndarray:
     a = np.asarray(values, dtype=float)
     if a.ndim != 2 or a.size == 0:
         raise ShapeMismatchError(f"{name} must be a nonempty 2-D grid, got shape {a.shape}")
-    return a
-
-
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
     return a
 
 
@@ -83,92 +80,19 @@ class RawGrid:
     values: np.ndarray
 
     def __post_init__(self):
-        a = _as_float_grid(self.values)
+        a = _as_float_grid(self.values).copy()
         total = float(a.sum())
         if not abs(total - 1.0) <= MASS_TOL:  # NaN fails too
             raise NormalizationError(f"total mass {total!r} is not 1 within {MASS_TOL}")
-        self.values = _freeze(a.copy())
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.values.shape
-
-
-@dataclass
-class LocalFlowPlan:
-    """Signed net flows on the 4-adjacency edges of an n x m grid.
-
-    vert[i, j] moves mass from pixel (i, j) to (i+1, j); horiz[i, j] from
-    (i, j) to (i, j+1).  Negative entries move in the opposite direction.
-    Flows across the image boundary do not exist, hence the (n-1) x m and
-    n x (m-1) shapes.
-    """
-
-    vert: np.ndarray
-    horiz: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.vert, dtype=float)
-        h = np.asarray(self.horiz, dtype=float)
-        if v.ndim != 2 or h.ndim != 2:
-            raise ShapeMismatchError("vert and horiz must be 2-D arrays")
-        n, m = h.shape[0], v.shape[1]
-        if n < 1 or m < 1:
-            raise ShapeMismatchError("flow plan must describe a grid with at least one pixel")
-        if v.shape != (n - 1, m) or h.shape != (n, m - 1):
-            raise ShapeMismatchError(
-                f"inconsistent flow shapes vert {v.shape}, horiz {h.shape}: "
-                f"expected ({n - 1}, {m}) and ({n}, {m - 1})"
-            )
-        self.vert = _freeze(v.copy())
-        self.horiz = _freeze(h.copy())
-
-    @property
-    def image_shape(self) -> tuple[int, int]:
-        return (self.horiz.shape[0], self.vert.shape[1])
-
-
-@dataclass
-class EdgeFlow:
-    """Nonnegative directed flows on ordered pairs of 4-adjacent pixels.
-
-    down[i, j] ships from (i, j) to (i+1, j) and up[i, j] the reverse;
-    right[i, j] ships from (i, j) to (i, j+1) and left[i, j] the reverse.
-    Opposite directions are stored separately, so a pair may circulate mass
-    both ways at positive total cost.
-    """
-
-    down: np.ndarray
-    up: np.ndarray
-    right: np.ndarray
-    left: np.ndarray
-
-    def __post_init__(self):
-        d = np.asarray(self.down, dtype=float)
-        u = np.asarray(self.up, dtype=float)
-        r = np.asarray(self.right, dtype=float)
-        l = np.asarray(self.left, dtype=float)
-        if d.ndim != 2 or r.ndim != 2:
-            raise ShapeMismatchError("edge flows must be 2-D arrays")
-        n, m = r.shape[0], d.shape[1]
-        if d.shape != (n - 1, m) or r.shape != (n, m - 1):
-            raise ShapeMismatchError(
-                f"inconsistent edge-flow shapes down {d.shape}, right {r.shape}"
-            )
-        if u.shape != d.shape or l.shape != r.shape:
-            raise ShapeMismatchError("paired directions must share a shape")
-        for name, arr in (("down", d), ("up", u), ("right", r), ("left", l)):
-            if np.any(arr < 0):
-                raise ValueError(f"{name} flows must be nonnegative")
-        self.down, self.up = _freeze(d.copy()), _freeze(u.copy())
-        self.right, self.left = _freeze(r.copy()), _freeze(l.copy())
+        a.setflags(write=False)
+        self.values = a
 
 
 def divergence(vert: np.ndarray, horiz: np.ndarray) -> np.ndarray:
     """Net inflow D f of every pixel under the signed edge flows f.
 
     vert has shape (..., n-1, m) and horiz (..., n, m-1), with the sign
-    convention of LocalFlowPlan; the result has shape (..., n, m) and each
+    convention of unpack_edges; the result has shape (..., n, m) and each
     of its grids sums to zero.
     """
     out = np.zeros(horiz.shape[:-1] + vert.shape[-1:])
@@ -201,7 +125,10 @@ def unpack_edges(edges: np.ndarray, cshape: tuple[int, int, int]) -> tuple[np.nd
     The packed vector holds, channel by channel, the row-major vertical
     edges followed by the row-major horizontal edges; pack_edges inverts
     this.  edges has shape (..., edge_count(cshape)); the results have
-    shapes (..., C, n-1, m) and (..., C, n, m-1).
+    shapes (..., C, n-1, m) and (..., C, n, m-1).  vert[..., i, j] moves
+    mass from pixel (i, j) to (i+1, j) and horiz[..., i, j] from (i, j) to
+    (i, j+1); negative values move it the opposite way.  Flows across the
+    image boundary do not exist.
     """
     c, n, m = cshape
     nv = (n - 1) * m
@@ -218,24 +145,31 @@ def pack_edges(vert: np.ndarray, horiz: np.ndarray) -> np.ndarray:
     return flat.reshape(lead[:-1] + (-1,))
 
 
-def apply_flow(x, plan: LocalFlowPlan) -> RawGrid:
+def apply_flow(x, edges) -> RawGrid:
     """Redistribute the mass of ``x`` (an (n, m) array or a RawGrid) along
-    the signed flows in ``plan``.
+    the signed flows ``edges``, a packed vector of length
+    edge_count((1, n, m)).
 
     Each pixel gains what its up/left neighbors push in and loses what it
     pushes out, so the total is preserved exactly up to float rounding.
-    Destination pixels can go negative; the result is a RawGrid.
+    Destination pixels can go negative; the result is a RawGrid.  The
+    packed length 2nm - n - m is the same for (n, m) and (m, n), so only
+    the length is checked: the caller must pass flows made for the image's
+    own shape.
     """
     a = _as_float_grid(x.values if isinstance(x, RawGrid) else x, "image")
-    if plan.image_shape != a.shape:
-        raise ShapeMismatchError(f"plan for {plan.image_shape} applied to image of shape {a.shape}")
-    return RawGrid(a + divergence(plan.vert, plan.horiz))
+    cshape = (1,) + a.shape
+    f = np.asarray(edges, dtype=float)
+    if f.shape != (edge_count(cshape),):
+        raise ShapeMismatchError(f"flow of shape {f.shape} applied to image of shape {a.shape}: "
+                                 f"expected ({edge_count(cshape)},)")
+    return RawGrid(a + divergence(*unpack_edges(f, cshape))[0])
 
 
-def l1_norm(plan: LocalFlowPlan) -> float:
-    """Total moved mass |plan|_1, the transport cost of the plan under unit
-    per-step cost."""
-    return float(np.abs(plan.vert).sum() + np.abs(plan.horiz).sum())
+def l1_norm(edges) -> float:
+    """Total moved mass |edges|_1, the transport cost of a signed packed
+    flow under unit per-step cost."""
+    return float(np.abs(edges).sum())
 
 
 def solve_flow_1d(x, xp) -> np.ndarray:
@@ -259,12 +193,16 @@ def solve_flow_1d(x, xp) -> np.ndarray:
     return (np.cumsum(xa) - np.cumsum(xpa))[:-1]
 
 
-def flow_from_edge(g: EdgeFlow) -> LocalFlowPlan:
-    """Net signed plan of a directed edge flow.
+def flow_from_edge(arcs) -> np.ndarray:
+    """Net signed packed flow of a nonnegative (2, E) directed edge flow
+    whose rows ship forward (down / right) and backward (up / left) in the
+    packed order.
 
-    Opposite directions on the same pixel pair cancel, so the plan's L1 norm
-    never exceeds the edge flow's total and is strictly smaller whenever the
-    flow circulates mass both ways.
+    Opposite directions on the same pixel pair cancel, so the net flow's L1
+    norm never exceeds the directed total and is strictly smaller whenever
+    the flow circulates mass both ways.
     """
-    return LocalFlowPlan(g.down - g.up, g.right - g.left)
-
+    a = np.asarray(arcs, dtype=float)
+    if a.ndim != 2 or a.shape[0] != 2:
+        raise ShapeMismatchError(f"directed edge flow must have shape (2, E), got {a.shape}")
+    return a[0] - a[1]

@@ -29,8 +29,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import betainc
-from scipy.stats import beta
+from scipy.special import betainc, betaincinv
 
 from .flow_domain import (ShapeMismatchError, as_channels, divergence, divergence_adjoint,
                           edge_count, pack_edges, unpack_edges)
@@ -263,7 +262,7 @@ def clopper_pearson_lower(k: int, n: int, alpha: float) -> float:
         return 0.0
     if k == n:
         return float(alpha ** (1.0 / n))
-    return float(beta.ppf(alpha, k, n - k + 1))
+    return float(betaincinv(k, n - k + 1, alpha))
 
 
 def radius_from_plower(p_lower: float, sigma: float, scheme: str,

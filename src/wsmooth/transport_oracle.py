@@ -8,7 +8,8 @@ formulation of Ling & Okada, TPAMI 2007, exact on much larger grids).  Both
 are solved by HiGHS.  The coupling LP leaves the mass the two images share
 in place and ships only the difference, from the pixels with surplus to
 those with deficit; that is exact because the ground cost is a metric.  The
-flow route also yields a feasible local flow plan of minimal L1 norm.
+flow route also yields the optimal directed edge flow, whose net packed
+flow is feasible with minimal L1 norm.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import linprog
 
-from .flow_domain import EdgeFlow, ShapeMismatchError, flow_from_edge, unit_mass
+from .flow_domain import ShapeMismatchError, flow_from_edge, unit_mass
 
 # The dense LP has N^2 variables; past 64 pixels it stops being an oracle
 # and starts being a liability.
@@ -143,9 +144,10 @@ def _grid_incidence(n: int, m: int) -> sp.csr_matrix:
 
     Entry (u, arc) is +1 when the arc leaves pixel u and -1 when it enters
     it, so the product with an arc flow is each pixel's net outflow.  Arcs
-    are laid out in four blocks (down, up, right, left) so solved flows
-    reshape directly into an EdgeFlow.  Callers share the cached matrix and
-    must not modify it.
+    are laid out in four blocks (down, up, right, left), each row-major, so
+    the (down, up) and (right, left) halves of a solved flow each reshape
+    to two rows of the packed (2, E) layout.  Callers share the cached
+    matrix and must not modify it.
     """
     idx = np.arange(n * m).reshape(n, m)
     down = np.stack([idx[:-1, :].ravel(), idx[1:, :].ravel()])
@@ -174,34 +176,26 @@ def _min_cost_flow_grid(a: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray
     return _solve_lp(np.ones(incidence.shape[1]), incidence, (a - b).ravel())
 
 
-def _edge_flow_from_arcs(flow: np.ndarray, shape: tuple[int, int]) -> EdgeFlow:
-    n, m = shape
-    nv = (n - 1) * m
-    nh = n * (m - 1)
-    return EdgeFlow(
-        flow[:nv].reshape(n - 1, m),
-        flow[nv : 2 * nv].reshape(n - 1, m),
-        flow[2 * nv : 2 * nv + nh].reshape(n, m - 1),
-        flow[2 * nv + nh :].reshape(n, m - 1),
-    )
-
-
-def wasserstein_grid_l1(x, xp) -> tuple[float, EdgeFlow]:
+def wasserstein_grid_l1(x, xp) -> tuple[float, np.ndarray]:
     """Exact 1-Wasserstein distance under the L1 ground metric, computed as
     the minimum total adjacent-pixel flow turning ``x`` into ``xp``.
 
     Moving mass one grid step costs exactly 1 under the L1 metric, so the
     edge flow LP on the adjacency graph (Ling & Okada, TPAMI 2007) equals
-    the coupling LP's optimum.  The returned flow holds the optimal
-    directed edge flows in the down/up/right/left layout.  Netting it with
-    flow_from_edge cannot create opposing flows on a pixel pair, so the
-    resulting plan moves ``x`` to ``xp`` with L1 norm equal to the distance.
+    the coupling LP's optimum.  The returned arcs are the optimal
+    nonnegative directed edge flow, shape (2, edge_count((1, n, m))): row 0
+    ships down / right and row 1 up / left, both in the packed edge order of
+    flow_domain.unpack_edges.  An optimal flow never ships both ways along
+    one pixel pair, so its net flow_from_edge(arcs) moves ``x`` to ``xp``
+    with L1 norm equal to the distance.
     """
     a = _coerce_image(x)
     b = _coerce_image(xp)
     _check_same_shape(a, b)
     distance, flow = _min_cost_flow_grid(a, b)
-    return distance, _edge_flow_from_arcs(flow, a.shape)
+    n, m = a.shape
+    nv = 2 * (n - 1) * m
+    return distance, np.concatenate([flow[:nv].reshape(2, -1), flow[nv:].reshape(2, -1)], axis=1)
 
 
 @dataclass(frozen=True)

@@ -18,8 +18,7 @@ from pathlib import Path
 import numpy as np
 from scipy import integrate, stats
 
-from wsmooth import (ClassifierParams, EdgeFlow, LocalFlowPlan, flow_from_edge,
-                     loss_and_gradients, wasserstein_grid_l1)
+from wsmooth import ClassifierParams, flow_from_edge, loss_and_gradients, wasserstein_grid_l1
 
 
 def laplace_sum_sf(u: float, k: int) -> float:
@@ -124,21 +123,17 @@ class RegionThresholdClassifier:
         return scores
 
 
-def edge_from_flow(plan) -> EdgeFlow:
-    """Directed edge flow shipping each net flow of a LocalFlowPlan in its
-    sign's direction: the minimal-total directed representation, whose total
-    equals the plan's L1 norm and which flow_from_edge inverts exactly."""
-    return EdgeFlow(
-        np.maximum(plan.vert, 0.0),
-        np.maximum(-plan.vert, 0.0),
-        np.maximum(plan.horiz, 0.0),
-        np.maximum(-plan.horiz, 0.0),
-    )
+def edge_from_flow(plan) -> np.ndarray:
+    """(2, E) directed edge flow shipping each entry of a signed packed flow
+    in its sign's direction: the minimal-total directed representation,
+    whose total equals the plan's L1 norm and which flow_from_edge inverts
+    exactly."""
+    return np.stack([np.maximum(plan, 0.0), np.maximum(-plan, 0.0)])
 
 
-def min_flow_plan(x, xp) -> LocalFlowPlan:
-    """The grid oracle's optimal edge flow from x to xp, netted into a local
-    flow plan: feasible, with L1 norm equal to the Wasserstein distance."""
+def min_flow_plan(x, xp) -> np.ndarray:
+    """The grid oracle's optimal edge flow from x to xp, netted into a signed
+    packed flow: feasible, with L1 norm equal to the Wasserstein distance."""
     return flow_from_edge(wasserstein_grid_l1(x, xp)[1])
 
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from wsmooth import LocalFlowPlan
+from wsmooth.flow_domain import edge_count
 
 # Keep test-wide rng construction in one place so seeds stay greppable.
 
@@ -33,12 +33,11 @@ def grid_images(draw, shape=None, min_side=1, max_side=4):
 
 @st.composite
 def flow_plans(draw, shape=None, min_side=1, max_side=4, max_mag=1.0):
+    """A signed packed edge vector of an (n, m) grid."""
     if shape is None:
         shape = draw(grid_shapes(min_side, max_side))
-    n, m = shape
-    vert = draw(hnp.arrays(np.float64, (n - 1, m), elements=_finite_floats(-max_mag, max_mag)))
-    horiz = draw(hnp.arrays(np.float64, (n, m - 1), elements=_finite_floats(-max_mag, max_mag)))
-    return LocalFlowPlan(vert, horiz)
+    return draw(hnp.arrays(np.float64, edge_count((1,) + tuple(shape)),
+                           elements=_finite_floats(-max_mag, max_mag)))
 
 
 @st.composite

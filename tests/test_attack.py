@@ -14,9 +14,11 @@ from wsmooth import (
     l1_norm,
     make_dataset,
     project_l1_ball,
+    per_channel_wasserstein,
     robustness_curve,
+    smoothed_predict,
 )
-from wsmooth.attack import _delta_to_plans, _flow_gradient
+from wsmooth.attack import _flow_gradient
 from wsmooth.flow_domain import divergence, divergence_adjoint, edge_count, pack_edges, unpack_edges
 from wsmooth.smoothing import FLOW, PIXEL, _sample_increments
 
@@ -106,10 +108,11 @@ class TestPacking:
         c, n, m = cshape
         delta = rng.normal(size=c * ((n - 1) * m + n * (m - 1)))
         assert np.array_equal(pack_edges(*unpack_edges(delta, cshape)), delta)
-        plans = _delta_to_plans(delta, cshape)
-        assert len(plans) == c and all(p.image_shape == (n, m) for p in plans)
-        assert np.array_equal(pack_edges(np.stack([p.vert for p in plans]),
-                                    np.stack([p.horiz for p in plans])), delta)
+        # Each channel's block is that channel's own packed vector.
+        vert, horiz = unpack_edges(delta, cshape)
+        rows = delta.reshape(c, -1)
+        for k in range(c):
+            assert np.array_equal(rows[k], pack_edges(vert[k:k + 1], horiz[k:k + 1]))
 
 
 class TestAttackConfig:
@@ -180,7 +183,7 @@ class TestFlowPgd:
         assert res.budget == 0.0
         assert res.iteration == 0
         assert res.oracle_radius == 0.0
-        assert not any(p.vert.any() or p.horiz.any() for p in res.plans)
+        assert res.plans.shape == (1, edge_count((1, 4, 4))) and not res.plans.any()
 
     def test_deterministic_given_seed(self):
         params = halves_classifier()
@@ -192,10 +195,31 @@ class TestFlowPgd:
             assert ((a.success, a.budget, a.iteration, a.prediction, a.oracle_radius)
                     == (other.success, other.budget, other.iteration, other.prediction,
                         other.oracle_radius))
-            assert len(a.plans) == len(other.plans) == 1
-            for pa, pb in zip(a.plans, other.plans):
-                assert np.array_equal(pa.vert, pb.vert)
-                assert np.array_equal(pa.horiz, pb.horiz)
+            assert a.plans.shape == other.plans.shape == (1, edge_count((1, 4, 4)))
+            assert np.array_equal(a.plans, other.plans)
+
+    def test_plans_are_the_packed_delta_one_row_per_channel(self):
+        # A weak random 3-channel model that flips while every pixel stays
+        # nonnegative, so the exact oracle radius ties the rows to the
+        # perturbation the attack evaluated.
+        cshape = (3, 5, 5)
+        x = 0.5 + np.random.default_rng(62).random(cshape)
+        x /= x.sum()
+        params = init_params(cshape, 2, rng=np.random.default_rng(72))
+        spec = NoiseSpec(FLOW, 0.01)
+        label = smoothed_predict(params, x, spec, 300, 0.05, np.random.default_rng(1)).predicted
+        cfg = AttackConfig(iterations=15, gradient_samples=16, max_radius=0.2, step_size=0.02,
+                           predict_samples=300)
+        res = flow_pgd_attack(params, x, label, spec, cfg, rng=5)
+        assert res.success and res.oracle_radius is not None
+        assert res.plans.shape == (3, edge_count((1, 5, 5)))
+        assert l1_norm(res.plans) == pytest.approx(res.budget, abs=1e-12)
+        perturbed = x + divergence(*unpack_edges(res.plans.ravel(), cshape))
+        for k in range(3):
+            one = divergence(*unpack_edges(res.plans[k], (1, 5, 5)))[0]
+            assert np.array_equal(x[k] + one, perturbed[k])
+        assert res.oracle_radius == pytest.approx(
+            per_channel_wasserstein(x, perturbed / perturbed.sum()), abs=1e-12)
 
     def test_robust_image_survives_small_budget(self):
         params = halves_classifier()

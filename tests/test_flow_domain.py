@@ -4,8 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wsmooth import (
-    EdgeFlow,
-    LocalFlowPlan,
     NormalizationError,
     RawGrid,
     ShapeMismatchError,
@@ -14,16 +12,15 @@ from wsmooth import (
     l1_norm,
     solve_flow_1d,
 )
-from wsmooth.flow_domain import as_channels, divergence, divergence_adjoint, unit_mass
+from wsmooth.flow_domain import as_channels, divergence, divergence_adjoint, edge_count, unit_mass
 from wsmooth.transport_oracle import _grid_incidence
 
 from analytic import edge_from_flow
-from conftest import flow_plans, grid_images, image_flow_pairs
+from conftest import flow_plans, grid_images, grid_shapes, image_flow_pairs
 
 
 def zero_plan(shape):
-    n, m = shape
-    return LocalFlowPlan(np.zeros((n - 1, m)), np.zeros((n, m - 1)))
+    return np.zeros(edge_count((1,) + shape))
 
 
 class TestTypes:
@@ -62,15 +59,6 @@ class TestTypes:
             with pytest.raises(NormalizationError):
                 RawGrid(bad)
 
-    def test_plan_shape_consistency(self):
-        LocalFlowPlan(np.zeros((1, 2)), np.zeros((2, 1)))
-        with pytest.raises(ShapeMismatchError):
-            LocalFlowPlan(np.zeros((2, 2)), np.zeros((2, 1)))
-
-    def test_edge_flow_rejects_negative(self):
-        with pytest.raises(ValueError):
-            EdgeFlow(np.array([[-0.1, 0.0]]), np.zeros((1, 2)), np.zeros((2, 1)), np.zeros((2, 1)))
-
     def test_unit_mass_is_grand_total_over_channels(self):
         img = unit_mass(np.stack([np.full((2, 2), 0.1), np.full((2, 2), 0.15)]))
         assert np.allclose(img.sum(axis=(1, 2)), [0.4, 0.6])
@@ -85,16 +73,17 @@ class TestApplyFlow:
         assert np.array_equal(out.values, x)
 
     def test_hand_example_positive_flows(self):
-        # 0.3 flows down out of the corner and 0.2 flows right out of it.
+        # 0.3 flows down out of the corner and 0.2 flows right out of it;
+        # the packed order is vert[0, :] then horiz[:, 0].
         x = np.array([[1.0, 0.0], [0.0, 0.0]])
-        plan = LocalFlowPlan(np.array([[0.3, 0.0]]), np.array([[0.2], [0.0]]))
+        plan = np.array([0.3, 0.0, 0.2, 0.0])
         out = apply_flow(x, plan)
         assert np.allclose(out.values, [[0.5, 0.2], [0.3, 0.0]], atol=1e-12)
 
     def test_hand_example_negative_flow_goes_negative(self):
         # Negative vert flow pulls 0.4 upward out of a pixel holding 0.1.
         x = np.array([[0.2, 0.3], [0.1, 0.4]])
-        plan = LocalFlowPlan(np.array([[-0.4, 0.0]]), np.zeros((2, 1)))
+        plan = np.array([-0.4, 0.0, 0.0, 0.0])
         out = apply_flow(x, plan)
         assert np.allclose(out.values, [[0.6, 0.3], [-0.3, 0.4]], atol=1e-12)
         assert out.values.min() < 0
@@ -104,28 +93,38 @@ class TestApplyFlow:
         with pytest.raises(ShapeMismatchError):
             apply_flow(x, zero_plan((3, 2)))
 
+    def test_refuses_edges_of_wrong_length_or_rank(self):
+        x = np.full((2, 2), 0.25)
+        apply_flow(x, np.zeros(4))
+        for bad in (np.zeros(3), np.zeros(5), np.zeros((1, 4)), np.zeros((2, 4)), np.float64(0.0)):
+            with pytest.raises(ShapeMismatchError):
+                apply_flow(x, bad)
+
+    def test_single_pixel_takes_the_empty_flow(self):
+        assert np.array_equal(apply_flow(np.ones((1, 1)), np.zeros(0)).values, [[1.0]])
+
     @settings(max_examples=200)
     @given(image_flow_pairs())
     def test_mass_conservation(self, pair):
         x, plan = pair
         out = apply_flow(x, plan)
-        budget = 1e-12 * max(plan.vert.size + plan.horiz.size, 1)
+        budget = 1e-12 * max(plan.size, 1)
         assert abs(out.values.sum() - x.sum()) <= budget
 
     @settings(max_examples=100)
     @given(image_flow_pairs(), st.data())
     def test_additivity(self, pair, data):
         x, d1 = pair
-        d2 = data.draw(flow_plans(shape=d1.image_shape))
+        d2 = data.draw(flow_plans(shape=x.shape))
         once = apply_flow(apply_flow(x, d1), d2).values
-        combined = apply_flow(x, LocalFlowPlan(d1.vert + d2.vert, d1.horiz + d2.horiz)).values
+        combined = apply_flow(x, d1 + d2).values
         assert np.allclose(once, combined, atol=1e-12)
 
     @settings(max_examples=100)
     @given(image_flow_pairs())
     def test_inverse_plan_restores_image(self, pair):
         x, plan = pair
-        back = apply_flow(apply_flow(x, plan), LocalFlowPlan(-plan.vert, -plan.horiz)).values
+        back = apply_flow(apply_flow(x, plan), -plan).values
         assert np.allclose(back, x, atol=1e-12)
 
 
@@ -180,20 +179,21 @@ class TestNorm:
         assert l1_norm(zero_plan((3, 2))) == 0.0
 
     def test_hand_value(self):
-        plan = LocalFlowPlan(np.array([[0.3, -0.1]]), np.array([[0.25], [0.0]]))
+        plan = np.array([0.3, -0.1, 0.25, 0.0])
         assert np.isclose(l1_norm(plan), 0.65)
 
     @settings(max_examples=100)
     @given(flow_plans(), st.floats(-3, 3, allow_nan=False))
     def test_absolute_homogeneity(self, plan, c):
-        scaled = LocalFlowPlan(c * plan.vert, c * plan.horiz)
+        scaled = c * plan
         assert np.isclose(l1_norm(scaled), abs(c) * l1_norm(plan), atol=1e-12)
 
     @settings(max_examples=100)
-    @given(flow_plans(), st.data())
-    def test_triangle_inequality(self, d1, data):
-        d2 = data.draw(flow_plans(shape=d1.image_shape))
-        total = LocalFlowPlan(d1.vert + d2.vert, d1.horiz + d2.horiz)
+    @given(grid_shapes(), st.data())
+    def test_triangle_inequality(self, shape, data):
+        d1 = data.draw(flow_plans(shape=shape))
+        d2 = data.draw(flow_plans(shape=shape))
+        total = d1 + d2
         assert l1_norm(total) <= l1_norm(d1) + l1_norm(d2) + 1e-12
 
 
@@ -229,45 +229,41 @@ class TestSolveFlow1d:
         x = np.array(probs) / np.sum(probs)
         xp = np.array(probs2) / np.sum(probs2)
         delta = solve_flow_1d(x, xp)
-        plan = LocalFlowPlan(np.zeros((0, width)), delta[None, :])
-        recon = apply_flow(x[None, :], plan).values[0]
+        # On a 1 x width grid the packed layout is the horizontal edges alone.
+        recon = apply_flow(x[None, :], delta).values[0]
         assert np.allclose(recon, xp, atol=1e-12)
-
-
-def edge_total(g):
-    return float(g.down.sum() + g.up.sum() + g.right.sum() + g.left.sum())
 
 
 class TestEdgeConversions:
     def test_flow_from_edge_nets_opposite_directions(self):
-        g = EdgeFlow(np.array([[0.3, 0.0]]), np.array([[0.1, 0.0]]),
-                     np.zeros((2, 1)), np.zeros((2, 1)))
+        # 2 x 2 grid: row 0 ships down / right, row 1 up / left.
+        g = np.array([[0.3, 0.0, 0.0, 0.0], [0.1, 0.0, 0.0, 0.0]])
         plan = flow_from_edge(g)
-        assert np.allclose(plan.vert, [[0.2, 0.0]])
+        assert np.allclose(plan, [0.2, 0.0, 0.0, 0.0])
         assert l1_norm(plan) == pytest.approx(0.2)
-        assert edge_total(g) == pytest.approx(0.4)
+        assert g.sum() == pytest.approx(0.4)
+
+    def test_flow_from_edge_refuses_other_shapes(self):
+        for bad in (np.zeros(4), np.zeros((3, 4)), np.zeros((2, 2, 2))):
+            with pytest.raises(ShapeMismatchError):
+                flow_from_edge(bad)
 
     def test_edge_from_flow_splits_by_sign(self):
-        plan = LocalFlowPlan(np.array([[0.3, -0.2]]), np.array([[0.0], [-0.5]]))
+        plan = np.array([0.3, -0.2, 0.0, -0.5])
         g = edge_from_flow(plan)
-        assert np.allclose(g.down, [[0.3, 0.0]])
-        assert np.allclose(g.up, [[0.0, 0.2]])
-        assert np.allclose(g.left, [[0.0], [0.5]])
-        assert edge_total(g) == pytest.approx(l1_norm(plan))
+        assert np.allclose(g, [[0.3, 0.0, 0.0, 0.0], [0.0, 0.2, 0.0, 0.5]])
+        assert g.sum() == pytest.approx(l1_norm(plan))
 
     @settings(max_examples=150)
     @given(flow_plans())
     def test_round_trip_is_exact(self, plan):
-        back = flow_from_edge(edge_from_flow(plan))
-        assert np.array_equal(back.vert, plan.vert)
-        assert np.array_equal(back.horiz, plan.horiz)
+        assert np.array_equal(flow_from_edge(edge_from_flow(plan)), plan)
 
     @settings(max_examples=150)
     @given(flow_plans(), st.data())
     def test_norm_never_exceeds_edge_total(self, plan, data):
         # Add a symmetric circulation: the netted plan must ignore it.
-        extra_v = data.draw(st.floats(0, 1, allow_nan=False))
-        g = edge_from_flow(plan)
-        g2 = EdgeFlow(g.down + extra_v, g.up + extra_v, g.right, g.left)
-        assert l1_norm(flow_from_edge(g2)) <= edge_total(g2) + 1e-12
-        assert np.allclose(flow_from_edge(g2).vert, plan.vert, atol=1e-12)
+        extra = data.draw(st.floats(0, 1, allow_nan=False))
+        g2 = edge_from_flow(plan) + extra
+        assert l1_norm(flow_from_edge(g2)) <= g2.sum() + 1e-12
+        assert np.allclose(flow_from_edge(g2), plan, atol=1e-12)

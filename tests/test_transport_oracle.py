@@ -16,6 +16,7 @@ from wsmooth import (
     wasserstein_grid_l1,
     wasserstein_lp,
 )
+from wsmooth.flow_domain import edge_count
 from wsmooth.transport_oracle import MAX_LP_PIXELS
 
 from analytic import full_coupling_lp, min_flow_plan, successive_shortest_paths_grid_l1
@@ -138,7 +139,7 @@ class TestGridSolver:
         x = np.full((3, 3), 1 / 9)
         dist, edge = wasserstein_grid_l1(x, x)
         assert dist == 0.0
-        assert all(not arr.any() for arr in (edge.down, edge.up, edge.right, edge.left))
+        assert edge.shape == (2, 12) and not edge.any()
 
     def test_corner_to_corner(self):
         a, b = corner_images()
@@ -148,7 +149,15 @@ class TestGridSolver:
     def test_split_example(self):
         dist, edge = wasserstein_grid_l1(np.array([[1.0, 0.0]]), np.array([[0.5, 0.5]]))
         assert dist == pytest.approx(0.5, abs=1e-15)
-        assert edge.right[0, 0] == pytest.approx(0.5)
+        assert edge[0, 0] == pytest.approx(0.5) and edge[1, 0] == 0.0
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 5), (4, 1), (3, 4)])
+    def test_arcs_are_nonnegative_in_packed_layout(self, rng, shape):
+        x = rng.dirichlet(np.ones(shape[0] * shape[1])).reshape(shape)
+        xp = rng.dirichlet(np.ones(shape[0] * shape[1])).reshape(shape)
+        _, arcs = wasserstein_grid_l1(x, xp)
+        assert arcs.shape == (2, edge_count((1,) + shape))
+        assert arcs.min(initial=0.0) >= 0.0
 
     def test_transpose_symmetry(self, rng):
         x = rng.dirichlet(np.ones(12)).reshape(3, 4)
@@ -247,8 +256,9 @@ class TestMinFlowPlan:
         xp = rng.dirichlet(np.ones(6))
         plan = min_flow_plan(x[None, :], xp[None, :])
         delta = solve_flow_1d(x / x.sum(), xp / xp.sum())
-        assert np.allclose(plan.horiz[0], delta, atol=1e-12)
-        assert plan.vert.size == 0
+        # A 1 x 6 grid has only horizontal edges.
+        assert plan.shape == delta.shape == (5,)
+        assert np.allclose(plan, delta, atol=1e-12)
 
     @settings(max_examples=40, deadline=None)
     @given(image_pairs(min_side=2, max_side=3))
