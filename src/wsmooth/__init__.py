@@ -40,7 +40,6 @@ from .flow_domain import (
 from .smoothing import (
     ABSTAIN,
     Certificate,
-    CertificationRecord,
     NoiseSpec,
     SmoothedPrediction,
     certify,

@@ -22,8 +22,8 @@ import numpy as np
 from .classifier import input_gradient_batch
 from .flow_domain import (as_channels, divergence, divergence_adjoint, edge_count, pack_edges,
                           unpack_edges)
-from .smoothing import (PIXEL, NoiseSpec, SmoothedPrediction, _as_rng, _edge_noise,
-                        _fold_first_layer, smoothed_predict)
+from .smoothing import (PIXEL, NoiseSpec, SmoothedPrediction, _edge_noise, _fold_first_layer,
+                        smoothed_predict)
 from .transport_oracle import per_channel_wasserstein, wasserstein_grid_l1
 
 
@@ -169,7 +169,7 @@ def flow_pgd_attack(classifier, x, label: int, spec: NoiseSpec,
     """
     channels = as_channels(x)
     cshape = channels.shape
-    streams = iter(_as_rng(rng).spawn(1 + 2 * config.iterations))
+    streams = iter(np.random.default_rng(rng).spawn(1 + 2 * config.iterations))
 
     clean_pred = smoothed_predict(
         classifier, x, spec, config.predict_samples, config.predict_alpha, next(streams)
@@ -226,7 +226,7 @@ def robustness_curve(classifier, dataset, spec: NoiseSpec, radii,
         init = config.initial_radius
         config = replace(config, max_radius=max_r,
                          initial_radius=min(init, max_r) if init is not None else None)
-    children = _as_rng(rng).spawn(len(dataset))
+    children = np.random.default_rng(rng).spawn(len(dataset))
     x_all, y_all = dataset.as_arrays()
     results = []
     success_radius = np.empty(len(dataset))

@@ -1,7 +1,7 @@
-"""Small dense softmax classifiers with hand-written forward and backward
-passes, plus an SGD-with-momentum trainer that perturbs each minibatch with
-one shared noise draw so the base classifier sees the distribution the
-smoothed classifier will sample at prediction time.
+"""Small dense classifiers with hand-written forward and backward passes,
+plus an SGD-with-momentum trainer on softmax cross-entropy that perturbs
+each minibatch with one shared noise draw so the base classifier sees the
+distribution the smoothed classifier will sample at prediction time.
 
 Inputs are flattened pixel arrays and may be negative (flow noise can push
 pixels below zero); nothing clamps them.
@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .flow_domain import ShapeMismatchError
-from .smoothing import FLOW, NoiseSpec, _as_rng, _sample_increments
+from .smoothing import FLOW, NoiseSpec, _sample_increments
 
 CHECKPOINT_VERSION = 1
 
@@ -25,8 +25,8 @@ CHECKPOINT_VERSION = 1
 @dataclass
 class ClassifierParams:
     """Dense feed-forward parameters: zero or more ReLU hidden layers and a
-    softmax output layer.  weights[i] has shape (d_in, d_out); the first
-    d_in is the flattened input size and the last d_out is num_classes."""
+    linear output layer of logits.  weights[i] has shape (d_in, d_out); the
+    first d_in is the flattened input size and the last d_out is num_classes."""
 
     input_shape: tuple[int, ...]
     num_classes: int
@@ -71,13 +71,10 @@ class ClassifierParams:
         return out
 
     def forward_batch(self, X) -> np.ndarray:
-        """Softmax class scores for a batch, shape (S, num_classes)."""
-        return _softmax(_forward(self, X)[0])
-
-
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    e = np.exp(logits - logits.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
+        """Logits of a batch, shape (S, num_classes).  Every caller only
+        takes the argmax, the 0-based predicted class, so no softmax is
+        computed; training applies it inside the cross-entropy."""
+        return _forward(self, X)[0]
 
 
 def init_params(input_shape, num_classes: int, hidden: int | None = None,
@@ -85,7 +82,7 @@ def init_params(input_shape, num_classes: int, hidden: int | None = None,
     """Random initial parameters: logistic regression when hidden is None,
     otherwise one ReLU hidden layer of that width.  Weights are Gaussian
     with std 1/sqrt(fan-in), biases zero."""
-    rng = _as_rng(rng)
+    rng = np.random.default_rng(rng)
     dims = [int(np.prod(input_shape))]
     if hidden is not None:
         if hidden < 1:

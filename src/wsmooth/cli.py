@@ -28,8 +28,6 @@ from .smoothing import (
     ABSTAIN,
     FLOW,
     PIXEL,
-    Certificate,
-    CertificationRecord,
     NoiseSpec,
     certify,
     median_certified_radius,
@@ -278,11 +276,17 @@ def _write_table(path: Path, meta: dict, header: list[str], rows: list[list]):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _write_summary(path: Path, summary: dict):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
+def _write_summary(cfg: dict, command: str, **fields) -> dict:
+    """Write ``<command>_summary.json`` to the output directory: the run's
+    command, scheme, sigma and seed, then ``fields``.  Returns the summary."""
+    summary = {"command": command, "scheme": cfg["scheme"], "sigma": cfg["sigma"],
+               "seed": cfg["seed"], **fields}
+    out = Path(cfg["out_dir"])
+    out.mkdir(parents=True, exist_ok=True)
+    with open(out / f"{command}_summary.json", "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    return summary
 
 
 def _meta(cfg: dict, command: str, **extra) -> dict:
@@ -303,13 +307,9 @@ def _cmd_train(cfg: dict) -> int:
     # compares false, so a diverged run is flagged too.
     chance = math.log(dataset.num_classes)
     at_chance = not final_loss < chance
-    summary = {
-        "command": "train", "scheme": cfg["scheme"], "sigma": cfg["sigma"], "seed": cfg["seed"],
-        "num_images": len(dataset), "epochs": tc.epochs,
-        "final_loss": final_loss, "train_accuracy": train_acc,
-        "loss_at_or_above_chance": at_chance, "checkpoint": str(ckpt),
-    }
-    _write_summary(Path(cfg["out_dir"]) / "train_summary.json", summary)
+    _write_summary(cfg, "train", num_images=len(dataset), epochs=tc.epochs,
+                   final_loss=final_loss, train_accuracy=train_acc,
+                   loss_at_or_above_chance=at_chance, checkpoint=str(ckpt))
     print(f"train: {len(dataset)} images, {tc.epochs} epochs, "
           f"final loss {final_loss:.6f}, train accuracy {train_acc:.3f}")
     if at_chance:
@@ -340,15 +340,17 @@ def _load_model(cfg: dict, dataset: dataset_io.LabeledDataset) -> clf.Classifier
     return params
 
 
-def _certify_stats(records: list[CertificationRecord], base_predictions: list[int]) -> dict:
-    """Summary statistics of a certify run, from its per-image records and
-    the base classifier's predictions on the same images."""
-    num = len(records)
+def _certify_stats(rows: list[tuple]) -> dict:
+    """Summary statistics of a certify run from its per-image (label,
+    base_prediction, prediction, rho2) rows.  An abstention is never
+    correct, and a wrong class's radius is not a certified radius."""
+    num = len(rows)
     return {
-        "base_accuracy": sum(p == r.label for p, r in zip(base_predictions, records)) / num,
-        "accuracy": sum(r.correct for r in records) / num,
-        "abstention_rate": sum(r.certificate.predicted == ABSTAIN for r in records) / num,
-        "median_certified_radius": median_certified_radius(records),
+        "base_accuracy": sum(base == label for label, base, _, _ in rows) / num,
+        "accuracy": sum(pred == label != ABSTAIN for label, _, pred, _ in rows) / num,
+        "abstention_rate": sum(pred == ABSTAIN for _, _, pred, _ in rows) / num,
+        "median_certified_radius": median_certified_radius(
+            [rho2 if pred == label != ABSTAIN else None for label, _, pred, rho2 in rows]),
     }
 
 
@@ -360,25 +362,18 @@ def _cmd_predict(cfg: dict) -> int:
     streams = rng.spawn(len(dataset))
     x_all, y_all = dataset.as_arrays()
     rows = []
-    hits = 0
-    abstentions = 0
     for i in range(len(dataset)):
         pred = smoothed_predict(params, x_all[i], cfg["noise"], n, alpha, streams[i],
                                 workers=cfg["workers"])
-        abstained = int(pred.predicted == ABSTAIN)
-        abstentions += abstained
-        hits += int(pred.predicted == int(y_all[i]))
-        rows.append([i, int(y_all[i]), pred.predicted, float(pred.p_value), abstained])
+        rows.append([i, int(y_all[i]), pred.predicted, float(pred.p_value),
+                     int(pred.predicted == ABSTAIN)])
     meta = _meta(cfg, "predict", n=n, alpha=_fmt(alpha))
-    out = Path(cfg["out_dir"])
-    _write_table(out / "predictions.csv", meta,
+    _write_table(Path(cfg["out_dir"]) / "predictions.csv", meta,
                  ["id", "label", "prediction", "p_value", "abstained"], rows)
-    summary = {
-        "command": "predict", "scheme": cfg["scheme"], "sigma": cfg["sigma"], "seed": cfg["seed"],
-        "n": n, "alpha": alpha, "num_images": len(dataset),
-        "accuracy": hits / len(dataset), "abstention_rate": abstentions / len(dataset),
-    }
-    _write_summary(out / "predict_summary.json", summary)
+    summary = _write_summary(
+        cfg, "predict", n=n, alpha=alpha, num_images=len(dataset),
+        accuracy=sum(pred == label for _, label, pred, _, _ in rows) / len(rows),
+        abstention_rate=sum(abstained for *_, abstained in rows) / len(rows))
     print(f"predict: accuracy {summary['accuracy']:.3f}, "
           f"abstention rate {summary['abstention_rate']:.3f} over {len(dataset)} images")
     return 0
@@ -391,28 +386,21 @@ def _cmd_certify(cfg: dict) -> int:
     rng = np.random.default_rng(_derived_seeds(cfg)["certify"])
     streams = rng.spawn(len(dataset))
     x_all, y_all = dataset.as_arrays()
+    base_predictions = np.argmax(params.forward_batch(x_all), axis=1) + 1
     rows = []
-    records = []
-    base_predictions = []
     for i in range(len(dataset)):
         cert = certify(params, x_all[i], cfg["noise"], n0, n, alpha, streams[i],
                        workers=cfg["workers"])
-        label = int(y_all[i])
-        records.append(CertificationRecord(i, label, cert))
-        base_predictions.append(int(np.argmax(params.forward_batch(x_all[i][None])[0])) + 1)
-        rows.append([i, label, base_predictions[-1], cert.predicted, float(cert.p_lower),
-                     cert.rho2, int(cert.predicted == ABSTAIN)])
+        rows.append([i, int(y_all[i]), int(base_predictions[i]), cert.predicted,
+                     float(cert.p_lower), cert.rho2, int(cert.predicted == ABSTAIN)])
     meta = _meta(cfg, "certify", n0=n0, n=n, alpha=_fmt(alpha))
-    out = Path(cfg["out_dir"])
-    _write_table(out / "certificates.csv", meta,
+    _write_table(Path(cfg["out_dir"]) / "certificates.csv", meta,
                  ["id", "label", "base_prediction", "prediction", "p_lower", "rho2", "abstained"],
                  rows)
-    summary = {
-        "command": "certify", "scheme": cfg["scheme"], "sigma": cfg["sigma"], "seed": cfg["seed"],
-        "n0": n0, "n": n, "alpha": alpha, "num_images": len(dataset),
-        **_certify_stats(records, base_predictions),
-    }
-    _write_summary(out / "certify_summary.json", summary)
+    stats = _certify_stats([(label, base, pred, rho2)
+                            for _, label, base, pred, _, rho2, _ in rows])
+    summary = _write_summary(cfg, "certify", n0=n0, n=n, alpha=alpha, num_images=len(dataset),
+                             **stats)
     median = summary["median_certified_radius"]
     med = "not certified" if median is None else f"{median:.6f}"
     print(f"certify: accuracy {summary['accuracy']:.3f}, "
@@ -443,14 +431,9 @@ def _cmd_attack(cfg: dict) -> int:
     _write_table(out / "attack_results.csv", meta,
                  ["id", "label", "clean_correct", "success", "budget",
                   "first_iteration", "oracle_radius"], res_rows)
-    clean_acc = float(np.mean([r.clean_correct for r in results]))
-    summary = {
-        "command": "attack", "scheme": cfg["scheme"], "sigma": cfg["sigma"], "seed": cfg["seed"],
-        "num_images": len(dataset), "radii": radii,
-        "clean_accuracy": clean_acc,
-        "curve": {repr(float(rho)): acc for rho, acc in curve},
-    }
-    _write_summary(out / "attack_summary.json", summary)
+    _write_summary(cfg, "attack", num_images=len(dataset), radii=radii,
+                   clean_accuracy=float(np.mean([r.clean_correct for r in results])),
+                   curve={repr(float(rho)): acc for rho, acc in curve})
     for rho, acc in curve:
         print(f"attack: accuracy {acc:.3f} at L1 budget {rho:g}")
     return 0
@@ -496,21 +479,23 @@ def _cmd_report(cfg: dict, tables: list[Path]) -> int:
             raise SystemExit(f"error: {path} is not a certify table")
         if not rows:
             raise SystemExit(f"error: {path} holds no rows")
-        # Recompute every summary statistic from the per-image rows.
+        # Recompute every summary statistic from the per-image rows, as
+        # certify does; a bad scheme or sigma, or a missing or non-numeric
+        # setting or cell, refuses the table.
         try:
-            spec = NoiseSpec(_SCHEME_MAP[meta["scheme"]], float(meta["sigma"]))
-            records = [CertificationRecord(r["id"], int(r["label"]), Certificate(
-                int(r["prediction"]), float(r["p_lower"]), float(r["rho2"]) if r["rho2"] else None,
-                spec, int(meta["n0"]), int(meta["n"]), float(meta["alpha"]))) for r in rows]
-            base_predictions = [int(r["base_prediction"]) for r in rows]
+            sigma = NoiseSpec(_SCHEME_MAP[meta["scheme"]], float(meta["sigma"])).sigma
+            int(meta["n0"]), int(meta["n"]), float(meta["alpha"])
+            parsed = [(r["id"], float(r["p_lower"]), int(r["label"]), int(r["base_prediction"]),
+                       int(r["prediction"]), float(r["rho2"]) if r["rho2"] else None)
+                      for r in rows]
         except (KeyError, ValueError) as exc:
             raise SystemExit(f"error: {path} has malformed metadata or rows ({exc!r})")
         entries.append({
             "scheme": meta["scheme"],
-            "sigma": spec.sigma,
+            "sigma": sigma,
             "seed": meta.get("seed", "?"),
             "num_images": len(rows),
-            **_certify_stats(records, base_predictions),
+            **_certify_stats([p[2:] for p in parsed]),
         })
     entries.sort(key=lambda e: (e["scheme"], e["sigma"]))
     out = Path(cfg["out_dir"])
@@ -537,19 +522,13 @@ def _cmd_report(cfg: dict, tables: list[Path]) -> int:
 def run(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     cfg = _merge_config(args)
-    if args.command == "train":
-        return _cmd_train(cfg)
-    if args.command == "predict":
-        return _cmd_predict(cfg)
-    if args.command == "certify":
-        return _cmd_certify(cfg)
-    if args.command == "attack":
-        return _cmd_attack(cfg)
-    if args.command == "oracle-check":
-        return _cmd_oracle_check(cfg, args.pairs)
-    if args.command == "report":
-        return _cmd_report(cfg, args.tables)
-    raise SystemExit(f"error: unknown command {args.command!r}")
+    commands = {
+        "train": _cmd_train, "predict": _cmd_predict, "certify": _cmd_certify,
+        "attack": _cmd_attack,
+        "oracle-check": lambda cfg: _cmd_oracle_check(cfg, args.pairs),
+        "report": lambda cfg: _cmd_report(cfg, args.tables),
+    }
+    return commands[args.command](cfg)
 
 
 def main() -> int:

@@ -121,25 +121,6 @@ class Certificate:
     alpha: float
 
 
-@dataclass(frozen=True)
-class CertificationRecord:
-    """A certificate tied to a labeled image for aggregate statistics."""
-
-    image_id: int | str
-    label: int
-    certificate: Certificate
-
-    @property
-    def correct(self) -> bool:
-        return self.certificate.predicted != ABSTAIN and self.certificate.predicted == self.label
-
-
-def _as_rng(rng) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
-
-
 def _edge_noise(spec: NoiseSpec, cshape: tuple[int, int, int], size: int,
                 rng: np.random.Generator) -> np.ndarray:
     """``size`` noise draws of shape (size, width): iid Laplace(spec.scale)
@@ -191,7 +172,7 @@ def _vote_counts(params, x, spec: NoiseSpec, n: int, rng, workers: int) -> np.nd
     channels = as_channels(x)
     folded = _fold_first_layer(params, channels, spec)
     sizes = [VOTE_BATCH] * (n // VOTE_BATCH) + ([n % VOTE_BATCH] if n % VOTE_BATCH else [])
-    streams = _as_rng(rng).spawn(len(sizes))
+    streams = np.random.default_rng(rng).spawn(len(sizes))
 
     def job(stream, size):
         counts = np.zeros(params.num_classes, dtype=np.int64)
@@ -303,8 +284,7 @@ def certify(params, x, spec: NoiseSpec, n0: int = 1000, n: int = 10000,
         raise ValueError("n0 and n must be >= 1")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
-    rng = _as_rng(rng)
-    r_guess, r_bound = rng.spawn(2)
+    r_guess, r_bound = np.random.default_rng(rng).spawn(2)
     counts0 = _vote_counts(params, x, spec, n0, r_guess, workers)
     top = int(np.argmax(counts0))
     counts = _vote_counts(params, x, spec, n, r_bound, workers)
@@ -317,15 +297,16 @@ def certify(params, x, spec: NoiseSpec, n0: int = 1000, n: int = 10000,
     return Certificate(ABSTAIN, p_lower, None, spec, n0, n, alpha)
 
 
-def median_certified_radius(records) -> float | None:
-    """Largest rho such that at least half of all records are correctly
-    classified with certified radius >= rho, or None if no such rho exists
-    (fewer than half the records are certified and correct)."""
-    records = list(records)
-    if not records:
-        raise ValueError("no records")
-    radii = sorted((r.certificate.rho2 for r in records if r.correct), reverse=True)
-    need = (len(records) + 1) // 2
-    if len(radii) < need:
+def median_certified_radius(radii) -> float | None:
+    """Largest rho such that at least half of all images are correctly
+    classified with certified radius >= rho, or None if no such rho exists.
+    ``radii`` holds one entry per image: its certified radius when the
+    certificate names the image's label, else None."""
+    radii = list(radii)
+    if not radii:
+        raise ValueError("no images")
+    correct = sorted((r for r in radii if r is not None), reverse=True)
+    need = (len(radii) + 1) // 2
+    if len(correct) < need:
         return None
-    return radii[need - 1]
+    return correct[need - 1]

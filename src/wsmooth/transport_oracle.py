@@ -20,7 +20,6 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import linprog
 
 from .flow_domain import ShapeMismatchError, flow_from_edge, unit_mass
 
@@ -85,8 +84,11 @@ def _solve_lp(cost: np.ndarray, a_eq: sp.csr_matrix,
     Both transport LPs conserve mass, so their equality rows have rank one
     less than their count; dropping the redundant last row keeps the system
     exactly consistent under the tight tolerance.  The optimum and the
-    solution are clipped at zero.
+    solution are clipped at zero.  scipy.optimize is imported here, not at
+    module load, so commands that solve no LP do not pay for loading it.
     """
+    from scipy.optimize import linprog
+
     res = linprog(cost, A_eq=a_eq[:-1], b_eq=b_eq[:-1], bounds=(0, None), method="highs",
                   options=_HIGHS_OPTIONS)
     if res.status != 0:

@@ -14,7 +14,6 @@ import pytest
 
 from wsmooth import (
     AttackConfig,
-    CertificationRecord,
     GroundMetric,
     NoiseSpec,
     TrainConfig,
@@ -77,15 +76,13 @@ def desk_data():
 
 
 def certify_all(params, test_ds, spec):
+    """Per test image, its certified radius if the certificate names its
+    label, else None."""
     x_all, y_all = test_ds.as_arrays()
     streams = np.random.default_rng(77).spawn(len(test_ds))
-    return [
-        CertificationRecord(
-            i, int(y_all[i]),
-            certify(params, x_all[i], spec, n0=1000, n=10000, alpha=0.05, rng=streams[i]),
-        )
-        for i in range(len(test_ds))
-    ]
+    certs = [certify(params, x, spec, n0=1000, n=10000, alpha=0.05, rng=stream)
+             for x, stream in zip(x_all, streams)]
+    return [c.rho2 if c.predicted == y else None for c, y in zip(certs, y_all)]
 
 
 @pytest.fixture(scope="module")
@@ -101,20 +98,20 @@ def trend_sweep(desk_data):
             tc = TrainConfig(epochs=120, batch_size=64, learning_rate=0.5,
                              weight_decay=1e-4, noise=scheme, sigma=sigma, seed=11)
             params = train(train_ds, tc).params
-            records = certify_all(params, test_ds, NoiseSpec(scheme, sigma))
-            medians[(scheme, sigma)] = median_certified_radius(records)
+            radii = certify_all(params, test_ds, NoiseSpec(scheme, sigma))
+            medians[(scheme, sigma)] = median_certified_radius(radii)
             if scheme == FLOW:
-                flow_runs[sigma] = (params, records)
+                flow_runs[sigma] = (params, radii)
     sigma_star = max(
         SIGMAS,
         key=lambda s: -math.inf if medians[(FLOW, s)] is None else medians[(FLOW, s)],
     )
-    params_star, records_star = flow_runs[sigma_star]
+    params_star, radii_star = flow_runs[sigma_star]
     return {
         "medians": medians,
         "sigma_star": sigma_star,
         "params_star": params_star,
-        "records_star": records_star,
+        "radii_star": radii_star,
         "elapsed": time.time() - started,
     }
 
@@ -295,19 +292,16 @@ def test_criterion_8_attack_cannot_break_certificates(desk_data, trend_sweep):
     params = trend_sweep["params_star"]
     sigma_star = trend_sweep["sigma_star"]
     spec = NoiseSpec(FLOW, sigma_star)
-    x_all, _ = test_ds.as_arrays()
-    certified = [
-        r for r in trend_sweep["records_star"]
-        if r.correct and r.certificate.rho2 and r.certificate.rho2 > 0
-    ]
+    x_all, y_all = test_ds.as_arrays()
+    certified = [i for i, rho2 in enumerate(trend_sweep["radii_star"]) if rho2]
     assert len(certified) >= 50
     attack_rng = np.random.default_rng(88)
     flips = 0
-    for rec in certified:
-        budget = math.sqrt(2.0) * rec.certificate.rho2  # the L1-ground radius
+    for i in certified:
+        budget = math.sqrt(2.0) * trend_sweep["radii_star"][i]  # the L1-ground radius
         cfg = AttackConfig(iterations=25, gradient_samples=64, max_radius=budget,
                            initial_radius=budget, predict_samples=4000)
-        res = flow_pgd_attack(params, x_all[rec.image_id], rec.label, spec, cfg,
+        res = flow_pgd_attack(params, x_all[i], int(y_all[i]), spec, cfg,
                               attack_rng.spawn(1)[0])
         flips += int(res.success)
     assert flips <= 0.01 * len(certified)

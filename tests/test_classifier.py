@@ -41,20 +41,12 @@ class TestParams:
         with pytest.raises(ValueError):
             ClassifierParams((2, 2), 1, [np.zeros((4, 1))], [np.zeros(1)])
 
-    def test_forward_rows_are_distributions(self, rng):
+    def test_forward_returns_the_layer_chain_logits(self, rng):
         params = small_params(rng)
         X = rng.normal(size=(7, 3, 3))
-        scores = params.forward_batch(X)
-        assert scores.shape == (7, 3)
-        assert np.all(scores > 0)
-        assert np.allclose(scores.sum(axis=1), 1.0, atol=1e-12)
-
-    def test_forward_handles_extreme_logits(self):
-        # Saturated logits must not overflow through the softmax.
-        params = ClassifierParams((1, 1), 2, [np.array([[1000.0, -1000.0]])], [np.zeros(2)])
-        scores = params.forward_batch(np.ones((1, 1, 1)))
-        assert np.isfinite(scores).all()
-        assert scores[0, 0] == pytest.approx(1.0)
+        hidden = np.maximum(X.reshape(7, -1) @ params.weights[0] + params.biases[0], 0.0)
+        logits = hidden @ params.weights[1] + params.biases[1]
+        assert np.array_equal(params.forward_batch(X), logits)
 
     def test_predict_is_one_based(self, rng):
         params = ClassifierParams((1, 2), 2, [np.array([[1.0, 0.0], [0.0, 1.0]])], [np.zeros(2)])
@@ -142,8 +134,9 @@ class TestGradients:
         X = rng.normal(size=(5, 3, 3))
         labels = rng.integers(1, 4, size=5)
         loss, _ = loss_and_gradients(params, X, labels)
-        probs = params.forward_batch(X)
-        expected = -np.log(probs[np.arange(5), labels - 1]).mean()
+        logits = params.forward_batch(X)
+        log_probs = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
+        expected = -log_probs[np.arange(5), labels - 1].mean()
         assert loss == pytest.approx(expected, abs=1e-12)
 
     def test_rejects_out_of_range_labels(self, rng):

@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wsmooth
-from wsmooth.cli import _SCHEMA, _build_parser, _merge_config, main, run
+from wsmooth import ABSTAIN
+from wsmooth.cli import _SCHEMA, _build_parser, _certify_stats, _merge_config, main, run
 
 from analytic import write_idx
 
@@ -78,6 +79,27 @@ def config_path(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     return path
+
+
+def package_env():
+    """The environment for a child Python that imports the package this
+    process imported.  A relative PYTHONPATH entry (e.g. `src`) would
+    resolve against the child's working directory, so the directory holding
+    the package goes first, as an absolute path."""
+    package_root = str(Path(wsmooth.__file__).resolve().parents[1])
+    pythonpath = [package_root, os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))}
+
+
+def test_cli_import_leaves_the_lp_solver_unloaded():
+    # linprog is imported on the first LP solve, so commands that solve
+    # none (train, predict, certify) do not pay for loading scipy.optimize.
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, wsmooth.cli; print('scipy.optimize' in sys.modules)"],
+        capture_output=True, text=True, env=package_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def read_table(path):
@@ -217,18 +239,33 @@ class TestOracleCheckCommand:
         assert not any(line.startswith("FAIL") for line in lines)
 
     def test_console_script_entry_point(self, tmp_path):
-        # A relative PYTHONPATH entry (e.g. `src`) would resolve against
-        # tmp_path in the child, so put the directory holding the package
-        # this process imported first, as an absolute path.
-        package_root = str(Path(wsmooth.__file__).resolve().parents[1])
-        pythonpath = [package_root, os.environ.get("PYTHONPATH")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))}
         proc = subprocess.run(
             [sys.executable, "-m", "wsmooth.cli", "oracle-check", "--pairs", "3"],
-            capture_output=True, text=True, cwd=tmp_path, env=env,
+            capture_output=True, text=True, cwd=tmp_path, env=package_env(),
         )
         assert proc.returncode == 0
         assert "PASS" in proc.stdout
+
+
+class TestCertifyStats:
+    def test_abstentions_and_wrong_classes_certify_nothing(self):
+        rows = [  # (label, base_prediction, prediction, rho2)
+            (1, 1, 1, 0.3),
+            (2, 1, 2, 0.2),  # the base classifier is wrong, the smoothed one right
+            (1, 1, ABSTAIN, None),
+            (2, 2, 1, 0.5),  # wrong class: its radius is ignored
+        ]
+        assert _certify_stats(rows) == {
+            "base_accuracy": 0.75, "accuracy": 0.5, "abstention_rate": 0.25,
+            # 2 of 4 must be correct at radius >= rho; counting the wrong
+            # class's 0.5 would give 0.3.
+            "median_certified_radius": 0.2,
+        }
+
+    def test_an_abstention_never_matches_a_label(self):
+        stats = _certify_stats([(ABSTAIN, 1, ABSTAIN, None)])
+        assert stats["accuracy"] == 0.0
+        assert stats["median_certified_radius"] is None
 
 
 class TestReportCommand:
@@ -252,14 +289,10 @@ class TestReportCommand:
         assert set(by_scheme) == {"flow", "pixel"}
         for scheme, summary in (("flow", flow_summary), ("pixel", pixel_summary)):
             row = by_scheme[scheme]
-            assert float(row["base_accuracy"]) == pytest.approx(summary["base_accuracy"])
-            assert float(row["accuracy"]) == pytest.approx(summary["accuracy"])
-            assert float(row["abstention_rate"]) == pytest.approx(summary["abstention_rate"])
+            for key in ("base_accuracy", "accuracy", "abstention_rate"):
+                assert float(row[key]) == summary[key]
             med = summary["median_certified_radius"]
-            if med is None:
-                assert row["median_certified_radius"] in ("", "None")
-            else:
-                assert float(row["median_certified_radius"]) == pytest.approx(med)
+            assert row["median_certified_radius"] == ("" if med is None else repr(med))
 
     def test_rejects_non_certify_table(self, config_path, tmp_path):
         run(["train", "--config", str(config_path)])

@@ -8,8 +8,6 @@ from scipy import stats
 
 from wsmooth import (
     ABSTAIN,
-    Certificate,
-    CertificationRecord,
     GroundMetric,
     NoiseSpec,
     certify,
@@ -429,45 +427,19 @@ class TestCertify:
             certify(clf, x, NoiseSpec(FLOW, 0.1), alpha=1.0)
 
 
-def _record(image_id, label, predicted, rho2):
-    cert = Certificate(predicted, 0.9 if rho2 is not None else 0.4, rho2,
-                       NoiseSpec(FLOW, 0.1), 100, 1000, 0.05)
-    return CertificationRecord(image_id, label, cert)
-
-
 class TestMedianRadius:
+    # One entry per image: its radius when certified and correct, else None
+    # (an abstention, or a certificate naming the wrong class).
     def test_half_of_records_sets_the_bar(self):
-        records = [
-            _record(0, 1, 1, 0.3),
-            _record(1, 1, 1, 0.2),
-            _record(2, 1, ABSTAIN, None),
-            _record(3, 1, 2, 0.5),  # wrong class, certified radius ignored
-        ]
         # Need 2 of 4 correct at radius >= rho; second-largest correct radius.
-        assert median_certified_radius(records) == 0.2
+        assert median_certified_radius([0.3, 0.2, None, None]) == 0.2
 
     def test_too_few_correct_is_none(self):
-        records = [
-            _record(0, 1, 1, 0.3),
-            _record(1, 1, ABSTAIN, None),
-            _record(2, 1, 2, 0.1),
-            _record(3, 1, ABSTAIN, None),
-        ]
-        assert median_certified_radius(records) is None
+        assert median_certified_radius([0.3, None, None, None]) is None
 
     def test_odd_count_rounds_up(self):
-        records = [
-            _record(0, 1, 1, 0.4),
-            _record(1, 1, 1, 0.1),
-            _record(2, 1, ABSTAIN, None),
-        ]
-        assert median_certified_radius(records) == 0.1
+        assert median_certified_radius([0.4, 0.1, None]) == 0.1
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             median_certified_radius([])
-
-    def test_correct_property(self):
-        assert _record(0, 2, 2, 0.1).correct
-        assert not _record(0, 2, 1, 0.1).correct
-        assert not _record(0, 2, ABSTAIN, None).correct

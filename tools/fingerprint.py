@@ -61,35 +61,6 @@ from wsmooth import (  # noqa: E402
 FLOW = "wasserstein_flow"
 PIXEL = "laplace_pixel"
 
-# Releases before images became plain arrays took a MultiChannelImage here.
-_channels = getattr(wsmooth, "MultiChannelImage", lambda a: a)
-
-
-def _coupling(plan):
-    """The coupling array; releases before wasserstein_lp returned the array
-    wrapped it in a TransportPlan."""
-    return getattr(plan, "coupling", plan)
-
-
-def _packed(flow):
-    """A flow as packed edge arrays.  Releases before flows were arrays
-    returned a LocalFlowPlan (signed, now one packed vector), an EdgeFlow
-    (directed, now a (2, E) array, forward over backward) and
-    AttackResult.plans as a list of per-channel plans (now (C, E_c))."""
-    if isinstance(flow, list):
-        return np.stack([_packed(plan) for plan in flow])
-    if hasattr(flow, "down"):
-        return np.stack([np.concatenate([flow.down.ravel(), flow.right.ravel()]),
-                         np.concatenate([flow.up.ravel(), flow.left.ravel()])])
-    if hasattr(flow, "vert"):
-        return np.concatenate([flow.vert.ravel(), flow.horiz.ravel()])
-    return flow
-
-
-def _attack(res):
-    return dataclasses.replace(res, plans=_packed(res.plans))
-
-
 def _plain(value):
     """Reduce library results to numpy arrays and plain Python values."""
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
@@ -150,11 +121,11 @@ def cases() -> dict:
     acfg = AttackConfig(iterations=12, gradient_samples=32, max_radius=0.5,
                         predict_samples=400)
     for i in range(2):
-        out[f"attack/{i}"] = _plain(_attack(flow_pgd_attack(
-            models[FLOW], x_all[i], int(y_all[i]), flow_spec, acfg, rng=31)))
+        out[f"attack/{i}"] = _plain(flow_pgd_attack(
+            models[FLOW], x_all[i], int(y_all[i]), flow_spec, acfg, rng=31))
     rows, results = robustness_curve(
         models[FLOW], test_ds.subset([0, 1, 2]), flow_spec, [0.0, 0.1, 0.5], acfg, rng=31)
-    out["robustness_curve"] = _plain((rows, [_attack(res) for res in results]))
+    out["robustness_curve"] = _plain((rows, results))
 
     rng = np.random.default_rng(41)
     x3 = _unit(rng, (3, 5, 5))
@@ -163,10 +134,10 @@ def cases() -> dict:
         params3, x3, flow_spec, 1500, 0.05, np.random.default_rng(43), workers=2))
     label3 = out["predict/3ch"][1]["predicted"]
     label3 = label3 if label3 > 0 else 1
-    out["attack/3ch"] = _plain(_attack(flow_pgd_attack(
+    out["attack/3ch"] = _plain(flow_pgd_attack(
         params3, x3, label3, NoiseSpec(FLOW, 0.02),
         AttackConfig(iterations=10, gradient_samples=32, max_radius=0.5, step_size=0.2,
-                     predict_samples=300), rng=44)))
+                     predict_samples=300), rng=44))
     # Weak random models that flip while every pixel stays nonnegative, so
     # the attack's exact oracle radius is computed on one and three channels.
     small_spec = NoiseSpec(FLOW, 0.01)
@@ -179,22 +150,22 @@ def cases() -> dict:
         label = smoothed_predict(params, x, small_spec, 300, 0.05,
                                  np.random.default_rng(1)).predicted
         out[f"attack/oracle_radius/{len(shape)}d"] = _plain(
-            _attack(flow_pgd_attack(params, x, label, small_spec, small_cfg, rng=5)))
+            flow_pgd_attack(params, x, label, small_spec, small_cfg, rng=5))
 
     rng = np.random.default_rng(51)
     for shape in ((4, 4), (3, 6), (1, 9), (12, 12)):
         a, b = _unit(rng, shape), _unit(rng, shape)
         key = f"{shape[0]}x{shape[1]}"
         distance, edge = wasserstein_grid_l1(a, b)
-        out[f"grid_l1/{key}"] = _plain((distance, _packed(edge)))
-        out[f"min_flow_plan/{key}"] = _plain(_packed(flow_from_edge(edge)))
+        out[f"grid_l1/{key}"] = _plain((distance, edge))
+        out[f"min_flow_plan/{key}"] = _plain(flow_from_edge(edge))
         if a.size <= 64:
             distance, coupling = wasserstein_lp(a, b)
-            out[f"lp/{key}"] = _plain((distance, _coupling(coupling)))
+            out[f"lp/{key}"] = _plain((distance, coupling))
     weights = np.array([0.2, 0.3, 0.5])[:, None, None]
     a = weights * rng.dirichlet(np.ones(36), size=3).reshape(3, 6, 6)
     b = weights * rng.dirichlet(np.ones(36), size=3).reshape(3, 6, 6)
-    out["per_channel_wasserstein"] = per_channel_wasserstein(_channels(a), _channels(b))
+    out["per_channel_wasserstein"] = per_channel_wasserstein(a, b)
     out["run_oracle_checks"] = _plain(run_oracle_checks(num_pairs=6, seed=3))
     return out
 
