@@ -6,10 +6,10 @@ certified Wasserstein radii.
 
 A noise draw is a vector e of iid Laplace(b) values, one per grid edge in
 flow_domain's packed edge layout (flow scheme) or one per pixel (pixel
-scheme, where D = I), each drawn as a standard exponential times an
-independent random sign, scaled by b.  It reaches the pixels as the
-increment D e.  Training adds that increment to images; the voting engine,
-_vote_counts, and the attack gradient never form the noisy images.  The
+scheme, where D = I), each made by inverse transform from one uniform
+64-bit word of the generator.  It reaches the pixels as the increment D e.
+Training adds that increment to images; the voting engine, _vote_counts,
+and the attack gradient never form the noisy images.  The
 first layer is affine, so (x + D e) W0 + b0 = e (D^T W0) + (x W0 + b0):
 each call folds D^T and the image into the first layer once and scores the
 raw draws with that classifier, which sees exactly the pre-activations of
@@ -18,8 +18,9 @@ Sampling is deterministic given a seeded generator and independent of the
 worker count: draws are partitioned into fixed-size batches, each batch
 gets its own child stream via Generator.spawn, and partial results are
 merged in batch order.  Within a batch the draws are made and scored in
-blocks of DRAW_BLOCK rows, small enough (1.5 MB at 28x28) that drawing,
-signing, scaling and scoring a block stay in cache.
+blocks of about DRAW_VALUES values, small enough that a block's work arrays
+stay in cache.  Each value takes exactly one word of its batch's stream, so
+the draws do not depend on the block size either.
 """
 
 from __future__ import annotations
@@ -43,9 +44,11 @@ ABSTAIN = -1
 # scheduled across workers.
 VOTE_BATCH = 1000
 
-# Rows drawn and scored at a time inside a batch: 125 rows of the 1512
-# edges of a 28x28 image are 1.5 MB, which stays in a 4 MiB L2 cache.
-DRAW_BLOCK = 125
+# Values drawn and scored at a time inside a batch, in whole rows (at least
+# one): 2^16 values are 43 rows of the 1512 edges of a 28x28 image.  The
+# sampler's two uint64 work arrays then take 1 MiB, which stays in a 2 MiB
+# per-core L2 cache.
+DRAW_VALUES = 1 << 16
 
 FLOW = "wasserstein_flow"
 PIXEL = "laplace_pixel"
@@ -127,21 +130,30 @@ def _edge_noise(spec: NoiseSpec, cshape: tuple[int, int, int], size: int,
     values, one per packed edge of a (C, n, m) image for the flow scheme and
     one per pixel for the pixel scheme.
 
-    Each value is a standard exponential with an independent random sign
-    (one bit of rng.bytes), times b: exactly Laplace(b) at less than half
-    the cost of Generator.laplace, and the same bits as exponential(b),
-    which takes a slower path.  sigma = 0 returns zeros and consumes no
-    randomness.
+    Each value is made from one uniform 64-bit word of the generator by
+    inverse transform, as in Generator.laplace: bits 12-63 as the mantissa
+    of f in [1, 2) give U = 2 - f on the grid {k 2^-52 : k = 1..2^52} in
+    (0, 1], the magnitude is -b log U, and bit 0 is the sign of every
+    nonzero value (the value 0, from U = 1, is always -0.0).  That is
+    Laplace(b) to double precision, with the tail cut at 52 b ln 2 (about
+    36 b; probability 2^-52).  The words come from Generator.integers over
+    the full uint64 range, which for PCG64 are its raw outputs and for a
+    32-bit bit generator such as MT19937 join two outputs.  sigma = 0
+    returns zeros and consumes no randomness.
     """
     c, n, m = cshape
     width = c * n * m if spec.scheme == PIXEL else edge_count(cshape)
     if spec.sigma == 0.0:
         return np.zeros((size, width))
-    noise = rng.standard_exponential((size, width))
-    bits = np.unpackbits(np.frombuffer(rng.bytes(-(-noise.size // 8)), np.uint8), count=noise.size)
-    signs = 1 - 2 * bits.view(np.int8)
-    np.multiply(noise, signs.reshape(noise.shape), out=noise, dtype=float)
-    noise *= spec.scale
+    words = rng.integers(0, 1 << 64, (size, width), dtype=np.uint64)
+    signs = words << 63
+    words >>= 12
+    words |= 0x3FF0000000000000
+    noise = words.view(np.float64)
+    np.subtract(2.0, noise, out=noise)
+    np.log(noise, out=noise)
+    noise *= -spec.scale
+    words |= signs
     return noise
 
 
@@ -173,11 +185,12 @@ def _vote_counts(params, x, spec: NoiseSpec, n: int, rng, workers: int) -> np.nd
     folded = _fold_first_layer(params, channels, spec)
     sizes = [VOTE_BATCH] * (n // VOTE_BATCH) + ([n % VOTE_BATCH] if n % VOTE_BATCH else [])
     streams = np.random.default_rng(rng).spawn(len(sizes))
+    rows = max(1, DRAW_VALUES // folded.input_shape[0])
 
     def job(stream, size):
         counts = np.zeros(params.num_classes, dtype=np.int64)
-        for start in range(0, size, DRAW_BLOCK):
-            noise = _edge_noise(spec, channels.shape, min(DRAW_BLOCK, size - start), stream)
+        for start in range(0, size, rows):
+            noise = _edge_noise(spec, channels.shape, min(rows, size - start), stream)
             counts += np.bincount(np.argmax(folded.forward_batch(noise), axis=1),
                                   minlength=params.num_classes)
         return counts

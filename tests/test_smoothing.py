@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,16 +19,41 @@ from wsmooth import (
     radius_from_plower,
     smoothed_predict,
 )
+from wsmooth import smoothing
 from wsmooth.classifier import _forward
-from wsmooth.flow_domain import divergence, unpack_edges
-from wsmooth.smoothing import (DRAW_BLOCK, FLOW, PIXEL, _edge_noise, _fold_first_layer,
-                               _sample_increments, _vote_counts)
+from wsmooth.flow_domain import divergence, edge_count, unpack_edges
+from wsmooth.smoothing import (DRAW_VALUES, FLOW, PIXEL, VOTE_BATCH, _edge_noise,
+                               _fold_first_layer, _sample_increments, _vote_counts)
 
 from analytic import RegionThresholdClassifier, laplace_sum_sf, laplace_sum_sf_quad
 
 # p_lower with log-odds exactly 1, so certified radii reduce to the bare
 # coefficients times sigma.
 P_UNIT_ODDS = math.e / (1.0 + math.e)
+
+# TestDrawBlocks' image and the rows of one draw block at its width; the
+# ragged cases need 1 < BLOCK_ROWS < VOTE_BATCH.
+BLOCK_SHAPE = (8, 8)
+BLOCK_ROWS = DRAW_VALUES // edge_count((1,) + BLOCK_SHAPE)
+
+
+def laplace_from_words(words, b):
+    """The sampler's closed form: U = 1 - (w >> 12) 2^-52 in (0, 1], value
+    -b log U, negative exactly when bit 0 of the word is set; a zero value
+    (U = 1) is -0.0."""
+    u = 1.0 - (words >> 12).astype(np.float64) * 2.0 ** -52
+    magnitude = -b * np.log(u)
+    values = np.where(words & 1 == 1, -magnitude, magnitude)
+    values[values == 0.0] = -0.0
+    return values
+
+
+def fixed_words(words):
+    """A stand-in generator whose uniform uint64 words are ``words``, in order."""
+    def integers(low, high, shape, dtype):
+        assert (low, high, dtype) == (0, 1 << 64, np.uint64)
+        return np.array(words, dtype=np.uint64).reshape(shape)
+    return SimpleNamespace(integers=integers)
 
 
 class TestNoiseSpec:
@@ -89,6 +115,63 @@ class TestSampling:
         assert stats.kstest(draws, "laplace", args=(0.0, sigma / math.sqrt(2.0))).pvalue > 1e-3
         assert abs(draws.mean()) <= 0.05 * sigma
         assert draws.std() == pytest.approx(sigma, rel=0.05)
+
+    @pytest.mark.parametrize("scheme, cshape, size, seed",
+                             [(FLOW, (1, 28, 28), 3, 5), (PIXEL, (2, 4, 5), 7, 6)])
+    def test_each_value_is_the_closed_form_of_one_raw_word(self, scheme, cshape, size, seed):
+        spec = NoiseSpec(scheme, 0.3)
+        rng = np.random.default_rng(seed)
+        noise = _edge_noise(spec, cshape, size, rng)
+        reference = np.random.default_rng(seed)
+        words = reference.bit_generator.random_raw(noise.shape)
+        expected = laplace_from_words(words, spec.scale)
+        assert np.array_equal(noise.view(np.uint64), expected.view(np.uint64))
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+    def test_draws_do_not_depend_on_how_rows_are_split(self):
+        spec, cshape = NoiseSpec(FLOW, 0.2), (1, 6, 7)
+        whole = _edge_noise(spec, cshape, 10, np.random.default_rng(4))
+        rng = np.random.default_rng(4)
+        parts = [_edge_noise(spec, cshape, k, rng) for k in (1, 2, 7)]
+        assert np.array_equal(whole, np.concatenate(parts))
+
+    def test_extreme_words_give_zero_and_the_tail_cut(self):
+        # Bits 12-63 all clear: U = 1 and the value is zero.  All set: U =
+        # 2^-52, the largest magnitude, 52 b ln 2.  Bit 0 alone sets the sign.
+        spec = NoiseSpec(PIXEL, 0.3)
+        top = 52 * math.log(2.0) * spec.scale
+        noise = _edge_noise(spec, (1, 1, 4), 1,
+                            fixed_words([0, 1, 2 ** 64 - 2, 2 ** 64 - 1]))[0]
+        assert noise[0] == 0.0 and noise[1] == 0.0
+        assert np.signbit(noise[:2]).all()
+        assert np.array_equal(noise.view(np.uint64), laplace_from_words(
+            np.array([0, 1, 2 ** 64 - 2, 2 ** 64 - 1], dtype=np.uint64), spec.scale).view(np.uint64))
+        assert noise[2] == pytest.approx(top, rel=1e-15)
+        assert noise[3] == pytest.approx(-top, rel=1e-15)
+
+    def test_a_32_bit_bit_generator_gives_laplace_draws(self):
+        # MT19937 emits 32 random bits per raw output; each value still gets
+        # 64 uniform bits, so the draws have the full spread.
+        sigma = 0.4
+        rng = np.random.Generator(np.random.MT19937(0))
+        draws = _edge_noise(NoiseSpec(PIXEL, sigma), (1, 10, 10), 400, rng).ravel()
+        assert draws.std() == pytest.approx(sigma, rel=0.05)
+        assert stats.kstest(draws, "laplace", args=(0.0, sigma / math.sqrt(2))).pvalue > 1e-3
+
+    def test_sign_is_independent_of_magnitude(self):
+        # Fixed before running: 300000 values, sign against the quartile of
+        # |e| under Exp(b) (b ln(4/3), b ln 2, b ln 4), chi-square p > 1e-3.
+        # A sign taken from a bit that also sets U fails it: bit 63 is set
+        # exactly when U <= 1/2, i.e. when |e| >= b ln 2.
+        spec = NoiseSpec(PIXEL, 0.3)
+        b = spec.scale
+        draws = _edge_noise(spec, (1, 100, 100), 30, np.random.default_rng(14)).ravel()
+        quartile = np.searchsorted(b * np.log([4.0 / 3.0, 2.0, 4.0]), np.abs(draws))
+        table = np.zeros((2, 4))
+        np.add.at(table, (np.signbit(draws).astype(int), quartile), 1)
+        _, p_value, _, _ = stats.chi2_contingency(table)
+        assert p_value > 1e-3
+        assert np.abs(draws).max() <= 52 * math.log(2.0) * b
 
     def test_increments_are_divergence_of_edge_draws(self):
         spec, cshape = NoiseSpec(FLOW, 0.2), (2, 3, 4)
@@ -207,10 +290,11 @@ class TestSmoothedPredict:
 
 
 class TestDrawBlocks:
-    @pytest.mark.parametrize("n", [1, DRAW_BLOCK - 1, DRAW_BLOCK, DRAW_BLOCK + 1, 1001, 2125])
+    @pytest.mark.parametrize("n", [1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 1001, 2125])
     def test_ragged_blocks_count_every_draw(self, n):
-        params = init_params((4, 5), 3, hidden=8, rng=np.random.default_rng(n))
-        x = np.full((4, 5), 1 / 20)
+        assert 1 < BLOCK_ROWS < VOTE_BATCH
+        params = init_params(BLOCK_SHAPE, 3, hidden=8, rng=np.random.default_rng(n))
+        x = np.full(BLOCK_SHAPE, 1 / 64)
         spec = NoiseSpec(FLOW, 0.3)
         counts = _vote_counts(params, x, spec, n, np.random.default_rng(9), workers=1)
         assert counts.sum() == n
@@ -222,6 +306,17 @@ class TestDrawBlocks:
         cert = [certify(params, x, spec, n0=n, n=n, rng=np.random.default_rng(11), workers=w)
                 for w in (1, 3)]
         assert cert[0] == cert[1]
+
+    @pytest.mark.parametrize("rows", [1, 7])
+    def test_counts_do_not_depend_on_the_block_size(self, monkeypatch, rows):
+        params = init_params(BLOCK_SHAPE, 3, hidden=8, rng=np.random.default_rng(2))
+        x = np.random.default_rng(3).dirichlet(np.ones(64)).reshape(BLOCK_SHAPE)
+        spec = NoiseSpec(FLOW, 0.3)
+        default = _vote_counts(params, x, spec, 2125, np.random.default_rng(9), workers=1)
+        monkeypatch.setattr(smoothing, "DRAW_VALUES", rows * edge_count((1,) + BLOCK_SHAPE))
+        counts = _vote_counts(params, x, spec, 2125, np.random.default_rng(9), workers=1)
+        assert np.array_equal(counts, default)
+        assert np.count_nonzero(default) > 1
 
 
 class TestSharpInstance:

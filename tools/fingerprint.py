@@ -15,7 +15,9 @@ fingerprint any checkout:
 
     PYTHONPATH=/path/to/other/checkout/src python tools/fingerprint.py other.pkl
 
-Every case uses arrays and public names only.  Outputs are reduced to plain
+Every case uses arrays and public names only, except the ``sampler/...``
+cases, which record smoothing._edge_noise itself so that a change of the
+random stream shows up under its own name.  Outputs are reduced to plain
 Python values and numpy arrays and compared exactly: equal dtype, shape and
 bits for arrays, ``==`` for everything else.  Compare only files this tool
 wrote: loading a pickle can run arbitrary code.
@@ -57,6 +59,7 @@ from wsmooth import (  # noqa: E402
     wasserstein_grid_l1,
     wasserstein_lp,
 )
+from wsmooth.smoothing import _edge_noise  # noqa: E402
 
 FLOW = "wasserstein_flow"
 PIXEL = "laplace_pixel"
@@ -95,6 +98,10 @@ def cases() -> dict:
     out["dataset/subset"] = _dataset(train_ds.subset([5, 0, 5, 79]))
     raw = np.random.default_rng(5).integers(0, 256, size=(7, 4, 5), dtype=np.uint8)
     out["make_dataset/idx_bytes"] = _dataset(make_dataset(raw, np.arange(7) % 3, label_base=0))
+
+    for scheme in (FLOW, PIXEL):
+        out[f"sampler/{scheme}/1x28x28"] = _edge_noise(
+            NoiseSpec(scheme, 0.05), (1, 28, 28), 8, np.random.default_rng(61))
 
     models = {}
     for scheme in (FLOW, PIXEL):
