@@ -8,7 +8,8 @@ smoothing, whose input is the noise draw itself: under flow noise its
 gradient is already in the flow coordinates, and under pixel noise it is
 pulled back through the adjoint of the divergence.  After each ascent step
 the plan is projected onto the current L1 ball.  The attacked prediction
-uses the full abstaining decision rule, and abstention counts as a
+is the abstaining decision of the test on predict_samples draws (drawing
+stops once that decision is settled), and abstention counts as a
 successful attack.
 """
 
@@ -60,8 +61,10 @@ class AttackConfig:
     multiplies by growth_factor every growth_interval iterations, capped at
     max_radius.  Each ascent step moves a fixed L1 length step_size (default
     max_radius / 10) along the sign-normalized gradient; step direction is
-    free, only its length is fixed.  Every evaluated prediction spends the
-    full predict_samples budget.
+    free, only its length is fixed.  predict_samples caps the draws of each
+    evaluated prediction: its decision is that of the test on all
+    predict_samples draws, but drawing stops once no further draw can change
+    it.
     """
 
     iterations: int = 200
@@ -111,9 +114,10 @@ class AttackResult:
     budget is its L1 norm, which upper bounds the true Wasserstein cost.
     oracle_radius is the exact Wasserstein-L1 distance between the clean
     and perturbed image when the perturbed image stayed nonnegative (None
-    otherwise).  iteration is the first iteration whose full prediction
-    disagreed with the label, with 0 meaning the clean prediction was
-    already wrong.
+    otherwise).  iteration is the first iteration whose abstaining
+    prediction disagreed with the label, with 0 meaning the clean prediction
+    was already wrong.  prediction is the last evaluated one; its counts are
+    of the draws actually made.
     """
 
     success: bool

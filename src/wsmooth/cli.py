@@ -149,7 +149,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("predict", help="smoothed predictions on the test split")
     add_common(p)
-    add(p, "--n", "predict.n", "prediction sample count")
+    add(p, "--n", "predict.n", "prediction sample cap; the decision is the n-draw test's")
     add(p, "--alpha", "predict.alpha", "abstention significance level")
 
     p = sub.add_parser("certify", help="certified radii on the test split")
@@ -361,17 +361,18 @@ def _cmd_predict(cfg: dict) -> int:
     rng = np.random.default_rng(_derived_seeds(cfg)["predict"])
     streams = rng.spawn(len(dataset))
     x_all, y_all = dataset.as_arrays()
-    rows = []
+    rows, draws = [], 0
     for i in range(len(dataset)):
         pred = smoothed_predict(params, x_all[i], cfg["noise"], n, alpha, streams[i],
                                 workers=cfg["workers"])
+        draws += pred.num_samples
         rows.append([i, int(y_all[i]), pred.predicted, float(pred.p_value),
                      int(pred.predicted == ABSTAIN)])
     meta = _meta(cfg, "predict", n=n, alpha=_fmt(alpha))
     _write_table(Path(cfg["out_dir"]) / "predictions.csv", meta,
                  ["id", "label", "prediction", "p_value", "abstained"], rows)
     summary = _write_summary(
-        cfg, "predict", n=n, alpha=alpha, num_images=len(dataset),
+        cfg, "predict", n=n, alpha=alpha, num_images=len(dataset), draws=draws,
         accuracy=sum(pred == label for _, label, pred, _, _ in rows) / len(rows),
         abstention_rate=sum(abstained for *_, abstained in rows) / len(rows))
     print(f"predict: accuracy {summary['accuracy']:.3f}, "

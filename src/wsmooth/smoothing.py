@@ -20,7 +20,10 @@ gets its own child stream via Generator.spawn, and partial results are
 merged in batch order.  Within a batch the draws are made and scored in
 blocks of about DRAW_VALUES values, small enough that a block's work arrays
 stay in cache.  Each value takes exactly one word of its batch's stream, so
-the draws do not depend on the block size either.
+the draws do not depend on the block size either.  _vote_counts hands out
+one tally per block in draw order; certify sums them all, while
+smoothed_predict stops at the first block after which its decision cannot
+change.
 """
 
 from __future__ import annotations
@@ -180,27 +183,35 @@ def _fold_first_layer(params, channels: np.ndarray, spec: NoiseSpec):
                    biases=[channels.reshape(-1) @ w0 + params.biases[0], *params.biases[1:]])
 
 
-def _vote_counts(params, x, spec: NoiseSpec, n: int, rng, workers: int) -> np.ndarray:
+def _vote_counts(params, x, spec: NoiseSpec, n: int, rng, workers: int):
+    """Vote tallies of ``n`` noise draws, one tally per scoring block, in
+    draw order: batch by batch, block by block.
+
+    With one worker the blocks are drawn as they are consumed.  With more,
+    ``workers`` batches are scored at a time and their tallies handed out
+    in order, so the sequence does not depend on the worker count.
+    """
     channels = as_channels(x)
     folded = _fold_first_layer(params, channels, spec)
     sizes = [VOTE_BATCH] * (n // VOTE_BATCH) + ([n % VOTE_BATCH] if n % VOTE_BATCH else [])
     streams = np.random.default_rng(rng).spawn(len(sizes))
     rows = max(1, DRAW_VALUES // folded.input_shape[0])
 
-    def job(stream, size):
-        counts = np.zeros(params.num_classes, dtype=np.int64)
+    def blocks(stream, size):
         for start in range(0, size, rows):
             noise = _edge_noise(spec, channels.shape, min(rows, size - start), stream)
-            counts += np.bincount(np.argmax(folded.forward_batch(noise), axis=1),
-                                  minlength=params.num_classes)
-        return counts
+            yield np.bincount(np.argmax(folded.forward_batch(noise), axis=1),
+                              minlength=params.num_classes)
 
-    if workers <= 1 or len(sizes) <= 1:
-        parts = [job(stream, size) for stream, size in zip(streams, sizes)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            parts = list(ex.map(job, streams, sizes))
-    return np.sum(parts, axis=0, dtype=np.int64)
+    batches = [blocks(stream, size) for stream, size in zip(streams, sizes)]
+    if workers <= 1 or len(batches) <= 1:
+        for batch in batches:
+            yield from batch
+        return
+    with ThreadPoolExecutor(max_workers=workers) as ex:
+        for first in range(0, len(batches), workers):
+            for tallies in ex.map(list, batches[first:first + workers]):
+                yield from tallies
 
 
 def prediction_from_counts(counts, alpha: float) -> SmoothedPrediction:
@@ -231,15 +242,43 @@ def prediction_from_counts(counts, alpha: float) -> SmoothedPrediction:
     return SmoothedPrediction(predicted, int(counts.sum()), (n_top, n_run), p_value, 1.0 - alpha)
 
 
+def _decided(counts: np.ndarray, remaining: int, alpha: float) -> bool:
+    """Whether no way of casting ``remaining`` more votes can change the
+    abstaining decision on the tally ``counts``.
+
+    The test's p-value 2 I_{1/2}(n_top, n_run + 1) falls as n_top grows and
+    rises with n_run.  So the leader is certain to be named when it stays
+    ahead and passes the test even if every remaining vote goes to the
+    runner-up, and abstention is certain when the test fails even if every
+    remaining vote goes to the leader.
+    """
+    c_run, c_top = (int(c) for c in np.partition(counts, -2)[-2:])
+    if c_top > c_run + remaining and 2.0 * betainc(c_top, c_run + remaining + 1, 0.5) <= alpha:
+        return True
+    return 2.0 * betainc(c_top + remaining, c_run + 1, 0.5) > alpha
+
+
 def smoothed_predict(params, x, spec: NoiseSpec, n: int = 10000, alpha: float = 0.05,
                      rng=None, workers: int = 1) -> SmoothedPrediction:
     """Predict with the smoothed version of the base classifier ``params``
     (a ClassifierParams), abstaining unless the top class beats the
     runner-up at significance alpha (two-sided binomial test on their
-    head-to-head counts)."""
+    head-to-head counts).
+
+    ``n`` caps the draws.  The decision is always that of the test on all
+    n draws, but drawing stops at the first block where no outcome of the
+    draws left can change it; num_samples, top_counts and p_value then
+    describe the draws actually made.  The stopping point is defined in
+    draw order, so it does not depend on the worker count.
+    """
     if n < 1:
         raise ValueError("need at least one sample")
-    counts = _vote_counts(params, x, spec, n, rng, workers)
+    counts, remaining = 0, n
+    for tally in _vote_counts(params, x, spec, n, rng, workers):
+        counts = counts + tally
+        remaining -= int(tally.sum())
+        if _decided(counts, remaining, alpha):
+            break
     return prediction_from_counts(counts, alpha)
 
 
@@ -298,9 +337,8 @@ def certify(params, x, spec: NoiseSpec, n0: int = 1000, n: int = 10000,
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
     r_guess, r_bound = np.random.default_rng(rng).spawn(2)
-    counts0 = _vote_counts(params, x, spec, n0, r_guess, workers)
-    top = int(np.argmax(counts0))
-    counts = _vote_counts(params, x, spec, n, r_bound, workers)
+    top = int(np.argmax(sum(_vote_counts(params, x, spec, n0, r_guess, workers))))
+    counts = sum(_vote_counts(params, x, spec, n, r_bound, workers))
     p_lower = clopper_pearson_lower(int(counts[top]), n, alpha)
     if p_lower > 0.5:
         # sigma = 0 draws no noise, so unanimity is expected and certifies a

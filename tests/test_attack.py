@@ -15,12 +15,14 @@ from wsmooth import (
     make_dataset,
     project_l1_ball,
     per_channel_wasserstein,
+    prediction_from_counts,
     robustness_curve,
     smoothed_predict,
 )
+from wsmooth import attack, smoothing
 from wsmooth.attack import _flow_gradient
 from wsmooth.flow_domain import divergence, divergence_adjoint, edge_count, pack_edges, unpack_edges
-from wsmooth.smoothing import FLOW, PIXEL, _sample_increments
+from wsmooth.smoothing import FLOW, PIXEL, _sample_increments, _vote_counts
 
 from analytic import brute_force_l1_projection
 
@@ -264,6 +266,55 @@ class TestFoldedGradient:
                               cfg, rng=7)
         assert res.clean_correct and res.success
         assert 0 < res.budget <= 0.5 + 1e-12
+
+
+class TestEarlyStop:
+    """Stopping the predict draws early changes no attack outcome."""
+
+    def weak_3channel(self):
+        cshape = (3, 5, 5)
+        x = 0.5 + np.random.default_rng(62).random(cshape)
+        x /= x.sum()
+        params = init_params(cshape, 2, rng=np.random.default_rng(72))
+        spec = NoiseSpec(FLOW, 0.01)
+        label = smoothed_predict(params, x, spec, 300, 0.05, np.random.default_rng(1)).predicted
+        cfg = AttackConfig(iterations=15, gradient_samples=16, max_radius=0.2, step_size=0.02,
+                           predict_samples=300)
+        return params, x, label, spec, cfg
+
+    def halves(self, scheme):
+        cfg = AttackConfig(iterations=40, gradient_samples=32, max_radius=0.5,
+                           growth_interval=5, predict_samples=1000)
+        return halves_classifier(), split_image(0.56), 1, NoiseSpec(scheme, 0.01), cfg
+
+    @pytest.mark.parametrize("case", ["flow", "pixel", "3channel"])
+    def test_outcome_equals_the_full_tally_run(self, monkeypatch, case):
+        # Small blocks give these small images several stop checks per batch;
+        # the draws do not depend on the block size.
+        monkeypatch.setattr(smoothing, "DRAW_VALUES", 2000)
+        args = self.weak_3channel() if case == "3channel" else self.halves(
+            {"flow": FLOW, "pixel": PIXEL}[case])
+        made = []
+
+        def counting_predict(*a, **kw):
+            pred = smoothed_predict(*a, **kw)
+            made.append(pred.num_samples)
+            return pred
+
+        def full_predict(params, x, spec, n, alpha, rng=None, workers=1):
+            return prediction_from_counts(sum(_vote_counts(params, x, spec, n, rng, workers)),
+                                          alpha)
+
+        monkeypatch.setattr(attack, "smoothed_predict", counting_predict)
+        stopped = flow_pgd_attack(*args, rng=5)
+        monkeypatch.setattr(attack, "smoothed_predict", full_predict)
+        full = flow_pgd_attack(*args, rng=5)
+        for field in ("success", "clean_correct", "budget", "iteration", "oracle_radius"):
+            assert getattr(stopped, field) == getattr(full, field), field
+        assert np.array_equal(stopped.plans, full.plans)
+        assert stopped.prediction.predicted == full.prediction.predicted
+        assert stopped.success
+        assert sum(made) < len(made) * args[-1].predict_samples
 
 
 class TestRobustnessCurve:

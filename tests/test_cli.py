@@ -175,6 +175,7 @@ class TestPredictCommand:
             assert 0.0 <= float(row["p_value"]) <= 1.0
         summary = json.loads((out / "predict_summary.json").read_text())
         assert summary["n"] == 500
+        assert 0 < summary["draws"] <= 500 * len(rows)
         assert 0.0 <= summary["accuracy"] <= 1.0
         first = (out / "predictions.csv").read_bytes()
         run(["predict", "--config", str(config_path)])

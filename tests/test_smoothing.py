@@ -1,3 +1,4 @@
+import itertools
 import math
 from types import SimpleNamespace
 
@@ -46,6 +47,20 @@ def laplace_from_words(words, b):
     values = np.where(words & 1 == 1, -magnitude, magnitude)
     values[values == 0.0] = -0.0
     return values
+
+
+def block_ends(n, rows):
+    """Draw counts at which a block of ``rows`` draws ends, for n draws split
+    into VOTE_BATCH-sized batches."""
+    return {batch + min(end, VOTE_BATCH, n - batch) for batch in range(0, n, VOTE_BATCH)
+            for end in range(rows, VOTE_BATCH + rows, rows)}
+
+
+def completions(counts, r):
+    """Every tally that ``r`` more votes can turn ``counts`` into."""
+    for extra in itertools.product(range(r + 1), repeat=len(counts)):
+        if sum(extra) == r:
+            yield tuple(c + e for c, e in zip(counts, extra))
 
 
 def fixed_words(words):
@@ -281,12 +296,51 @@ class TestSmoothedPredict:
         rng = np.random.default_rng(31)
         x = rng.dirichlet(np.ones(9)).reshape(3, 3)
         sigma = 0.15
-        pred = smoothed_predict(region.params(), x, NoiseSpec(FLOW, sigma), n=20000,
-                                rng=np.random.default_rng(8), alpha=0.5)
+        counts = sum(_vote_counts(region.params(), x, NoiseSpec(FLOW, sigma), 20000,
+                                  np.random.default_rng(8), workers=1))
         p_exact = region.exact_positive_probability(x, sigma)
-        votes_for_positive = pred.top_counts[0] if pred.predicted == 1 else pred.top_counts[1]
+        votes_for_positive = counts[region.positive_index]
         se = math.sqrt(p_exact * (1 - p_exact) / 20000)
         assert votes_for_positive / 20000 == pytest.approx(p_exact, abs=5 * se)
+
+    @pytest.mark.parametrize("seed", [0, 11])
+    def test_early_stop_is_worker_invariant(self, seed):
+        # Tallies are scanned in draw order whatever the worker count, so a
+        # stop inside the second or third batch lands on the same draw.
+        params = init_params(BLOCK_SHAPE, 3, hidden=8, rng=np.random.default_rng(seed))
+        x = np.random.default_rng(3).dirichlet(np.ones(64)).reshape(BLOCK_SHAPE)
+        spec = NoiseSpec(FLOW, 0.3)
+        pred = [smoothed_predict(params, x, spec, n=2500, rng=np.random.default_rng(4), workers=w)
+                for w in (1, 2, 3)]
+        assert pred[0] == pred[1] == pred[2]
+        assert VOTE_BATCH < pred[0].num_samples < 2500
+
+
+class TestStopRule:
+    """smoothed_predict stops once no outcome of the draws left can change
+    the decision of the test on all n draws."""
+
+    @pytest.mark.parametrize("alpha", [0.001, 0.05, 0.5])
+    @pytest.mark.parametrize("classes", [2, 3])
+    def test_stops_exactly_when_the_decision_is_settled(self, classes, alpha):
+        decision = {}
+
+        def predicted(tally):
+            if tally not in decision:
+                decision[tally] = prediction_from_counts(np.array(tally), alpha).predicted
+            return decision[tally]
+
+        stops = 0
+        for n in range(1, 17):
+            for drawn in range(1, n + 1):
+                for tally in completions((0,) * classes, drawn):
+                    outcomes = {predicted(final) for final in completions(tally, n - drawn)}
+                    stop = smoothing._decided(np.array(tally), n - drawn, alpha)
+                    # Sound: a stop never changes the decision.  Tight: the
+                    # rule waits only while some outcome still could.
+                    assert stop == (outcomes == {predicted(tally)}), (tally, n, alpha)
+                    stops += stop and drawn < n
+        assert stops > 0
 
 
 class TestDrawBlocks:
@@ -296,13 +350,15 @@ class TestDrawBlocks:
         params = init_params(BLOCK_SHAPE, 3, hidden=8, rng=np.random.default_rng(n))
         x = np.full(BLOCK_SHAPE, 1 / 64)
         spec = NoiseSpec(FLOW, 0.3)
-        counts = _vote_counts(params, x, spec, n, np.random.default_rng(9), workers=1)
+        counts = sum(_vote_counts(params, x, spec, n, np.random.default_rng(9), workers=1))
         assert counts.sum() == n
-        assert np.array_equal(counts, _vote_counts(params, x, spec, n, np.random.default_rng(9),
-                                                   workers=3))
+        assert np.array_equal(counts, sum(_vote_counts(params, x, spec, n,
+                                                       np.random.default_rng(9), workers=3)))
         pred = [smoothed_predict(params, x, spec, n=n, rng=np.random.default_rng(10), workers=w)
                 for w in (1, 3)]
-        assert pred[0] == pred[1] and pred[0].num_samples == n
+        assert pred[0] == pred[1] and pred[0].num_samples in block_ends(n, BLOCK_ROWS)
+        full = sum(_vote_counts(params, x, spec, n, np.random.default_rng(10), workers=1))
+        assert pred[0].predicted == prediction_from_counts(full, 0.05).predicted
         cert = [certify(params, x, spec, n0=n, n=n, rng=np.random.default_rng(11), workers=w)
                 for w in (1, 3)]
         assert cert[0] == cert[1]
@@ -312,9 +368,9 @@ class TestDrawBlocks:
         params = init_params(BLOCK_SHAPE, 3, hidden=8, rng=np.random.default_rng(2))
         x = np.random.default_rng(3).dirichlet(np.ones(64)).reshape(BLOCK_SHAPE)
         spec = NoiseSpec(FLOW, 0.3)
-        default = _vote_counts(params, x, spec, 2125, np.random.default_rng(9), workers=1)
+        default = sum(_vote_counts(params, x, spec, 2125, np.random.default_rng(9), workers=1))
         monkeypatch.setattr(smoothing, "DRAW_VALUES", rows * edge_count((1,) + BLOCK_SHAPE))
-        counts = _vote_counts(params, x, spec, 2125, np.random.default_rng(9), workers=1)
+        counts = sum(_vote_counts(params, x, spec, 2125, np.random.default_rng(9), workers=1))
         assert np.array_equal(counts, default)
         assert np.count_nonzero(default) > 1
 

@@ -124,7 +124,15 @@ def cases() -> dict:
                     params, x_all[i], spec, 200, 2500, 0.05, np.random.default_rng(seed),
                     workers=workers))
 
+    # Where smoothed_predict stops drawing: a near-unanimous image and an
+    # abstaining blend of two classes, at a cap of ten batches.
     flow_spec = NoiseSpec(FLOW, 0.05)
+    for name, x, seed in (("unanimous", x_all[0], 300),
+                          ("abstain", 0.5 * (x_all[0] + x_all[5]), 301)):
+        pred = smoothed_predict(models[FLOW], x, flow_spec, 10000, 0.05,
+                                np.random.default_rng(seed))
+        out[f"predict/stop/{name}"] = [pred.predicted, pred.num_samples, pred.top_counts]
+
     acfg = AttackConfig(iterations=12, gradient_samples=32, max_radius=0.5,
                         predict_samples=400)
     for i in range(2):
