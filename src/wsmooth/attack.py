@@ -21,8 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .classifier import input_gradient_batch
-from .flow_domain import (as_channels, divergence, divergence_adjoint, edge_count, pack_edges,
-                          unpack_edges)
+from .flow_domain import as_channels, divergence, divergence_adjoint, edge_count
 from .smoothing import (PIXEL, NoiseSpec, SmoothedPrediction, _edge_noise, _fold_first_layer,
                         smoothed_predict)
 from .transport_oracle import per_channel_wasserstein, wasserstein_grid_l1
@@ -109,8 +108,8 @@ class AttackResult:
     """Outcome of attacking one image.
 
     plans holds the final flow perturbation as a (C, E_c) array: row k is
-    channel k's packed edge vector (the flow_domain.unpack_edges layout of
-    one channel), so the rows in order are the attack's packed delta.
+    channel k's packed edge vector, so the rows in order are the attack's
+    packed delta.
     budget is its L1 norm, which upper bounds the true Wasserstein cost.
     oracle_radius is the exact Wasserstein-L1 distance between the clean
     and perturbed image when the perturbed image stayed nonnegative (None
@@ -145,7 +144,7 @@ def _flow_gradient(classifier, perturbed: np.ndarray, label: int, spec: NoiseSpe
     noise = _edge_noise(spec, perturbed.shape, samples, rng)
     grad = input_gradient_batch(folded, noise, np.full(samples, label)).mean(axis=0)
     if spec.scheme == PIXEL:
-        return pack_edges(*divergence_adjoint(grad.reshape(perturbed.shape)))
+        return divergence_adjoint(grad.reshape(perturbed.shape))
     return grad
 
 
@@ -183,19 +182,20 @@ def flow_pgd_attack(classifier, x, label: int, spec: NoiseSpec,
         return AttackResult(True, False, delta.reshape(cshape[0], -1), 0.0, 0, clean_pred, 0.0)
 
     last_evaluated = delta
+    perturbed = channels
     step = config.resolved_step
     pred = clean_pred
     for it in range(1, config.iterations + 1):
         grad_rng, eval_rng = next(streams), next(streams)
-        grad = _flow_gradient(classifier, channels + divergence(*unpack_edges(delta, cshape)),
-                              label, spec, config.gradient_samples, grad_rng)
+        grad = _flow_gradient(classifier, perturbed, label, spec, config.gradient_samples,
+                              grad_rng)
         gnorm = np.abs(grad).sum()
         if gnorm > 0:
             delta = delta + step * grad / gnorm
         delta = project_l1_ball(delta, config.radius_at(it))
         if np.array_equal(delta, last_evaluated):
             continue
-        perturbed = channels + divergence(*unpack_edges(delta, cshape))
+        perturbed = channels + divergence(delta, cshape)
         pred = smoothed_predict(classifier, perturbed, spec, config.predict_samples,
                                 config.predict_alpha, eval_rng)
         last_evaluated = delta

@@ -215,15 +215,17 @@ def train(dataset, config: TrainConfig, hidden: int | None = None) -> TrainResul
     cshape = X.shape[1:] if X.ndim == 4 else (1,) + X.shape[1:]
     losses = []
     num = len(X)
+    starts = range(0, num, config.batch_size)
     for _ in range(config.epochs):
         perm = r_shuffle.permutation(num)
+        if spec.sigma > 0:
+            increments = _sample_increments(spec, cshape, len(starts), r_noise)
         epoch_loss = 0.0
-        for start in range(0, num, config.batch_size):
+        for b, start in enumerate(starts):
             idx = perm[start : start + config.batch_size]
             xb = X[idx]
             if spec.sigma > 0:
-                inc = _sample_increments(spec, cshape, 1, r_noise)
-                xb = xb + inc.reshape((1,) + X.shape[1:])
+                xb += increments[b].reshape(X.shape[1:])
             loss, grads = loss_and_gradients(params, xb, y[idx])
             for p, g, v in zip(params.arrays(), grads, velocity):
                 np.multiply(v, config.momentum, out=v)

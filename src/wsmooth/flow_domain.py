@@ -3,25 +3,27 @@
 An image is a plain float array, (n, m) or (C, n, m), of nonnegative
 intensities whose grand total is 1; ``unit_mass`` checks that where an
 image enters the package and ``as_channels`` views either form as
-(C, n, m).  A local flow moves mass only between vertically or
-horizontally adjacent pixels.  Applying a flow f to an image x gives
-x + D f, where D is the grid divergence: each pixel gains its net inflow,
-so total mass is conserved even though individual pixels may go negative.
-``divergence`` and its adjoint ``divergence_adjoint`` are the one
-implementation of D and D^T that smoothing, training and the attack
-share; both are batched over leading axes.  ``pack_edges`` /
-``unpack_edges`` are the one flat layout of a (C, n, m) image's edge
-values, and a flow is always an array in that layout: smoothing draws its
-noise there, the attack keeps its perturbation there, and the grid oracle
-returns its directed edge flow as a (2, E) array whose rows ship forward
-and backward along the same packed edges.
+(C, n, m).  A local flow moves mass only between 4-adjacent pixels and is
+always a packed edge vector: channel by channel, the row-major vertical
+edges (i, j) -> (i+1, j), then the row-major horizontal edges
+(i, j) -> (i, j+1), negative values moving mass the opposite way.
+Applying a flow f to an image x gives x + D f, where D, the grid
+divergence, is one sparse matrix (``divergence_matrix``): each pixel gains
+its net inflow, so total mass is conserved even though individual pixels
+may go negative.  ``divergence`` and ``divergence_adjoint`` multiply by D
+and D^T, batched over leading axes; smoothing, training and the attack
+share them, and the grid oracle's arcs are [-D, D], so its directed edge
+flow is a (2, E) array of packed edges, forward over backward.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+import scipy.sparse as sp
 
 # Tolerance for the unit-mass check on incoming images.
 MASS_TOL = 1e-9
@@ -88,74 +90,65 @@ class RawGrid:
         self.values = a
 
 
-def divergence(vert: np.ndarray, horiz: np.ndarray) -> np.ndarray:
-    """Net inflow D f of every pixel under the signed edge flows f.
-
-    vert has shape (..., n-1, m) and horiz (..., n, m-1), with the sign
-    convention of unpack_edges; the result has shape (..., n, m) and each
-    of its grids sums to zero.
-    """
-    out = np.zeros(horiz.shape[:-1] + vert.shape[-1:])
-    out[..., 1:, :] += vert
-    out[..., :-1, :] -= vert
-    out[..., :, 1:] += horiz
-    out[..., :, :-1] -= horiz
-    return out
-
-
-def divergence_adjoint(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """D^T g: the (vert, horiz) edge values with <D f, g> = <f, D^T g>.
-
-    Each edge gets the difference of g across it (head minus tail), so a
-    pixel-space gradient pulls back to the flow coordinates.  g has shape
-    (..., n, m); the result has shapes (..., n-1, m) and (..., n, m-1).
-    """
-    return g[..., 1:, :] - g[..., :-1, :], g[..., :, 1:] - g[..., :, :-1]
-
-
 def edge_count(cshape: tuple[int, int, int]) -> int:
     """Length C((n-1)m + n(m-1)) of the packed edge vector of a (C, n, m) image."""
     c, n, m = cshape
     return c * ((n - 1) * m + n * (m - 1))
 
 
-def unpack_edges(edges: np.ndarray, cshape: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """Per-channel (vert, horiz) stacks of packed edge vectors.
+@lru_cache(maxsize=32)
+def divergence_matrix(cshape: tuple[int, int, int]) -> sp.csr_matrix:
+    """D of a (C, n, m) image as a sparse (C n m, edge_count(cshape)) matrix.
 
-    The packed vector holds, channel by channel, the row-major vertical
-    edges followed by the row-major horizontal edges; pack_edges inverts
-    this.  edges has shape (..., edge_count(cshape)); the results have
-    shapes (..., C, n-1, m) and (..., C, n, m-1).  vert[..., i, j] moves
-    mass from pixel (i, j) to (i+1, j) and horiz[..., i, j] from (i, j) to
-    (i, j+1); negative values move it the opposite way.  Flows across the
-    image boundary do not exist.
+    Column k is +1 at the flattened pixel edge k fills and -1 at the one
+    it drains, with one diagonal block per channel.  Each row's entries are
+    sorted, so a pixel sums its vertical inflow, vertical outflow,
+    horizontal inflow and horizontal outflow in that order.  Callers share
+    the cached matrix and must not modify it.
     """
-    c, n, m = cshape
-    nv = (n - 1) * m
-    blocks = edges.reshape(edges.shape[:-1] + (c, nv + n * (m - 1)))
-    lead = blocks.shape[:-1]
-    return blocks[..., :nv].reshape(lead + (n - 1, m)), blocks[..., nv:].reshape(lead + (n, m - 1))
+    c = cshape[0]
+    pixels = np.arange(math.prod(cshape)).reshape(cshape)
+    tails = np.hstack([pixels[:, :-1].reshape(c, -1), pixels[:, :, :-1].reshape(c, -1)]).ravel()
+    heads = np.hstack([pixels[:, 1:].reshape(c, -1), pixels[:, :, 1:].reshape(c, -1)]).ravel()
+    edges = np.arange(tails.size)
+    d = sp.csr_matrix((np.repeat([1.0, -1.0], edges.size),
+                       (np.concatenate([heads, tails]), np.tile(edges, 2))),
+                      shape=(pixels.size, edges.size))
+    d.sort_indices()
+    return d
 
 
-def pack_edges(vert: np.ndarray, horiz: np.ndarray) -> np.ndarray:
-    """Inverse of unpack_edges: (..., C, n-1, m) and (..., C, n, m-1) stacks
-    to packed vectors of shape (..., edge_count)."""
-    lead = vert.shape[:-2]
-    flat = np.concatenate([vert.reshape(lead + (-1,)), horiz.reshape(lead + (-1,))], axis=-1)
-    return flat.reshape(lead[:-1] + (-1,))
+@lru_cache(maxsize=32)  # a CSR copy of D^T multiplies 2-3x faster than the view D.T
+def _adjoint_matrix(cshape: tuple[int, int, int]) -> sp.csr_matrix:
+    return divergence_matrix(cshape).T.tocsr()
+
+
+def divergence(edges: np.ndarray, cshape: tuple[int, int, int]) -> np.ndarray:
+    """Net inflow D f of every pixel of a (C, n, m) image under packed edge
+    flows f of shape (..., edge_count(cshape)); the result has shape
+    (..., C, n, m) and each of its grids sums to zero."""
+    lead = edges.shape[:-1]
+    flat = edges.reshape(math.prod(lead), edges.shape[-1])
+    return (divergence_matrix(tuple(cshape)) @ flat.T).T.reshape(lead + tuple(cshape))
+
+
+def divergence_adjoint(g: np.ndarray) -> np.ndarray:
+    """D^T g, with <D f, g> = <f, D^T g>: each packed edge gets the difference
+    of g across it (head minus tail), so a pixel-space gradient g of shape
+    (..., C, n, m) pulls back to flow coordinates of shape (..., E)."""
+    lead, cshape = g.shape[:-3], g.shape[-3:]
+    flat = g.reshape(math.prod(lead), math.prod(cshape))
+    return (_adjoint_matrix(cshape) @ flat.T).T.reshape(lead + (edge_count(cshape),))
 
 
 def apply_flow(x, edges) -> RawGrid:
-    """Redistribute the mass of ``x`` (an (n, m) array or a RawGrid) along
-    the signed flows ``edges``, a packed vector of length
-    edge_count((1, n, m)).
+    """x + D f: the mass of ``x`` (an (n, m) array or a RawGrid) moved
+    along the packed flow ``edges`` of length edge_count((1, n, m)).
 
-    Each pixel gains what its up/left neighbors push in and loses what it
-    pushes out, so the total is preserved exactly up to float rounding.
-    Destination pixels can go negative; the result is a RawGrid.  The
-    packed length 2nm - n - m is the same for (n, m) and (m, n), so only
-    the length is checked: the caller must pass flows made for the image's
-    own shape.
+    The total is preserved up to float rounding, but pixels can go
+    negative; the result is a RawGrid.  The packed length 2nm - n - m is
+    the same for (n, m) and (m, n), so only the length is checked: the
+    caller must pass flows made for the image's own shape.
     """
     a = _as_float_grid(x.values if isinstance(x, RawGrid) else x, "image")
     cshape = (1,) + a.shape
@@ -163,7 +156,7 @@ def apply_flow(x, edges) -> RawGrid:
     if f.shape != (edge_count(cshape),):
         raise ShapeMismatchError(f"flow of shape {f.shape} applied to image of shape {a.shape}: "
                                  f"expected ({edge_count(cshape)},)")
-    return RawGrid(a + divergence(*unpack_edges(f, cshape))[0])
+    return RawGrid(a + divergence(f, cshape)[0])
 
 
 def l1_norm(edges) -> float:

@@ -9,11 +9,10 @@ flow_domain's packed edge layout (flow scheme) or one per pixel (pixel
 scheme, where D = I), each made by inverse transform from one uniform
 64-bit word of the generator.  It reaches the pixels as the increment D e.
 Training adds that increment to images; the voting engine, _vote_counts,
-and the attack gradient never form the noisy images.  The
-first layer is affine, so (x + D e) W0 + b0 = e (D^T W0) + (x W0 + b0):
-each call folds D^T and the image into the first layer once and scores the
-raw draws with that classifier, which sees exactly the pre-activations of
-the noisy images.
+and the attack gradient never form the noisy images.  The first layer is
+affine, so (x + D e) W0 + b0 = e (D^T W0) + (x W0 + b0): each call folds
+D^T and the image into the first layer once and scores the raw draws with
+that classifier, which sees exactly the pre-activations of the noisy images.
 Sampling is deterministic given a seeded generator and independent of the
 worker count: draws are partitioned into fixed-size batches, each batch
 gets its own child stream via Generator.spawn, and partial results are
@@ -35,8 +34,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import betainc, betaincinv
 
-from .flow_domain import (ShapeMismatchError, as_channels, divergence, divergence_adjoint,
-                          edge_count, pack_edges, unpack_edges)
+from .flow_domain import ShapeMismatchError, as_channels, divergence, divergence_adjoint, edge_count
 from .transport_oracle import GroundMetric
 
 # Sentinel prediction for "not enough evidence to name a class".
@@ -166,7 +164,7 @@ def _sample_increments(spec: NoiseSpec, cshape: tuple[int, int, int], size: int,
     noise = _edge_noise(spec, cshape, size, rng)
     if spec.scheme == PIXEL:
         return noise.reshape((size,) + cshape)
-    return divergence(*unpack_edges(noise, cshape))
+    return divergence(noise, cshape)
 
 
 def _fold_first_layer(params, channels: np.ndarray, spec: NoiseSpec):
@@ -178,7 +176,7 @@ def _fold_first_layer(params, channels: np.ndarray, spec: NoiseSpec):
                                  f"expecting {w0.shape[0]}")
     g = w0  # pixel noise: D = I
     if spec.scheme == FLOW:
-        g = pack_edges(*divergence_adjoint(w0.T.reshape((-1,) + channels.shape))).T
+        g = divergence_adjoint(w0.T.reshape((-1,) + channels.shape)).T
     return replace(params, input_shape=(g.shape[0],), weights=[g, *params.weights[1:]],
                    biases=[channels.reshape(-1) @ w0 + params.biases[0], *params.biases[1:]])
 

@@ -4,8 +4,9 @@ Two independent routes compute the same distance when the ground metric is
 the L1 pixel distance: a dense coupling linear program (any metric ground
 cost, capped at 64 pixels) and a sparse flow linear program over the
 directed edges of the 4-adjacency grid with unit edge costs (the EMD-L1
-formulation of Ling & Okada, TPAMI 2007, exact on much larger grids).  Both
-are solved by HiGHS.  The coupling LP leaves the mass the two images share
+formulation of Ling & Okada, TPAMI 2007, exact on much larger grids), whose
+constraint matrix is [-D, D] for flow_domain's divergence D.  Both are
+solved by HiGHS.  The coupling LP leaves the mass the two images share
 in place and ships only the difference, from the pixels with surplus to
 those with deficit; that is exact because the ground cost is a metric.  The
 flow route also yields the optimal directed edge flow, whose net packed
@@ -21,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 
-from .flow_domain import ShapeMismatchError, flow_from_edge, unit_mass
+from .flow_domain import ShapeMismatchError, divergence_matrix, flow_from_edge, unit_mass
 
 # The dense LP has N^2 variables; past 64 pixels it stops being an oracle
 # and starts being a liability.
@@ -142,39 +143,23 @@ def wasserstein_lp(x, xp, metric: GroundMetric = GroundMetric.L1) -> tuple[float
 
 @lru_cache(maxsize=32)
 def _grid_incidence(n: int, m: int) -> sp.csr_matrix:
-    """Node-arc incidence matrix of the 4-adjacency digraph of an n x m grid.
-
-    Entry (u, arc) is +1 when the arc leaves pixel u and -1 when it enters
-    it, so the product with an arc flow is each pixel's net outflow.  Arcs
-    are laid out in four blocks (down, up, right, left), each row-major, so
-    the (down, up) and (right, left) halves of a solved flow each reshape
-    to two rows of the packed (2, E) layout.  Callers share the cached
-    matrix and must not modify it.
-    """
-    idx = np.arange(n * m).reshape(n, m)
-    down = np.stack([idx[:-1, :].ravel(), idx[1:, :].ravel()])
-    right = np.stack([idx[:, :-1].ravel(), idx[:, 1:].ravel()])
-    tails, heads = np.concatenate([down, down[::-1], right, right[::-1]], axis=1)
-    arcs = np.arange(tails.size)
-    values = np.concatenate([np.ones(tails.size), -np.ones(tails.size)])
-    return sp.csr_matrix(
-        (values, (np.concatenate([tails, heads]), np.concatenate([arcs, arcs]))),
-        shape=(n * m, tails.size),
-    )
+    """Node-arc incidence [-D, D] of the n x m grid's 4-adjacency digraph,
+    D = divergence_matrix((1, n, m)): arc k ships forward along packed edge
+    k (down / right) and arc E + k backward, and the product with an arc
+    flow is each pixel's net outflow.  Callers share the cached matrix and
+    must not modify it."""
+    d = divergence_matrix((1, n, m))
+    return sp.hstack([-d, d], format="csr")
 
 
 def _min_cost_flow_grid(a: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray]:
-    """Minimum-total nonnegative arc flow turning mass field ``a`` into ``b``
-    on the 4-adjacency grid with unit arc costs.
-
-    Solves the EMD-L1 flow LP of Ling & Okada (TPAMI 2007), min 1'f subject
-    to D f = a - b and f >= 0, with D the node-arc incidence matrix, by
-    HiGHS.  Returns the optimal total and the arc flow.
-    """
-    n, m = a.shape
-    if n * m == 1:  # a single pixel has no arcs and moves no mass
+    """Minimum-total nonnegative arc flow f turning mass field ``a`` into
+    ``b`` with unit arc costs: the EMD-L1 LP of Ling & Okada (TPAMI 2007),
+    min 1'f subject to [-D, D] f = a - b and f >= 0, solved by HiGHS.
+    Returns the optimal total and f."""
+    if a.size == 1:  # a single pixel has no arcs and moves no mass
         return 0.0, np.zeros(0)
-    incidence = _grid_incidence(n, m)
+    incidence = _grid_incidence(*a.shape)
     return _solve_lp(np.ones(incidence.shape[1]), incidence, (a - b).ravel())
 
 
@@ -184,20 +169,17 @@ def wasserstein_grid_l1(x, xp) -> tuple[float, np.ndarray]:
 
     Moving mass one grid step costs exactly 1 under the L1 metric, so the
     edge flow LP on the adjacency graph (Ling & Okada, TPAMI 2007) equals
-    the coupling LP's optimum.  The returned arcs are the optimal
-    nonnegative directed edge flow, shape (2, edge_count((1, n, m))): row 0
-    ships down / right and row 1 up / left, both in the packed edge order of
-    flow_domain.unpack_edges.  An optimal flow never ships both ways along
-    one pixel pair, so its net flow_from_edge(arcs) moves ``x`` to ``xp``
-    with L1 norm equal to the distance.
+    the coupling LP's optimum.  The returned arcs are the optimal directed
+    edge flow as a (2, E) array of packed edges, forward over backward.  An
+    optimal flow never ships both ways along one pixel pair, so its net
+    flow_from_edge(arcs) moves ``x`` to ``xp`` with L1 norm equal to the
+    distance.
     """
     a = _coerce_image(x)
     b = _coerce_image(xp)
     _check_same_shape(a, b)
     distance, flow = _min_cost_flow_grid(a, b)
-    n, m = a.shape
-    nv = 2 * (n - 1) * m
-    return distance, np.concatenate([flow[:nv].reshape(2, -1), flow[nv:].reshape(2, -1)], axis=1)
+    return distance, flow.reshape(2, -1)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,9 @@ from pathlib import Path
 import numpy as np
 from scipy import integrate, stats
 
-from wsmooth import ClassifierParams, flow_from_edge, loss_and_gradients, wasserstein_grid_l1
+from wsmooth import (ClassifierParams, NoiseSpec, TrainConfig, flow_from_edge, init_params,
+                     loss_and_gradients, wasserstein_grid_l1)
+from wsmooth.smoothing import _sample_increments
 
 
 def laplace_sum_sf(u: float, k: int) -> float:
@@ -135,6 +137,37 @@ def min_flow_plan(x, xp) -> np.ndarray:
     """The grid oracle's optimal edge flow from x to xp, netted into a signed
     packed flow: feasible, with L1 norm equal to the Wasserstein distance."""
     return flow_from_edge(wasserstein_grid_l1(x, xp)[1])
+
+
+def per_minibatch_train(dataset, config: TrainConfig, hidden: int | None = None):
+    """classifier.train written with one noise draw per minibatch, drawn just
+    before the minibatch is used: (params, epoch losses) that train must
+    reproduce bit for bit, since every noise value takes one word of the
+    noise stream in order however many draws one call makes."""
+    X, y = dataset.as_arrays()
+    r_init, r_shuffle, r_noise = np.random.default_rng(config.seed).spawn(3)
+    params = init_params(X.shape[1:], dataset.num_classes, hidden, r_init)
+    velocity = [np.zeros_like(a) for a in params.arrays()]
+    spec = NoiseSpec(config.noise, config.sigma)
+    cshape = X.shape[1:] if X.ndim == 4 else (1,) + X.shape[1:]
+    losses = []
+    for _ in range(config.epochs):
+        perm = r_shuffle.permutation(len(X))
+        epoch_loss = 0.0
+        for start in range(0, len(X), config.batch_size):
+            idx = perm[start : start + config.batch_size]
+            xb = X[idx]
+            if spec.sigma > 0:
+                inc = _sample_increments(spec, cshape, 1, r_noise)
+                xb = xb + inc.reshape((1,) + X.shape[1:])
+            loss, grads = loss_and_gradients(params, xb, y[idx])
+            for p, g, v in zip(params.arrays(), grads, velocity):
+                np.multiply(v, config.momentum, out=v)
+                v += g + config.weight_decay * p
+                p -= config.learning_rate * v
+            epoch_loss += loss * len(idx)
+        losses.append(epoch_loss / len(X))
+    return params, losses
 
 
 def write_idx(path, array):

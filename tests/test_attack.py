@@ -21,7 +21,7 @@ from wsmooth import (
 )
 from wsmooth import attack, smoothing
 from wsmooth.attack import _flow_gradient
-from wsmooth.flow_domain import divergence, divergence_adjoint, edge_count, pack_edges, unpack_edges
+from wsmooth.flow_domain import divergence, divergence_adjoint, edge_count
 from wsmooth.smoothing import FLOW, PIXEL, _sample_increments, _vote_counts
 
 from analytic import brute_force_l1_projection
@@ -95,26 +95,6 @@ class TestProjection:
     def test_never_flips_signs(self, v, radius):
         out = project_l1_ball(v, radius)
         assert np.all(out * v >= 0)
-
-
-class TestPacking:
-    def test_layout_is_vert_then_horiz_per_channel(self):
-        delta = np.array([0.1, -0.2, 0.3, -0.4])
-        vert, horiz = unpack_edges(delta, (1, 2, 2))
-        assert np.array_equal(vert, [[[0.1, -0.2]]])
-        assert np.array_equal(horiz, [[[0.3], [-0.4]]])
-        assert np.array_equal(pack_edges(vert, horiz), delta)
-
-    @pytest.mark.parametrize("cshape", [(1, 2, 2), (3, 4, 5), (2, 1, 6), (2, 6, 1)])
-    def test_round_trip(self, rng, cshape):
-        c, n, m = cshape
-        delta = rng.normal(size=c * ((n - 1) * m + n * (m - 1)))
-        assert np.array_equal(pack_edges(*unpack_edges(delta, cshape)), delta)
-        # Each channel's block is that channel's own packed vector.
-        vert, horiz = unpack_edges(delta, cshape)
-        rows = delta.reshape(c, -1)
-        for k in range(c):
-            assert np.array_equal(rows[k], pack_edges(vert[k:k + 1], horiz[k:k + 1]))
 
 
 class TestAttackConfig:
@@ -216,9 +196,9 @@ class TestFlowPgd:
         assert res.success and res.oracle_radius is not None
         assert res.plans.shape == (3, edge_count((1, 5, 5)))
         assert l1_norm(res.plans) == pytest.approx(res.budget, abs=1e-12)
-        perturbed = x + divergence(*unpack_edges(res.plans.ravel(), cshape))
+        perturbed = x + divergence(res.plans.ravel(), cshape)
         for k in range(3):
-            one = divergence(*unpack_edges(res.plans[k], (1, 5, 5)))[0]
+            one = divergence(res.plans[k], (1, 5, 5))[0]
             assert np.array_equal(x[k] + one, perturbed[k])
         assert res.oracle_radius == pytest.approx(
             per_channel_wasserstein(x, perturbed / perturbed.sum()), abs=1e-12)
@@ -249,11 +229,11 @@ class TestFoldedGradient:
         rng = np.random.default_rng(21 + (hidden or 0))
         params = init_params(cshape, 3, hidden=hidden, rng=rng)
         x = rng.dirichlet(np.ones(40)).reshape(cshape)
-        perturbed = x + divergence(*unpack_edges(0.01 * rng.normal(size=edge_count(cshape)), cshape))
+        perturbed = x + divergence(0.01 * rng.normal(size=edge_count(cshape)), cshape)
         spec = NoiseSpec(scheme, 0.2)
         inc = _sample_increments(spec, cshape, samples, np.random.default_rng(4))
         g_pix = input_gradient_batch(params, perturbed[None] + inc, np.full(samples, label))
-        reference = pack_edges(*divergence_adjoint(g_pix.mean(axis=0)))
+        reference = divergence_adjoint(g_pix.mean(axis=0))
         grad = _flow_gradient(params, perturbed, label, spec, samples, np.random.default_rng(4))
         assert grad.shape == reference.shape
         assert np.abs(grad - reference).max() <= 1e-12 * np.abs(reference).max()

@@ -16,12 +16,13 @@ from wsmooth import (
     load_checkpoint,
     loss_and_gradients,
     save_checkpoint,
+    make_dataset,
     synthetic_dataset,
     train,
 )
 from wsmooth.smoothing import FLOW, PIXEL
 
-from analytic import finite_difference_grads
+from analytic import finite_difference_grads, per_minibatch_train
 
 
 def small_params(rng, hidden=5, input_shape=(3, 3), num_classes=3):
@@ -222,6 +223,26 @@ class TestTraining:
         cfg = TrainConfig(epochs=80, batch_size=20, learning_rate=0.2, seed=6)
         result = train(ds, cfg, hidden=12)
         assert accuracy(result.params, ds) > 0.9
+
+    @pytest.mark.parametrize("noise,sigma", [(FLOW, 0.05), (PIXEL, 0.05), (FLOW, 0.0)],
+                             ids=["flow", "pixel", "sigma0"])
+    @pytest.mark.parametrize("hidden", [None, 8], ids=["linear", "hidden8"])
+    @pytest.mark.parametrize("data", ["ragged", "3ch"])
+    def test_matches_per_minibatch_reference(self, noise, sigma, hidden, data):
+        # Drawing an epoch's minibatch noise in one call must give the same
+        # draws, and so the same params and losses, as one call per minibatch.
+        if data == "ragged":  # 37 images in batches of 16, 16 and 5
+            ds = synthetic_dataset("corners", 37, shape=(6, 5), seed=8)
+        else:
+            raw = np.random.default_rng(9).random((20, 3, 4, 4))
+            ds = make_dataset(raw, np.arange(20) % 3, label_base=0)
+        cfg = TrainConfig(epochs=3, batch_size=16, learning_rate=0.5, noise=noise,
+                          sigma=sigma, seed=10)
+        result = train(ds, cfg, hidden=hidden)
+        params, losses = per_minibatch_train(ds, cfg, hidden=hidden)
+        assert result.epoch_losses == losses
+        for pa, pb in zip(result.params.arrays(), params.arrays(), strict=True):
+            assert np.array_equal(pa, pb)
 
     def test_rejects_empty_dataset(self):
         ds = synthetic_dataset("blobs", 5, seed=0).subset([])

@@ -12,7 +12,8 @@ from wsmooth import (
     l1_norm,
     solve_flow_1d,
 )
-from wsmooth.flow_domain import as_channels, divergence, divergence_adjoint, edge_count, unit_mass
+from wsmooth.flow_domain import (as_channels, divergence, divergence_adjoint, divergence_matrix,
+                                 edge_count, unit_mass)
 from wsmooth.transport_oracle import _grid_incidence
 
 from analytic import edge_from_flow
@@ -132,46 +133,107 @@ SHAPES = [(1, 1), (1, 7), (7, 1), (2, 2), (4, 5), (6, 3)]
 SHAPE_IDS = [f"{n}x{m}" for n, m in SHAPES]
 
 
-def _random_flows(rng, lead, shape):
-    n, m = shape
-    return rng.normal(size=lead + (n - 1, m)), rng.normal(size=lead + (n, m - 1))
+def packed_edges(cshape):
+    """(tail, head) flat pixel indices of every packed edge, in packed order:
+    channel by channel, the row-major vertical edges (i, j) -> (i+1, j),
+    then the row-major horizontal edges (i, j) -> (i, j+1)."""
+    c, n, m = cshape
+    pairs = []
+    for k in range(c):
+        base = k * n * m
+        pairs += [(base + i * m + j, base + (i + 1) * m + j)
+                  for i in range(n - 1) for j in range(m)]
+        pairs += [(base + i * m + j, base + i * m + j + 1)
+                  for i in range(n) for j in range(m - 1)]
+    return pairs
+
+
+def loop_divergence(f, cshape):
+    """D f edge by edge: each edge adds its flow to its head, takes it from its tail."""
+    out = np.zeros(int(np.prod(cshape)))
+    for k, (tail, head) in enumerate(packed_edges(cshape)):
+        out[head] += f[k]
+        out[tail] -= f[k]
+    return out.reshape(cshape)
+
+
+class TestDivergenceMatrix:
+    @pytest.mark.parametrize("cshape", [(1, 1, 1), (1, 2, 2), (1, 1, 7), (2, 4, 1), (3, 4, 5)])
+    def test_columns_follow_the_packed_layout(self, cshape):
+        d = divergence_matrix(cshape)
+        pairs = packed_edges(cshape)
+        assert d.shape == (int(np.prod(cshape)), edge_count(cshape)) == (d.shape[0], len(pairs))
+        dense = d.toarray()
+        for k, (tail, head) in enumerate(pairs):
+            expected = np.zeros(d.shape[0])
+            expected[head], expected[tail] = 1.0, -1.0
+            assert np.array_equal(dense[:, k], expected)
+
+    def test_layout_is_vert_then_horiz_per_channel(self):
+        # 2 x 2: vertical edges (0,0)->(1,0), (0,1)->(1,1), then horizontal
+        # (0,0)->(0,1), (1,0)->(1,1).
+        delta = np.array([0.1, -0.2, 0.3, -0.4])
+        out = divergence(delta, (1, 2, 2))
+        assert np.allclose(out, [[[-0.4, 0.5], [0.5, -0.6]]], atol=1e-15)
+
+    @pytest.mark.parametrize("cshape", [(1, 2, 2), (3, 4, 5), (2, 1, 6), (2, 6, 1)])
+    def test_one_diagonal_block_per_channel(self, rng, cshape):
+        # Each channel's block of the packed vector is that channel's own
+        # packed vector, and moves only that channel's mass.
+        c, n, m = cshape
+        delta = rng.normal(size=edge_count(cshape))
+        g = rng.normal(size=cshape)
+        rows = delta.reshape(c, -1)
+        out, back = divergence(delta, cshape), divergence_adjoint(g).reshape(c, -1)
+        for k in range(c):
+            assert np.array_equal(out[k], divergence(rows[k], (1, n, m))[0])
+            assert np.array_equal(back[k], divergence_adjoint(g[k:k + 1]))
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=SHAPE_IDS)
+    def test_grid_incidence_is_minus_d_then_d(self, shape):
+        d = divergence_matrix((1,) + shape).toarray()
+        assert np.array_equal(_grid_incidence(*shape).toarray(), np.hstack([-d, d]))
 
 
 class TestDivergence:
     @pytest.mark.parametrize("shape", SHAPES, ids=SHAPE_IDS)
     def test_matches_sparse_incidence(self, rng, shape):
         # The oracle's node-arc incidence gives each pixel's net outflow, so
-        # with only the down and right arcs carrying the signed flows its
-        # negation is the net inflow D f.
+        # with only the forward arcs carrying the signed flows its negation
+        # is the net inflow D f, which an explicit loop over edges also gives.
+        for cshape in ((1,) + shape, (3,) + shape):
+            for _ in range(5):
+                f = rng.normal(size=edge_count(cshape))
+                assert np.abs(divergence(f, cshape) - loop_divergence(f, cshape)).max() <= 1e-15
         for _ in range(5):
-            vert, horiz = _random_flows(rng, (), shape)
-            arcs = np.concatenate([vert.ravel(), np.zeros(vert.size),
-                                   horiz.ravel(), np.zeros(horiz.size)])
-            reference = -(_grid_incidence(*shape) @ arcs).reshape(shape)
-            assert np.abs(divergence(vert, horiz) - reference).max() <= 1e-15
+            f = rng.normal(size=edge_count((1,) + shape))
+            arcs = np.concatenate([f, np.zeros(f.size)])
+            reference = -(_grid_incidence(*shape) @ arcs).reshape((1,) + shape)
+            assert np.abs(divergence(f, (1,) + shape) - reference).max() <= 1e-15
 
     @pytest.mark.parametrize("shape", SHAPES, ids=SHAPE_IDS)
     def test_adjoint_identity(self, rng, shape):
-        for _ in range(5):
-            vert, horiz = _random_flows(rng, (), shape)
-            g = rng.normal(size=shape)
-            gv, gh = divergence_adjoint(g)
-            lhs = float(np.sum(divergence(vert, horiz) * g))
-            rhs = float(np.sum(vert * gv) + np.sum(horiz * gh))
-            assert lhs == pytest.approx(rhs, abs=1e-12)
+        for cshape in ((1,) + shape, (3,) + shape):
+            for _ in range(5):
+                f = rng.normal(size=edge_count(cshape))
+                g = rng.normal(size=cshape)
+                back = divergence_adjoint(g)
+                assert back.shape == f.shape
+                lhs = float(np.sum(divergence(f, cshape) * g))
+                assert lhs == pytest.approx(float(np.sum(f * back)), abs=1e-12)
 
     @pytest.mark.parametrize("shape", SHAPES, ids=SHAPE_IDS)
     def test_batched_call_equals_loop_over_slices(self, rng, shape):
-        vert, horiz = _random_flows(rng, (3, 2), shape)
-        out = divergence(vert, horiz)
-        g = rng.normal(size=(3, 2) + shape)
-        gv, gh = divergence_adjoint(g)
-        assert out.shape == (3, 2) + shape
-        assert gv.shape == vert.shape and gh.shape == horiz.shape
-        for idx in np.ndindex(3, 2):
-            assert np.array_equal(out[idx], divergence(vert[idx], horiz[idx]))
-            loop_v, loop_h = divergence_adjoint(g[idx])
-            assert np.array_equal(gv[idx], loop_v) and np.array_equal(gh[idx], loop_h)
+        for cshape in ((1,) + shape, (3,) + shape):
+            f = rng.normal(size=(3, 2, edge_count(cshape)))
+            out = divergence(f, cshape)
+            g = rng.normal(size=(3, 2) + cshape)
+            back = divergence_adjoint(g)
+            assert out.shape == (3, 2) + cshape
+            assert back.shape == f.shape
+            for idx in np.ndindex(3, 2):
+                assert np.array_equal(out[idx], divergence(f[idx], cshape))
+                assert np.array_equal(back[idx], divergence_adjoint(g[idx]))
 
 
 class TestNorm:

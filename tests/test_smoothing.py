@@ -22,7 +22,7 @@ from wsmooth import (
 )
 from wsmooth import smoothing
 from wsmooth.classifier import _forward
-from wsmooth.flow_domain import divergence, edge_count, unpack_edges
+from wsmooth.flow_domain import divergence, edge_count
 from wsmooth.smoothing import (DRAW_VALUES, FLOW, PIXEL, VOTE_BATCH, _edge_noise,
                                _fold_first_layer, _sample_increments, _vote_counts)
 
@@ -192,7 +192,7 @@ class TestSampling:
         spec, cshape = NoiseSpec(FLOW, 0.2), (2, 3, 4)
         noise = _edge_noise(spec, cshape, 5, np.random.default_rng(3))
         inc = _sample_increments(spec, cshape, 5, np.random.default_rng(3))
-        assert np.array_equal(inc, divergence(*unpack_edges(noise, cshape)))
+        assert np.array_equal(inc, divergence(noise, cshape))
 
 
 class TestFold:
@@ -209,7 +209,7 @@ class TestFold:
         if scheme == PIXEL:
             inc = noise.reshape((200,) + cshape)
         else:
-            inc = divergence(*unpack_edges(noise, cshape))
+            inc = divergence(noise, cshape)
         folded = _forward(_fold_first_layer(params, x, spec), noise)[0]
         assert np.abs(folded - _forward(params, x[None] + inc)[0]).max() <= 1e-12
 

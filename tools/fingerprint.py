@@ -45,6 +45,7 @@ from wsmooth import (  # noqa: E402
     AttackConfig,
     NoiseSpec,
     TrainConfig,
+    apply_flow,
     certify,
     flow_from_edge,
     flow_pgd_attack,
@@ -110,6 +111,12 @@ def cases() -> dict:
         res = train(train_ds, cfg, hidden=8 if scheme == PIXEL else None)
         models[scheme] = res.params
         out[f"train/{scheme}"] = _plain(res)
+    # Three channels, and a last minibatch of 7 after two of 8.
+    raw3 = np.random.default_rng(22).random((23, 3, 4, 5))
+    out["train/ragged/3ch"] = _plain(train(
+        make_dataset(raw3, np.arange(23) % 2, label_base=0),
+        TrainConfig(epochs=4, batch_size=8, learning_rate=0.5, noise=FLOW, sigma=0.05,
+                    seed=23), hidden=6))
 
     x_all, y_all = test_ds.as_arrays()
     for scheme, params in models.items():
@@ -166,6 +173,11 @@ def cases() -> dict:
                                  np.random.default_rng(1)).predicted
         out[f"attack/oracle_radius/{len(shape)}d"] = _plain(
             flow_pgd_attack(params, x, label, small_spec, small_cfg, rng=5))
+
+    rng = np.random.default_rng(52)
+    for shape in ((1, 7), (5, 6), (28, 28)):
+        edges = 0.01 * rng.normal(size=2 * shape[0] * shape[1] - shape[0] - shape[1])
+        out[f"flow/apply/{shape[0]}x{shape[1]}"] = _plain(apply_flow(_unit(rng, shape), edges))
 
     rng = np.random.default_rng(51)
     for shape in ((4, 4), (3, 6), (1, 9), (12, 12)):
