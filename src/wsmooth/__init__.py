@@ -53,7 +53,6 @@ from .transport_oracle import (
     ChannelMassError,
     GroundMetric,
     ScaleError,
-    per_channel_wasserstein,
     run_oracle_checks,
     wasserstein_grid_l1,
     wasserstein_lp,

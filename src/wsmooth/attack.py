@@ -24,7 +24,7 @@ from .classifier import input_gradient_batch
 from .flow_domain import as_channels, divergence, divergence_adjoint, edge_count
 from .smoothing import (PIXEL, NoiseSpec, SmoothedPrediction, _edge_noise, _fold_first_layer,
                         smoothed_predict)
-from .transport_oracle import per_channel_wasserstein, wasserstein_grid_l1
+from .transport_oracle import wasserstein_grid_l1
 
 
 def project_l1_ball(v, radius: float) -> np.ndarray:
@@ -157,9 +157,7 @@ def _oracle_radius(clean: np.ndarray, perturbed: np.ndarray) -> float | None:
     if perturbed.min() < -1e-9:
         return None
     clipped = np.maximum(perturbed, 0.0)
-    if clean.shape[0] == 1:
-        return wasserstein_grid_l1(clean[0], clipped[0] / clipped[0].sum())[0]
-    return per_channel_wasserstein(clean / clean.sum(), clipped / clipped.sum())
+    return wasserstein_grid_l1(clean, clipped / clipped.sum())[0]
 
 
 def flow_pgd_attack(classifier, x, label: int, spec: NoiseSpec,

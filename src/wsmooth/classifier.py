@@ -41,6 +41,8 @@ class ClassifierParams:
             raise ValueError("weights and biases must be nonempty lists of equal length")
         self.weights = [np.asarray(w, dtype=float) for w in self.weights]
         self.biases = [np.asarray(b, dtype=float) for b in self.biases]
+        if not all(np.isfinite(a).all() for a in self.weights + self.biases):
+            raise ValueError("weights and biases must be finite")
         d_in = self.input_dim
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             if w.ndim != 2 or b.ndim != 1 or w.shape != (d_in, b.size):

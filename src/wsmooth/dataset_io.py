@@ -91,6 +91,8 @@ def normalize(raw) -> np.ndarray:
     a = np.asarray(raw, dtype=float)
     if a.ndim not in (2, 3) or a.size == 0:
         raise ShapeMismatchError(f"raw image must be a nonempty 2-D or 3-D array, got {a.shape}")
+    if not np.isfinite(a).all():
+        raise NormalizationError("raw image intensities must be finite (found NaN or inf)")
     if np.any(a < 0):
         raise NormalizationError("raw image intensities must be nonnegative")
     total = float(a.sum())

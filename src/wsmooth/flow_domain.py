@@ -127,6 +127,9 @@ def divergence(edges: np.ndarray, cshape: tuple[int, int, int]) -> np.ndarray:
     """Net inflow D f of every pixel of a (C, n, m) image under packed edge
     flows f of shape (..., edge_count(cshape)); the result has shape
     (..., C, n, m) and each of its grids sums to zero."""
+    if edges.shape[-1:] != (edge_count(cshape),):
+        raise ShapeMismatchError(f"flows of shape {edges.shape} do not fit a {tuple(cshape)} "
+                                 f"image's {edge_count(cshape)} packed edges")
     lead = edges.shape[:-1]
     flat = edges.reshape(math.prod(lead), edges.shape[-1])
     return (divergence_matrix(tuple(cshape)) @ flat.T).T.reshape(lead + tuple(cshape))
@@ -136,6 +139,8 @@ def divergence_adjoint(g: np.ndarray) -> np.ndarray:
     """D^T g, with <D f, g> = <f, D^T g>: each packed edge gets the difference
     of g across it (head minus tail), so a pixel-space gradient g of shape
     (..., C, n, m) pulls back to flow coordinates of shape (..., E)."""
+    if g.ndim < 3:
+        raise ShapeMismatchError(f"expected (..., C, n, m) pixel values, got shape {g.shape}")
     lead, cshape = g.shape[:-3], g.shape[-3:]
     flat = g.reshape(math.prod(lead), math.prod(cshape))
     return (_adjoint_matrix(cshape) @ flat.T).T.reshape(lead + (edge_count(cshape),))

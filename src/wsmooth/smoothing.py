@@ -174,6 +174,8 @@ def _fold_first_layer(params, channels: np.ndarray, spec: NoiseSpec):
     if channels.size != w0.shape[0]:
         raise ShapeMismatchError(f"image of {channels.size} pixels fed to classifier "
                                  f"expecting {w0.shape[0]}")
+    if not np.isfinite(channels).all():
+        raise ValueError("image pixels must be finite")
     g = w0  # pixel noise: D = I
     if spec.scheme == FLOW:
         g = divergence_adjoint(w0.T.reshape((-1,) + channels.shape)).T

@@ -22,7 +22,8 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 
-from .flow_domain import ShapeMismatchError, divergence_matrix, flow_from_edge, unit_mass
+from .flow_domain import (MASS_TOL, ShapeMismatchError, as_channels, divergence_matrix,
+                          flow_from_edge, unit_mass)
 
 # The dense LP has N^2 variables; past 64 pixels it stops being an oracle
 # and starts being a liability.
@@ -64,12 +65,10 @@ class GroundMetric(Enum):
 
 
 def _coerce_image(x) -> np.ndarray:
-    """Validate as a unit-mass nonnegative (n, m) grid, then renormalize
-    exactly so paired inputs give a consistent transport instance."""
-    a = np.asarray(x, dtype=float)
-    if a.ndim != 2:
-        raise ShapeMismatchError(f"expected an (n, m) image, got shape {a.shape}")
-    a = unit_mass(a)
+    """Validate as a unit-mass nonnegative (n, m) or (C, n, m) grid, then
+    renormalize exactly so paired inputs give a consistent transport
+    instance."""
+    a = unit_mass(x)
     return a / a.sum()
 
 
@@ -82,15 +81,15 @@ def _solve_lp(cost: np.ndarray, a_eq: sp.csr_matrix,
               b_eq: np.ndarray) -> tuple[float, np.ndarray]:
     """min cost'x subject to a_eq x = b_eq and x >= 0, by HiGHS.
 
-    Both transport LPs conserve mass, so their equality rows have rank one
-    less than their count; dropping the redundant last row keeps the system
-    exactly consistent under the tight tolerance.  The optimum and the
-    solution are clipped at zero.  scipy.optimize is imported here, not at
-    module load, so commands that solve no LP do not pay for loading it.
+    Both transport LPs conserve mass, so their equality rows are linearly
+    dependent; each caller drops the redundant rows first, which keeps the
+    system exactly consistent under the tight tolerance.  The optimum and
+    the solution are clipped at zero.  scipy.optimize is imported here, not
+    at module load, so commands that solve no LP do not pay for loading it.
     """
     from scipy.optimize import linprog
 
-    res = linprog(cost, A_eq=a_eq[:-1], b_eq=b_eq[:-1], bounds=(0, None), method="highs",
+    res = linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs",
                   options=_HIGHS_OPTIONS)
     if res.status != 0:
         raise RuntimeError(f"transport LP failed: {res.message}")
@@ -115,6 +114,8 @@ def wasserstein_lp(x, xp, metric: GroundMetric = GroundMetric.L1) -> tuple[float
     a = _coerce_image(x)
     b = _coerce_image(xp)
     _check_same_shape(a, b)
+    if a.ndim != 2:
+        raise ShapeMismatchError(f"expected an (n, m) image, got shape {a.shape}")
     npix = a.size
     if npix > MAX_LP_PIXELS:
         raise ScaleError(f"{npix} pixels exceeds the dense LP cap of {MAX_LP_PIXELS}")
@@ -136,31 +137,26 @@ def wasserstein_lp(x, xp, metric: GroundMetric = GroundMetric.L1) -> tuple[float
     )
     b_eq = np.concatenate([surplus[sources], -surplus[sinks]])
     block = np.ix_(sources, sinks)
-    distance, plan = _solve_lp(cost[block].ravel(), a_eq, b_eq)
+    # Both sides ship the same total, so the last row is redundant.
+    distance, plan = _solve_lp(cost[block].ravel(), a_eq[:-1], b_eq[:-1])
     coupling[block] = plan.reshape(ns, nt)
     return distance, coupling
 
 
 @lru_cache(maxsize=32)
-def _grid_incidence(n: int, m: int) -> sp.csr_matrix:
-    """Node-arc incidence [-D, D] of the n x m grid's 4-adjacency digraph,
-    D = divergence_matrix((1, n, m)): arc k ships forward along packed edge
-    k (down / right) and arc E + k backward, and the product with an arc
-    flow is each pixel's net outflow.  Callers share the cached matrix and
-    must not modify it."""
-    d = divergence_matrix((1, n, m))
-    return sp.hstack([-d, d], format="csr")
-
-
-def _min_cost_flow_grid(a: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray]:
-    """Minimum-total nonnegative arc flow f turning mass field ``a`` into
-    ``b`` with unit arc costs: the EMD-L1 LP of Ling & Okada (TPAMI 2007),
-    min 1'f subject to [-D, D] f = a - b and f >= 0, solved by HiGHS.
-    Returns the optimal total and f."""
-    if a.size == 1:  # a single pixel has no arcs and moves no mass
-        return 0.0, np.zeros(0)
-    incidence = _grid_incidence(*a.shape)
-    return _solve_lp(np.ones(incidence.shape[1]), incidence, (a - b).ravel())
+def _grid_equations(cshape: tuple[int, int, int]) -> tuple[sp.csr_matrix, np.ndarray]:
+    """Equality rows of the grid LP of a (C, n, m) image, and the mask of
+    the pixels they constrain.  The rows are the node-arc incidence
+    [-D, D] of the 4-adjacency digraph, D = divergence_matrix(cshape): arc
+    k ships forward along packed edge k (down / right) and arc E + k
+    backward, and the product with an arc flow is each pixel's net
+    outflow.  Each channel's rows sum to zero, so its last pixel's row is
+    redundant and dropped.  Callers share the cached arrays and must not
+    modify them."""
+    d = divergence_matrix(cshape)
+    pixels = cshape[1] * cshape[2]
+    keep = np.arange(d.shape[0]) % pixels != pixels - 1
+    return sp.hstack([-d, d], format="csr")[keep], keep
 
 
 def wasserstein_grid_l1(x, xp) -> tuple[float, np.ndarray]:
@@ -168,17 +164,33 @@ def wasserstein_grid_l1(x, xp) -> tuple[float, np.ndarray]:
     the minimum total adjacent-pixel flow turning ``x`` into ``xp``.
 
     Moving mass one grid step costs exactly 1 under the L1 metric, so the
-    edge flow LP on the adjacency graph (Ling & Okada, TPAMI 2007) equals
-    the coupling LP's optimum.  The returned arcs are the optimal directed
-    edge flow as a (2, E) array of packed edges, forward over backward.  An
-    optimal flow never ships both ways along one pixel pair, so its net
-    flow_from_edge(arcs) moves ``x`` to ``xp`` with L1 norm equal to the
-    distance.
+    edge flow LP on the adjacency graph (Ling & Okada, TPAMI 2007),
+    min 1'f subject to [-D, D] f = x - xp and f >= 0, equals the coupling
+    LP's optimum.  Both images are (n, m) or both (C, n, m); mass never
+    crosses channels, so for C > 1 the distance is the mass-weighted sum of
+    the per-channel distances, solved as one LP on the block-diagonal D.
+    Per-channel masses must agree within MASS_TOL (else ChannelMassError);
+    each of ``xp``'s channels is then rescaled to ``x``'s mass so every
+    block balances exactly, and a channel with no mass moves none.
+
+    The returned arcs are the optimal directed edge flow as a (2, E) array
+    of packed edges, forward over backward.  An optimal flow never ships
+    both ways along one pixel pair, so its net flow_from_edge(arcs) moves
+    ``x`` to ``xp`` with L1 norm equal to the distance.
     """
     a = _coerce_image(x)
     b = _coerce_image(xp)
     _check_same_shape(a, b)
-    distance, flow = _min_cost_flow_grid(a, b)
+    a, b = as_channels(a), as_channels(b)
+    mass_a, mass_b = a.sum(axis=(1, 2)), b.sum(axis=(1, 2))
+    if np.any(np.abs(mass_a - mass_b) > MASS_TOL):
+        raise ChannelMassError(f"per-channel masses differ: {mass_a} vs {mass_b}")
+    if a.shape[0] > 1:  # one channel is balanced by the normalization above
+        b = b * (mass_a / np.where(mass_b > 0, mass_b, 1.0))[:, None, None]
+    a_eq, keep = _grid_equations(a.shape)
+    if a_eq.shape[1] == 0:  # single-pixel channels have no arcs and move no mass
+        return 0.0, np.zeros((2, 0))
+    distance, flow = _solve_lp(np.ones(a_eq.shape[1]), a_eq, (a - b).ravel()[keep])
     return distance, flow.reshape(2, -1)
 
 
@@ -275,28 +287,3 @@ def run_oracle_checks(num_pairs: int = 50, seed: int = 0) -> list[CheckOutcome]:
     worse("factor_two_equality_instance", abs(d_split - 0.5),
           abs(float(np.abs(split_x - split_xp).sum()) - 1.0))
     return [CheckOutcome(name, float(res[name]), tol) for name, tol in _CHECK_TOLERANCES.items()]
-
-
-def per_channel_wasserstein(x, xp) -> float:
-    """Wasserstein distance between (C, n, m) images without cross-channel
-    transport: the mass-weighted sum of per-channel distances.
-
-    Requires matching per-channel masses; channels with zero mass on both
-    sides contribute nothing.
-    """
-    a, b = unit_mass(x), unit_mass(xp)
-    if a.ndim != 3 or a.shape != b.shape:
-        raise ShapeMismatchError(f"need two (C, n, m) images of one shape: {a.shape}, {b.shape}")
-    s_x = a.sum(axis=(1, 2))
-    s_xp = b.sum(axis=(1, 2))
-    if np.any(np.abs(s_x - s_xp) > 1e-9):
-        raise ChannelMassError(f"per-channel masses differ: {s_x} vs {s_xp}")
-    total = 0.0
-    for k in range(a.shape[0]):
-        if s_x[k] == 0.0 or s_xp[k] == 0.0:
-            continue
-        # Rescale one side so the pair is exactly balanced, then ship the
-        # unnormalized fields directly; the result is already mass-weighted.
-        distance, _ = _min_cost_flow_grid(a[k], b[k] * (s_x[k] / s_xp[k]))
-        total += distance
-    return total

@@ -14,10 +14,10 @@ from wsmooth import (
     l1_norm,
     make_dataset,
     project_l1_ball,
-    per_channel_wasserstein,
     prediction_from_counts,
     robustness_curve,
     smoothed_predict,
+    wasserstein_grid_l1,
 )
 from wsmooth import attack, smoothing
 from wsmooth.attack import _flow_gradient
@@ -201,7 +201,7 @@ class TestFlowPgd:
             one = divergence(res.plans[k], (1, 5, 5))[0]
             assert np.array_equal(x[k] + one, perturbed[k])
         assert res.oracle_radius == pytest.approx(
-            per_channel_wasserstein(x, perturbed / perturbed.sum()), abs=1e-12)
+            wasserstein_grid_l1(x, perturbed / perturbed.sum())[0], abs=1e-12)
 
     def test_robust_image_survives_small_budget(self):
         params = halves_classifier()

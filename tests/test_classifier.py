@@ -38,6 +38,14 @@ class TestParams:
         with pytest.raises(ShapeMismatchError):
             ClassifierParams((2, 2), 3, [np.zeros((4, 2))], [np.zeros(2)])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["weight", "bias"])
+    def test_rejects_non_finite_weights_or_biases(self, bad, where):
+        w, b = np.zeros((4, 2)), np.zeros(2)
+        (w if where == "weight" else b)[1] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            ClassifierParams((2, 2), 2, [w], [b])
+
     def test_rejects_single_class(self):
         with pytest.raises(ValueError):
             ClassifierParams((2, 2), 1, [np.zeros((4, 1))], [np.zeros(1)])
@@ -274,6 +282,16 @@ class TestCheckpoints:
         payload["meta"] = np.array(meta)
         np.savez(tmp_path / "bad.npz", **payload)
         with pytest.raises(ValueError):
+            load_checkpoint(tmp_path / "bad.npz")
+
+    def test_rejects_non_finite_weights(self, rng, tmp_path):
+        path = tmp_path / "model.npz"
+        save_checkpoint(path, small_params(rng), TrainConfig())
+        with np.load(path) as z:
+            payload = {k: z[k] for k in z.files}
+        payload["w0"][0, 0] = np.nan
+        np.savez(tmp_path / "bad.npz", **payload)
+        with pytest.raises(ValueError, match="must be finite"):
             load_checkpoint(tmp_path / "bad.npz")
 
     @pytest.mark.parametrize("key, value", [("epochs", 2.5), ("batch_size", 2.5),

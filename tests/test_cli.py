@@ -453,14 +453,21 @@ class TestConfigHandling:
         ("wrong_type", "does not fit: ValueError(\"epochs must be an integer"),
         ("list_meta", "ValueError(\"checkpoint meta is not a JSON object: [{"),
         ("truncated", "is not a readable wsmooth checkpoint: BadZipFile("),
+        ("non_finite", "ValueError('weights and biases must be finite')"),
     ])
     def test_refuses_a_checkpoint_that_does_not_fit(self, config_path, tmp_path, monkeypatch,
                                                      capsys, fault, needle):
         ckpt = tmp_path / "model.npz"
         cfg = json.loads(config_path.read_text())
-        if fault == "shape":
+        if fault in ("shape", "non_finite"):
             run(["train", "--config", str(config_path), "--checkpoint", str(ckpt)])
+        if fault == "shape":
             cfg["dataset"]["shape"] = [6, 6]
+        elif fault == "non_finite":
+            with np.load(ckpt) as z:
+                payload = {k: z[k] for k in z.files}
+            payload["w0"][:] = np.nan
+            np.savez(ckpt, **payload)
         elif fault == "text":
             ckpt.write_text("not a checkpoint\n")
         elif fault == "no_meta":

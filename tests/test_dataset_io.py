@@ -94,6 +94,12 @@ class TestNormalize:
         with pytest.raises(NormalizationError):
             normalize(np.array([[1.0, -0.5]]))
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite_intensities(self, bad):
+        # Checked before dividing, so no RuntimeWarning and no "mass nan".
+        with pytest.raises(NormalizationError, match="finite"):
+            normalize(np.array([[1.0, bad], [0.0, 2.0]]))
+
     def test_rejects_zero_mass(self):
         with pytest.raises(DegenerateImageError):
             normalize(np.zeros((2, 2)))

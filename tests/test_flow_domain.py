@@ -14,7 +14,7 @@ from wsmooth import (
 )
 from wsmooth.flow_domain import (as_channels, divergence, divergence_adjoint, divergence_matrix,
                                  edge_count, unit_mass)
-from wsmooth.transport_oracle import _grid_incidence
+from wsmooth.transport_oracle import _grid_equations
 
 from analytic import edge_from_flow
 from conftest import flow_plans, grid_images, grid_shapes, image_flow_pairs
@@ -191,16 +191,22 @@ class TestDivergenceMatrix:
 
     @pytest.mark.parametrize("shape", SHAPES, ids=SHAPE_IDS)
     def test_grid_incidence_is_minus_d_then_d(self, shape):
-        d = divergence_matrix((1,) + shape).toarray()
-        assert np.array_equal(_grid_incidence(*shape).toarray(), np.hstack([-d, d]))
+        # The grid LP's rows are [-D, D] without each channel's last pixel.
+        for cshape in ((1,) + shape, (3,) + shape):
+            d = divergence_matrix(cshape).toarray()
+            a_eq, keep = _grid_equations(cshape)
+            pixels = shape[0] * shape[1]
+            assert np.array_equal(np.flatnonzero(~keep), np.arange(1, cshape[0] + 1) * pixels - 1)
+            assert np.array_equal(a_eq.toarray(), np.hstack([-d, d])[keep])
 
 
 class TestDivergence:
     @pytest.mark.parametrize("shape", SHAPES, ids=SHAPE_IDS)
     def test_matches_sparse_incidence(self, rng, shape):
-        # The oracle's node-arc incidence gives each pixel's net outflow, so
-        # with only the forward arcs carrying the signed flows its negation
-        # is the net inflow D f, which an explicit loop over edges also gives.
+        # The oracle's equality rows give each constrained pixel's net
+        # outflow, so with only the forward arcs carrying the signed flows
+        # their negation is the net inflow D f there, which an explicit loop
+        # over edges also gives.
         for cshape in ((1,) + shape, (3,) + shape):
             for _ in range(5):
                 f = rng.normal(size=edge_count(cshape))
@@ -208,8 +214,9 @@ class TestDivergence:
         for _ in range(5):
             f = rng.normal(size=edge_count((1,) + shape))
             arcs = np.concatenate([f, np.zeros(f.size)])
-            reference = -(_grid_incidence(*shape) @ arcs).reshape((1,) + shape)
-            assert np.abs(divergence(f, (1,) + shape) - reference).max() <= 1e-15
+            a_eq, keep = _grid_equations((1,) + shape)
+            inflow = divergence(f, (1,) + shape).ravel()[keep]
+            assert np.abs(inflow + a_eq @ arcs).max(initial=0.0) <= 1e-15
 
     @pytest.mark.parametrize("shape", SHAPES, ids=SHAPE_IDS)
     def test_adjoint_identity(self, rng, shape):
@@ -234,6 +241,16 @@ class TestDivergence:
             for idx in np.ndindex(3, 2):
                 assert np.array_equal(out[idx], divergence(f[idx], cshape))
                 assert np.array_equal(back[idx], divergence_adjoint(g[idx]))
+
+    def test_refuses_flows_or_grids_of_the_wrong_shape(self):
+        cshape = (1, 3, 3)
+        for edges in (np.zeros(5), np.zeros((2, 13)), np.zeros(edge_count((2, 3, 3))),
+                      np.float64(0.0)):
+            with pytest.raises(ShapeMismatchError):
+                divergence(np.asarray(edges), cshape)
+        for g in (np.zeros((3, 3)), np.zeros(9), np.float64(0.0)):
+            with pytest.raises(ShapeMismatchError):
+                divergence_adjoint(np.asarray(g))
 
 
 class TestNorm:

@@ -10,10 +10,12 @@ from scipy import stats
 
 from wsmooth import (
     ABSTAIN,
+    AttackConfig,
     GroundMetric,
     NoiseSpec,
     certify,
     clopper_pearson_lower,
+    flow_pgd_attack,
     init_params,
     median_certified_radius,
     prediction_from_counts,
@@ -217,6 +219,18 @@ class TestFold:
         params = init_params((3, 3), 2, rng=np.random.default_rng(0))
         with pytest.raises(ValueError, match="9"):
             smoothed_predict(params, np.full((2, 2), 0.25), NoiseSpec(FLOW, 0.1), n=10)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_image(self, bad):
+        params = init_params((2, 2), 2, rng=np.random.default_rng(0))
+        x = np.array([[0.5, 0.5], [0.0, bad]])
+        spec = NoiseSpec(FLOW, 0.1)
+        calls = (lambda: smoothed_predict(params, x, spec, n=10),
+                 lambda: certify(params, x, spec, n0=10, n=20),
+                 lambda: flow_pgd_attack(params, x, 1, spec, AttackConfig(iterations=1)))
+        for call in calls:
+            with pytest.raises(ValueError, match="image pixels must be finite"):
+                call()
 
 
 class TestDecisionRule:

@@ -9,14 +9,14 @@ from wsmooth import (
     ScaleError,
     ShapeMismatchError,
     apply_flow,
+    flow_from_edge,
     l1_norm,
-    per_channel_wasserstein,
     run_oracle_checks,
     solve_flow_1d,
     wasserstein_grid_l1,
     wasserstein_lp,
 )
-from wsmooth.flow_domain import edge_count
+from wsmooth.flow_domain import divergence, edge_count
 from wsmooth.transport_oracle import MAX_LP_PIXELS
 
 from analytic import full_coupling_lp, min_flow_plan, successive_shortest_paths_grid_l1
@@ -232,7 +232,7 @@ class TestPaperScale:
         x = weights[:, None, None] * a
         xp = weights[:, None, None] * b
         expected = sum(w * wasserstein_grid_l1(a[k], b[k])[0] for k, w in enumerate(weights))
-        assert abs(per_channel_wasserstein(x, xp) - expected) <= 1e-10
+        assert abs(wasserstein_grid_l1(x, xp)[0] - expected) <= 1e-10
 
     @pytest.mark.parametrize("shape", [(12, 12), (10, 16)])
     def test_matches_successive_shortest_paths(self, rng, shape):
@@ -271,37 +271,95 @@ class TestMinFlowPlan:
         assert abs(l1_norm(plan) - d) < 1e-8
 
 
+def w1(x, xp) -> float:
+    return wasserstein_grid_l1(x, xp)[0]
+
+
 class TestPerChannel:
+    """(C, n, m) pairs: no mass crosses channels, so the distance is the
+    mass-weighted sum of the per-channel distances, solved as one LP."""
+
     def test_identical_images(self):
         img = np.full((3, 2, 2), 1 / 12)
-        assert per_channel_wasserstein(img, img) == 0.0
+        assert w1(img, img) == 0.0
 
     def test_two_corner_channels(self):
         a, b = corner_images()
         x = np.stack([a, a]) / 2.0
         xp = np.stack([b, b]) / 2.0
         # each channel holds mass 0.5 moved across distance 2
-        assert per_channel_wasserstein(x, xp) == pytest.approx(2.0, abs=1e-12)
+        assert w1(x, xp) == pytest.approx(2.0, abs=1e-12)
 
     def test_single_channel_matches_grid_solver(self, rng):
+        # One channel is the (n, m) problem itself, bit for bit.
         a = rng.dirichlet(np.ones(9)).reshape(3, 3)
         b = rng.dirichlet(np.ones(9)).reshape(3, 3)
-        d_multi = per_channel_wasserstein(a[None], b[None])
-        d_grid, _ = wasserstein_grid_l1(a, b)
-        assert d_multi == pytest.approx(d_grid, abs=1e-12)
+        d_multi, arcs_multi = wasserstein_grid_l1(a[None], b[None])
+        d_grid, arcs_grid = wasserstein_grid_l1(a, b)
+        assert d_multi == d_grid and np.array_equal(arcs_multi, arcs_grid)
 
     def test_zero_mass_channel_contributes_nothing(self):
         a, b = corner_images()
         x = np.stack([a, np.zeros((2, 2))])
         xp = np.stack([b, np.zeros((2, 2))])
-        assert per_channel_wasserstein(x, xp) == pytest.approx(2.0, abs=1e-12)
+        assert w1(x, xp) == pytest.approx(2.0, abs=1e-12)
+
+    def test_channel_empty_on_both_sides_carries_no_flow(self, rng):
+        a = rng.dirichlet(np.ones(12)).reshape(3, 4)
+        b = rng.dirichlet(np.ones(12)).reshape(3, 4)
+        empty = np.zeros((3, 4))
+        x, xp = np.stack([0.4 * a, empty, 0.6 * b]), np.stack([0.4 * b, empty, 0.6 * a])
+        d, arcs = wasserstein_grid_l1(x, xp)
+        per = edge_count((1, 3, 4))
+        assert not arcs[:, per:2 * per].any()
+        assert d == pytest.approx(wasserstein_grid_l1(a, b)[0], abs=1e-10)
 
     def test_mass_mismatch_rejected(self):
         a, b = corner_images()
         x = np.stack([0.7 * a, 0.3 * a])
         xp = np.stack([0.4 * b, 0.6 * b])
         with pytest.raises(ChannelMassError):
-            per_channel_wasserstein(x, xp)
+            w1(x, xp)
+
+    def test_negligible_mass_on_one_side_only_still_solves(self, rng):
+        # Masses (1 - eps, eps) vs (1, 0) agree within 1e-9.  xp's empty
+        # channel cannot be rescaled, so x's eps stays unmatched there; it
+        # is absorbed by that channel's dropped row and costs at most
+        # eps * (n + m - 2).
+        eps = 5e-10
+        a = rng.dirichlet(np.ones(12)).reshape(3, 4)
+        b = rng.dirichlet(np.ones(12)).reshape(3, 4)
+        speck = np.zeros((3, 4))
+        speck[0, 0] = eps
+        d = w1(np.stack([(1 - eps) * a, speck]), np.stack([b, np.zeros((3, 4))]))
+        assert abs(d - w1(a, b)) <= 1e-8
+
+    @pytest.mark.parametrize("gap, fits", [(2e-9, False), (5e-10, True)])
+    def test_channel_masses_must_agree_within_tolerance(self, rng, gap, fits):
+        # Masses 1e-9 apart or closer are balanced by rescaling xp's
+        # channels to x's, so the distance is the mass-weighted sum of the
+        # per-channel distances of the normalized channels.
+        a = rng.dirichlet(np.ones(36), size=2).reshape(2, 6, 6)
+        b = rng.dirichlet(np.ones(36), size=2).reshape(2, 6, 6)
+        x = np.stack([0.3 * a[0], 0.7 * a[1]])
+        xp = np.stack([(0.3 + gap) * b[0], (0.7 - gap) * b[1]])
+        if not fits:
+            with pytest.raises(ChannelMassError):
+                w1(x, xp)
+            return
+        expected = 0.3 * w1(a[0], b[0]) + 0.7 * w1(a[1], b[1])
+        assert abs(w1(x, xp) - expected) <= 1e-12
+
+    def test_arcs_move_each_channel_in_the_packed_layout(self, rng):
+        cshape = (3, 4, 5)
+        weights = np.array([0.5, 0.2, 0.3])[:, None, None]
+        x = weights * rng.dirichlet(np.ones(20), size=3).reshape(cshape)
+        xp = weights * rng.dirichlet(np.ones(20), size=3).reshape(cshape)
+        d, arcs = wasserstein_grid_l1(x, xp)
+        assert arcs.shape == (2, edge_count(cshape)) and arcs.min() >= 0.0
+        net = flow_from_edge(arcs)
+        assert np.abs(x + divergence(net, cshape) - xp).max() < 1e-9
+        assert abs(l1_norm(net) - d) < 1e-9
 
     def test_rejects_bad_images(self):
         x = np.full((2, 2, 2), 0.125)
@@ -311,9 +369,9 @@ class TestPerChannel:
                            (np.stack([np.full((2, 2), 0.5), np.full((2, 2), -0.25)]),
                             NormalizationError)):
             with pytest.raises(error):
-                per_channel_wasserstein(x, bad)
+                w1(x, bad)
             with pytest.raises(error):
-                per_channel_wasserstein(bad, x)
+                w1(bad, x)
 
     def test_mass_weighting(self, rng):
         a = rng.dirichlet(np.ones(9)).reshape(3, 3)
@@ -321,7 +379,7 @@ class TestPerChannel:
         d_unit, _ = wasserstein_grid_l1(a, b)
         x = np.stack([0.25 * a, 0.75 * a])
         xp = np.stack([0.25 * b, 0.75 * b])
-        assert per_channel_wasserstein(x, xp) == pytest.approx(d_unit, abs=1e-10)
+        assert w1(x, xp) == pytest.approx(d_unit, abs=1e-10)
 
 
 def test_oracle_check_suite_passes():
