@@ -22,10 +22,7 @@ from .dataset_io import (
     LabeledDataset,
     PairingError,
     load_idx,
-    load_idx_images,
-    load_idx_labels,
     make_dataset,
-    normalize,
     synthetic_dataset,
 )
 from .flow_domain import (

@@ -1,20 +1,17 @@
-"""Dataset plumbing: IDX-format readers, normalization of raw
-intensity grids into unit-mass images, and deterministic synthetic datasets
-for desk-scale experiments."""
+"""Dataset plumbing: one IDX reader, one normalization pass that turns a
+stack of raw intensity grids into unit-mass images, and deterministic
+synthetic datasets for desk-scale experiments."""
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .flow_domain import MASS_TOL, NormalizationError, ShapeMismatchError, unit_mass
-
-# IDX magic numbers: unsigned-byte data, rank 3 for image stacks and rank 1
-# for label vectors.
-IMAGE_MAGIC = 0x00000803
-LABEL_MAGIC = 0x00000801
+from .flow_domain import MASS_TOL, NormalizationError, ShapeMismatchError
 
 
 class IdxFormatError(ValueError):
@@ -33,72 +30,76 @@ class DegenerateImageError(ValueError):
     """Image with zero total mass cannot be normalized."""
 
 
-def _read_exact(fh, count: int, what: str) -> bytes:
-    data = fh.read(count)
-    if len(data) != count:
-        raise IdxLengthError(f"truncated file {fh.name}: expected {count} bytes of {what}, "
-                             f"got {len(data)}")
-    return data
+def _read_idx(path, rank: int) -> np.ndarray:
+    """Read an unsigned-byte IDX array of the given rank: 3 for an image
+    stack, 1 for a label vector.
 
-
-def _check_no_trailing(fh):
-    if fh.read(1):
-        raise IdxLengthError(f"trailing bytes after declared payload in {fh.name}")
-
-
-def load_idx_images(path) -> np.ndarray:
-    """Read an IDX image stack as a (N, rows, cols) uint8 array."""
+    The magic number is 0x0800 + rank.  The size the header declares is
+    compared with the file's before anything past the header is read, so
+    a corrupt header cannot ask for an absurd allocation.
+    """
+    magic, head = 0x0800 + rank, 4 * (1 + rank)
     with open(path, "rb") as fh:
-        magic, num, rows, cols = struct.unpack(">iiii", _read_exact(fh, 16, "header"))
-        if magic != IMAGE_MAGIC:
-            raise IdxFormatError(f"bad image magic {magic:#010x}, expected {IMAGE_MAGIC:#010x}")
-        if num < 0 or rows < 0 or cols < 0:
-            raise IdxFormatError(f"negative dimensions in header: {num} x {rows} x {cols}")
-        payload = _read_exact(fh, num * rows * cols, "pixels")
-        _check_no_trailing(fh)
-    return np.frombuffer(payload, dtype=np.uint8).reshape(num, rows, cols)
-
-
-def load_idx_labels(path) -> np.ndarray:
-    """Read an IDX label vector as a (N,) uint8 array."""
-    with open(path, "rb") as fh:
-        magic, num = struct.unpack(">ii", _read_exact(fh, 8, "header"))
-        if magic != LABEL_MAGIC:
-            raise IdxFormatError(f"bad label magic {magic:#010x}, expected {LABEL_MAGIC:#010x}")
-        if num < 0:
-            raise IdxFormatError(f"negative count in header: {num}")
-        payload = _read_exact(fh, num, "labels")
-        _check_no_trailing(fh)
-    return np.frombuffer(payload, dtype=np.uint8)
+        size = os.fstat(fh.fileno()).st_size
+        if size < head:
+            raise IdxLengthError(f"truncated file {fh.name}: expected {head} bytes of header, "
+                                 f"got {size}")
+        found, *dims = struct.unpack(f">{1 + rank}i", fh.read(head))
+        if found != magic:
+            raise IdxFormatError(f"bad magic {found:#010x} in {fh.name}, expected {magic:#010x}")
+        if min(dims) < 0:
+            raise IdxFormatError(f"negative dimensions in header: {' x '.join(map(str, dims))}")
+        count, got = math.prod(dims), size - head
+        if got < count:
+            raise IdxLengthError(f"truncated file {fh.name}: expected {count} bytes of "
+                                 f"{'pixels' if rank == 3 else 'labels'}, got {got}")
+        if got > count:
+            raise IdxLengthError(f"trailing bytes after declared payload in {fh.name}")
+        payload = fh.read(count)
+    return np.frombuffer(payload, dtype=np.uint8).reshape(dims)
 
 
 def load_idx(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
-    """Read a paired IDX image/label set, insisting the counts agree."""
-    images = load_idx_images(images_path)
-    labels = load_idx_labels(labels_path)
+    """Read a paired IDX image/label set: a (N, rows, cols) uint8 stack and
+    its (N,) uint8 labels, insisting the counts agree."""
+    images = _read_idx(images_path, 3)
+    labels = _read_idx(labels_path, 1)
     if len(images) != len(labels):
         raise PairingError(f"{len(images)} images but {len(labels)} labels")
     return images, labels
 
 
-def normalize(raw) -> np.ndarray:
-    """Scale a nonnegative (n, m) or (C, n, m) grid to grand total mass 1.
+def _check_stack_shape(x: np.ndarray):
+    if x.ndim not in (3, 4) or 0 in x.shape[1:]:
+        raise ShapeMismatchError(f"images must stack nonempty 2-D or 3-D arrays, got {x.shape}")
 
-    Intensity grids (e.g. 0..255 bytes) become distributions; an all-zero
-    grid has no distribution and is rejected, since smoothing one would be
-    meaningless.  Already-normalized input passes through unchanged.
+
+def _normalize(x: np.ndarray) -> np.ndarray:
+    """Divide each image of a float (N, n, m) or (N, C, n, m) stack by its
+    grand total, in place, so every image becomes a distribution.
+
+    Intensities must be finite and nonnegative, and an image's total must
+    be positive and finite: the first image that breaks a rule is named.
+    An image whose total is exactly 1 comes back bit for bit.
     """
-    a = np.asarray(raw, dtype=float)
-    if a.ndim not in (2, 3) or a.size == 0:
-        raise ShapeMismatchError(f"raw image must be a nonempty 2-D or 3-D array, got {a.shape}")
-    if not np.isfinite(a).all():
-        raise NormalizationError("raw image intensities must be finite (found NaN or inf)")
-    if np.any(a < 0):
-        raise NormalizationError("raw image intensities must be nonnegative")
-    total = float(a.sum())
-    if total <= 0.0:
-        raise DegenerateImageError("image has zero total mass")
-    return unit_mass(a / total)
+    _check_stack_shape(x)
+    axes = tuple(range(1, x.ndim))
+    with np.errstate(over="ignore", invalid="ignore"):
+        totals = x.sum(axis=axes, keepdims=True)
+    bad = np.flatnonzero(~np.isfinite(totals))
+    if bad.size:
+        i = bad[0]
+        why = ("total mass overflowed" if np.isfinite(x[i]).all()
+               else "raw intensities must be finite (found NaN or inf)")
+        raise NormalizationError(f"image {i}: {why}")
+    bad = np.flatnonzero(x.min(axis=axes) < 0)
+    if bad.size:
+        raise NormalizationError(f"image {bad[0]}: raw intensities must be nonnegative")
+    bad = np.flatnonzero(totals == 0)
+    if bad.size:
+        raise DegenerateImageError(f"image {bad[0]} has zero total mass")
+    x /= totals
+    return x
 
 
 @dataclass
@@ -126,8 +127,7 @@ class LabeledDataset:
         if self.labels.size and (self.labels.min() < 1 or self.labels.max() > self.num_classes):
             raise ValueError(f"labels must lie in [1, {self.num_classes}]")
         x = self.images
-        if x.ndim not in (3, 4) or 0 in x.shape[1:]:
-            raise ShapeMismatchError(f"images must stack nonempty 2-D or 3-D arrays, got {x.shape}")
+        _check_stack_shape(x)
         axes = tuple(range(1, x.ndim))
         off_mass = ~(np.abs(x.sum(axis=axes) - 1.0) <= MASS_TOL)  # NaN is off too
         bad = np.flatnonzero((x < 0).any(axis=axes) | off_mass)
@@ -159,20 +159,14 @@ def make_dataset(images, labels, num_classes: int | None = None, label_base: int
     Zero-mass images are rejected outright; drop them beforehand if the
     source may contain any.
     """
-    images = np.asarray(images)
+    images = np.array(images, dtype=float)
     labels = np.asarray(labels).astype(int)
     if len(images) != len(labels):
         raise PairingError(f"{len(images)} images but {len(labels)} labels")
     shifted = labels + (1 - label_base)
     if num_classes is None:
         num_classes = int(shifted.max()) if shifted.size else 2
-    normed = np.empty(images.shape)
-    for i, arr in enumerate(images):
-        try:
-            normed[i] = normalize(arr)
-        except DegenerateImageError as exc:
-            raise DegenerateImageError(f"image {i}: {exc}") from None
-    return LabeledDataset(normed, shifted, num_classes)
+    return LabeledDataset(_normalize(images), shifted, num_classes)
 
 
 def _bars(rng: np.random.Generator, label: int, n: int, m: int) -> np.ndarray:
@@ -229,5 +223,5 @@ def synthetic_dataset(kind: str, size: int, shape: tuple[int, int] = (6, 6),
     labels = np.empty(size, dtype=int)
     for i in range(size):
         labels[i] = int(rng.integers(1, num_classes + 1))
-        images[i] = normalize(draw(rng, labels[i], n, m))
-    return LabeledDataset(images, labels, num_classes)
+        images[i] = draw(rng, labels[i], n, m)
+    return LabeledDataset(_normalize(images), labels, num_classes)

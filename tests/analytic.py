@@ -177,6 +177,12 @@ def write_idx(path, array):
     Path(path).write_bytes(struct.pack(f">{1 + a.ndim}i", 0x800 + a.ndim, *a.shape) + a.tobytes())
 
 
+def per_image_normalized(raw) -> np.ndarray:
+    """Reference for dataset normalization: each image of a raw stack, cast
+    to float and divided by its own grand total, one image at a time."""
+    return np.stack([a / a.sum() for a in np.asarray(raw, dtype=float)])
+
+
 def finite_difference_grads(params, X, labels, eps=1e-6) -> np.ndarray:
     """Central differences of the mean loss for every entry of
     params.arrays(), each perturbed in place and restored, concatenated in

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 import tempfile
@@ -396,6 +397,10 @@ class TestConfigHandling:
     @pytest.mark.parametrize("fault, needle", [
         ("truncated", "truncated file {images}: expected 48 bytes of pixels, got 43"),
         ("missing", "No such file or directory: '{images}'"),
+        # Headers alone, declaring more pixels than any file holds: the size
+        # is checked before a byte of payload is allocated or read.
+        ((2**31 - 1,) * 3, f"expected {(2**31 - 1) ** 3} bytes of pixels, got 0"),
+        ((2**31 - 1, 32767, 32767), f"expected {(2**31 - 1) * 32767**2} bytes of pixels, got 0"),
     ])
     def test_malformed_idx_file_exits_with_one_error_line(self, tmp_path, monkeypatch, capsys,
                                                            fault, needle):
@@ -408,8 +413,10 @@ class TestConfigHandling:
         images = tmp_path / "train-images"
         if fault == "truncated":
             images.write_bytes(images.read_bytes()[:-5])
-        else:
+        elif fault == "missing":
             images.unlink()
+        else:
+            images.write_bytes(struct.pack(">iiii", 0x803, *fault))
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"idx": idx}))
         monkeypatch.setattr(sys, "argv", ["wsmooth", "train", "--config", str(path),

@@ -1,4 +1,6 @@
+import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -12,65 +14,85 @@ from wsmooth import (
     PairingError,
     ShapeMismatchError,
     load_idx,
-    load_idx_images,
-    load_idx_labels,
     make_dataset,
-    normalize,
     synthetic_dataset,
 )
 
-from analytic import write_idx
+from analytic import per_image_normalized, write_idx
+
+
+def _idx_pair(tmp_path, images=None, labels=None):
+    """Paths of an IDX image/label pair: three 2x2 images and their labels,
+    unless raw bytes for either file are given."""
+    paths = tmp_path / "images.idx", tmp_path / "labels.idx"
+    for path, raw, default in zip(paths, (images, labels),
+                                  (np.arange(12).reshape(3, 2, 2), np.array([0, 1, 0]))):
+        if raw is None:
+            write_idx(path, default)
+        else:
+            path.write_bytes(raw)
+    return paths
 
 
 class TestIdxFiles:
     def test_image_round_trip(self, tmp_path, rng):
         images = rng.integers(0, 256, size=(5, 3, 4), dtype=np.uint8)
-        path = tmp_path / "imgs.idx"
-        write_idx(path, images)
-        assert np.array_equal(load_idx_images(path), images)
+        write_idx(tmp_path / "imgs.idx", images)
+        write_idx(tmp_path / "labels.idx", np.zeros(5))
+        got, _ = load_idx(tmp_path / "imgs.idx", tmp_path / "labels.idx")
+        assert got.dtype == np.uint8 and np.array_equal(got, images)
 
     def test_label_round_trip(self, tmp_path):
         labels = np.array([0, 1, 9, 3], dtype=np.uint8)
-        path = tmp_path / "labels.idx"
-        write_idx(path, labels)
-        assert np.array_equal(load_idx_labels(path), labels)
+        write_idx(tmp_path / "imgs.idx", np.zeros((4, 1, 1)))
+        write_idx(tmp_path / "labels.idx", labels)
+        _, got = load_idx(tmp_path / "imgs.idx", tmp_path / "labels.idx")
+        assert got.dtype == np.uint8 and np.array_equal(got, labels)
 
     def test_reads_hand_built_bytes(self, tmp_path):
         # 2 images of 2x2 pixels, laid out row-major.
         payload = bytes([10, 20, 30, 40, 50, 60, 70, 80])
-        path = tmp_path / "hand.idx"
-        path.write_bytes(struct.pack(">iiii", 0x00000803, 2, 2, 2) + payload)
-        images = load_idx_images(path)
+        images, labels = load_idx(*_idx_pair(
+            tmp_path, struct.pack(">iiii", 0x00000803, 2, 2, 2) + payload,
+            struct.pack(">ii", 0x00000801, 2) + bytes([7, 3])))
         assert images.shape == (2, 2, 2)
         assert images[0, 0, 1] == 20
         assert images[1, 1, 0] == 70
+        assert np.array_equal(labels, [7, 3])
 
     def test_rejects_wrong_magic(self, tmp_path):
-        path = tmp_path / "bad.idx"
-        path.write_bytes(struct.pack(">iiii", 0x00000801, 1, 1, 1) + b"\x00")
         with pytest.raises(IdxFormatError):
-            load_idx_images(path)
-        path.write_bytes(struct.pack(">ii", 0x00000803, 1) + b"\x00")
+            load_idx(*_idx_pair(tmp_path, images=struct.pack(">iiii", 0x00000801, 1, 1, 1) + b"\x00"))
         with pytest.raises(IdxFormatError):
-            load_idx_labels(path)
+            load_idx(*_idx_pair(tmp_path, labels=struct.pack(">ii", 0x00000803, 1) + b"\x00"))
 
     def test_rejects_truncated_payload(self, tmp_path):
-        path = tmp_path / "short.idx"
-        path.write_bytes(struct.pack(">iiii", 0x00000803, 2, 2, 2) + b"\x00" * 7)
-        with pytest.raises(IdxLengthError):
-            load_idx_images(path)
+        with pytest.raises(IdxLengthError, match="expected 8 bytes of pixels, got 7"):
+            load_idx(*_idx_pair(tmp_path, images=struct.pack(">iiii", 0x00000803, 2, 2, 2)
+                                + b"\x00" * 7))
+
+    @pytest.mark.parametrize("dims", [(2**31 - 1,) * 3, (2**31 - 1, 32767, 32767)])
+    def test_rejects_header_larger_than_file(self, tmp_path, dims):
+        # The declared size is checked before the payload is read, so a
+        # header asking for exabytes fails as a short file, not as
+        # OverflowError or MemoryError.
+        with pytest.raises(IdxLengthError, match=f"expected {math.prod(dims)} bytes of pixels"):
+            load_idx(*_idx_pair(tmp_path, images=struct.pack(">iiii", 0x00000803, *dims)))
 
     def test_rejects_truncated_header(self, tmp_path):
-        path = tmp_path / "stub.idx"
-        path.write_bytes(b"\x00\x00")
         with pytest.raises(IdxLengthError):
-            load_idx_labels(path)
+            load_idx(*_idx_pair(tmp_path, labels=b"\x00\x00"))
+
+    def test_rejects_negative_dimensions(self, tmp_path):
+        with pytest.raises(IdxFormatError):
+            load_idx(*_idx_pair(tmp_path, images=struct.pack(">iiii", 0x00000803, 1, -1, 2)))
+        with pytest.raises(IdxFormatError):
+            load_idx(*_idx_pair(tmp_path, labels=struct.pack(">ii", 0x00000801, -3)))
 
     def test_rejects_trailing_bytes(self, tmp_path):
-        path = tmp_path / "long.idx"
-        path.write_bytes(struct.pack(">ii", 0x00000801, 2) + b"\x01\x02\x03")
-        with pytest.raises(IdxLengthError):
-            load_idx_labels(path)
+        with pytest.raises(IdxLengthError, match="trailing bytes"):
+            load_idx(*_idx_pair(tmp_path, labels=struct.pack(">ii", 0x00000801, 2)
+                                + b"\x01\x02\x03"))
 
     def test_paired_load_checks_counts(self, tmp_path, rng):
         write_idx(tmp_path / "x.idx", rng.integers(0, 256, (3, 2, 2), dtype=np.uint8))
@@ -79,44 +101,66 @@ class TestIdxFiles:
             load_idx(tmp_path / "x.idx", tmp_path / "y.idx")
 
 
+def _normalized(raw) -> np.ndarray:
+    """One raw image, normalized the way every image enters: as a one-image
+    stack through make_dataset."""
+    return make_dataset(np.asarray(raw)[None], [0], num_classes=2).images[0]
+
+
 class TestNormalize:
     def test_scales_to_unit_mass(self):
-        img = normalize(np.array([[0, 255], [255, 0]], dtype=np.uint8))
+        img = _normalized(np.array([[0, 255], [255, 0]], dtype=np.uint8))
         assert isinstance(img, np.ndarray) and img.dtype == np.float64
         assert img.sum() == pytest.approx(1.0, abs=1e-15)
         assert img[0, 1] == pytest.approx(0.5)
 
     def test_already_normalized_unchanged(self):
         x = np.array([[0.25, 0.25], [0.25, 0.25]])
-        assert np.array_equal(normalize(x), x)
+        assert np.array_equal(_normalized(x), x)
 
     def test_rejects_negative_intensities(self):
         with pytest.raises(NormalizationError):
-            normalize(np.array([[1.0, -0.5]]))
+            _normalized(np.array([[1.0, -0.5]]))
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_rejects_non_finite_intensities(self, bad):
         # Checked before dividing, so no RuntimeWarning and no "mass nan".
         with pytest.raises(NormalizationError, match="finite"):
-            normalize(np.array([[1.0, bad], [0.0, 2.0]]))
+            _normalized(np.array([[1.0, bad], [0.0, 2.0]]))
 
     def test_rejects_zero_mass(self):
         with pytest.raises(DegenerateImageError):
-            normalize(np.zeros((2, 2)))
+            _normalized(np.zeros((2, 2)))
 
     def test_rejects_wrong_rank(self):
         for bad in (np.ones(4), np.ones((1, 1, 2, 2)), np.ones((0, 2))):
             with pytest.raises(ShapeMismatchError):
-                normalize(bad)
+                _normalized(bad)
 
     def test_multichannel_grand_total(self):
-        img = normalize(np.ones((3, 2, 2)))
+        img = _normalized(np.ones((3, 2, 2)))
         assert img.shape == (3, 2, 2)
         assert img.sum() == pytest.approx(1.0, abs=1e-15)
         with pytest.raises(DegenerateImageError):
-            normalize(np.zeros((2, 2, 2)))
+            _normalized(np.zeros((2, 2, 2)))
         with pytest.raises(NormalizationError):
-            normalize(-np.ones((1, 2, 2)))
+            _normalized(-np.ones((1, 2, 2)))
+
+    def test_overflowing_total_is_refused_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NormalizationError, match="^image 0: total mass overflowed"):
+                make_dataset(np.full((1, 2, 2), 1e308), [0], num_classes=2)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.float64])
+    @pytest.mark.parametrize("shape", [(6, 4, 5), (5, 3, 4, 3)])
+    def test_bit_identical_to_per_image_division(self, rng, dtype, shape):
+        raw = (rng.integers(1, 256, shape) if dtype is np.uint8
+               else rng.random(shape) * 1000.0).astype(dtype)
+        before = raw.copy()
+        x = make_dataset(raw, np.arange(shape[0]) % 2).images
+        assert np.array_equal(x, per_image_normalized(raw))
+        assert np.array_equal(raw, before)  # the caller's stack is not divided in place
 
 
 class TestLabeledDataset:
@@ -207,6 +251,14 @@ class TestMakeDataset:
         x[1] = 0.0
         with pytest.raises(DegenerateImageError, match="image 1"):
             make_dataset(x, np.array([0, 0, 1]))
+
+    @pytest.mark.parametrize("broken, needle", [
+        (np.nan, "finite"), (-np.inf, "finite"), (-1.0, "nonnegative"), (1e308, "overflowed")])
+    def test_names_the_first_bad_raw_image(self, broken, needle):
+        x = np.ones((5, 2, 2))
+        x[2, 0] = x[4, 0] = broken
+        with pytest.raises(NormalizationError, match=f"^image 2: .*{needle}"):
+            make_dataset(x, np.zeros(5), num_classes=2)
 
 
 class TestSynthetic:

@@ -32,6 +32,7 @@ import io
 import json
 import os
 import pickle
+import struct
 import sys
 import tempfile
 from pathlib import Path
@@ -50,6 +51,7 @@ from wsmooth import (  # noqa: E402
     flow_from_edge,
     flow_pgd_attack,
     init_params,
+    load_idx,
     make_dataset,
     robustness_curve,
     run_oracle_checks,
@@ -83,6 +85,18 @@ def _dataset(ds):
     return {"x": x, "y": y, "num_classes": ds.num_classes}
 
 
+def _idx_roundtrip(images, labels):
+    """Write an unsigned-byte IDX image/label pair, then load_idx -> make_dataset."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for name, a in (("images", images), ("labels", labels)):
+            path = Path(tmp) / name
+            path.write_bytes(struct.pack(f">{1 + a.ndim}i", 0x800 + a.ndim, *a.shape)
+                             + a.tobytes())
+            paths.append(path)
+        return _dataset(make_dataset(*load_idx(*paths), label_base=0))
+
+
 def _unit(rng, shape):
     a = rng.random(shape)
     return a / a.sum()
@@ -98,6 +112,7 @@ def cases() -> dict:
     out["dataset/subset"] = _dataset(train_ds.subset([5, 0, 5, 79]))
     raw = np.random.default_rng(5).integers(0, 256, size=(7, 4, 5), dtype=np.uint8)
     out["make_dataset/idx_bytes"] = _dataset(make_dataset(raw, np.arange(7) % 3, label_base=0))
+    out["load_idx/roundtrip"] = _idx_roundtrip(raw, np.arange(7, dtype=np.uint8) % 3)
 
     for scheme in (FLOW, PIXEL):
         out[f"sampler/{scheme}/1x28x28"] = _edge_noise(
