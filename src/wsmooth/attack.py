@@ -58,12 +58,11 @@ class AttackConfig:
 
     The L1 radius starts at initial_radius (default max_radius / 10) and
     multiplies by growth_factor every growth_interval iterations, capped at
-    max_radius.  Each ascent step moves a fixed L1 length step_size (default
-    max_radius / 10) along the sign-normalized gradient; step direction is
-    free, only its length is fixed.  predict_samples caps the draws of each
-    evaluated prediction: its decision is that of the test on all
-    predict_samples draws, but drawing stops once no further draw can change
-    it.
+    max_radius.  Each ascent step moves a fixed L1 length max_radius / 10
+    along the L1-normalized gradient; step direction is free, only its
+    length is fixed.  predict_samples caps the draws of each evaluated
+    prediction: its decision is that of the test on all predict_samples
+    draws, but drawing stops once no further draw can change it.
     """
 
     iterations: int = 200
@@ -72,7 +71,6 @@ class AttackConfig:
     initial_radius: float | None = None
     growth_factor: float = 1.5
     growth_interval: int = 10
-    step_size: float | None = None
     predict_samples: int = 10000
     predict_alpha: float = 0.05
 
@@ -87,8 +85,6 @@ class AttackConfig:
             raise ValueError("initial_radius must be in (0, max_radius]")
         if self.growth_factor < 1.0 or self.growth_interval < 1:
             raise ValueError("growth_factor must be >= 1 and growth_interval >= 1")
-        if self.step_size is not None and self.step_size <= 0:
-            raise ValueError("step_size must be > 0")
         if not 0.0 < self.predict_alpha < 1.0:
             raise ValueError("predict_alpha must be in (0, 1)")
 
@@ -97,10 +93,6 @@ class AttackConfig:
         start = self.initial_radius if self.initial_radius is not None else self.max_radius / 10.0
         growth = self.growth_factor ** ((iteration - 1) // self.growth_interval)
         return min(start * growth, self.max_radius)
-
-    @property
-    def resolved_step(self) -> float:
-        return self.step_size if self.step_size is not None else self.max_radius / 10.0
 
 
 @dataclass(frozen=True)
@@ -181,7 +173,7 @@ def flow_pgd_attack(classifier, x, label: int, spec: NoiseSpec,
 
     last_evaluated = delta
     perturbed = channels
-    step = config.resolved_step
+    step = config.max_radius / 10.0
     pred = clean_pred
     for it in range(1, config.iterations + 1):
         grad_rng, eval_rng = next(streams), next(streams)

@@ -133,27 +133,28 @@ def _build_parser() -> argparse.ArgumentParser:
         kind = _SCHEMA[key][0]
         p.add_argument(flag, dest=key, type=_number_list if kind == [float] else kind, help=help)
 
-    def add_common(p, with_noise=True):
+    def add_common(p, model=True, workers=False):  # only the flags the command reads
         p.add_argument("--config", type=Path, help="JSON settings file")
         add(p, "--seed", "seed", "master seed for all randomness")
-        add(p, "--out-dir", "out_dir", "directory for outputs")
-        add(p, "--workers", "workers", "sampling worker threads")
-        if with_noise:
+        if model:
+            add(p, "--out-dir", "out_dir", "directory for outputs")
             add(p, "--scheme", "scheme", "noise scheme: flow or pixel")
             add(p, "--sigma", "sigma", "noise standard deviation (> 0)")
             add(p, "--checkpoint", "checkpoint", "model checkpoint path (.npz)")
+        if workers:
+            add(p, "--workers", "workers", "sampling worker threads")
 
     p = sub.add_parser("train", help="train a base classifier under smoothing noise")
     add_common(p)
     add(p, "--epochs", "train.epochs", "training epochs")
 
     p = sub.add_parser("predict", help="smoothed predictions on the test split")
-    add_common(p)
+    add_common(p, workers=True)
     add(p, "--n", "predict.n", "prediction sample cap; the decision is the n-draw test's")
     add(p, "--alpha", "predict.alpha", "abstention significance level")
 
     p = sub.add_parser("certify", help="certified radii on the test split")
-    add_common(p)
+    add_common(p, workers=True)
     add(p, "--n0", "certify.n0", "class-guess sample count")
     add(p, "--n", "certify.n", "bound sample count")
     add(p, "--alpha", "certify.alpha", "confidence level alpha")
@@ -164,11 +165,12 @@ def _build_parser() -> argparse.ArgumentParser:
     add(p, "--max-images", "attack.max_images", "attack at most this many test images")
 
     p = sub.add_parser("oracle-check", help="cross-validate the transport oracles")
-    add_common(p, with_noise=False)
+    add_common(p, model=False)
     p.add_argument("--pairs", type=int, default=50, help="random image pairs per property")
 
     p = sub.add_parser("report", help="merge certify tables into a comparison report")
-    add_common(p, with_noise=False)
+    add_common(p, model=False)
+    add(p, "--out-dir", "out_dir", "directory for the report")
     p.add_argument("tables", nargs="+", type=Path, help="certificates.csv files to merge")
     return parser
 
@@ -245,13 +247,16 @@ def _seed_int(cfg: dict, name: str) -> int:
     return int(np.random.default_rng(_derived_seeds(cfg)[name]).integers(2**31))
 
 
-def _load_split(cfg: dict, split: str) -> dataset_io.LabeledDataset:
-    """Build the train or test dataset from the config (synthetic or IDX)."""
+def _load_split(cfg: dict, split: str, num_classes: int | None = None) -> dataset_io.LabeledDataset:
+    """Build the train or test dataset from the config (synthetic or IDX); an
+    IDX split has idx.num_classes, else ``num_classes``, else its top label."""
     try:
         if "idx.train_images" in cfg:
             raw_x, raw_y = dataset_io.load_idx(cfg[f"idx.{split}_images"],
                                                cfg[f"idx.{split}_labels"])
-            return dataset_io.make_dataset(raw_x, raw_y, **_section(cfg, "idx", *_IDX_PATHS))
+            idx = _section(cfg, "idx", *_IDX_PATHS)
+            idx.setdefault("num_classes", num_classes)
+            return dataset_io.make_dataset(raw_x, raw_y, **idx)
         return dataset_io.synthetic_dataset(
             cfg["dataset.kind"], cfg[f"dataset.{split}_size"], tuple(cfg["dataset.shape"]),
             seed=_derived_seeds(cfg)[f"dataset_{split}"])
@@ -319,9 +324,10 @@ def _cmd_train(cfg: dict) -> int:
     return 0
 
 
-def _load_model(cfg: dict, dataset: dataset_io.LabeledDataset) -> clf.ClassifierParams:
-    """The checkpoint's classifier, if it was trained under this run's noise
-    on images of the dataset's shape."""
+def _load_model(cfg: dict) -> tuple[clf.ClassifierParams, dataset_io.LabeledDataset]:
+    """The checkpoint's classifier and the test split, built with its class
+    count, if it was trained under this run's noise on images of the split's
+    shape and class count."""
     ckpt = Path(cfg["checkpoint"])
     if not ckpt.exists():
         raise SystemExit(f"error: checkpoint {ckpt} not found; run `wsmooth train` first")
@@ -334,10 +340,14 @@ def _load_model(cfg: dict, dataset: dataset_io.LabeledDataset) -> clf.Classifier
         raise SystemExit(
             f"error: checkpoint {ckpt} was trained under {trained.noise} noise at sigma "
             f"{trained.sigma!r}, but this run smooths with {noise.scheme} at sigma {noise.sigma!r}")
+    dataset = _load_split(cfg, "test", params.num_classes)
     if params.input_shape != dataset.image_shape:
         raise SystemExit(f"error: checkpoint {ckpt} takes {params.input_shape} images, but the "
                          f"dataset holds {dataset.image_shape} images")
-    return params
+    if params.num_classes != dataset.num_classes:
+        raise SystemExit(f"error: checkpoint {ckpt} scores {params.num_classes} classes, but the "
+                         f"dataset has {dataset.num_classes}")
+    return params, dataset
 
 
 def _certify_stats(rows: list[tuple]) -> dict:
@@ -355,8 +365,7 @@ def _certify_stats(rows: list[tuple]) -> dict:
 
 
 def _cmd_predict(cfg: dict) -> int:
-    dataset = _load_split(cfg, "test")
-    params = _load_model(cfg, dataset)
+    params, dataset = _load_model(cfg)
     n, alpha = cfg["predict.n"], cfg["predict.alpha"]
     rng = np.random.default_rng(_derived_seeds(cfg)["predict"])
     streams = rng.spawn(len(dataset))
@@ -381,8 +390,7 @@ def _cmd_predict(cfg: dict) -> int:
 
 
 def _cmd_certify(cfg: dict) -> int:
-    dataset = _load_split(cfg, "test")
-    params = _load_model(cfg, dataset)
+    params, dataset = _load_model(cfg)
     n0, n, alpha = cfg["certify.n0"], cfg["certify.n"], cfg["certify.alpha"]
     rng = np.random.default_rng(_derived_seeds(cfg)["certify"])
     streams = rng.spawn(len(dataset))
@@ -411,8 +419,7 @@ def _cmd_certify(cfg: dict) -> int:
 
 
 def _cmd_attack(cfg: dict) -> int:
-    dataset = _load_split(cfg, "test")
-    params = _load_model(cfg, dataset)
+    params, dataset = _load_model(cfg)
     if "attack.max_images" in cfg:
         dataset = dataset.subset(np.arange(min(cfg["attack.max_images"], len(dataset))))
     radii, acfg = cfg["attack.radii"], cfg["attack"]

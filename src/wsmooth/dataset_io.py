@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flow_domain import MASS_TOL, NormalizationError, ShapeMismatchError
+from .flow_domain import NormalizationError, _check_stack_shape, _check_unit_mass
 
 
 class IdxFormatError(ValueError):
@@ -69,11 +69,6 @@ def load_idx(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
     return images, labels
 
 
-def _check_stack_shape(x: np.ndarray):
-    if x.ndim not in (3, 4) or 0 in x.shape[1:]:
-        raise ShapeMismatchError(f"images must stack nonempty 2-D or 3-D arrays, got {x.shape}")
-
-
 def _normalize(x: np.ndarray) -> np.ndarray:
     """Divide each image of a float (N, n, m) or (N, C, n, m) stack by its
     grand total, in place, so every image becomes a distribution.
@@ -126,15 +121,8 @@ class LabeledDataset:
             raise ValueError("need at least two classes")
         if self.labels.size and (self.labels.min() < 1 or self.labels.max() > self.num_classes):
             raise ValueError(f"labels must lie in [1, {self.num_classes}]")
-        x = self.images
-        _check_stack_shape(x)
-        axes = tuple(range(1, x.ndim))
-        off_mass = ~(np.abs(x.sum(axis=axes) - 1.0) <= MASS_TOL)  # NaN is off too
-        bad = np.flatnonzero((x < 0).any(axis=axes) | off_mass)
-        if bad.size:
-            raise NormalizationError(f"image {bad[0]} has a negative pixel or a total mass "
-                                     f"that is not 1 within {MASS_TOL}")
-        x.setflags(write=False)
+        _check_unit_mass(self.images)
+        self.images.setflags(write=False)
 
     def __len__(self) -> int:
         return len(self.images)

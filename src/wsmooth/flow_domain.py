@@ -54,6 +54,25 @@ def as_channels(x) -> np.ndarray:
     return a
 
 
+def _check_stack_shape(x: np.ndarray):
+    if x.ndim not in (3, 4) or 0 in x.shape[1:]:
+        raise ShapeMismatchError(f"images must stack nonempty 2-D or 3-D arrays, got {x.shape}")
+
+
+def _check_unit_mass(x: np.ndarray):
+    """Refuse a float (N, n, m) or (N, C, n, m) stack by its first image with
+    a negative pixel or a grand total not 1 within MASS_TOL (NaN too)."""
+    _check_stack_shape(x)
+    axes = tuple(range(1, x.ndim))
+    negative, totals = (x < 0).any(axis=axes), x.sum(axis=axes)
+    bad = np.flatnonzero(negative | ~(np.abs(totals - 1.0) <= MASS_TOL))
+    if bad.size:
+        i = bad[0]
+        why = ("a negative pixel" if negative[i]
+               else f"total mass {float(totals[i])!r}, not 1 within {MASS_TOL}")
+        raise NormalizationError(f"image {i} has {why}")
+
+
 def unit_mass(x) -> np.ndarray:
     """``x`` as a float array, checked to be a nonempty (n, m) or (C, n, m)
     nonnegative image whose grand total is 1 within MASS_TOL.
@@ -61,13 +80,7 @@ def unit_mass(x) -> np.ndarray:
     Individual channels may carry any nonnegative share of the mass.
     """
     a = np.asarray(x, dtype=float)
-    if a.ndim not in (2, 3) or a.size == 0:
-        raise ShapeMismatchError(f"image must be a nonempty 2-D or 3-D array, got shape {a.shape}")
-    if np.any(a < 0):
-        raise NormalizationError("image intensities must be nonnegative")
-    total = float(a.sum())
-    if not abs(total - 1.0) <= MASS_TOL:  # NaN fails too
-        raise NormalizationError(f"total mass {total!r} is not 1 within {MASS_TOL}")
+    _check_unit_mass(a[None])
     return a
 
 
@@ -175,7 +188,8 @@ def solve_flow_1d(x, xp) -> np.ndarray:
 
     Entry i is the net mass crossing the boundary between cells i and i+1,
     which telescopes to cumsum(x)[i] - cumsum(xp)[i].  Its L1 norm is the
-    1-Wasserstein distance between the two distributions.
+    1-Wasserstein distance between the two distributions.  ``x`` and ``xp``
+    are checked as images 0 and 1, each a 1 x L grid.
     """
     xa = np.asarray(x, dtype=float)
     xpa = np.asarray(xp, dtype=float)
@@ -183,11 +197,7 @@ def solve_flow_1d(x, xp) -> np.ndarray:
         raise ShapeMismatchError("inputs must be 1-D distributions")
     if xa.shape != xpa.shape:
         raise ShapeMismatchError(f"length mismatch {xa.shape} vs {xpa.shape}")
-    for name, arr in (("x", xa), ("xp", xpa)):
-        if np.any(arr < 0):
-            raise NormalizationError(f"{name} must be nonnegative")
-        if not abs(float(arr.sum()) - 1.0) <= MASS_TOL:
-            raise NormalizationError(f"{name} must sum to 1 within {MASS_TOL}")
+    _check_unit_mass(np.stack([xa, xpa])[:, None])
     return (np.cumsum(xa) - np.cumsum(xpa))[:-1]
 
 

@@ -214,17 +214,18 @@ def _vote_counts(params, x, spec: NoiseSpec, n: int, rng, workers: int):
                 yield from tallies
 
 
-def prediction_from_counts(counts, alpha: float) -> SmoothedPrediction:
-    """Abstaining decision rule on a finished vote tally.
+def _p_value(n_top: int, n_run: int) -> float:
+    """Two-sided exact binomial p-value of n_top votes against n_run at
+    p = 1/2: twice the lower tail I_{1/2}(n_top, n_run + 1) of the smaller
+    count, capped at 1, and exactly 1 at a tie.  The incomplete beta keeps
+    about 13 digits out to n = 10^4 (scipy's bdtr keeps about 10 there)."""
+    return 1.0 if n_top == n_run else min(1.0, 2.0 * float(betainc(n_top, n_run + 1, 0.5)))
 
-    Returns the top class only if a two-sided exact binomial test rejects
-    the hypothesis that top and runner-up are equally likely; ties and weak
-    majorities abstain.  At probability 1/2 the binomial law is symmetric,
-    so the test's p-value is twice the lower tail P(X <= n_run) of the
-    runner-up's count, capped at 1, and exactly 1 at a tie.  The tail is
-    the regularized incomplete beta I_{1/2}(n_top, n_run + 1), which keeps
-    about 13 digits out to n = 10^4 (scipy's bdtr keeps about 10 there).
-    """
+
+def prediction_from_counts(counts, alpha: float) -> SmoothedPrediction:
+    """Abstaining decision rule on a finished vote tally: the top class if
+    the two-sided exact binomial test (_p_value) rejects that top and
+    runner-up are equally likely; ties and weak majorities abstain."""
     counts = np.asarray(counts, dtype=np.int64)
     if counts.ndim != 1 or counts.size < 2:
         raise ValueError("counts must be a 1-D tally over at least two classes")
@@ -237,7 +238,7 @@ def prediction_from_counts(counts, alpha: float) -> SmoothedPrediction:
     rest[top] = -1
     runner = int(np.argmax(rest))
     n_top, n_run = int(counts[top]), int(counts[runner])
-    p_value = 1.0 if n_top == n_run else min(1.0, 2.0 * float(betainc(n_top, n_run + 1, 0.5)))
+    p_value = _p_value(n_top, n_run)
     predicted = top + 1 if p_value <= alpha else ABSTAIN
     return SmoothedPrediction(predicted, int(counts.sum()), (n_top, n_run), p_value, 1.0 - alpha)
 
@@ -246,16 +247,16 @@ def _decided(counts: np.ndarray, remaining: int, alpha: float) -> bool:
     """Whether no way of casting ``remaining`` more votes can change the
     abstaining decision on the tally ``counts``.
 
-    The test's p-value 2 I_{1/2}(n_top, n_run + 1) falls as n_top grows and
-    rises with n_run.  So the leader is certain to be named when it stays
-    ahead and passes the test even if every remaining vote goes to the
-    runner-up, and abstention is certain when the test fails even if every
-    remaining vote goes to the leader.
+    The test's p-value falls as n_top grows and rises with n_run.  So the
+    leader is certain to be named when it stays ahead and passes the test
+    even if every remaining vote goes to the runner-up, and abstention is
+    certain when the test fails even if every remaining vote goes to the
+    leader.
     """
     c_run, c_top = (int(c) for c in np.partition(counts, -2)[-2:])
-    if c_top > c_run + remaining and 2.0 * betainc(c_top, c_run + remaining + 1, 0.5) <= alpha:
+    if c_top > c_run + remaining and _p_value(c_top, c_run + remaining) <= alpha:
         return True
-    return 2.0 * betainc(c_top + remaining, c_run + 1, 0.5) > alpha
+    return _p_value(c_top + remaining, c_run) > alpha
 
 
 def smoothed_predict(params, x, spec: NoiseSpec, n: int = 10000, alpha: float = 0.05,

@@ -55,6 +55,31 @@ def laplace_sum_sf_quad(u: float, k: int) -> float:
     return val
 
 
+def linear_vote_probability(s: float, g, scale: float) -> float:
+    """P(s + e.g > 0) for e iid Laplace(0, scale): the exact probability
+    that a two-class linear model, whose logit gap is s at the clean image
+    and moves by e.g under noise e, votes for its first class.
+
+    X = e.g has the real characteristic function prod 1/(1 + scale^2 g_i^2
+    t^2), so by Gil-Pelaez inversion P(X > -s) = 1/2 + (1/pi) int_0^inf
+    sin(s t) phi(t) / t dt.  Splitting off int_0^inf sin(s t) / t dt =
+    pi/2 for s > 0 leaves the smooth integrand (phi(t) - 1) / t, which
+    quad's Fourier rule (weight="sin") integrates to infinity; s < 0
+    follows by symmetry.
+    """
+    c2 = (scale * np.asarray(g, dtype=float).ravel()) ** 2
+    if s < 0:
+        return 1.0 - linear_vote_probability(-s, g, scale)
+    if s == 0 or not c2.any():
+        return 0.5 if s == 0 else 1.0
+
+    def integrand(t):
+        return 0.0 if t == 0 else math.expm1(-np.log1p(c2 * t * t).sum()) / t
+
+    val, _ = integrate.quad(integrand, 0, np.inf, weight="sin", wvar=s)
+    return 1.0 + val / math.pi
+
+
 @dataclass
 class RegionThresholdClassifier:
     """Two-class linear classifier on the mass of a leading row/column block.

@@ -100,7 +100,16 @@ class TestProjection:
 class TestAttackConfig:
     def test_defaults_valid(self):
         cfg = AttackConfig()
-        assert cfg.resolved_step == pytest.approx(0.1)
+        assert cfg.max_radius == 1.0 and cfg.radius_at(1) == pytest.approx(0.1)
+
+    def test_step_is_a_tenth_of_max_radius(self):
+        # One step inside a ball that does not bind moves L1 length exactly
+        # max_radius / 10, flipped or not.
+        cfg = AttackConfig(iterations=1, gradient_samples=32, max_radius=2.0,
+                           initial_radius=2.0, predict_samples=200)
+        res = flow_pgd_attack(halves_classifier(), split_image(0.7), 1, NoiseSpec(FLOW, 0.05),
+                              cfg, rng=3)
+        assert res.clean_correct and res.budget == pytest.approx(0.2, rel=1e-12)
 
     def test_radius_schedule(self):
         cfg = AttackConfig(max_radius=1.0, growth_factor=1.5, growth_interval=10)
@@ -124,7 +133,7 @@ class TestAttackConfig:
             {"initial_radius": 2.0, "max_radius": 1.0},
             {"growth_factor": 0.9},
             {"growth_interval": 0},
-            {"step_size": -0.1},
+            {"max_radius": float("inf")},
             {"predict_alpha": 0.0},
         ],
     )
@@ -190,7 +199,7 @@ class TestFlowPgd:
         params = init_params(cshape, 2, rng=np.random.default_rng(72))
         spec = NoiseSpec(FLOW, 0.01)
         label = smoothed_predict(params, x, spec, 300, 0.05, np.random.default_rng(1)).predicted
-        cfg = AttackConfig(iterations=15, gradient_samples=16, max_radius=0.2, step_size=0.02,
+        cfg = AttackConfig(iterations=15, gradient_samples=16, max_radius=0.2,
                            predict_samples=300)
         res = flow_pgd_attack(params, x, label, spec, cfg, rng=5)
         assert res.success and res.oracle_radius is not None
@@ -258,7 +267,7 @@ class TestEarlyStop:
         params = init_params(cshape, 2, rng=np.random.default_rng(72))
         spec = NoiseSpec(FLOW, 0.01)
         label = smoothed_predict(params, x, spec, 300, 0.05, np.random.default_rng(1)).predicted
-        cfg = AttackConfig(iterations=15, gradient_samples=16, max_radius=0.2, step_size=0.02,
+        cfg = AttackConfig(iterations=15, gradient_samples=16, max_radius=0.2,
                            predict_samples=300)
         return params, x, label, spec, cfg
 

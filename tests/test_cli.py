@@ -235,7 +235,7 @@ class TestAttackCommand:
 
 class TestOracleCheckCommand:
     def test_passes_and_prints(self, tmp_path, capsys):
-        assert run(["oracle-check", "--out-dir", str(tmp_path), "--pairs", "5"]) == 0
+        assert run(["oracle-check", "--pairs", "5"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert sum(1 for line in lines if line.startswith("PASS")) == 8
         assert not any(line.startswith("FAIL") for line in lines)
@@ -428,8 +428,7 @@ class TestConfigHandling:
         assert not (tmp_path / "out").exists()
 
     def test_zero_pairs_exits_with_one_error_line(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(sys, "argv", ["wsmooth", "oracle-check", "--pairs", "0",
-                                          "--out-dir", str(tmp_path / "out")])
+        monkeypatch.setattr(sys, "argv", ["wsmooth", "oracle-check", "--pairs", "0"])
         assert main() == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: --pairs 0")
@@ -507,6 +506,23 @@ class TestConfigHandling:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: sigma must be a finite number")
 
+    @pytest.mark.parametrize("argv", [
+        ["train", "--workers", "2"],
+        ["attack", "--workers", "2"],
+        ["oracle-check", "--workers", "2"],
+        ["report", "--workers", "2", "certificates.csv"],
+        ["oracle-check", "--out-dir", "D"],
+    ], ids=["train-workers", "attack-workers", "oracle-check-workers", "report-workers",
+            "oracle-check-out-dir"])
+    def test_flag_the_command_does_not_read_is_refused(self, tmp_path, monkeypatch, capsys,
+                                                        argv):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_rejects_missing_config(self, tmp_path):
         with pytest.raises(SystemExit, match="not found"):
             run(["train", "--config", str(tmp_path / "nope.json")])
@@ -526,3 +542,65 @@ class TestConfigHandling:
         run(["train", "--config", str(config_path), "--epochs", "2",
              "--out-dir", str(flag_dir)])
         assert (flag_dir / "train_summary.json").exists()
+
+
+class TestClassCount:
+    """predict, certify and attack use the checkpoint's class count."""
+
+    def idx_config(self, tmp_path, test_labels, **idx):
+        rng = np.random.default_rng(0)
+        for split, labels in (("train", np.arange(30) % 3), ("test", np.asarray(test_labels))):
+            write_idx(tmp_path / f"{split}-images", rng.integers(1, 256, (len(labels), 4, 4)))
+            write_idx(tmp_path / f"{split}-labels", labels)
+            idx[f"{split}_images"] = str(tmp_path / f"{split}-images")
+            idx[f"{split}_labels"] = str(tmp_path / f"{split}-labels")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"out_dir": str(tmp_path / "out"), "idx": idx,
+                                    "train": {"epochs": 2}, "predict": {"n": 100},
+                                    "certify": {"n0": 50, "n": 100},
+                                    "attack": {"iterations": 2, "gradient_samples": 4,
+                                               "predict_samples": 50}}))
+        assert run(["train", "--config", str(path)]) == 0
+        return path
+
+    @pytest.mark.parametrize("command", ["predict", "certify", "attack"])
+    def test_idx_test_split_takes_the_checkpoints_class_count(self, tmp_path, command):
+        # The test labels name only two of the checkpoint's three classes.
+        path = self.idx_config(tmp_path, [0, 1, 1, 0])
+        assert run([command, "--config", str(path)]) == 0
+
+    @pytest.mark.parametrize("labels, idx, needle", [
+        ([0, 1, 3], {}, "cannot load the test split: labels must lie in [1, 3]"),
+        ([0, 1, 2], {"num_classes": 4}, "scores 3 classes, but the dataset has 4"),
+    ], ids=["label_beyond_checkpoint", "idx_num_classes"])
+    def test_idx_split_that_does_not_fit_exits_with_one_error_line(
+            self, tmp_path, monkeypatch, capsys, labels, idx, needle):
+        path = self.idx_config(tmp_path, labels)
+        if idx:
+            cfg = json.loads(path.read_text())
+            cfg["idx"].update(idx)
+            path.write_text(json.dumps(cfg))
+        monkeypatch.setattr(sys, "argv", ["wsmooth", "certify", "--config", str(path)])
+        capsys.readouterr()
+        assert main() == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and needle in err[0]
+        assert not (tmp_path / "out" / "certificates.csv").exists()
+
+    def test_synthetic_split_of_another_class_count_exits_with_one_error_line(
+            self, tmp_path, monkeypatch, capsys):
+        ckpt = tmp_path / "corners.npz"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"out_dir": str(tmp_path / "out"), "train": {"epochs": 2},
+                                    "dataset": {"kind": "corners", "train_size": 20}}))
+        assert run(["train", "--config", str(path), "--checkpoint", str(ckpt)]) == 0
+        path.write_text(json.dumps({"out_dir": str(tmp_path / "out"),
+                                    "dataset": {"kind": "blobs", "test_size": 5}}))
+        monkeypatch.setattr(sys, "argv", ["wsmooth", "certify", "--config", str(path),
+                                          "--checkpoint", str(ckpt)])
+        capsys.readouterr()
+        assert main() == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0] == (f"error: checkpoint {ckpt} scores 4 classes, but "
+                                            "the dataset has 2")
+        assert not (tmp_path / "out" / "certificates.csv").exists()

@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wsmooth import (
+    LabeledDataset,
     NormalizationError,
     RawGrid,
     ShapeMismatchError,
@@ -11,9 +14,11 @@ from wsmooth import (
     flow_from_edge,
     l1_norm,
     solve_flow_1d,
+    wasserstein_grid_l1,
+    wasserstein_lp,
 )
-from wsmooth.flow_domain import (as_channels, divergence, divergence_adjoint, divergence_matrix,
-                                 edge_count, unit_mass)
+from wsmooth.flow_domain import (MASS_TOL, as_channels, divergence, divergence_adjoint,
+                                 divergence_matrix, edge_count, unit_mass)
 from wsmooth.transport_oracle import _grid_equations
 
 from analytic import edge_from_flow
@@ -65,6 +70,37 @@ class TestTypes:
         assert np.allclose(img.sum(axis=(1, 2)), [0.4, 0.6])
         with pytest.raises(NormalizationError):
             unit_mass(np.stack([np.full((2, 2), 0.3), np.full((2, 2), 0.3)]))
+
+
+def _bad_unit_mass_images():
+    negative = np.array([[0.75, 0.5], [0.0, -0.25]])
+    off = np.full((2, 2), 0.25)
+    off[0, 0] += 2 * MASS_TOL
+    nan = np.full((2, 2), 0.25)
+    nan[1, 1] = np.nan
+    return {"negative": (negative, "has a negative pixel"),
+            "off_total": (off, "has total mass 1.000000002, not 1 within 1e-09"),
+            "nan": (nan, "has total mass nan, not 1 within 1e-09")}
+
+
+@pytest.mark.parametrize("entry", ["unit_mass", "LabeledDataset", "solve_flow_1d",
+                                   "wasserstein_grid_l1", "wasserstein_lp"])
+@pytest.mark.parametrize("fault", ["negative", "off_total", "nan"])
+def test_every_entry_refuses_a_bad_image_by_the_rule_it_breaks(entry, fault):
+    bad, rule = _bad_unit_mass_images()[fault]
+    good = np.full((2, 2), 0.25)
+    calls = {
+        "unit_mass": lambda: unit_mass(bad),
+        "LabeledDataset": lambda: LabeledDataset(np.stack([good, bad]), [1, 2], 2),
+        "solve_flow_1d": lambda: solve_flow_1d(good.ravel(), bad.ravel()),
+        "wasserstein_grid_l1": lambda: wasserstein_grid_l1(good, bad),
+        "wasserstein_lp": lambda: wasserstein_lp(good, bad),
+    }
+    # unit_mass and the oracles check one image at a time; the stacked
+    # checks name the bad one, image 1.
+    index = 0 if entry in ("unit_mass", "wasserstein_grid_l1", "wasserstein_lp") else 1
+    with pytest.raises(NormalizationError, match=f"^image {index} {re.escape(rule)}$"):
+        calls[entry]()
 
 
 class TestApplyFlow:

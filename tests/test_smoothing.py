@@ -11,6 +11,7 @@ from scipy import stats
 from wsmooth import (
     ABSTAIN,
     AttackConfig,
+    ClassifierParams,
     GroundMetric,
     NoiseSpec,
     certify,
@@ -24,15 +25,38 @@ from wsmooth import (
 )
 from wsmooth import smoothing
 from wsmooth.classifier import _forward
-from wsmooth.flow_domain import divergence, edge_count
+from wsmooth.flow_domain import divergence, divergence_adjoint, edge_count
 from wsmooth.smoothing import (DRAW_VALUES, FLOW, PIXEL, VOTE_BATCH, _edge_noise,
                                _fold_first_layer, _sample_increments, _vote_counts)
 
-from analytic import RegionThresholdClassifier, laplace_sum_sf, laplace_sum_sf_quad
+from analytic import (RegionThresholdClassifier, laplace_sum_sf, laplace_sum_sf_quad,
+                      linear_vote_probability)
 
 # p_lower with log-odds exactly 1, so certified radii reduce to the bare
 # coefficients times sigma.
 P_UNIT_ODDS = math.e / (1.0 + math.e)
+
+# The linear soundness instance's noise level: its exact vote probability
+# is about 0.81 under both schemes.
+LINEAR_SIGMA = 0.5
+
+
+def linear_instance(scheme):
+    """A fixed two-class linear model on a 4x4 image: (params, x, s, g),
+    where s is the clean logit gap and the gap moves by e.g under noise e.
+    Under flow noise g = D^T u for the pixel weights u, under pixel noise
+    g = u.  The g_i are unequal and sum to a positive number, so that less
+    noise or noise of one sign raises the vote probability."""
+    i, j = np.mgrid[:4, :4]
+    u = 0.5 * i**2 + j + 0.25 * i * j
+    g = divergence_adjoint(u[None]).ravel() if scheme == FLOW else u.ravel()
+    x = np.full((4, 4), 1 / 16)
+    bias = 0.85 * LINEAR_SIGMA * np.linalg.norm(g) - float(u.ravel() @ x.ravel())
+    params = ClassifierParams((4, 4), 2, [np.stack([u.ravel(), np.zeros(16)], axis=1)],
+                              [np.array([bias, 0.0])])
+    logits = params.forward_batch(x.reshape(1, -1))[0]
+    return params, x, float(logits[0] - logits[1]), g
+
 
 # TestDrawBlocks' image and the rows of one draw block at its width; the
 # ragged cases need 1 < BLOCK_ROWS < VOTE_BATCH.
@@ -449,6 +473,63 @@ class TestLaplaceSumClosedForm:
             p = laplace_sum_sf(u, 3)
             se = math.sqrt(p * (1 - p) / len(draws))
             assert (draws > u).mean() == pytest.approx(p, abs=5 * se)
+
+
+class TestLinearVoteProbability:
+    """The exact vote probability of a two-class linear model under Laplace
+    noise, the reference of TestLinearSoundness."""
+
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    @pytest.mark.parametrize("s", [-1.5, 0.2, 2.0])
+    def test_matches_laplace_sum_when_weights_are_equal(self, k, s):
+        g = 0.7 * np.resize([1.0, -1.0], k)
+        expected = laplace_sum_sf(-s / (0.7 * 0.4), k)
+        assert linear_vote_probability(s, g, 0.4) == pytest.approx(expected, abs=1e-9)
+
+    def test_matches_monte_carlo(self):
+        _, _, s, g = linear_instance(FLOW)
+        scale = NoiseSpec(FLOW, LINEAR_SIGMA).scale
+        rng = np.random.default_rng(98)
+        gaps = np.concatenate([rng.laplace(scale=scale, size=(50000, g.size)) @ g
+                               for _ in range(4)])
+        for shift in (s, -0.5 * s, 0.1 * s):
+            p = linear_vote_probability(shift, g, scale)
+            se = math.sqrt(p * (1 - p) / len(gaps))
+            assert (shift + gaps > 0).mean() == pytest.approx(p, abs=5 * se)
+
+
+class TestLinearSoundness:
+    """certify on a linear model against its exact vote probability: the
+    sampler, the fold, the vote and the bound checked together.  A
+    certificate claims p_lower <= p of its class at confidence 1 - alpha,
+    so at most a binomial share alpha of fixed-seed runs may over-claim;
+    the gate's slack is that count's 1 - 1e-3 quantile.  Runs, draw counts
+    and the instance were fixed before measuring; a Laplace scale sqrt(2)
+    too small and a dropped noise sign each raise p here and over-claim in
+    every run."""
+
+    RUNS, N0, N, ALPHA = 200, 64, 500, 0.05
+
+    @pytest.mark.parametrize("scheme", [FLOW, PIXEL])
+    def test_certificates_cover_the_exact_probability(self, scheme):
+        params, x, s, g = linear_instance(scheme)
+        spec = NoiseSpec(scheme, LINEAR_SIGMA)
+        p_first = linear_vote_probability(s, g, spec.scale)
+        over = certified = 0
+        for run in range(self.RUNS):
+            cert = certify(params, x, spec, self.N0, self.N, self.ALPHA,
+                           np.random.default_rng([5, run]))
+            if cert.predicted == ABSTAIN:
+                continue
+            certified += 1
+            over += cert.p_lower > (p_first if cert.predicted == 1 else 1 - p_first)
+            if scheme == FLOW:
+                # No flow of L1 norm below s / |g|_inf can flip the smoothed
+                # linear model, and one just above it does.
+                rho1 = radius_from_plower(cert.p_lower, spec.sigma, FLOW, GroundMetric.L1)
+                assert rho1 <= s / np.abs(g).max() * (1 + 1e-9)
+        assert certified >= 0.9 * self.RUNS  # the gate is not vacuous
+        assert over <= stats.binom.ppf(1 - 1e-3, self.RUNS, self.ALPHA)
 
 
 class TestClopperPearson:

@@ -172,13 +172,13 @@ def cases() -> dict:
     label3 = label3 if label3 > 0 else 1
     out["attack/3ch"] = _plain(flow_pgd_attack(
         params3, x3, label3, NoiseSpec(FLOW, 0.02),
-        AttackConfig(iterations=10, gradient_samples=32, max_radius=0.5, step_size=0.2,
-                     predict_samples=300), rng=44))
+        AttackConfig(iterations=10, gradient_samples=32, max_radius=0.5, predict_samples=300),
+        rng=44))
     # Weak random models that flip while every pixel stays nonnegative, so
     # the attack's exact oracle radius is computed on one and three channels.
     small_spec = NoiseSpec(FLOW, 0.01)
     small_cfg = AttackConfig(iterations=15, gradient_samples=16, max_radius=0.2,
-                             step_size=0.02, predict_samples=300)
+                             predict_samples=300)
     for shape, seed in (((5, 5), 3), ((3, 5, 5), 2)):
         x = 0.5 + np.random.default_rng(60 + seed).random(shape)
         x /= x.sum()
