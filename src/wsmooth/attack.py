@@ -208,7 +208,8 @@ def robustness_curve(classifier, dataset, spec: NoiseSpec, radii,
     at budget rho unless its clean prediction was wrong or the attack first
     succeeded within budget rho.  Success at one budget therefore implies
     success at every larger budget, and the budget-0 accuracy is exactly the
-    clean smoothed accuracy of this run.
+    clean smoothed accuracy of this run.  A failed attack says nothing past
+    its schedule's last budget, so larger radii are refused.
     """
     radii = sorted(float(r) for r in radii)
     if not radii or radii[0] < 0:
@@ -220,6 +221,10 @@ def robustness_curve(classifier, dataset, spec: NoiseSpec, radii,
         init = config.initial_radius
         config = replace(config, max_radius=max_r,
                          initial_radius=min(init, max_r) if init is not None else None)
+    reach = config.radius_at(config.iterations) if config.iterations else 0.0
+    if max_r > reach:
+        raise ValueError(f"the schedule reaches L1 budget {reach:g} after "
+                         f"{config.iterations} iterations, short of the largest radius {max_r:g}")
     children = np.random.default_rng(rng).spawn(len(dataset))
     x_all, y_all = dataset.as_arrays()
     results = []

@@ -114,7 +114,7 @@ def _forward(params: ClassifierParams, X) -> tuple[np.ndarray, list[np.ndarray]]
 
 
 def _backward(params: ClassifierParams, X, labels, mean: bool):
-    """Backprop of each row's cross-entropy loss against its 1-based label.
+    """Backprop of each row's cross-entropy loss against its label (a logit column).
 
     Returns the per-row losses (through log-sum-exp, so saturated logits do
     not produce infinities), the layer inputs, and the gradient at each
@@ -125,15 +125,15 @@ def _backward(params: ClassifierParams, X, labels, mean: bool):
     labels = np.asarray(labels, dtype=int)
     if labels.shape != (len(logits),):
         raise ShapeMismatchError("one label per batch row required")
-    if labels.size and (labels.min() < 1 or labels.max() > params.num_classes):
-        raise ValueError(f"labels must lie in [1, {params.num_classes}]")
+    if labels.size and (labels.min() < 0 or labels.max() >= params.num_classes):
+        raise ValueError(f"labels must lie in [0, {params.num_classes})")
     rows = np.arange(len(labels))
     zmax = logits.max(axis=1, keepdims=True)
     e = np.exp(logits - zmax)
     total = e.sum(axis=1)
-    losses = zmax[:, 0] + np.log(total) - logits[rows, labels - 1]
+    losses = zmax[:, 0] + np.log(total) - logits[rows, labels]
     delta = e / total[:, None]
-    delta[rows, labels - 1] -= 1.0
+    delta[rows, labels] -= 1.0
     if mean:
         delta /= len(labels)
     deltas = [delta]
@@ -243,7 +243,7 @@ def accuracy(params: ClassifierParams, dataset) -> float:
     X, y = dataset.as_arrays()
     if len(X) == 0:
         raise ValueError("empty dataset")
-    pred = np.argmax(params.forward_batch(X), axis=1) + 1
+    pred = np.argmax(params.forward_batch(X), axis=1)
     return float(np.mean(pred == y))
 
 

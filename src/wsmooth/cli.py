@@ -67,7 +67,6 @@ _SCHEMA = {
     "dataset.shape": ([int], None, [6, 6]),
     **{f"idx.{name}": (str, None, None) for name in _IDX_PATHS},
     "idx.num_classes": (int, None, None),
-    "idx.label_base": (int, None, None),
     "train.epochs": (int, None, None),
     "train.batch_size": (int, None, None),
     "train.learning_rate": (float, None, None),
@@ -395,7 +394,7 @@ def _cmd_certify(cfg: dict) -> int:
     rng = np.random.default_rng(_derived_seeds(cfg)["certify"])
     streams = rng.spawn(len(dataset))
     x_all, y_all = dataset.as_arrays()
-    base_predictions = np.argmax(params.forward_batch(x_all), axis=1) + 1
+    base_predictions = np.argmax(params.forward_batch(x_all), axis=1)
     rows = []
     for i in range(len(dataset)):
         cert = certify(params, x_all[i], cfg["noise"], n0, n, alpha, streams[i],
@@ -423,8 +422,11 @@ def _cmd_attack(cfg: dict) -> int:
     if "attack.max_images" in cfg:
         dataset = dataset.subset(np.arange(min(cfg["attack.max_images"], len(dataset))))
     radii, acfg = cfg["attack.radii"], cfg["attack"]
-    curve, results = robustness_curve(params, dataset, cfg["noise"], radii, acfg,
-                                      _seed_int(cfg, "attack"))
+    try:
+        curve, results = robustness_curve(params, dataset, cfg["noise"], radii, acfg,
+                                          _seed_int(cfg, "attack"))
+    except ValueError as exc:
+        raise SystemExit(f"error: attack: {exc}")
     meta = _meta(cfg, "attack", iterations=acfg.iterations,
                  gradient_samples=acfg.gradient_samples, predict_samples=acfg.predict_samples)
     out = Path(cfg["out_dir"])

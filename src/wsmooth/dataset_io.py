@@ -99,7 +99,7 @@ def _normalize(x: np.ndarray) -> np.ndarray:
 
 @dataclass
 class LabeledDataset:
-    """Unit-mass images with 1-based integer labels.
+    """Unit-mass images with integer labels, logit columns 0 ... num_classes - 1.
 
     ``images`` is kept as one read-only (N, n, m) or (N, C, n, m) float
     array, checked in one pass to hold ``unit_mass`` images.  An array
@@ -119,8 +119,8 @@ class LabeledDataset:
             )
         if self.num_classes < 2:
             raise ValueError("need at least two classes")
-        if self.labels.size and (self.labels.min() < 1 or self.labels.max() > self.num_classes):
-            raise ValueError(f"labels must lie in [1, {self.num_classes}]")
+        if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.num_classes):
+            raise ValueError(f"labels must lie in [0, {self.num_classes})")
         _check_unit_mass(self.images)
         self.images.setflags(write=False)
 
@@ -132,7 +132,7 @@ class LabeledDataset:
         return self.images.shape[1:]
 
     def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """The read-only image array itself, plus a copy of the 1-based labels."""
+        """The read-only image array itself, plus a copy of the labels."""
         return self.images, self.labels.copy()
 
     def subset(self, indices) -> "LabeledDataset":
@@ -140,10 +140,9 @@ class LabeledDataset:
         return LabeledDataset(self.images[indices], self.labels[indices], self.num_classes)
 
 
-def make_dataset(images, labels, num_classes: int | None = None, label_base: int = 0) -> LabeledDataset:
-    """Normalize raw grids and shift labels to the 1-based convention.
+def make_dataset(images, labels, num_classes: int | None = None) -> LabeledDataset:
+    """Normalize raw grids; labels pass through, num_classes defaults to the top + 1.
 
-    label_base says what the smallest raw label means (0 for IDX files).
     Zero-mass images are rejected outright; drop them beforehand if the
     source may contain any.
     """
@@ -151,15 +150,14 @@ def make_dataset(images, labels, num_classes: int | None = None, label_base: int
     labels = np.asarray(labels).astype(int)
     if len(images) != len(labels):
         raise PairingError(f"{len(images)} images but {len(labels)} labels")
-    shifted = labels + (1 - label_base)
     if num_classes is None:
-        num_classes = int(shifted.max()) if shifted.size else 2
-    return LabeledDataset(_normalize(images), shifted, num_classes)
+        num_classes = int(labels.max()) + 1 if labels.size else 2
+    return LabeledDataset(_normalize(images), labels, num_classes)
 
 
 def _bars(rng: np.random.Generator, label: int, n: int, m: int) -> np.ndarray:
     base = rng.uniform(0.0, 0.1, size=(n, m))
-    if label == 1:
+    if label == 0:
         base[n // 2, :] += 1.0
     else:
         base[:, m // 2] += 1.0
@@ -167,7 +165,7 @@ def _bars(rng: np.random.Generator, label: int, n: int, m: int) -> np.ndarray:
 
 
 def _blobs(rng: np.random.Generator, label: int, n: int, m: int) -> np.ndarray:
-    ci = rng.uniform(0.5, n / 2 - 1.5) if label == 1 else rng.uniform(n / 2 + 0.5, n - 1.5)
+    ci = rng.uniform(0.5, n / 2 - 1.5) if label == 0 else rng.uniform(n / 2 + 0.5, n - 1.5)
     cj = rng.uniform(1.0, m - 2.0)
     rows, cols = np.ogrid[:n, :m]
     blob = np.exp(-((rows - ci) ** 2 + (cols - cj) ** 2) / (2 * 0.9**2))
@@ -176,8 +174,8 @@ def _blobs(rng: np.random.Generator, label: int, n: int, m: int) -> np.ndarray:
 
 def _corners(rng: np.random.Generator, label: int, n: int, m: int) -> np.ndarray:
     base = rng.uniform(0.0, 0.05, size=(n, m))
-    r0 = 0 if label <= 2 else n - 2
-    c0 = 0 if label % 2 else m - 2
+    r0 = 0 if label <= 1 else n - 2
+    c0 = m - 2 if label % 2 else 0
     base[r0 : r0 + 2, c0 : c0 + 2] += 0.5
     return base
 
@@ -210,6 +208,6 @@ def synthetic_dataset(kind: str, size: int, shape: tuple[int, int] = (6, 6),
     images = np.empty((size, n, m))
     labels = np.empty(size, dtype=int)
     for i in range(size):
-        labels[i] = int(rng.integers(1, num_classes + 1))
+        labels[i] = int(rng.integers(0, num_classes))
         images[i] = draw(rng, labels[i], n, m)
     return LabeledDataset(_normalize(images), labels, num_classes)

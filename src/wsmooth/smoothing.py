@@ -37,7 +37,7 @@ from scipy.special import betainc, betaincinv
 from .flow_domain import ShapeMismatchError, as_channels, divergence, divergence_adjoint, edge_count
 from .transport_oracle import GroundMetric
 
-# Sentinel prediction for "not enough evidence to name a class".
+# Sentinel prediction that names none of the classes, logit columns 0 ... K-1.
 ABSTAIN = -1
 
 # Monte Carlo draws are split into batches of this size; each batch owns a
@@ -239,7 +239,7 @@ def prediction_from_counts(counts, alpha: float) -> SmoothedPrediction:
     runner = int(np.argmax(rest))
     n_top, n_run = int(counts[top]), int(counts[runner])
     p_value = _p_value(n_top, n_run)
-    predicted = top + 1 if p_value <= alpha else ABSTAIN
+    predicted = top if p_value <= alpha else ABSTAIN
     return SmoothedPrediction(predicted, int(counts.sum()), (n_top, n_run), p_value, 1.0 - alpha)
 
 
@@ -345,7 +345,7 @@ def certify(params, x, spec: NoiseSpec, n0: int = 1000, n: int = 10000,
         # sigma = 0 draws no noise, so unanimity is expected and certifies a
         # radius of exactly zero.
         rho2 = radius_from_plower(p_lower, spec.sigma, spec.scheme) if spec.sigma > 0 else 0.0
-        return Certificate(top + 1, p_lower, rho2, spec, n0, n, alpha)
+        return Certificate(top, p_lower, rho2, spec, n0, n, alpha)
     return Certificate(ABSTAIN, p_lower, None, spec, n0, n, alpha)
 
 

@@ -22,8 +22,8 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 
-from .flow_domain import (MASS_TOL, ShapeMismatchError, as_channels, divergence_matrix,
-                          flow_from_edge, unit_mass)
+from .flow_domain import (MASS_TOL, ShapeMismatchError, _check_unit_mass, as_channels,
+                          divergence_matrix, flow_from_edge)
 
 # The dense LP has N^2 variables; past 64 pixels it stops being an oracle
 # and starts being a liability.
@@ -64,17 +64,15 @@ class GroundMetric(Enum):
         return np.hypot(di, dj)
 
 
-def _coerce_image(x) -> np.ndarray:
-    """Validate as a unit-mass nonnegative (n, m) or (C, n, m) grid, then
-    renormalize exactly so paired inputs give a consistent transport
-    instance."""
-    a = unit_mass(x)
-    return a / a.sum()
-
-
-def _check_same_shape(a: np.ndarray, b: np.ndarray):
+def _coerce_pair(x, xp) -> tuple[np.ndarray, np.ndarray]:
+    """Check ``x`` and ``xp`` as images 0 and 1 of one stack of same-shape
+    unit-mass (n, m) or (C, n, m) grids, then renormalize each exactly so
+    the pair is a consistent transport instance."""
+    a, b = np.asarray(x, dtype=float), np.asarray(xp, dtype=float)
     if a.shape != b.shape:
         raise ShapeMismatchError(f"image shapes differ: {a.shape} vs {b.shape}")
+    _check_unit_mass(np.stack([a, b]))
+    return a / a.sum(), b / b.sum()
 
 
 def _solve_lp(cost: np.ndarray, a_eq: sp.csr_matrix,
@@ -111,9 +109,7 @@ def wasserstein_lp(x, xp, metric: GroundMetric = GroundMetric.L1) -> tuple[float
     the sinks {d < 0}.  Both GroundMetric members are metrics; the reduction
     would be wrong for a non-metric cost such as the squared distance.
     """
-    a = _coerce_image(x)
-    b = _coerce_image(xp)
-    _check_same_shape(a, b)
+    a, b = _coerce_pair(x, xp)
     if a.ndim != 2:
         raise ShapeMismatchError(f"expected an (n, m) image, got shape {a.shape}")
     npix = a.size
@@ -178,9 +174,7 @@ def wasserstein_grid_l1(x, xp) -> tuple[float, np.ndarray]:
     both ways along one pixel pair, so its net flow_from_edge(arcs) moves
     ``x`` to ``xp`` with L1 norm equal to the distance.
     """
-    a = _coerce_image(x)
-    b = _coerce_image(xp)
-    _check_same_shape(a, b)
+    a, b = _coerce_pair(x, xp)
     a, b = as_channels(a), as_channels(b)
     mass_a, mass_b = a.sum(axis=(1, 2)), b.sum(axis=(1, 2))
     if np.any(np.abs(mass_a - mass_b) > MASS_TOL):

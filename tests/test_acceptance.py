@@ -340,7 +340,7 @@ def test_criterion_9_determinism_gradients_projection(desk_data):
         hidden = int(rng.integers(2, 6)) if rng.random() < 0.5 else None
         params = init_params((2, 3), 3, hidden=hidden, rng=rng)
         X = rng.normal(size=(3, 2, 3))
-        labels = rng.integers(1, 4, size=3)
+        labels = rng.integers(0, 3, size=3)
         _, grads = loss_and_gradients(params, X, labels)
         analytic = np.concatenate([g.ravel() for g in grads])
         fd = finite_difference_grads(params, X, labels)

@@ -107,7 +107,7 @@ class TestAttackConfig:
         # max_radius / 10, flipped or not.
         cfg = AttackConfig(iterations=1, gradient_samples=32, max_radius=2.0,
                            initial_radius=2.0, predict_samples=200)
-        res = flow_pgd_attack(halves_classifier(), split_image(0.7), 1, NoiseSpec(FLOW, 0.05),
+        res = flow_pgd_attack(halves_classifier(), split_image(0.7), 0, NoiseSpec(FLOW, 0.05),
                               cfg, rng=3)
         assert res.clean_correct and res.budget == pytest.approx(0.2, rel=1e-12)
 
@@ -153,23 +153,23 @@ class TestFlowPgd:
 
     def test_flips_borderline_image(self):
         params = halves_classifier()
-        res = flow_pgd_attack(params, split_image(0.56), 1, self.spec, self.cfg(), rng=7)
+        res = flow_pgd_attack(params, split_image(0.56), 0, self.spec, self.cfg(), rng=7)
         assert res.success and res.clean_correct
-        assert res.prediction.predicted != 1
+        assert res.prediction.predicted != 0
         assert 0 < res.budget <= 0.5 + 1e-12
         # The reported budget is exactly the L1 norm of the reported plans.
         assert sum(l1_norm(p) for p in res.plans) == pytest.approx(res.budget, abs=1e-12)
 
     def test_budget_upper_bounds_oracle_distance(self):
         params = halves_classifier()
-        res = flow_pgd_attack(params, split_image(0.60), 1, self.spec, self.cfg(), rng=7)
+        res = flow_pgd_attack(params, split_image(0.60), 0, self.spec, self.cfg(), rng=7)
         assert res.success
         assert res.oracle_radius is not None
         assert res.oracle_radius <= res.budget + 1e-9
 
     def test_wrong_clean_prediction_short_circuits(self):
         params = halves_classifier()
-        res = flow_pgd_attack(params, split_image(0.56), 2, self.spec, self.cfg(), rng=7)
+        res = flow_pgd_attack(params, split_image(0.56), 1, self.spec, self.cfg(), rng=7)
         assert res.success and not res.clean_correct
         assert res.budget == 0.0
         assert res.iteration == 0
@@ -178,10 +178,10 @@ class TestFlowPgd:
 
     def test_deterministic_given_seed(self):
         params = halves_classifier()
-        a = flow_pgd_attack(params, split_image(0.6), 1, self.spec, self.cfg(), rng=7)
-        b = flow_pgd_attack(params, split_image(0.6), 1, self.spec, self.cfg(), rng=7)
+        a = flow_pgd_attack(params, split_image(0.6), 0, self.spec, self.cfg(), rng=7)
+        b = flow_pgd_attack(params, split_image(0.6), 0, self.spec, self.cfg(), rng=7)
         # The same image with an explicit channel axis is the same input.
-        c = flow_pgd_attack(params, split_image(0.6)[None], 1, self.spec, self.cfg(), rng=7)
+        c = flow_pgd_attack(params, split_image(0.6)[None], 0, self.spec, self.cfg(), rng=7)
         for other in (b, c):
             assert ((a.success, a.budget, a.iteration, a.prediction, a.oracle_radius)
                     == (other.success, other.budget, other.iteration, other.prediction,
@@ -215,7 +215,7 @@ class TestFlowPgd:
     def test_robust_image_survives_small_budget(self):
         params = halves_classifier()
         # 0.9 top mass needs ~0.2 moved; a 0.05 cap cannot reach it.
-        res = flow_pgd_attack(params, split_image(0.9), 1, self.spec,
+        res = flow_pgd_attack(params, split_image(0.9), 0, self.spec,
                               self.cfg(max_radius=0.05, iterations=20), rng=7)
         assert not res.success
         assert res.iteration is None
@@ -223,7 +223,7 @@ class TestFlowPgd:
 
     def test_zero_iterations_only_checks_clean(self):
         params = halves_classifier()
-        res = flow_pgd_attack(params, split_image(0.75), 1, self.spec,
+        res = flow_pgd_attack(params, split_image(0.75), 0, self.spec,
                               self.cfg(iterations=0), rng=7)
         assert not res.success and res.clean_correct
 
@@ -234,7 +234,7 @@ class TestFoldedGradient:
     def test_equals_pixel_backprop_pulled_back(self, scheme, hidden):
         # The gradient of the folded classifier is the pixel-space gradient
         # of the noisy images pulled back through D^T, on the same draws.
-        cshape, samples, label = (2, 4, 5), 64, 2
+        cshape, samples, label = (2, 4, 5), 64, 1
         rng = np.random.default_rng(21 + (hidden or 0))
         params = init_params(cshape, 3, hidden=hidden, rng=rng)
         x = rng.dirichlet(np.ones(40)).reshape(cshape)
@@ -251,7 +251,7 @@ class TestFoldedGradient:
     def test_attack_runs_under_both_schemes(self, scheme):
         cfg = AttackConfig(iterations=40, gradient_samples=32, max_radius=0.5,
                            growth_interval=5, predict_samples=1000)
-        res = flow_pgd_attack(halves_classifier(), split_image(0.56), 1, NoiseSpec(scheme, 0.01),
+        res = flow_pgd_attack(halves_classifier(), split_image(0.56), 0, NoiseSpec(scheme, 0.01),
                               cfg, rng=7)
         assert res.clean_correct and res.success
         assert 0 < res.budget <= 0.5 + 1e-12
@@ -274,7 +274,7 @@ class TestEarlyStop:
     def halves(self, scheme):
         cfg = AttackConfig(iterations=40, gradient_samples=32, max_radius=0.5,
                            growth_interval=5, predict_samples=1000)
-        return halves_classifier(), split_image(0.56), 1, NoiseSpec(scheme, 0.01), cfg
+        return halves_classifier(), split_image(0.56), 0, NoiseSpec(scheme, 0.01), cfg
 
     @pytest.mark.parametrize("case", ["flow", "pixel", "3channel"])
     def test_outcome_equals_the_full_tally_run(self, monkeypatch, case):
@@ -310,8 +310,8 @@ class TestRobustnessCurve:
     def build(self):
         params = halves_classifier()
         raws = [split_image(0.56), split_image(0.60), split_image(0.75), split_image(0.56)]
-        labels = [1, 1, 1, 2]  # the last image is deliberately mislabeled
-        ds = make_dataset(np.array(raws), np.array(labels), num_classes=2, label_base=1)
+        labels = [0, 0, 0, 1]  # the last image is deliberately mislabeled
+        ds = make_dataset(np.array(raws), np.array(labels), num_classes=2)
         cfg = AttackConfig(iterations=40, gradient_samples=32, max_radius=0.5,
                            growth_interval=5, predict_samples=1000)
         return params, ds, cfg
@@ -344,3 +344,10 @@ class TestRobustnessCurve:
             robustness_curve(params, ds, spec, [-0.1, 0.2], cfg)
         with pytest.raises(ValueError):
             robustness_curve(params, ds.subset([]), spec, [0.0], cfg)
+        # A failed attack stops at the schedule's last budget, 0.05 after 5
+        # iterations and nothing after none, so it says nothing about 0.5.
+        for iterations, reach in ((5, "0.05"), (0, "0")):
+            with pytest.raises(ValueError, match=f"reaches L1 budget {reach} after {iterations} "
+                                                 "iterations, short of the largest radius 0.5$"):
+                robustness_curve(params, ds, spec, [0.0, 0.5],
+                                 AttackConfig(iterations=iterations, growth_interval=5))

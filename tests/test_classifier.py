@@ -57,11 +57,11 @@ class TestParams:
         logits = hidden @ params.weights[1] + params.biases[1]
         assert np.array_equal(params.forward_batch(X), logits)
 
-    def test_predict_is_one_based(self, rng):
+    def test_predicts_the_index_of_the_top_logit(self, rng):
         params = ClassifierParams((1, 2), 2, [np.array([[1.0, 0.0], [0.0, 1.0]])], [np.zeros(2)])
         images = np.array([[[0.7, 0.3]], [[0.3, 0.7]]])
-        assert accuracy(params, LabeledDataset(images, np.array([1, 2]), 2)) == 1.0
-        assert accuracy(params, LabeledDataset(images, np.array([2, 1]), 2)) == 0.0
+        assert accuracy(params, LabeledDataset(images, np.array([0, 1]), 2)) == 1.0
+        assert accuracy(params, LabeledDataset(images, np.array([1, 0]), 2)) == 0.0
 
     def test_rejects_wrong_input_width(self, rng):
         params = small_params(rng)
@@ -70,14 +70,14 @@ class TestParams:
             params.forward_batch(wide)
         for backprop in (loss_and_gradients, input_gradient_batch):
             with pytest.raises(ShapeMismatchError):
-                backprop(params, wide, np.array([1, 2]))
+                backprop(params, wide, np.array([0, 1]))
 
 
 class TestGradients:
     def test_matches_finite_differences_hidden(self, rng):
         params = small_params(rng)
         X = rng.normal(size=(4, 3, 3))
-        labels = rng.integers(1, 4, size=4)
+        labels = rng.integers(0, 3, size=4)
         _, grads = loss_and_gradients(params, X, labels)
         analytic = np.concatenate([g.ravel() for g in grads])
         fd = finite_difference_grads(params, X, labels)
@@ -87,7 +87,7 @@ class TestGradients:
     def test_matches_finite_differences_linear(self, rng):
         params = init_params((2, 2), 2, hidden=None, rng=rng)
         X = rng.normal(size=(3, 2, 2))
-        labels = rng.integers(1, 3, size=3)
+        labels = rng.integers(0, 2, size=3)
         _, grads = loss_and_gradients(params, X, labels)
         analytic = np.concatenate([g.ravel() for g in grads])
         fd = finite_difference_grads(params, X, labels)
@@ -101,7 +101,7 @@ class TestGradients:
         hidden = int(rng.integers(2, 6)) if rng.random() < 0.7 else None
         params = init_params((2, 3), 3, hidden=hidden, rng=rng)
         X = rng.normal(size=(3, 2, 3))
-        labels = rng.integers(1, 4, size=3)
+        labels = rng.integers(0, 3, size=3)
         _, grads = loss_and_gradients(params, X, labels)
         analytic = np.concatenate([g.ravel() for g in grads])
         fd = finite_difference_grads(params, X, labels)
@@ -114,7 +114,7 @@ class TestGradients:
         # single-image gradients.
         params = small_params(rng)
         X = rng.normal(size=(4, 3, 3))
-        labels = np.array([2, 1, 3, 2])
+        labels = np.array([1, 0, 2, 1])
         _, grads_batch = loss_and_gradients(params, X, labels)
         singles = [loss_and_gradients(params, X[i : i + 1], labels[i : i + 1])[1] for i in range(4)]
         for k, g in enumerate(grads_batch):
@@ -123,7 +123,7 @@ class TestGradients:
     def test_input_gradient_matches_finite_differences(self, rng):
         params = small_params(rng)
         X = rng.normal(size=(2, 3, 3))
-        labels = np.array([1, 3])
+        labels = np.array([0, 2])
         analytic = input_gradient_batch(params, X, labels)
         eps = 1e-6
         fd = np.empty_like(X)
@@ -141,19 +141,19 @@ class TestGradients:
     def test_loss_is_mean_cross_entropy(self, rng):
         params = small_params(rng)
         X = rng.normal(size=(5, 3, 3))
-        labels = rng.integers(1, 4, size=5)
+        labels = rng.integers(0, 3, size=5)
         loss, _ = loss_and_gradients(params, X, labels)
         logits = params.forward_batch(X)
         log_probs = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
-        expected = -log_probs[np.arange(5), labels - 1].mean()
+        expected = -log_probs[np.arange(5), labels].mean()
         assert loss == pytest.approx(expected, abs=1e-12)
 
     def test_rejects_out_of_range_labels(self, rng):
         params = small_params(rng)
-        with pytest.raises(ValueError):
-            loss_and_gradients(params, rng.normal(size=(2, 3, 3)), np.array([0, 1]))
-        with pytest.raises(ValueError):
-            loss_and_gradients(params, rng.normal(size=(2, 3, 3)), np.array([1, 4]))
+        with pytest.raises(ValueError, match=r"^labels must lie in \[0, 3\)$"):
+            loss_and_gradients(params, rng.normal(size=(2, 3, 3)), np.array([-1, 0]))
+        with pytest.raises(ValueError, match=r"^labels must lie in \[0, 3\)$"):
+            loss_and_gradients(params, rng.normal(size=(2, 3, 3)), np.array([0, 3]))
 
 
 class TestTrainConfig:
@@ -243,7 +243,7 @@ class TestTraining:
             ds = synthetic_dataset("corners", 37, shape=(6, 5), seed=8)
         else:
             raw = np.random.default_rng(9).random((20, 3, 4, 4))
-            ds = make_dataset(raw, np.arange(20) % 3, label_base=0)
+            ds = make_dataset(raw, np.arange(20) % 3)
         cfg = TrainConfig(epochs=3, batch_size=16, learning_rate=0.5, noise=noise,
                           sigma=sigma, seed=10)
         result = train(ds, cfg, hidden=hidden)

@@ -72,6 +72,7 @@ def config_path(tmp_path):
         "attack": {
             "radii": [0.0, 0.02],
             "iterations": 8,
+            "growth_interval": 1,
             "gradient_samples": 16,
             "predict_samples": 300,
             "max_images": 2,
@@ -232,6 +233,20 @@ class TestAttackCommand:
         with pytest.raises(SystemExit, match="radii"):
             run(["attack", "--config", str(config_path), "--radii", "0,abc"])
 
+    def test_radii_past_the_schedules_reach_exit_with_one_error_line(
+            self, config_path, tmp_path, monkeypatch, capsys):
+        run(["train", "--config", str(config_path)])
+        cfg = json.loads(config_path.read_text())
+        cfg["attack"]["growth_interval"] = 10
+        config_path.write_text(json.dumps(cfg))
+        monkeypatch.setattr(sys, "argv", ["wsmooth", "attack", "--config", str(config_path)])
+        capsys.readouterr()
+        assert main() == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: attack: the schedule reaches L1 budget 0.002 after 8 iterations, short of "
+            "the largest radius 0.02"]
+        assert not (tmp_path / "out" / "attack_curve.csv").exists()
+
 
 class TestOracleCheckCommand:
     def test_passes_and_prints(self, tmp_path, capsys):
@@ -252,10 +267,10 @@ class TestOracleCheckCommand:
 class TestCertifyStats:
     def test_abstentions_and_wrong_classes_certify_nothing(self):
         rows = [  # (label, base_prediction, prediction, rho2)
-            (1, 1, 1, 0.3),
-            (2, 1, 2, 0.2),  # the base classifier is wrong, the smoothed one right
-            (1, 1, ABSTAIN, None),
-            (2, 2, 1, 0.5),  # wrong class: its radius is ignored
+            (0, 0, 0, 0.3),
+            (1, 0, 1, 0.2),  # the base classifier is wrong, the smoothed one right
+            (0, 0, ABSTAIN, None),
+            (1, 1, 0, 0.5),  # wrong class: its radius is ignored
         ]
         assert _certify_stats(rows) == {
             "base_accuracy": 0.75, "accuracy": 0.5, "abstention_rate": 0.25,
@@ -265,7 +280,7 @@ class TestCertifyStats:
         }
 
     def test_an_abstention_never_matches_a_label(self):
-        stats = _certify_stats([(ABSTAIN, 1, ABSTAIN, None)])
+        stats = _certify_stats([(ABSTAIN, 0, ABSTAIN, None)])
         assert stats["accuracy"] == 0.0
         assert stats["median_certified_radius"] is None
 
@@ -364,6 +379,7 @@ class TestConfigHandling:
         ({"train.epochs": 3}, "unknown config key 'train.epochs'"),
         ({"dataset": {"kind": "stripes"}}, "unknown synthetic dataset kind 'stripes'"),
         ({"dataset": {"shape": [3, 3]}}, "blobs need at least a 4x3 grid"),
+        ({"idx": {"label_base": 0}}, "unknown config key 'idx.label_base'"),
     ])
     def test_bad_config_exits_with_one_error_line(self, tmp_path, monkeypatch, capsys,
                                                   cfg, needle):
@@ -558,7 +574,8 @@ class TestClassCount:
         path.write_text(json.dumps({"out_dir": str(tmp_path / "out"), "idx": idx,
                                     "train": {"epochs": 2}, "predict": {"n": 100},
                                     "certify": {"n0": 50, "n": 100},
-                                    "attack": {"iterations": 2, "gradient_samples": 4,
+                                    "attack": {"iterations": 2, "growth_factor": 10,
+                                               "growth_interval": 1, "gradient_samples": 4,
                                                "predict_samples": 50}}))
         assert run(["train", "--config", str(path)]) == 0
         return path
@@ -569,8 +586,16 @@ class TestClassCount:
         path = self.idx_config(tmp_path, [0, 1, 1, 0])
         assert run([command, "--config", str(path)]) == 0
 
+    def test_idx_labels_reach_every_table_unchanged(self, tmp_path):
+        path = self.idx_config(tmp_path, [0, 1, 2, 2])
+        for command, table in (("predict", "predictions.csv"), ("certify", "certificates.csv"),
+                               ("attack", "attack_results.csv")):
+            assert run([command, "--config", str(path)]) == 0
+            _, rows = read_table(tmp_path / "out" / table)
+            assert [int(r["label"]) for r in rows] == [0, 1, 2, 2]
+
     @pytest.mark.parametrize("labels, idx, needle", [
-        ([0, 1, 3], {}, "cannot load the test split: labels must lie in [1, 3]"),
+        ([0, 1, 3], {}, "cannot load the test split: labels must lie in [0, 3)"),
         ([0, 1, 2], {"num_classes": 4}, "scores 3 classes, but the dataset has 4"),
     ], ids=["label_beyond_checkpoint", "idx_num_classes"])
     def test_idx_split_that_does_not_fit_exits_with_one_error_line(

@@ -168,27 +168,27 @@ class TestLabeledDataset:
         return np.full((k, 2, 2), 0.25)
 
     def test_len_shape_arrays(self):
-        ds = LabeledDataset(self.images(), np.array([1, 2, 1]), 2)
+        ds = LabeledDataset(self.images(), np.array([0, 1, 0]), 2)
         assert len(ds) == 3
         assert ds.image_shape == (2, 2)
         x, y = ds.as_arrays()
         assert x.shape == (3, 2, 2)
-        assert np.array_equal(y, [1, 2, 1])
+        assert np.array_equal(y, [0, 1, 0])
 
     def test_rejects_count_mismatch(self):
         with pytest.raises(PairingError):
-            LabeledDataset(self.images(3), np.array([1, 2]), 2)
+            LabeledDataset(self.images(3), np.array([0, 1]), 2)
 
     def test_rejects_out_of_range_labels(self):
-        with pytest.raises(ValueError):
-            LabeledDataset(self.images(2), np.array([0, 1]), 2)
-        with pytest.raises(ValueError):
-            LabeledDataset(self.images(2), np.array([1, 3]), 2)
+        with pytest.raises(ValueError, match=r"^labels must lie in \[0, 2\)$"):
+            LabeledDataset(self.images(2), np.array([-1, 0]), 2)
+        with pytest.raises(ValueError, match=r"^labels must lie in \[0, 2\)$"):
+            LabeledDataset(self.images(2), np.array([0, 2]), 2)
 
     def test_rejects_mixed_image_types(self):
         mixed = [np.full((2, 2), 0.25), np.full((1, 2, 2), 0.25)]
         with pytest.raises(ValueError):
-            LabeledDataset(mixed, np.array([1, 2]), 2)
+            LabeledDataset(mixed, np.array([0, 1]), 2)
 
     def test_rejects_images_that_are_not_unit_mass(self):
         for bad, error in ((np.full((2, 2, 2), 0.3), NormalizationError),
@@ -197,7 +197,7 @@ class TestLabeledDataset:
                            (np.full((2, 1, 0), 0.25), ShapeMismatchError),
                            (np.full((2, 1, 2), np.nan), NormalizationError)):
             with pytest.raises(error):
-                LabeledDataset(bad, np.array([1, 2])[: len(bad)], 2)
+                LabeledDataset(bad, np.array([0, 1])[: len(bad)], 2)
 
     def test_names_the_first_bad_image(self):
         # One pass over the stack must still say which image is at fault.
@@ -209,42 +209,42 @@ class TestLabeledDataset:
                 LabeledDataset(images, np.ones(5, dtype=int), 2)
 
     def test_holds_multichannel_images(self):
-        ds = LabeledDataset(np.full((2, 3, 2, 2), 1 / 12), np.array([1, 2]), 2)
+        ds = LabeledDataset(np.full((2, 3, 2, 2), 1 / 12), np.array([0, 1]), 2)
         assert ds.image_shape == (3, 2, 2)
         assert ds.as_arrays()[0].shape == (2, 3, 2, 2)
 
     def test_as_arrays_is_read_only_and_not_restacked(self):
         source = np.full((3, 2, 2), 0.25)
-        ds = LabeledDataset(source, np.array([1, 2, 1]), 2)
+        ds = LabeledDataset(source, np.array([0, 1, 0]), 2)
         x, y = ds.as_arrays()
         x_again, y_again = ds.as_arrays()
         assert x is x_again and np.shares_memory(x, source)
         assert not x.flags.writeable
         with pytest.raises(ValueError):
             x[0, 0, 0] = 1.0
-        y[0] = 2
-        assert np.array_equal(y_again, [1, 2, 1]) and np.array_equal(ds.labels, [1, 2, 1])
+        y[0] = 1
+        assert np.array_equal(y_again, [0, 1, 0]) and np.array_equal(ds.labels, [0, 1, 0])
 
     def test_subset_keeps_alignment(self):
         # Image k holds all its mass on pixel k, so the images are distinct.
-        ds = LabeledDataset(np.eye(4).reshape(4, 2, 2), np.array([1, 2, 1, 2]), 2)
+        ds = LabeledDataset(np.eye(4).reshape(4, 2, 2), np.array([0, 1, 0, 1]), 2)
         sub = ds.subset([3, 0])
         assert len(sub) == 2
-        assert np.array_equal(sub.labels, [2, 1])
+        assert np.array_equal(sub.labels, [1, 0])
         assert np.array_equal(sub.as_arrays()[0], ds.as_arrays()[0][[3, 0]])
 
 
 class TestMakeDataset:
-    def test_shifts_zero_based_labels(self):
+    def test_passes_labels_through(self):
         x = np.ones((4, 2, 2), dtype=np.uint8)
-        ds = make_dataset(x, np.array([0, 1, 2, 2]), label_base=0)
-        assert np.array_equal(ds.labels, [1, 2, 3, 3])
+        ds = make_dataset(x, np.array([0, 1, 2, 2], dtype=np.uint8))
+        assert np.array_equal(ds.labels, [0, 1, 2, 2])
         assert ds.num_classes == 3
 
-    def test_keeps_one_based_labels(self):
-        x = np.ones((2, 2, 2))
-        ds = make_dataset(x, np.array([1, 2]), label_base=1)
-        assert np.array_equal(ds.labels, [1, 2])
+    def test_refuses_a_label_equal_to_the_class_count(self):
+        x = np.ones((3, 2, 2))
+        with pytest.raises(ValueError, match=r"^labels must lie in \[0, 3\)$"):
+            make_dataset(x, np.array([0, 1, 3]), num_classes=3)
 
     def test_degenerate_image_names_its_index(self):
         x = np.ones((3, 2, 2))
@@ -267,7 +267,7 @@ class TestSynthetic:
         ds = synthetic_dataset(kind, 30, shape=(6, 6), seed=1)
         assert len(ds) == 30
         assert ds.num_classes == classes
-        assert set(np.unique(ds.labels)) <= set(range(1, classes + 1))
+        assert set(np.unique(ds.labels)) <= set(range(classes))
         x, _ = ds.as_arrays()
         assert np.allclose(x.sum(axis=(1, 2)), 1.0, atol=1e-12)
 
@@ -282,7 +282,7 @@ class TestSynthetic:
         ds = synthetic_dataset("bars", 20, shape=(5, 5), seed=2)
         x, y = ds.as_arrays()
         for img, label in zip(x, y):
-            if label == 1:
+            if label == 0:
                 assert img[2, :].sum() > 0.5
             else:
                 assert img[:, 2].sum() > 0.5

@@ -91,14 +91,14 @@ def test_every_entry_refuses_a_bad_image_by_the_rule_it_breaks(entry, fault):
     good = np.full((2, 2), 0.25)
     calls = {
         "unit_mass": lambda: unit_mass(bad),
-        "LabeledDataset": lambda: LabeledDataset(np.stack([good, bad]), [1, 2], 2),
+        "LabeledDataset": lambda: LabeledDataset(np.stack([good, bad]), [0, 1], 2),
         "solve_flow_1d": lambda: solve_flow_1d(good.ravel(), bad.ravel()),
         "wasserstein_grid_l1": lambda: wasserstein_grid_l1(good, bad),
         "wasserstein_lp": lambda: wasserstein_lp(good, bad),
     }
-    # unit_mass and the oracles check one image at a time; the stacked
-    # checks name the bad one, image 1.
-    index = 0 if entry in ("unit_mass", "wasserstein_grid_l1", "wasserstein_lp") else 1
+    # unit_mass checks one image; the other entries check a stack or a pair
+    # and name the bad one, image 1.
+    index = 0 if entry == "unit_mass" else 1
     with pytest.raises(NormalizationError, match=f"^image {index} {re.escape(rule)}$"):
         calls[entry]()
 

@@ -260,7 +260,7 @@ class TestFold:
 class TestDecisionRule:
     def test_clear_majority_predicts(self):
         pred = prediction_from_counts(np.array([900, 100]), alpha=0.05)
-        assert pred.predicted == 1
+        assert pred.predicted == 0
         assert pred.top_counts == (900, 100)
         assert pred.p_value < 1e-100
 
@@ -295,7 +295,7 @@ class TestDecisionRule:
 
     def test_runner_up_is_second_best(self):
         pred = prediction_from_counts(np.array([10, 700, 290]), alpha=0.05)
-        assert pred.predicted == 2
+        assert pred.predicted == 1
         assert pred.top_counts == (700, 290)
 
     def test_rejects_bad_inputs(self):
@@ -325,7 +325,7 @@ class TestSmoothedPredict:
         x[0, 0] = 1.0
         pred = smoothed_predict(clf, x, NoiseSpec(FLOW, 0.02), n=2000,
                                 rng=np.random.default_rng(1))
-        assert pred.predicted == 1
+        assert pred.predicted == 0
 
     @pytest.mark.parametrize("orientation", ["rows", "cols"])
     def test_vote_fraction_matches_exact_probability(self, orientation):
@@ -451,7 +451,7 @@ class TestSharpInstance:
         for seed in range(seeds):
             cert = certify(params, self.x, NoiseSpec(FLOW, sigma), n0=100, n=1000, alpha=alpha,
                            rng=np.random.default_rng(seed))
-            assert cert.predicted == 1
+            assert cert.predicted == 0
             over += radius_from_plower(cert.p_lower, sigma, FLOW, GroundMetric.L1) > margin
         assert over <= stats.binom.ppf(1.0 - 1e-3, seeds, alpha)
 
@@ -522,7 +522,7 @@ class TestLinearSoundness:
             if cert.predicted == ABSTAIN:
                 continue
             certified += 1
-            over += cert.p_lower > (p_first if cert.predicted == 1 else 1 - p_first)
+            over += cert.p_lower > (p_first if cert.predicted == 0 else 1 - p_first)
             if scheme == FLOW:
                 # No flow of L1 norm below s / |g|_inf can flip the smoothed
                 # linear model, and one just above it does.
@@ -632,7 +632,7 @@ class TestCertify:
         x[0, :] = 1 / 3
         spec = NoiseSpec(FLOW, 0.05)
         cert = certify(clf, x, spec, n0=200, n=2000, rng=np.random.default_rng(4))
-        assert cert.predicted == 1
+        assert cert.predicted == 0
         assert cert.p_lower > 0.5
         expected = radius_from_plower(cert.p_lower, 0.05, FLOW)
         assert cert.rho2 == pytest.approx(expected, abs=1e-15)
@@ -661,7 +661,7 @@ class TestCertify:
         x = np.array([[0.5, 0.5], [0.0, 0.0]])
         cert = certify(clf, x, NoiseSpec(FLOW, 0.0), n0=50, n=500,
                        rng=np.random.default_rng(8))
-        assert cert.predicted == 1
+        assert cert.predicted == 0
         assert cert.rho2 == 0.0
 
     def test_rejects_bad_budgets(self):

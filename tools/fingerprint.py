@@ -43,6 +43,7 @@ sys.path.append(str(Path(__file__).resolve().parents[1] / "src"))
 
 import wsmooth  # noqa: E402
 from wsmooth import (  # noqa: E402
+    ABSTAIN,
     AttackConfig,
     NoiseSpec,
     TrainConfig,
@@ -94,7 +95,7 @@ def _idx_roundtrip(images, labels):
             path.write_bytes(struct.pack(f">{1 + a.ndim}i", 0x800 + a.ndim, *a.shape)
                              + a.tobytes())
             paths.append(path)
-        return _dataset(make_dataset(*load_idx(*paths), label_base=0))
+        return _dataset(make_dataset(*load_idx(*paths)))
 
 
 def _unit(rng, shape):
@@ -111,7 +112,7 @@ def cases() -> dict:
     out["dataset/blobs"] = _dataset(synthetic_dataset("blobs", 20, (6, 5), seed=4))
     out["dataset/subset"] = _dataset(train_ds.subset([5, 0, 5, 79]))
     raw = np.random.default_rng(5).integers(0, 256, size=(7, 4, 5), dtype=np.uint8)
-    out["make_dataset/idx_bytes"] = _dataset(make_dataset(raw, np.arange(7) % 3, label_base=0))
+    out["make_dataset/idx_bytes"] = _dataset(make_dataset(raw, np.arange(7) % 3))
     out["load_idx/roundtrip"] = _idx_roundtrip(raw, np.arange(7, dtype=np.uint8) % 3)
 
     for scheme in (FLOW, PIXEL):
@@ -128,7 +129,7 @@ def cases() -> dict:
     # Three channels, and a last minibatch of 7 after two of 8.
     raw3 = np.random.default_rng(22).random((23, 3, 4, 5))
     out["train/ragged/3ch"] = _plain(train(
-        make_dataset(raw3, np.arange(23) % 2, label_base=0),
+        make_dataset(raw3, np.arange(23) % 2),
         TrainConfig(epochs=4, batch_size=8, learning_rate=0.5, noise=FLOW, sigma=0.05,
                     seed=23), hidden=6))
 
@@ -159,8 +160,10 @@ def cases() -> dict:
     for i in range(2):
         out[f"attack/{i}"] = _plain(flow_pgd_attack(
             models[FLOW], x_all[i], int(y_all[i]), flow_spec, acfg, rng=31))
+    # Growth every iteration takes the curve's schedule to its largest radius.
     rows, results = robustness_curve(
-        models[FLOW], test_ds.subset([0, 1, 2]), flow_spec, [0.0, 0.1, 0.5], acfg, rng=31)
+        models[FLOW], test_ds.subset([0, 1, 2]), flow_spec, [0.0, 0.1, 0.5],
+        dataclasses.replace(acfg, growth_interval=1), rng=31)
     out["robustness_curve"] = _plain((rows, results))
 
     rng = np.random.default_rng(41)
@@ -169,7 +172,7 @@ def cases() -> dict:
     out["predict/3ch"] = _plain(smoothed_predict(
         params3, x3, flow_spec, 1500, 0.05, np.random.default_rng(43), workers=2))
     label3 = out["predict/3ch"][1]["predicted"]
-    label3 = label3 if label3 > 0 else 1
+    label3 = label3 if label3 != ABSTAIN else 0
     out["attack/3ch"] = _plain(flow_pgd_attack(
         params3, x3, label3, NoiseSpec(FLOW, 0.02),
         AttackConfig(iterations=10, gradient_samples=32, max_radius=0.5, predict_samples=300),
@@ -219,7 +222,7 @@ CLI_CONFIG = {
     "predict": {"n": 300, "alpha": 0.05},
     "certify": {"n0": 50, "n": 400, "alpha": 0.05},
     "attack": {"radii": [0.0, 0.02], "iterations": 6, "gradient_samples": 8,
-               "predict_samples": 200, "growth_factor": 2},
+               "predict_samples": 200, "growth_factor": 2, "growth_interval": 1},
 }
 CLI_COMMANDS = [
     ["train", "--out-dir", "flow"],
