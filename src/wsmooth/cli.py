@@ -18,6 +18,7 @@ import os
 import sys
 import zipfile
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -46,14 +47,21 @@ _SCHEME = (f"one of {sorted(_SCHEME_MAP)}", lambda v: v in _SCHEME_MAP)
 
 _IDX_PATHS = ("train_images", "train_labels", "test_images", "test_labels")
 
+
+def _field_keys(section: str, cls: type, *skip: str) -> dict:
+    """The keys of the fields of ``cls`` but ``skip``: typed, and checked by ``cls``."""
+    return {f"{section}.{name}": (kind, None, None)
+            for name, kind in get_type_hints(cls).items() if name not in skip}
+
+
 # Every config key ("section.key", or a bare top-level name) with the type
 # of its value ([t]: a nonempty list of t), the range it must lie in, and
 # its default (None: unset).  One file serves all commands, so a key is
 # known if any command reads it; anything else is a typo that would
-# silently fall back to a default.  The train and attack keys that
-# TrainConfig and AttackConfig take get their defaults and ranges from
-# those classes, and the dataset kind, shape and class count are checked
-# where the dataset is built.  A flag's argparse dest is the key it sets.
+# silently fall back to a default.  The train and attack keys are the CLI's
+# own and the TrainConfig and AttackConfig fields that no other key sets;
+# the dataset kind, shape and class count are checked where the dataset
+# is built.  A flag's argparse dest is the key it sets.
 _SCHEMA = {
     "seed": (int, _AT_LEAST_0, 0),
     "workers": (int, _AT_LEAST_1, 1),
@@ -67,11 +75,7 @@ _SCHEMA = {
     "dataset.shape": ([int], None, [6, 6]),
     **{f"idx.{name}": (str, None, None) for name in _IDX_PATHS},
     "idx.num_classes": (int, None, None),
-    "train.epochs": (int, None, None),
-    "train.batch_size": (int, None, None),
-    "train.learning_rate": (float, None, None),
-    "train.momentum": (float, None, None),
-    "train.weight_decay": (float, None, None),
+    **_field_keys("train", clf.TrainConfig, "noise", "sigma", "seed"),  # set by top-level keys
     "train.hidden": (int, _AT_LEAST_1, None),
     "predict.n": (int, _AT_LEAST_1, 10000),
     "predict.alpha": (float, _OPEN_UNIT, 0.05),
@@ -80,12 +84,8 @@ _SCHEMA = {
     "certify.alpha": (float, _OPEN_UNIT, 0.05),
     "attack.radii": ([float], _AT_LEAST_0, [0.0, 0.005, 0.01, 0.02]),
     "attack.max_images": (int, _AT_LEAST_1, None),
-    "attack.iterations": (int, None, None),
-    "attack.gradient_samples": (int, None, None),
-    "attack.growth_factor": (float, None, None),
-    "attack.growth_interval": (int, None, None),
-    "attack.predict_samples": (int, None, None),
-    "attack.predict_alpha": (float, None, None),
+    # --radii sets max_radius through robustness_curve; initial_radius is not exposed.
+    **_field_keys("attack", AttackConfig, "max_radius", "initial_radius"),
 }
 _SECTIONS = {key.split(".")[0] for key in _SCHEMA if "." in key}
 _TYPE_WORDS = {int: "an integer", float: "a finite number", str: "a string"}
@@ -189,13 +189,6 @@ def _load_json(path: Path | None) -> dict:
     return data
 
 
-def _section(cfg: dict, name: str, *skip: str) -> dict:
-    """The keys of one section that are set, by their names in the section."""
-    prefix = name + "."
-    return {key[len(prefix):]: value for key, value in cfg.items()
-            if key.startswith(prefix) and key[len(prefix):] not in skip}
-
-
 def _merge_config(args: argparse.Namespace) -> dict:
     """Every key that is set, checked: schema defaults, then the config
     file, then WSMOOTH_OUT_DIR, then flags.  Also the run's ``noise`` spec,
@@ -226,10 +219,10 @@ def _merge_config(args: argparse.Namespace) -> dict:
     cfg["noise"] = NoiseSpec(_SCHEME_MAP[cfg["scheme"]], cfg["sigma"])
     train_extra = {"noise": cfg["noise"].scheme, "sigma": cfg["sigma"],
                    "seed": _seed_int(cfg, "train")}
-    for name, build, skip, extra in (("train", clf.TrainConfig, ("hidden",), train_extra),
-                                     ("attack", AttackConfig, ("radii", "max_images"), {})):
+    for name, build, extra in (("train", clf.TrainConfig, train_extra), ("attack", AttackConfig, {})):
+        fields = {k: cfg[f"{name}.{k}"] for k in get_type_hints(build) if f"{name}.{k}" in cfg}
         try:
-            cfg[name] = build(**_section(cfg, name, *skip), **extra)
+            cfg[name] = build(**fields, **extra)
         except ValueError as exc:
             raise SystemExit(f"error: {name}: {exc}")
     return cfg
@@ -253,9 +246,7 @@ def _load_split(cfg: dict, split: str, num_classes: int | None = None) -> datase
         if "idx.train_images" in cfg:
             raw_x, raw_y = dataset_io.load_idx(cfg[f"idx.{split}_images"],
                                                cfg[f"idx.{split}_labels"])
-            idx = _section(cfg, "idx", *_IDX_PATHS)
-            idx.setdefault("num_classes", num_classes)
-            return dataset_io.make_dataset(raw_x, raw_y, **idx)
+            return dataset_io.make_dataset(raw_x, raw_y, cfg.get("idx.num_classes", num_classes))
         return dataset_io.synthetic_dataset(
             cfg["dataset.kind"], cfg[f"dataset.{split}_size"], tuple(cfg["dataset.shape"]),
             seed=_derived_seeds(cfg)[f"dataset_{split}"])

@@ -112,7 +112,10 @@ class LabeledDataset:
 
     def __post_init__(self):
         self.images = np.asarray(self.images, dtype=float).view()
-        self.labels = np.asarray(self.labels, dtype=int)
+        with np.errstate(invalid="ignore"):  # NaN and inf cast to junk, refused below
+            labels, self.labels = self.labels, np.asarray(self.labels).astype(int, copy=False)
+        if not np.array_equal(self.labels, labels):
+            raise ValueError("labels must be integers")
         if self.labels.ndim != 1 or len(self.images) != self.labels.size:
             raise PairingError(
                 f"{len(self.images)} images but label array of shape {self.labels.shape}"
@@ -147,11 +150,11 @@ def make_dataset(images, labels, num_classes: int | None = None) -> LabeledDatas
     source may contain any.
     """
     images = np.array(images, dtype=float)
-    labels = np.asarray(labels).astype(int)
+    labels = np.asarray(labels)
     if len(images) != len(labels):
         raise PairingError(f"{len(images)} images but {len(labels)} labels")
-    if num_classes is None:
-        num_classes = int(labels.max()) + 1 if labels.size else 2
+    if num_classes is None:  # LabeledDataset refuses NaN and inf; int() must not fail first
+        num_classes = int(np.nan_to_num(labels.max())) + 1 if labels.size else 2
     return LabeledDataset(_normalize(images), labels, num_classes)
 
 

@@ -46,9 +46,10 @@ ABSTAIN = -1
 VOTE_BATCH = 1000
 
 # Values drawn and scored at a time inside a batch, in whole rows (at least
-# one): 2^16 values are 43 rows of the 1512 edges of a 28x28 image.  The
-# sampler's two uint64 work arrays then take 1 MiB, which stays in a 2 MiB
-# per-core L2 cache.
+# one, at most a quarter batch, so smoothed_predict checks its stop rule at
+# least four times a batch): 2^16 values are 43 rows of the 1512 edges of a
+# 28x28 image.  The sampler's two uint64 work arrays then take 1 MiB, which
+# stays in a 2 MiB per-core L2 cache.
 DRAW_VALUES = 1 << 16
 
 FLOW = "wasserstein_flow"
@@ -195,7 +196,7 @@ def _vote_counts(params, x, spec: NoiseSpec, n: int, rng, workers: int):
     folded = _fold_first_layer(params, channels, spec)
     sizes = [VOTE_BATCH] * (n // VOTE_BATCH) + ([n % VOTE_BATCH] if n % VOTE_BATCH else [])
     streams = np.random.default_rng(rng).spawn(len(sizes))
-    rows = max(1, DRAW_VALUES // folded.input_shape[0])
+    rows = min(max(1, DRAW_VALUES // folded.input_shape[0]), VOTE_BATCH // 4)
 
     def blocks(stream, size):
         for start in range(0, size, rows):

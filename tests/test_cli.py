@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -6,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wsmooth
-from wsmooth import ABSTAIN
+from wsmooth import ABSTAIN, AttackConfig, TrainConfig
 from wsmooth.cli import _SCHEMA, _build_parser, _certify_stats, _merge_config, main, run
 
 from analytic import write_idx
@@ -391,6 +393,28 @@ class TestConfigHandling:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and needle in err[0]
         assert not (tmp_path / "out").exists()
+
+    def test_train_and_attack_keys_are_the_config_fields(self, tmp_path):
+        # Each field that no other key sets is a key of its annotated type,
+        # range-free and unset, and a value given for it reaches the class.
+        # Top-level keys set noise, sigma and seed; --radii sets max_radius.
+        own = {"train.hidden", "attack.radii", "attack.max_images"}
+        fields, given = {}, {}
+        for section, cls, skip in (("train", TrainConfig, {"noise", "sigma", "seed"}),
+                                   ("attack", AttackConfig, {"max_radius", "initial_radius"})):
+            hints = get_type_hints(cls)
+            for f in dataclasses.fields(cls):
+                if f.name not in skip:
+                    fields[f"{section}.{f.name}"] = (hints[f.name], None, None)
+                    given.setdefault(section, {})[f.name] = (
+                        f.default + 1 if hints[f.name] is int else math.nextafter(f.default, 0))
+        assert {key: _SCHEMA[key] for key in fields if key in _SCHEMA} == fields
+        assert {key for key in _SCHEMA if key.split(".")[0] in given} - set(fields) == own
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(given))
+        cfg = _merge_config(_build_parser().parse_args(["attack", "--config", str(path)]))
+        for section, values in given.items():
+            assert {name: getattr(cfg[section], name) for name in values} == values
 
     @settings(max_examples=200, deadline=None)
     @given(cfg=config_files())

@@ -185,6 +185,16 @@ class TestLabeledDataset:
         with pytest.raises(ValueError, match=r"^labels must lie in \[0, 2\)$"):
             LabeledDataset(self.images(2), np.array([0, 2]), 2)
 
+    @pytest.mark.parametrize("bad", [0.9, 1.2, np.nan, np.inf, -np.inf])
+    def test_rejects_labels_that_are_not_integers(self, bad):
+        # The cast to int would truncate 0.9 and 1.2 to classes 0 and 1.
+        with pytest.raises(ValueError, match=r"^labels must be integers$"):
+            LabeledDataset(self.images(2), [0, bad], 2)
+
+    def test_keeps_integer_valued_float_labels(self):
+        ds = LabeledDataset(self.images(2), [1.0, 0.0], 2)
+        assert ds.labels.dtype == int and np.array_equal(ds.labels, [1, 0])
+
     def test_rejects_mixed_image_types(self):
         mixed = [np.full((2, 2), 0.25), np.full((1, 2, 2), 0.25)]
         with pytest.raises(ValueError):
@@ -240,6 +250,11 @@ class TestMakeDataset:
         ds = make_dataset(x, np.array([0, 1, 2, 2], dtype=np.uint8))
         assert np.array_equal(ds.labels, [0, 1, 2, 2])
         assert ds.num_classes == 3
+
+    @pytest.mark.parametrize("labels", [[0.5, 1.7], [0, np.nan], [0, np.inf]])
+    def test_refuses_labels_that_are_not_integers(self, labels):
+        with pytest.raises(ValueError, match=r"^labels must be integers$"):
+            make_dataset(np.ones((2, 2, 2)), labels)
 
     def test_refuses_a_label_equal_to_the_class_count(self):
         x = np.ones((3, 2, 2))

@@ -58,10 +58,10 @@ def linear_instance(scheme):
     return params, x, float(logits[0] - logits[1]), g
 
 
-# TestDrawBlocks' image and the rows of one draw block at its width; the
-# ragged cases need 1 < BLOCK_ROWS < VOTE_BATCH.
+# TestDrawBlocks' image and the rows of one draw block at its width, at
+# most a quarter batch; the ragged cases need 1 < BLOCK_ROWS < VOTE_BATCH.
 BLOCK_SHAPE = (8, 8)
-BLOCK_ROWS = DRAW_VALUES // edge_count((1,) + BLOCK_SHAPE)
+BLOCK_ROWS = min(DRAW_VALUES // edge_count((1,) + BLOCK_SHAPE), VOTE_BATCH // 4)
 
 
 def laplace_from_words(words, b):
@@ -411,6 +411,21 @@ class TestDrawBlocks:
         counts = sum(_vote_counts(params, x, spec, 2125, np.random.default_rng(9), workers=1))
         assert np.array_equal(counts, default)
         assert np.count_nonzero(default) > 1
+
+    def test_a_small_image_checks_its_stop_rule_within_a_batch(self):
+        # A 6x6 image has 60 edges, so a whole batch would fit in one block
+        # and the vote could stop only at 2,000 of 2,000 draws.  Blocks of a
+        # quarter batch let a vote near 0.99 stop at the first block end
+        # past 1,000, with the decision of the full tally.
+        region = RegionThresholdClassifier((6, 6), "rows", 0, threshold=0.05)
+        x = np.full((6, 6), 1 / 36)
+        spec = NoiseSpec(FLOW, 0.02)
+        assert region.exact_positive_probability(x, 0.02) == pytest.approx(0.989, abs=1e-3)
+        pred = smoothed_predict(region.params(), x, spec, n=2000, rng=np.random.default_rng(0))
+        full = sum(_vote_counts(region.params(), x, spec, 2000, np.random.default_rng(0),
+                                workers=1))
+        assert pred.num_samples <= 1250
+        assert pred.predicted == prediction_from_counts(full, 0.05).predicted != ABSTAIN
 
 
 class TestSharpInstance:

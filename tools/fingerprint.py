@@ -7,7 +7,8 @@ change a single bit.
 Library cases call the package's public names; ``cli/...`` cases run the
 train/predict/certify/attack/report commands on a tiny fixed config in a
 temporary directory and record the bytes of every file they write and what
-they print.
+they print, and ``cli/schema`` records each config key's type name, range
+words and default.
 
 The package is imported from PYTHONPATH when it is set there, otherwise from
 the ``src`` directory next to this script, so one copy of the tool can
@@ -237,10 +238,13 @@ CLI_COMMANDS = [
 
 def cli_cases() -> dict:
     """Run CLI_COMMANDS in a fresh directory; every file they leave, and
-    each command's exit status and printed lines."""
-    from wsmooth.cli import run
+    each command's exit status and printed lines.  Also the config schema."""
+    from wsmooth.cli import _SCHEMA, run
 
-    out = {}
+    out = {"cli/schema": {
+        key: (f"[{kind[0].__name__}]" if isinstance(kind, list) else kind.__name__,
+              rule and rule[0], default)
+        for key, (kind, rule, default) in _SCHEMA.items()}}
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
