@@ -16,19 +16,13 @@ from .classifier import (
     train,
 )
 from .dataset_io import (
-    DegenerateImageError,
-    IdxFormatError,
-    IdxLengthError,
     LabeledDataset,
-    PairingError,
     load_idx,
     make_dataset,
     synthetic_dataset,
 )
 from .flow_domain import (
-    NormalizationError,
     RawGrid,
-    ShapeMismatchError,
     apply_flow,
     flow_from_edge,
     l1_norm,
@@ -47,9 +41,7 @@ from .smoothing import (
     smoothed_predict,
 )
 from .transport_oracle import (
-    ChannelMassError,
     GroundMetric,
-    ScaleError,
     run_oracle_checks,
     wasserstein_grid_l1,
     wasserstein_lp,

@@ -22,8 +22,8 @@ import numpy as np
 
 from .classifier import input_gradient_batch
 from .flow_domain import as_channels, divergence, divergence_adjoint, edge_count
-from .smoothing import (PIXEL, NoiseSpec, SmoothedPrediction, _edge_noise, _fold_first_layer,
-                        smoothed_predict)
+from .smoothing import (PIXEL, NoiseSpec, SmoothedPrediction, _check_field_types, _edge_noise,
+                        _fold_first_layer, smoothed_predict)
 from .transport_oracle import wasserstein_grid_l1
 
 
@@ -75,11 +75,12 @@ class AttackConfig:
     predict_alpha: float = 0.05
 
     def __post_init__(self):
+        _check_field_types(self)
         if self.iterations < 0:
             raise ValueError("iterations must be >= 0")
         if self.gradient_samples < 1 or self.predict_samples < 1:
             raise ValueError("sample budgets must be >= 1")
-        if not self.max_radius > 0 or not math.isfinite(self.max_radius):
+        if self.max_radius <= 0:
             raise ValueError("max_radius must be finite and > 0")
         if self.initial_radius is not None and not 0 < self.initial_radius <= self.max_radius:
             raise ValueError("initial_radius must be in (0, max_radius]")
@@ -212,8 +213,8 @@ def robustness_curve(classifier, dataset, spec: NoiseSpec, radii,
     its schedule's last budget, so larger radii are refused.
     """
     radii = sorted(float(r) for r in radii)
-    if not radii or radii[0] < 0:
-        raise ValueError("need a nonempty list of nonnegative radii")
+    if not radii or not all(0 <= r < math.inf for r in radii):
+        raise ValueError("need a nonempty list of finite nonnegative radii")
     if len(dataset) == 0:
         raise ValueError("empty dataset")
     max_r = max(radii)

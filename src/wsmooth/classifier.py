@@ -11,13 +11,11 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .flow_domain import ShapeMismatchError
-from .smoothing import FLOW, NoiseSpec, _sample_increments
+from .smoothing import FLOW, NoiseSpec, _check_field_types, _sample_increments
 
 CHECKPOINT_VERSION = 1
 
@@ -46,15 +44,13 @@ class ClassifierParams:
         d_in = self.input_dim
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             if w.ndim != 2 or b.ndim != 1 or w.shape != (d_in, b.size):
-                raise ShapeMismatchError(
+                raise ValueError(
                     f"layer {i}: weight shape {w.shape} and bias shape {b.shape} "
                     f"do not chain from input width {d_in}"
                 )
             d_in = b.size
         if d_in != self.num_classes:
-            raise ShapeMismatchError(
-                f"final layer width {d_in} != num_classes {self.num_classes}"
-            )
+            raise ValueError(f"final layer width {d_in} != num_classes {self.num_classes}")
 
     @property
     def input_dim(self) -> int:
@@ -105,8 +101,8 @@ def _forward(params: ClassifierParams, X) -> tuple[np.ndarray, list[np.ndarray]]
     X = np.asarray(X, dtype=float)
     flat = X.reshape(X.shape[0], -1)
     if flat.shape[1] != params.input_dim:
-        raise ShapeMismatchError(f"batch of width {flat.shape[1]} fed to classifier "
-                                 f"expecting {params.input_dim}")
+        raise ValueError(f"batch of width {flat.shape[1]} fed to classifier "
+                         f"expecting {params.input_dim}")
     acts = [flat]
     for w, b in zip(params.weights[:-1], params.biases[:-1]):
         acts.append(np.maximum(acts[-1] @ w + b, 0.0))
@@ -124,7 +120,7 @@ def _backward(params: ClassifierParams, X, labels, mean: bool):
     logits, acts = _forward(params, X)
     labels = np.asarray(labels, dtype=int)
     if labels.shape != (len(logits),):
-        raise ShapeMismatchError("one label per batch row required")
+        raise ValueError("one label per batch row required")
     if labels.size and (labels.min() < 0 or labels.max() >= params.num_classes):
         raise ValueError(f"labels must lie in [0, {params.num_classes})")
     rows = np.arange(len(labels))
@@ -176,10 +172,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("epochs", "batch_size", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        _check_field_types(self)
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
         if self.seed < 0:

@@ -11,23 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flow_domain import NormalizationError, _check_stack_shape, _check_unit_mass
-
-
-class IdxFormatError(ValueError):
-    """File does not look like the expected IDX record type."""
-
-
-class IdxLengthError(ValueError):
-    """File size disagrees with its own header."""
-
-
-class PairingError(ValueError):
-    """Image and label collections do not line up."""
-
-
-class DegenerateImageError(ValueError):
-    """Image with zero total mass cannot be normalized."""
+from .flow_domain import _check_stack_shape, _check_unit_mass
 
 
 def _read_idx(path, rank: int) -> np.ndarray:
@@ -42,19 +26,19 @@ def _read_idx(path, rank: int) -> np.ndarray:
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         if size < head:
-            raise IdxLengthError(f"truncated file {fh.name}: expected {head} bytes of header, "
-                                 f"got {size}")
+            raise ValueError(f"truncated file {fh.name}: expected {head} bytes of header, "
+                             f"got {size}")
         found, *dims = struct.unpack(f">{1 + rank}i", fh.read(head))
         if found != magic:
-            raise IdxFormatError(f"bad magic {found:#010x} in {fh.name}, expected {magic:#010x}")
+            raise ValueError(f"bad magic {found:#010x} in {fh.name}, expected {magic:#010x}")
         if min(dims) < 0:
-            raise IdxFormatError(f"negative dimensions in header: {' x '.join(map(str, dims))}")
+            raise ValueError(f"negative dimensions in header: {' x '.join(map(str, dims))}")
         count, got = math.prod(dims), size - head
         if got < count:
-            raise IdxLengthError(f"truncated file {fh.name}: expected {count} bytes of "
-                                 f"{'pixels' if rank == 3 else 'labels'}, got {got}")
+            raise ValueError(f"truncated file {fh.name}: expected {count} bytes of "
+                             f"{'pixels' if rank == 3 else 'labels'}, got {got}")
         if got > count:
-            raise IdxLengthError(f"trailing bytes after declared payload in {fh.name}")
+            raise ValueError(f"trailing bytes after declared payload in {fh.name}")
         payload = fh.read(count)
     return np.frombuffer(payload, dtype=np.uint8).reshape(dims)
 
@@ -65,7 +49,7 @@ def load_idx(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
     images = _read_idx(images_path, 3)
     labels = _read_idx(labels_path, 1)
     if len(images) != len(labels):
-        raise PairingError(f"{len(images)} images but {len(labels)} labels")
+        raise ValueError(f"{len(images)} images but {len(labels)} labels")
     return images, labels
 
 
@@ -86,13 +70,13 @@ def _normalize(x: np.ndarray) -> np.ndarray:
         i = bad[0]
         why = ("total mass overflowed" if np.isfinite(x[i]).all()
                else "raw intensities must be finite (found NaN or inf)")
-        raise NormalizationError(f"image {i}: {why}")
+        raise ValueError(f"image {i}: {why}")
     bad = np.flatnonzero(x.min(axis=axes) < 0)
     if bad.size:
-        raise NormalizationError(f"image {bad[0]}: raw intensities must be nonnegative")
+        raise ValueError(f"image {bad[0]}: raw intensities must be nonnegative")
     bad = np.flatnonzero(totals == 0)
     if bad.size:
-        raise DegenerateImageError(f"image {bad[0]} has zero total mass")
+        raise ValueError(f"image {bad[0]} has zero total mass")
     x /= totals
     return x
 
@@ -102,7 +86,7 @@ class LabeledDataset:
     """Unit-mass images with integer labels, logit columns 0 ... num_classes - 1.
 
     ``images`` is kept as one read-only (N, n, m) or (N, C, n, m) float
-    array, checked in one pass to hold ``unit_mass`` images.  An array
+    array, checked in one pass to hold unit-mass images.  An array
     passed in is not copied, only viewed read-only.
     """
 
@@ -117,7 +101,7 @@ class LabeledDataset:
         if not np.array_equal(self.labels, labels):
             raise ValueError("labels must be integers")
         if self.labels.ndim != 1 or len(self.images) != self.labels.size:
-            raise PairingError(
+            raise ValueError(
                 f"{len(self.images)} images but label array of shape {self.labels.shape}"
             )
         if self.num_classes < 2:
@@ -152,7 +136,7 @@ def make_dataset(images, labels, num_classes: int | None = None) -> LabeledDatas
     images = np.array(images, dtype=float)
     labels = np.asarray(labels)
     if len(images) != len(labels):
-        raise PairingError(f"{len(images)} images but {len(labels)} labels")
+        raise ValueError(f"{len(images)} images but {len(labels)} labels")
     if num_classes is None:  # LabeledDataset refuses NaN and inf; int() must not fail first
         num_classes = int(np.nan_to_num(labels.max())) + 1 if labels.size else 2
     return LabeledDataset(_normalize(images), labels, num_classes)

@@ -1,8 +1,8 @@
 """Grid images and signed local flows between 4-adjacent pixels.
 
 An image is a plain float array, (n, m) or (C, n, m), of nonnegative
-intensities whose grand total is 1; ``unit_mass`` checks that where an
-image enters the package and ``as_channels`` views either form as
+intensities whose grand total is 1; ``_check_unit_mass`` checks that
+where images enter the package and ``as_channels`` views either form as
 (C, n, m).  A local flow moves mass only between 4-adjacent pixels and is
 always a packed edge vector: channel by channel, the row-major vertical
 edges (i, j) -> (i+1, j), then the row-major horizontal edges
@@ -29,18 +29,10 @@ import scipy.sparse as sp
 MASS_TOL = 1e-9
 
 
-class ShapeMismatchError(ValueError):
-    """Operands describe grids of incompatible dimensions."""
-
-
-class NormalizationError(ValueError):
-    """Grid is not a unit-mass nonnegative intensity field."""
-
-
 def _as_float_grid(values, name: str = "values") -> np.ndarray:
     a = np.asarray(values, dtype=float)
     if a.ndim != 2 or a.size == 0:
-        raise ShapeMismatchError(f"{name} must be a nonempty 2-D grid, got shape {a.shape}")
+        raise ValueError(f"{name} must be a nonempty 2-D grid, got shape {a.shape}")
     return a
 
 
@@ -50,13 +42,13 @@ def as_channels(x) -> np.ndarray:
     if a.ndim == 2:
         return a[None]
     if a.ndim != 3:
-        raise ShapeMismatchError(f"expected a 2-D or 3-D image, got shape {a.shape}")
+        raise ValueError(f"expected a 2-D or 3-D image, got shape {a.shape}")
     return a
 
 
 def _check_stack_shape(x: np.ndarray):
     if x.ndim not in (3, 4) or 0 in x.shape[1:]:
-        raise ShapeMismatchError(f"images must stack nonempty 2-D or 3-D arrays, got {x.shape}")
+        raise ValueError(f"images must stack nonempty 2-D or 3-D arrays, got {x.shape}")
 
 
 def _check_unit_mass(x: np.ndarray):
@@ -70,18 +62,7 @@ def _check_unit_mass(x: np.ndarray):
         i = bad[0]
         why = ("a negative pixel" if negative[i]
                else f"total mass {float(totals[i])!r}, not 1 within {MASS_TOL}")
-        raise NormalizationError(f"image {i} has {why}")
-
-
-def unit_mass(x) -> np.ndarray:
-    """``x`` as a float array, checked to be a nonempty (n, m) or (C, n, m)
-    nonnegative image whose grand total is 1 within MASS_TOL.
-
-    Individual channels may carry any nonnegative share of the mass.
-    """
-    a = np.asarray(x, dtype=float)
-    _check_unit_mass(a[None])
-    return a
+        raise ValueError(f"image {i} has {why}")
 
 
 @dataclass
@@ -98,7 +79,7 @@ class RawGrid:
         a = _as_float_grid(self.values).copy()
         total = float(a.sum())
         if not abs(total - 1.0) <= MASS_TOL:  # NaN fails too
-            raise NormalizationError(f"total mass {total!r} is not 1 within {MASS_TOL}")
+            raise ValueError(f"total mass {total!r} is not 1 within {MASS_TOL}")
         a.setflags(write=False)
         self.values = a
 
@@ -141,8 +122,8 @@ def divergence(edges: np.ndarray, cshape: tuple[int, int, int]) -> np.ndarray:
     flows f of shape (..., edge_count(cshape)); the result has shape
     (..., C, n, m) and each of its grids sums to zero."""
     if edges.shape[-1:] != (edge_count(cshape),):
-        raise ShapeMismatchError(f"flows of shape {edges.shape} do not fit a {tuple(cshape)} "
-                                 f"image's {edge_count(cshape)} packed edges")
+        raise ValueError(f"flows of shape {edges.shape} do not fit a {tuple(cshape)} "
+                         f"image's {edge_count(cshape)} packed edges")
     lead = edges.shape[:-1]
     flat = edges.reshape(math.prod(lead), edges.shape[-1])
     return (divergence_matrix(tuple(cshape)) @ flat.T).T.reshape(lead + tuple(cshape))
@@ -153,7 +134,7 @@ def divergence_adjoint(g: np.ndarray) -> np.ndarray:
     of g across it (head minus tail), so a pixel-space gradient g of shape
     (..., C, n, m) pulls back to flow coordinates of shape (..., E)."""
     if g.ndim < 3:
-        raise ShapeMismatchError(f"expected (..., C, n, m) pixel values, got shape {g.shape}")
+        raise ValueError(f"expected (..., C, n, m) pixel values, got shape {g.shape}")
     lead, cshape = g.shape[:-3], g.shape[-3:]
     flat = g.reshape(math.prod(lead), math.prod(cshape))
     return (_adjoint_matrix(cshape) @ flat.T).T.reshape(lead + (edge_count(cshape),))
@@ -172,8 +153,8 @@ def apply_flow(x, edges) -> RawGrid:
     cshape = (1,) + a.shape
     f = np.asarray(edges, dtype=float)
     if f.shape != (edge_count(cshape),):
-        raise ShapeMismatchError(f"flow of shape {f.shape} applied to image of shape {a.shape}: "
-                                 f"expected ({edge_count(cshape)},)")
+        raise ValueError(f"flow of shape {f.shape} applied to image of shape {a.shape}: "
+                         f"expected ({edge_count(cshape)},)")
     return RawGrid(a + divergence(f, cshape)[0])
 
 
@@ -194,9 +175,9 @@ def solve_flow_1d(x, xp) -> np.ndarray:
     xa = np.asarray(x, dtype=float)
     xpa = np.asarray(xp, dtype=float)
     if xa.ndim != 1 or xpa.ndim != 1:
-        raise ShapeMismatchError("inputs must be 1-D distributions")
+        raise ValueError("inputs must be 1-D distributions")
     if xa.shape != xpa.shape:
-        raise ShapeMismatchError(f"length mismatch {xa.shape} vs {xpa.shape}")
+        raise ValueError(f"length mismatch {xa.shape} vs {xpa.shape}")
     _check_unit_mass(np.stack([xa, xpa])[:, None])
     return (np.cumsum(xa) - np.cumsum(xpa))[:-1]
 
@@ -212,5 +193,5 @@ def flow_from_edge(arcs) -> np.ndarray:
     """
     a = np.asarray(arcs, dtype=float)
     if a.ndim != 2 or a.shape[0] != 2:
-        raise ShapeMismatchError(f"directed edge flow must have shape (2, E), got {a.shape}")
+        raise ValueError(f"directed edge flow must have shape (2, E), got {a.shape}")
     return a[0] - a[1]

@@ -28,13 +28,15 @@ change.
 from __future__ import annotations
 
 import math
+import numbers
+import typing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import betainc, betaincinv
 
-from .flow_domain import ShapeMismatchError, as_channels, divergence, divergence_adjoint, edge_count
+from .flow_domain import as_channels, divergence, divergence_adjoint, edge_count
 from .transport_oracle import GroundMetric
 
 # Sentinel prediction that names none of the classes, logit columns 0 ... K-1.
@@ -94,6 +96,19 @@ class NoiseSpec:
     def scale(self) -> float:
         """Laplace scale parameter b with standard deviation sigma."""
         return self.sigma / math.sqrt(2.0)
+
+
+def _check_field_types(config):
+    """Refuse a config dataclass whose ``int`` fields hold anything but an
+    integer (bools included) or whose ``float`` fields hold anything but a
+    finite number; optional fields are left to the caller's range checks."""
+    for name, hint in typing.get_type_hints(type(config)).items():
+        value = getattr(config, name)
+        if hint is int and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if hint is float and (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                              or not math.isfinite(value)):
+            raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -173,8 +188,8 @@ def _fold_first_layer(params, channels: np.ndarray, spec: NoiseSpec):
     ClassifierParams whose first layer is (D^T W0, channels W0 + b0)."""
     w0 = params.weights[0]
     if channels.size != w0.shape[0]:
-        raise ShapeMismatchError(f"image of {channels.size} pixels fed to classifier "
-                                 f"expecting {w0.shape[0]}")
+        raise ValueError(f"image of {channels.size} pixels fed to classifier "
+                         f"expecting {w0.shape[0]}")
     if not np.isfinite(channels).all():
         raise ValueError("image pixels must be finite")
     g = w0  # pixel noise: D = I
@@ -273,6 +288,8 @@ def smoothed_predict(params, x, spec: NoiseSpec, n: int = 10000, alpha: float = 
     describe the draws actually made.  The stopping point is defined in
     draw order, so it does not depend on the worker count.
     """
+    if not isinstance(n, (int, np.integer)):
+        raise ValueError(f"n must be an integer, got {n!r}")
     if n < 1:
         raise ValueError("need at least one sample")
     counts, remaining = 0, n
@@ -334,6 +351,8 @@ def certify(params, x, spec: NoiseSpec, n0: int = 1000, n: int = 10000,
     Clopper-Pearson bound is valid even though the guess used data.  If the
     bound does not clear 1/2 the certificate abstains.
     """
+    if not isinstance(n0, (int, np.integer)) or not isinstance(n, (int, np.integer)):
+        raise ValueError(f"n0 and n must be integers, got n0={n0!r}, n={n!r}")
     if n0 < 1 or n < 1:
         raise ValueError("n0 and n must be >= 1")
     if not 0.0 < alpha < 1.0:

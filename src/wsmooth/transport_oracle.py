@@ -22,8 +22,8 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 
-from .flow_domain import (MASS_TOL, ShapeMismatchError, _check_unit_mass, as_channels,
-                          divergence_matrix, flow_from_edge)
+from .flow_domain import (MASS_TOL, _check_unit_mass, as_channels, divergence_matrix,
+                          flow_from_edge)
 
 # The dense LP has N^2 variables; past 64 pixels it stops being an oracle
 # and starts being a liability.
@@ -37,15 +37,6 @@ _HIGHS_OPTIONS = {
     "dual_feasibility_tolerance": 1e-9,
     "presolve": False,
 }
-
-
-class ScaleError(ValueError):
-    """Problem instance exceeds the size the dense oracle is meant for."""
-
-
-class ChannelMassError(ValueError):
-    """Per-channel masses of the two images disagree, so no per-channel
-    transport exists."""
 
 
 class GroundMetric(Enum):
@@ -70,7 +61,7 @@ def _coerce_pair(x, xp) -> tuple[np.ndarray, np.ndarray]:
     the pair is a consistent transport instance."""
     a, b = np.asarray(x, dtype=float), np.asarray(xp, dtype=float)
     if a.shape != b.shape:
-        raise ShapeMismatchError(f"image shapes differ: {a.shape} vs {b.shape}")
+        raise ValueError(f"image shapes differ: {a.shape} vs {b.shape}")
     _check_unit_mass(np.stack([a, b]))
     return a / a.sum(), b / b.sum()
 
@@ -111,10 +102,10 @@ def wasserstein_lp(x, xp, metric: GroundMetric = GroundMetric.L1) -> tuple[float
     """
     a, b = _coerce_pair(x, xp)
     if a.ndim != 2:
-        raise ShapeMismatchError(f"expected an (n, m) image, got shape {a.shape}")
+        raise ValueError(f"expected an (n, m) image, got shape {a.shape}")
     npix = a.size
     if npix > MAX_LP_PIXELS:
-        raise ScaleError(f"{npix} pixels exceeds the dense LP cap of {MAX_LP_PIXELS}")
+        raise ValueError(f"{npix} pixels exceeds the dense LP cap of {MAX_LP_PIXELS}")
     cost = metric.cost_matrix(a.shape)
     a, b = a.ravel(), b.ravel()
     coupling = np.diag(np.minimum(a, b))
@@ -165,7 +156,7 @@ def wasserstein_grid_l1(x, xp) -> tuple[float, np.ndarray]:
     LP's optimum.  Both images are (n, m) or both (C, n, m); mass never
     crosses channels, so for C > 1 the distance is the mass-weighted sum of
     the per-channel distances, solved as one LP on the block-diagonal D.
-    Per-channel masses must agree within MASS_TOL (else ChannelMassError);
+    Per-channel masses must agree within MASS_TOL (else ValueError);
     each of ``xp``'s channels is then rescaled to ``x``'s mass so every
     block balances exactly, and a channel with no mass moves none.
 
@@ -178,7 +169,7 @@ def wasserstein_grid_l1(x, xp) -> tuple[float, np.ndarray]:
     a, b = as_channels(a), as_channels(b)
     mass_a, mass_b = a.sum(axis=(1, 2)), b.sum(axis=(1, 2))
     if np.any(np.abs(mass_a - mass_b) > MASS_TOL):
-        raise ChannelMassError(f"per-channel masses differ: {mass_a} vs {mass_b}")
+        raise ValueError(f"per-channel masses differ: {mass_a} vs {mass_b}")
     if a.shape[0] > 1:  # one channel is balanced by the normalization above
         b = b * (mass_a / np.where(mass_b > 0, mass_b, 1.0))[:, None, None]
     a_eq, keep = _grid_equations(a.shape)

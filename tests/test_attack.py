@@ -135,6 +135,10 @@ class TestAttackConfig:
             {"growth_interval": 0},
             {"max_radius": float("inf")},
             {"predict_alpha": 0.0},
+            {"iterations": 2.5},
+            {"predict_samples": True},
+            {"growth_factor": float("nan")},
+            {"growth_factor": float("inf")},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -342,6 +346,8 @@ class TestRobustnessCurve:
             robustness_curve(params, ds, spec, [], cfg)
         with pytest.raises(ValueError):
             robustness_curve(params, ds, spec, [-0.1, 0.2], cfg)
+        with pytest.raises(ValueError, match="need a nonempty list of"):
+            robustness_curve(params, ds, spec, [float("nan")], cfg)
         with pytest.raises(ValueError):
             robustness_curve(params, ds.subset([]), spec, [0.0], cfg)
         # A failed attack stops at the schedule's last budget, 0.05 after 5

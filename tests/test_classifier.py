@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from wsmooth import (
     ClassifierParams,
     LabeledDataset,
-    ShapeMismatchError,
     TrainConfig,
     accuracy,
     init_params,
@@ -31,11 +30,11 @@ def small_params(rng, hidden=5, input_shape=(3, 3), num_classes=3):
 
 class TestParams:
     def test_rejects_mismatched_layer_chain(self):
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(ValueError, match="do not chain from input width 4"):
             ClassifierParams((2, 2), 2, [np.zeros((4, 3))], [np.zeros(2)])
 
     def test_rejects_wrong_output_width(self):
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(ValueError, match="final layer width 2 != num_classes 3"):
             ClassifierParams((2, 2), 3, [np.zeros((4, 2))], [np.zeros(2)])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -66,10 +65,10 @@ class TestParams:
     def test_rejects_wrong_input_width(self, rng):
         params = small_params(rng)
         wide = np.zeros((2, 4, 4))
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(ValueError, match="batch of width 16 fed to classifier expecting 9"):
             params.forward_batch(wide)
         for backprop in (loss_and_gradients, input_gradient_batch):
-            with pytest.raises(ShapeMismatchError):
+            with pytest.raises(ValueError, match="batch of width 16"):
                 backprop(params, wide, np.array([0, 1]))
 
 
@@ -178,6 +177,10 @@ class TestTrainConfig:
             {"batch_size": 2.5},
             {"epochs": True},
             {"seed": -1},
+            {"learning_rate": float("nan")},
+            {"learning_rate": float("inf")},
+            {"weight_decay": float("nan")},
+            {"weight_decay": float("inf")},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

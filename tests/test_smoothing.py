@@ -686,6 +686,13 @@ class TestCertify:
             certify(clf, x, NoiseSpec(FLOW, 0.1), n0=0)
         with pytest.raises(ValueError):
             certify(clf, x, NoiseSpec(FLOW, 0.1), alpha=1.0)
+        # A count that is not an integer is refused before any draw is made.
+        with pytest.raises(ValueError, match="n0 and n must be integers"):
+            certify(clf, x, NoiseSpec(FLOW, 0.1), n0=2.5)
+        with pytest.raises(ValueError, match="n0 and n must be integers"):
+            certify(clf, x, NoiseSpec(FLOW, 0.1), n=100.0)
+        with pytest.raises(ValueError, match="n must be an integer"):
+            smoothed_predict(clf, x, NoiseSpec(FLOW, 0.1), n=100.5)
 
 
 class TestMedianRadius:

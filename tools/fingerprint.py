@@ -8,7 +8,9 @@ Library cases call the package's public names; ``cli/...`` cases run the
 train/predict/certify/attack/report commands on a tiny fixed config in a
 temporary directory and record the bytes of every file they write and what
 they print, and ``cli/schema`` records each config key's type name, range
-words and default.
+words and default.  ``errors/...`` cases feed one bad input per refusal
+rule and record the message and whether the exception is a ValueError, the
+type the CLI turns into its one-line ``error:`` exit.
 
 The package is imported from PYTHONPATH when it is set there, otherwise from
 the ``src`` directory next to this script, so one copy of the tool can
@@ -46,7 +48,10 @@ import wsmooth  # noqa: E402
 from wsmooth import (  # noqa: E402
     ABSTAIN,
     AttackConfig,
+    ClassifierParams,
+    LabeledDataset,
     NoiseSpec,
+    RawGrid,
     TrainConfig,
     apply_flow,
     certify,
@@ -54,10 +59,12 @@ from wsmooth import (  # noqa: E402
     flow_pgd_attack,
     init_params,
     load_idx,
+    loss_and_gradients,
     make_dataset,
     robustness_curve,
     run_oracle_checks,
     smoothed_predict,
+    solve_flow_1d,
     synthetic_dataset,
     train,
     wasserstein_grid_l1,
@@ -215,6 +222,70 @@ def cases() -> dict:
     return out
 
 
+def _refusal(call):
+    """The message of what ``call`` raised and whether it is a ValueError,
+    or None if it returned."""
+    try:
+        call()
+    except Exception as exc:  # the type is part of what is recorded
+        return [str(exc), isinstance(exc, ValueError)]
+    return None
+
+
+def error_cases() -> dict:
+    """One bad input per refusal rule.  The IDX files are read by relative
+    name from a temporary directory, so their messages do not depend on it."""
+    images = struct.pack(">iiii", 0x803, 3, 2, 2) + bytes(12)
+    labels = struct.pack(">ii", 0x801, 3) + bytes(3)
+    idx = {"magic": (struct.pack(">iiii", 0x801, 1, 1, 1) + b"\0", labels),
+           "dimensions": (struct.pack(">iiii", 0x803, 1, -1, 2), labels),
+           "header": (images, b"\0\0"),
+           "payload": (images[:-1], labels),
+           "trailing": (images, labels + b"\0"),
+           "pairing": (images, struct.pack(">ii", 0x801, 2) + bytes(2))}
+    out = {}
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for rule, (raw_images, raw_labels) in idx.items():
+                Path("images.idx").write_bytes(raw_images)
+                Path("labels.idx").write_bytes(raw_labels)
+                out[f"errors/idx/{rule}"] = _refusal(lambda: load_idx("images.idx", "labels.idx"))
+        finally:
+            os.chdir(home)
+    quarter = np.full((2, 2), 0.25)
+    negative = np.array([[0.75, 0.5], [0.0, -0.25]])
+    params = init_params((3, 3), 2, rng=np.random.default_rng(0))
+    refusals = {
+        "pairing/make_dataset": lambda: make_dataset(np.ones((3, 2, 2)), [0, 1]),
+        "pairing/dataset": lambda: LabeledDataset(np.full((3, 2, 2), 0.25), [0, 1], 2),
+        "pairing/backward": lambda: loss_and_gradients(params, np.zeros((2, 3, 3)), [0]),
+        "raw/negative": lambda: make_dataset([[[1.0, -0.5]]], [0], 2),
+        "raw/non_finite": lambda: make_dataset([[[1.0, np.nan]]], [0], 2),
+        "raw/overflow": lambda: make_dataset(np.full((1, 2, 2), 1e308), [0], 2),
+        "zero_mass": lambda: make_dataset(np.zeros((2, 2, 2)), [0, 1]),
+        "unit_mass/negative": lambda: LabeledDataset(np.stack([quarter, negative]), [0, 1], 2),
+        "unit_mass/total": lambda: wasserstein_grid_l1(quarter, np.full((2, 2), 0.3)),
+        "unit_mass/nan": lambda: solve_flow_1d([0.5, 0.5], [0.5, np.nan]),
+        "unit_mass/raw_grid": lambda: RawGrid(np.full((2, 2), 0.3)),
+        "stack_shape": lambda: LabeledDataset(np.full((2, 4), 0.25), [0, 1], 2),
+        "shape/pair": lambda: wasserstein_lp(quarter, np.full((1, 4), 0.25)),
+        "shape/flow": lambda: apply_flow(quarter, np.zeros(5)),
+        "width/batch": lambda: params.forward_batch(np.zeros((1, 4, 4))),
+        "width/image": lambda: smoothed_predict(params, quarter, NoiseSpec(FLOW, 0.1), 10),
+        "layer_chain": lambda: ClassifierParams((2, 2), 2, [np.zeros((4, 3))], [np.zeros(2)]),
+        "layer_chain/output": lambda: ClassifierParams((2, 2), 3, [np.zeros((4, 2))],
+                                                       [np.zeros(2)]),
+        "lp_cap": lambda: wasserstein_lp(np.full((9, 9), 1 / 81), np.full((9, 9), 1 / 81)),
+        "channel_mass": lambda: wasserstein_grid_l1(np.stack([0.7 * quarter, 0.3 * quarter]),
+                                                    np.stack([0.4 * quarter, 0.6 * quarter])),
+    }
+    for rule, call in refusals.items():
+        out[f"errors/{rule}"] = _refusal(call)
+    return out
+
+
 CLI_CONFIG = {
     "seed": 3, "scheme": "flow", "sigma": 0.05,
     "dataset": {"kind": "blobs", "train_size": 40, "test_size": 5, "shape": [5, 5]},
@@ -313,7 +384,7 @@ def main(argv=None) -> int:
         return compare(*args.compare)
     if args.out is None:
         parser.error("give OUT.pkl or --compare A B")
-    recorded = {**cases(), **cli_cases()}
+    recorded = {**cases(), **error_cases(), **cli_cases()}
     with open(args.out, "wb") as fh:
         pickle.dump({"package": wsmooth.__file__, "cases": recorded}, fh)
     print(f"{len(recorded)} cases from {wsmooth.__file__} written to {args.out}")
