@@ -22,7 +22,8 @@ import numpy as np
 
 from .classifier import input_gradient_batch
 from .flow_domain import as_channels, divergence, divergence_adjoint, edge_count
-from .smoothing import (PIXEL, NoiseSpec, SmoothedPrediction, _check_field_types, _edge_noise,
+from .smoothing import (AT_LEAST_0, AT_LEAST_1, OPEN_UNIT, PIXEL, POSITIVE, NoiseSpec,
+                        SmoothedPrediction, _check_fields, _check_value, _edge_noise,
                         _fold_first_layer, smoothed_predict)
 from .transport_oracle import wasserstein_grid_l1
 
@@ -75,19 +76,12 @@ class AttackConfig:
     predict_alpha: float = 0.05
 
     def __post_init__(self):
-        _check_field_types(self)
-        if self.iterations < 0:
-            raise ValueError("iterations must be >= 0")
-        if self.gradient_samples < 1 or self.predict_samples < 1:
-            raise ValueError("sample budgets must be >= 1")
-        if self.max_radius <= 0:
-            raise ValueError("max_radius must be finite and > 0")
-        if self.initial_radius is not None and not 0 < self.initial_radius <= self.max_radius:
-            raise ValueError("initial_radius must be in (0, max_radius]")
-        if self.growth_factor < 1.0 or self.growth_interval < 1:
-            raise ValueError("growth_factor must be >= 1 and growth_interval >= 1")
-        if not 0.0 < self.predict_alpha < 1.0:
-            raise ValueError("predict_alpha must be in (0, 1)")
+        _check_fields(self, iterations=AT_LEAST_0, gradient_samples=AT_LEAST_1,
+                      max_radius=POSITIVE, initial_radius=POSITIVE, growth_factor=AT_LEAST_1,
+                      growth_interval=AT_LEAST_1, predict_samples=AT_LEAST_1,
+                      predict_alpha=OPEN_UNIT)
+        if self.initial_radius is not None and self.initial_radius > self.max_radius:
+            raise ValueError(f"initial_radius must be <= max_radius, got {self.initial_radius!r}")
 
     def radius_at(self, iteration: int) -> float:
         """Allowed L1 budget at a 1-based attack iteration."""
@@ -212,9 +206,9 @@ def robustness_curve(classifier, dataset, spec: NoiseSpec, radii,
     clean smoothed accuracy of this run.  A failed attack says nothing past
     its schedule's last budget, so larger radii are refused.
     """
-    radii = sorted(float(r) for r in radii)
-    if not radii or not all(0 <= r < math.inf for r in radii):
-        raise ValueError("need a nonempty list of finite nonnegative radii")
+    radii = sorted(_check_value(f"radii[{i}]", float, r, AT_LEAST_0) for i, r in enumerate(radii))
+    if not radii:
+        raise ValueError("radii must be a nonempty list, got []")
     if len(dataset) == 0:
         raise ValueError("empty dataset")
     max_r = max(radii)

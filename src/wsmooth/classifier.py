@@ -15,7 +15,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .smoothing import FLOW, NoiseSpec, _check_field_types, _sample_increments
+from .smoothing import (AT_LEAST_0, AT_LEAST_1, FLOW, POSITIVE, NoiseSpec, _check_fields,
+                        _sample_increments)
 
 CHECKPOINT_VERSION = 1
 
@@ -172,18 +173,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_field_types(self)
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError("momentum must be in [0, 1)")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be >= 0")
-        NoiseSpec(self.noise, self.sigma)  # refuses a bad scheme, or sigma < 0, NaN or inf
+        _check_fields(self, epochs=AT_LEAST_1, batch_size=AT_LEAST_1, learning_rate=POSITIVE,
+                      momentum=("in [0, 1)", lambda v: 0 <= v < 1), weight_decay=AT_LEAST_0,
+                      seed=AT_LEAST_0)
+        NoiseSpec(self.noise, self.sigma)  # refuses a bad scheme or sigma < 0
 
 
 @dataclass

@@ -27,9 +27,14 @@ from . import dataset_io
 from .attack import AttackConfig, robustness_curve
 from .smoothing import (
     ABSTAIN,
+    AT_LEAST_0,
+    AT_LEAST_1,
     FLOW,
+    OPEN_UNIT,
     PIXEL,
+    POSITIVE,
     NoiseSpec,
+    _check_value,
     certify,
     median_certified_radius,
     smoothed_predict,
@@ -37,12 +42,6 @@ from .smoothing import (
 from .transport_oracle import run_oracle_checks
 
 _SCHEME_MAP = {"flow": FLOW, "pixel": PIXEL}
-
-# Ranges: the words an error message uses, and the test.
-_AT_LEAST_0 = (">= 0", lambda v: v >= 0)
-_AT_LEAST_1 = (">= 1", lambda v: v >= 1)
-_POSITIVE = ("> 0", lambda v: v > 0)
-_OPEN_UNIT = ("in (0, 1)", lambda v: 0 < v < 1)
 _SCHEME = (f"one of {sorted(_SCHEME_MAP)}", lambda v: v in _SCHEME_MAP)
 
 _IDX_PATHS = ("train_images", "train_labels", "test_images", "test_labels")
@@ -60,58 +59,48 @@ def _field_keys(section: str, cls: type, *skip: str) -> dict:
 # known if any command reads it; anything else is a typo that would
 # silently fall back to a default.  The train and attack keys are the CLI's
 # own and the TrainConfig and AttackConfig fields that no other key sets;
-# the dataset kind, shape and class count are checked where the dataset
+# the dataset kind, sides and class count are checked where the dataset
 # is built.  A flag's argparse dest is the key it sets.
 _SCHEMA = {
-    "seed": (int, _AT_LEAST_0, 0),
-    "workers": (int, _AT_LEAST_1, 1),
+    "seed": (int, AT_LEAST_0, 0),
+    "workers": (int, AT_LEAST_1, 1),
     "scheme": (str, _SCHEME, "flow"),
-    "sigma": (float, _POSITIVE, 0.05),
+    "sigma": (float, POSITIVE, 0.05),
     "checkpoint": (str, None, None),
     "out_dir": (str, None, "runs"),
     "dataset.kind": (str, None, "blobs"),
-    "dataset.train_size": (int, _AT_LEAST_1, 200),
-    "dataset.test_size": (int, _AT_LEAST_1, 50),
+    "dataset.train_size": (int, AT_LEAST_1, 200),
+    "dataset.test_size": (int, AT_LEAST_1, 50),
     "dataset.shape": ([int], None, [6, 6]),
     **{f"idx.{name}": (str, None, None) for name in _IDX_PATHS},
     "idx.num_classes": (int, None, None),
     **_field_keys("train", clf.TrainConfig, "noise", "sigma", "seed"),  # set by top-level keys
-    "train.hidden": (int, _AT_LEAST_1, None),
-    "predict.n": (int, _AT_LEAST_1, 10000),
-    "predict.alpha": (float, _OPEN_UNIT, 0.05),
-    "certify.n0": (int, _AT_LEAST_1, 1000),
-    "certify.n": (int, _AT_LEAST_1, 10000),
-    "certify.alpha": (float, _OPEN_UNIT, 0.05),
-    "attack.radii": ([float], _AT_LEAST_0, [0.0, 0.005, 0.01, 0.02]),
-    "attack.max_images": (int, _AT_LEAST_1, None),
+    "train.hidden": (int, AT_LEAST_1, None),
+    "predict.n": (int, AT_LEAST_1, 10000),
+    "predict.alpha": (float, OPEN_UNIT, 0.05),
+    "certify.n0": (int, AT_LEAST_1, 1000),
+    "certify.n": (int, AT_LEAST_1, 10000),
+    "certify.alpha": (float, OPEN_UNIT, 0.05),
+    "attack.radii": ([float], AT_LEAST_0, [0.0, 0.005, 0.01, 0.02]),
+    "attack.max_images": (int, AT_LEAST_1, None),
     # --radii sets max_radius through robustness_curve; initial_radius is not exposed.
     **_field_keys("attack", AttackConfig, "max_radius", "initial_radius"),
 }
 _SECTIONS = {key.split(".")[0] for key in _SCHEMA if "." in key}
-_TYPE_WORDS = {int: "an integer", float: "a finite number", str: "a string"}
-
-
-def _checked_one(key: str, kind: type, rule, value):
-    ok = (isinstance(value, (int, float) if kind is float else kind)
-          and not isinstance(value, bool))
-    # The bound also refuses nan, inf and integers too large for a float.
-    if not ok or kind is float and not abs(value) <= sys.float_info.max:
-        raise SystemExit(f"error: {key} must be {_TYPE_WORDS[kind]}, got {value!r}")
-    value = float(value) if kind is float else value
-    if rule is not None and not rule[1](value):
-        raise SystemExit(f"error: {key} must be {rule[0]}, got {value!r}")
-    return value
 
 
 def _checked(key: str, value):
     """``value`` checked against the schema entry of ``key``; a float key
     given as an integer comes back as a float."""
     kind, rule, _ = _SCHEMA[key]
-    if not isinstance(kind, list):
-        return _checked_one(key, kind, rule, value)
-    if not isinstance(value, list) or not value:
-        raise SystemExit(f"error: {key} must be a nonempty list, got {value!r}")
-    return [_checked_one(f"{key}[{i}]", kind[0], rule, v) for i, v in enumerate(value)]
+    try:
+        if not isinstance(kind, list):
+            return _check_value(key, kind, value, rule)
+        if not isinstance(value, list) or not value:
+            raise ValueError(f"{key} must be a nonempty list, got {value!r}")
+        return [_check_value(f"{key}[{i}]", kind[0], v, rule) for i, v in enumerate(value)]
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}")
 
 
 def _number_list(text: str) -> list[float]:
@@ -210,6 +199,9 @@ def _merge_config(args: argparse.Namespace) -> dict:
         values["out_dir"] = os.environ["WSMOOTH_OUT_DIR"]
     values.update((key, v) for key, v in vars(args).items() if key in _SCHEMA and v is not None)
     cfg = {key: _checked(key, value) for key, value in values.items()}
+    if len(cfg["dataset.shape"]) != 2:
+        raise SystemExit(f"error: dataset.shape must be [rows, columns], "
+                         f"got {cfg['dataset.shape']!r}")
     missing = [name for name in _IDX_PATHS if f"idx.{name}" not in cfg]
     if "idx" in file_cfg and missing:
         raise SystemExit(f"error: the idx section in {path} must name {', '.join(missing)}")
@@ -481,14 +473,15 @@ def _cmd_report(cfg: dict, tables: list[Path]) -> int:
         if not rows:
             raise SystemExit(f"error: {path} holds no rows")
         # Recompute every summary statistic from the per-image rows, as
-        # certify does; a bad scheme or sigma, or a missing or non-numeric
-        # setting or cell, refuses the table.
+        # certify does; a bad scheme or sigma, a missing or non-numeric
+        # setting or cell, or a NaN radius refuses the table.
         try:
             sigma = NoiseSpec(_SCHEME_MAP[meta["scheme"]], float(meta["sigma"])).sigma
             int(meta["n0"]), int(meta["n"]), float(meta["alpha"])
             parsed = [(r["id"], float(r["p_lower"]), int(r["label"]), int(r["base_prediction"]),
                        int(r["prediction"]), float(r["rho2"]) if r["rho2"] else None)
                       for r in rows]
+            stats = _certify_stats([p[2:] for p in parsed])
         except (KeyError, ValueError) as exc:
             raise SystemExit(f"error: {path} has malformed metadata or rows ({exc!r})")
         entries.append({
@@ -496,7 +489,7 @@ def _cmd_report(cfg: dict, tables: list[Path]) -> int:
             "sigma": sigma,
             "seed": meta.get("seed", "?"),
             "num_images": len(rows),
-            **_certify_stats([p[2:] for p in parsed]),
+            **stats,
         })
     entries.sort(key=lambda e: (e["scheme"], e["sigma"]))
     out = Path(cfg["out_dir"])

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 import typing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -78,6 +79,30 @@ def _check_scheme(scheme: str):
         raise ValueError(f"unknown noise scheme {scheme!r}, expected one of {_SCHEMES}")
 
 
+# Ranges: the words an error message uses, and the test.
+AT_LEAST_0 = (">= 0", lambda v: v >= 0)
+AT_LEAST_1 = (">= 1", lambda v: v >= 1)
+POSITIVE = ("> 0", lambda v: v > 0)
+OPEN_UNIT = ("in (0, 1)", lambda v: 0 < v < 1)
+_KINDS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a finite number"),
+          str: (str, "a string")}
+
+
+def _check_value(name: str, kind: type, value, rule=None):
+    """``value`` if it is of ``kind`` (int: an integer but not a bool; float: a
+    finite number, returned as a float; str) and within ``rule``, a (words,
+    test) range; else ValueError("<name> must be <words>, got <value>")."""
+    types, words = _KINDS[kind]
+    # The bound also refuses nan, inf and integers too large for a float.
+    if (not isinstance(value, types) or isinstance(value, bool)
+            or kind is float and not abs(value) <= sys.float_info.max):
+        raise ValueError(f"{name} must be {words}, got {value!r}")
+    value = float(value) if kind is float else value
+    if rule is not None and not rule[1](value):
+        raise ValueError(f"{name} must be {rule[0]}, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class NoiseSpec:
     """Smoothing noise description: scheme plus per-coordinate standard
@@ -89,8 +114,7 @@ class NoiseSpec:
 
     def __post_init__(self):
         _check_scheme(self.scheme)
-        if not (self.sigma >= 0.0) or not math.isfinite(self.sigma):
-            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma!r}")
+        _check_value("sigma", float, self.sigma, AT_LEAST_0)
 
     @property
     def scale(self) -> float:
@@ -98,17 +122,15 @@ class NoiseSpec:
         return self.sigma / math.sqrt(2.0)
 
 
-def _check_field_types(config):
-    """Refuse a config dataclass whose ``int`` fields hold anything but an
-    integer (bools included) or whose ``float`` fields hold anything but a
-    finite number; optional fields are left to the caller's range checks."""
+def _check_fields(config, **ranges):
+    """Check each field of a config dataclass with _check_value: its
+    annotated kind, and the range ``ranges`` gives under its name.  A
+    ``float | None`` field may also be None."""
     for name, hint in typing.get_type_hints(type(config)).items():
         value = getattr(config, name)
-        if hint is int and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-        if hint is float and (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                              or not math.isfinite(value)):
-            raise ValueError(f"{name} must be a finite number, got {value!r}")
+        kinds = typing.get_args(hint) or (hint,)
+        if value is not None or type(None) not in kinds:
+            _check_value(name, kinds[0], value, ranges.get(name))
 
 
 @dataclass(frozen=True)
@@ -242,18 +264,14 @@ def prediction_from_counts(counts, alpha: float) -> SmoothedPrediction:
     """Abstaining decision rule on a finished vote tally: the top class if
     the two-sided exact binomial test (_p_value) rejects that top and
     runner-up are equally likely; ties and weak majorities abstain."""
-    counts = np.asarray(counts, dtype=np.int64)
-    if counts.ndim != 1 or counts.size < 2:
-        raise ValueError("counts must be a 1-D tally over at least two classes")
+    counts = np.asarray(counts)
+    if counts.ndim != 1 or counts.size < 2 or counts.dtype.kind not in "iu":
+        raise ValueError(f"counts must be a 1-D integer tally of two or more classes, got {counts!r}")
     if counts.sum() < 1:
         raise ValueError("empty tally")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
+    _check_value("alpha", float, alpha, OPEN_UNIT)
     top = int(np.argmax(counts))
-    rest = counts.copy()
-    rest[top] = -1
-    runner = int(np.argmax(rest))
-    n_top, n_run = int(counts[top]), int(counts[runner])
+    n_top, n_run = int(counts[top]), int(np.partition(counts, -2)[-2])
     p_value = _p_value(n_top, n_run)
     predicted = top if p_value <= alpha else ABSTAIN
     return SmoothedPrediction(predicted, int(counts.sum()), (n_top, n_run), p_value, 1.0 - alpha)
@@ -288,10 +306,8 @@ def smoothed_predict(params, x, spec: NoiseSpec, n: int = 10000, alpha: float = 
     describe the draws actually made.  The stopping point is defined in
     draw order, so it does not depend on the worker count.
     """
-    if not isinstance(n, (int, np.integer)):
-        raise ValueError(f"n must be an integer, got {n!r}")
-    if n < 1:
-        raise ValueError("need at least one sample")
+    _check_value("n", int, n, AT_LEAST_1)
+    _check_value("alpha", float, alpha, OPEN_UNIT)
     counts, remaining = 0, n
     for tally in _vote_counts(params, x, spec, n, rng, workers):
         counts = counts + tally
@@ -304,12 +320,9 @@ def smoothed_predict(params, x, spec: NoiseSpec, n: int = 10000, alpha: float = 
 def clopper_pearson_lower(k: int, n: int, alpha: float) -> float:
     """One-sided Clopper-Pearson lower confidence bound for a binomial
     proportion at level 1 - alpha."""
-    if not isinstance(k, (int, np.integer)) or not isinstance(n, (int, np.integer)):
-        raise ValueError("k and n must be integers")
-    if n < 1 or not 0 <= k <= n:
-        raise ValueError(f"need 0 <= k <= n with n >= 1, got k={k}, n={n}")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
+    _check_value("n", int, n, AT_LEAST_1)
+    _check_value("k", int, k, (f"in [0, {n}]", lambda v: 0 <= v <= n))
+    _check_value("alpha", float, alpha, OPEN_UNIT)
     if k == 0:
         return 0.0
     if k == n:
@@ -328,10 +341,8 @@ def radius_from_plower(p_lower: float, sigma: float, scheme: str,
     _check_scheme(scheme)
     if not isinstance(ground, GroundMetric):
         raise ValueError(f"ground must be a GroundMetric, got {ground!r}")
-    if not 0.0 <= p_lower <= 1.0:
-        raise ValueError(f"p_lower must be in [0, 1], got {p_lower!r}")
-    if not 0.0 < sigma < math.inf:
-        raise ValueError(f"sigma must be finite and > 0, got {sigma!r}")
+    _check_value("p_lower", float, p_lower, ("in [0, 1]", lambda v: 0 <= v <= 1))
+    _check_value("sigma", float, sigma, POSITIVE)
     if p_lower <= 0.5:
         return None
     coeff = _RADIUS_COEFF[(scheme, ground)]
@@ -351,12 +362,9 @@ def certify(params, x, spec: NoiseSpec, n0: int = 1000, n: int = 10000,
     Clopper-Pearson bound is valid even though the guess used data.  If the
     bound does not clear 1/2 the certificate abstains.
     """
-    if not isinstance(n0, (int, np.integer)) or not isinstance(n, (int, np.integer)):
-        raise ValueError(f"n0 and n must be integers, got n0={n0!r}, n={n!r}")
-    if n0 < 1 or n < 1:
-        raise ValueError("n0 and n must be >= 1")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
+    _check_value("n0", int, n0, AT_LEAST_1)
+    _check_value("n", int, n, AT_LEAST_1)
+    _check_value("alpha", float, alpha, OPEN_UNIT)
     r_guess, r_bound = np.random.default_rng(rng).spawn(2)
     top = int(np.argmax(sum(_vote_counts(params, x, spec, n0, r_guess, workers))))
     counts = sum(_vote_counts(params, x, spec, n, r_bound, workers))
@@ -373,10 +381,13 @@ def median_certified_radius(radii) -> float | None:
     """Largest rho such that at least half of all images are correctly
     classified with certified radius >= rho, or None if no such rho exists.
     ``radii`` holds one entry per image: its certified radius when the
-    certificate names the image's label, else None."""
+    certificate names the image's label, else None (NaN is refused)."""
     radii = list(radii)
     if not radii:
         raise ValueError("no images")
+    for i, r in enumerate(radii):
+        if r is not None and math.isnan(r):
+            raise ValueError(f"radii[{i}] must be a number or None, got {r!r}")
     correct = sorted((r for r in radii if r is not None), reverse=True)
     need = (len(radii) + 1) // 2
     if len(correct) < need:

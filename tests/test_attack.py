@@ -139,6 +139,7 @@ class TestAttackConfig:
             {"predict_samples": True},
             {"growth_factor": float("nan")},
             {"growth_factor": float("inf")},
+            {"initial_radius": True},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -346,7 +347,7 @@ class TestRobustnessCurve:
             robustness_curve(params, ds, spec, [], cfg)
         with pytest.raises(ValueError):
             robustness_curve(params, ds, spec, [-0.1, 0.2], cfg)
-        with pytest.raises(ValueError, match="need a nonempty list of"):
+        with pytest.raises(ValueError, match=r"radii\[0\] must be a finite number, got nan"):
             robustness_curve(params, ds, spec, [float("nan")], cfg)
         with pytest.raises(ValueError):
             robustness_curve(params, ds.subset([]), spec, [0.0], cfg)

@@ -331,7 +331,11 @@ class TestReportCommand:
         (None, "cannot read table"),
         (b"# command=certify junk\n", "cannot read table"),
         (b"# command=certify seed=\xff\n", "cannot read table"),
-    ], ids=["bad_radius", "no_scheme", "missing", "token_without_equals", "not_utf8"])
+        (b"# command=certify seed=1 scheme=flow sigma=0.1 n0=100 n=800 alpha=0.05\n"
+         b"id,label,base_prediction,prediction,p_lower,rho2,abstained\n0,1,1,1,0.9,nan,0\n",
+         "radii[0] must be a number or None, got nan"),
+    ], ids=["bad_radius", "no_scheme", "missing", "token_without_equals", "not_utf8",
+            "nan_radius"])
     def test_rejects_malformed_table(self, tmp_path, monkeypatch, capsys, text, needle):
         table = tmp_path / "certificates.csv"
         if text is not None:
@@ -382,6 +386,8 @@ class TestConfigHandling:
         ({"dataset": {"kind": "stripes"}}, "unknown synthetic dataset kind 'stripes'"),
         ({"dataset": {"shape": [3, 3]}}, "blobs need at least a 4x3 grid"),
         ({"idx": {"label_base": 0}}, "unknown config key 'idx.label_base'"),
+        ({"dataset": {"shape": [3, 8, 8]}}, "dataset.shape must be [rows, columns], got [3, 8, 8]"),
+        ({"dataset": {"shape": [8]}}, "dataset.shape must be [rows, columns], got [8]"),
     ])
     def test_bad_config_exits_with_one_error_line(self, tmp_path, monkeypatch, capsys,
                                                   cfg, needle):

@@ -305,6 +305,10 @@ class TestDecisionRule:
             prediction_from_counts(np.array([0, 0]), 0.05)
         with pytest.raises(ValueError):
             prediction_from_counts(np.array([5, 3]), 0.0)
+        # A tally that is not an integer array is refused, not truncated.
+        for counts in ([900.7, 100.9], [900.0, 100.0]):
+            with pytest.raises(ValueError, match="counts must be a 1-D integer tally"):
+                prediction_from_counts(counts, 0.05)
 
 
 class TestSmoothedPredict:
@@ -571,6 +575,8 @@ class TestClopperPearson:
             clopper_pearson_lower(5, 10, 1.5)
         with pytest.raises(ValueError):
             clopper_pearson_lower(0.5, 10, 0.05)
+        with pytest.raises(ValueError, match="k must be an integer, got True"):
+            clopper_pearson_lower(True, 10, 0.05)
 
 
 class TestRadiusFormulas:
@@ -636,7 +642,7 @@ class TestRadiusFormulas:
 
     @pytest.mark.parametrize("sigma", [math.nan, math.inf])
     def test_rejects_non_finite_sigma(self, sigma):
-        with pytest.raises(ValueError, match="sigma must be finite"):
+        with pytest.raises(ValueError, match="sigma must be a finite number"):
             radius_from_plower(0.9, sigma, FLOW)
 
 
@@ -679,20 +685,30 @@ class TestCertify:
         assert cert.predicted == 0
         assert cert.rho2 == 0.0
 
-    def test_rejects_bad_budgets(self):
+    def test_rejects_bad_budgets(self, monkeypatch):
         clf = RegionThresholdClassifier((2, 2), "rows", 0, threshold=0.3).params()
         x = np.full((2, 2), 0.25)
-        with pytest.raises(ValueError):
+        # Every bad count or level is refused before any draw is made.
+        draws = []
+        monkeypatch.setattr(smoothing, "_edge_noise",
+                            lambda *args: draws.append(args) or _edge_noise(*args))
+        with pytest.raises(ValueError, match="n0 must be >= 1, got 0"):
             certify(clf, x, NoiseSpec(FLOW, 0.1), n0=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\), got 1.0"):
             certify(clf, x, NoiseSpec(FLOW, 0.1), alpha=1.0)
-        # A count that is not an integer is refused before any draw is made.
-        with pytest.raises(ValueError, match="n0 and n must be integers"):
-            certify(clf, x, NoiseSpec(FLOW, 0.1), n0=2.5)
-        with pytest.raises(ValueError, match="n0 and n must be integers"):
-            certify(clf, x, NoiseSpec(FLOW, 0.1), n=100.0)
-        with pytest.raises(ValueError, match="n must be an integer"):
-            smoothed_predict(clf, x, NoiseSpec(FLOW, 0.1), n=100.5)
+        for budget, message in ((dict(n0=2.5), "n0 must be an integer, got 2.5"),
+                                (dict(n=100.0), "n must be an integer, got 100.0"),
+                                (dict(n0=True), "n0 must be an integer, got True"),
+                                (dict(n=True), "n must be an integer, got True")):
+            with pytest.raises(ValueError, match=message):
+                certify(clf, x, NoiseSpec(FLOW, 0.1), **budget)
+        for budget, message in ((dict(n=100.5), "n must be an integer, got 100.5"),
+                                (dict(n=True), "n must be an integer, got True"),
+                                (dict(alpha=1.5), r"alpha must be in \(0, 1\), got 1.5"),
+                                (dict(alpha=0), r"alpha must be in \(0, 1\), got 0.0")):
+            with pytest.raises(ValueError, match=message):
+                smoothed_predict(clf, x, NoiseSpec(FLOW, 0.1), **budget)
+        assert draws == []
 
 
 class TestMedianRadius:
@@ -711,3 +727,10 @@ class TestMedianRadius:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             median_certified_radius([])
+
+    def test_nan_radius_is_refused_by_index_and_inf_is_a_radius(self):
+        # Sorting would put a NaN anywhere, so its place would pick the answer.
+        for radii, i in (([math.nan, 0.3, 0.1], 0), ([0.3, math.nan, 0.1], 1)):
+            with pytest.raises(ValueError, match=rf"radii\[{i}\] must be a number or None, got nan"):
+                median_certified_radius(radii)
+        assert median_certified_radius([0.3, math.inf, 0.1]) == 0.3

@@ -61,6 +61,8 @@ from wsmooth import (  # noqa: E402
     load_idx,
     loss_and_gradients,
     make_dataset,
+    median_certified_radius,
+    prediction_from_counts,
     robustness_curve,
     run_oracle_checks,
     smoothed_predict,
@@ -257,6 +259,7 @@ def error_cases() -> dict:
     quarter = np.full((2, 2), 0.25)
     negative = np.array([[0.75, 0.5], [0.0, -0.25]])
     params = init_params((3, 3), 2, rng=np.random.default_rng(0))
+    ninth, spec = np.full((3, 3), 1 / 9), NoiseSpec(FLOW, 0.1)
     refusals = {
         "pairing/make_dataset": lambda: make_dataset(np.ones((3, 2, 2)), [0, 1]),
         "pairing/dataset": lambda: LabeledDataset(np.full((3, 2, 2), 0.25), [0, 1], 2),
@@ -280,6 +283,13 @@ def error_cases() -> dict:
         "lp_cap": lambda: wasserstein_lp(np.full((9, 9), 1 / 81), np.full((9, 9), 1 / 81)),
         "channel_mass": lambda: wasserstein_grid_l1(np.stack([0.7 * quarter, 0.3 * quarter]),
                                                     np.stack([0.4 * quarter, 0.6 * quarter])),
+        "count/non_integer": lambda: certify(params, ninth, spec, n0=2.5),
+        "count/bool": lambda: certify(params, ninth, spec, 10, n=True),
+        "level/alpha": lambda: smoothed_predict(params, ninth, spec, 10000, alpha=1.5),
+        "config/train": lambda: TrainConfig(epochs=0),
+        "config/attack": lambda: AttackConfig(predict_alpha=1.0),
+        "tally/float": lambda: prediction_from_counts([900.7, 100.9], 0.05),
+        "radius/nan": lambda: median_certified_radius([0.3, np.nan, 0.1]),
     }
     for rule, call in refusals.items():
         out[f"errors/{rule}"] = _refusal(call)
