@@ -21,10 +21,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .classifier import input_gradient_batch
-from .flow_domain import as_channels, divergence, divergence_adjoint, edge_count
-from .smoothing import (AT_LEAST_0, AT_LEAST_1, OPEN_UNIT, PIXEL, POSITIVE, NoiseSpec,
-                        SmoothedPrediction, _check_fields, _check_value, _edge_noise,
-                        _fold_first_layer, smoothed_predict)
+from .flow_domain import (AT_LEAST_0, AT_LEAST_1, OPEN_UNIT, POSITIVE, _check_fields,
+                          _check_value, as_channels, divergence, divergence_adjoint, edge_count)
+from .smoothing import (PIXEL, NoiseSpec, SmoothedPrediction, _edge_noise, _fold_first_layer,
+                        smoothed_predict)
 from .transport_oracle import wasserstein_grid_l1
 
 
@@ -34,8 +34,7 @@ def project_l1_ball(v, radius: float) -> np.ndarray:
     Sort-based soft thresholding: find the largest shrinkage that keeps the
     surviving coordinates summing to the radius, then shrink toward zero.
     """
-    if not radius >= 0:  # also refuses NaN
-        raise ValueError(f"radius must be >= 0, got {radius!r}")
+    radius = _check_value("radius", float, radius, AT_LEAST_0)
     v = np.asarray(v, dtype=float)
     mag = np.abs(v)
     if mag.sum() <= radius:
@@ -209,8 +208,6 @@ def robustness_curve(classifier, dataset, spec: NoiseSpec, radii,
     radii = sorted(_check_value(f"radii[{i}]", float, r, AT_LEAST_0) for i, r in enumerate(radii))
     if not radii:
         raise ValueError("radii must be a nonempty list, got []")
-    if len(dataset) == 0:
-        raise ValueError("empty dataset")
     max_r = max(radii)
     if max_r > 0 and max_r != config.max_radius:
         init = config.initial_radius

@@ -15,8 +15,9 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .smoothing import (AT_LEAST_0, AT_LEAST_1, FLOW, POSITIVE, NoiseSpec, _check_fields,
-                        _sample_increments)
+from .flow_domain import (AT_LEAST_0, AT_LEAST_1, AT_LEAST_2, POSITIVE, _check_fields,
+                          _check_value)
+from .smoothing import FLOW, NoiseSpec, _sample_increments
 
 CHECKPOINT_VERSION = 1
 
@@ -34,8 +35,7 @@ class ClassifierParams:
 
     def __post_init__(self):
         self.input_shape = tuple(int(s) for s in self.input_shape)
-        if self.num_classes < 2:
-            raise ValueError("need at least two classes")
+        _check_value("num_classes", int, self.num_classes, AT_LEAST_2)
         if len(self.weights) != len(self.biases) or not self.weights:
             raise ValueError("weights and biases must be nonempty lists of equal length")
         self.weights = [np.asarray(w, dtype=float) for w in self.weights]
@@ -84,9 +84,7 @@ def init_params(input_shape, num_classes: int, hidden: int | None = None,
     rng = np.random.default_rng(rng)
     dims = [int(np.prod(input_shape))]
     if hidden is not None:
-        if hidden < 1:
-            raise ValueError("hidden width must be >= 1")
-        dims.append(int(hidden))
+        dims.append(_check_value("hidden", int, hidden, AT_LEAST_1))
     dims.append(int(num_classes))
     weights = []
     biases = []
@@ -193,8 +191,6 @@ def train(dataset, config: TrainConfig, hidden: int | None = None) -> TrainResul
     noise stream is never consumed, whatever the scheme.
     """
     X, y = dataset.as_arrays()
-    if len(X) == 0:
-        raise ValueError("cannot train on an empty dataset")
     root = np.random.default_rng(config.seed)
     r_init, r_shuffle, r_noise = root.spawn(3)
     params = init_params(X.shape[1:], dataset.num_classes, hidden, r_init)
@@ -227,8 +223,6 @@ def train(dataset, config: TrainConfig, hidden: int | None = None) -> TrainResul
 def accuracy(params: ClassifierParams, dataset) -> float:
     """Clean accuracy of the base classifier's argmax on a dataset."""
     X, y = dataset.as_arrays()
-    if len(X) == 0:
-        raise ValueError("empty dataset")
     pred = np.argmax(params.forward_batch(X), axis=1)
     return float(np.mean(pred == y))
 

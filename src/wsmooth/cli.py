@@ -25,16 +25,12 @@ import numpy as np
 from . import classifier as clf
 from . import dataset_io
 from .attack import AttackConfig, robustness_curve
+from .flow_domain import AT_LEAST_0, AT_LEAST_1, OPEN_UNIT, POSITIVE, _check_value
 from .smoothing import (
     ABSTAIN,
-    AT_LEAST_0,
-    AT_LEAST_1,
     FLOW,
-    OPEN_UNIT,
     PIXEL,
-    POSITIVE,
     NoiseSpec,
-    _check_value,
     certify,
     median_certified_radius,
     smoothed_predict,

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flow_domain import _check_stack_shape, _check_unit_mass
+from .flow_domain import (AT_LEAST_1, AT_LEAST_2, _check_stack_shape, _check_unit_mass,
+                          _check_value)
 
 
 def _read_idx(path, rank: int) -> np.ndarray:
@@ -86,8 +87,9 @@ class LabeledDataset:
     """Unit-mass images with integer labels, logit columns 0 ... num_classes - 1.
 
     ``images`` is kept as one read-only (N, n, m) or (N, C, n, m) float
-    array, checked in one pass to hold unit-mass images.  An array
-    passed in is not copied, only viewed read-only.
+    array, checked in one pass to hold at least one image, each of unit
+    mass, with one label per image.  An array passed in is not copied, only
+    viewed read-only.
     """
 
     images: np.ndarray
@@ -96,6 +98,7 @@ class LabeledDataset:
 
     def __post_init__(self):
         self.images = np.asarray(self.images, dtype=float).view()
+        _check_unit_mass(self.images)
         with np.errstate(invalid="ignore"):  # NaN and inf cast to junk, refused below
             labels, self.labels = self.labels, np.asarray(self.labels).astype(int, copy=False)
         if not np.array_equal(self.labels, labels):
@@ -104,11 +107,9 @@ class LabeledDataset:
             raise ValueError(
                 f"{len(self.images)} images but label array of shape {self.labels.shape}"
             )
-        if self.num_classes < 2:
-            raise ValueError("need at least two classes")
-        if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.num_classes):
+        _check_value("num_classes", int, self.num_classes, AT_LEAST_2)
+        if self.labels.min() < 0 or self.labels.max() >= self.num_classes:
             raise ValueError(f"labels must lie in [0, {self.num_classes})")
-        _check_unit_mass(self.images)
         self.images.setflags(write=False)
 
     def __len__(self) -> int:
@@ -135,8 +136,6 @@ def make_dataset(images, labels, num_classes: int | None = None) -> LabeledDatas
     """
     images = np.array(images, dtype=float)
     labels = np.asarray(labels)
-    if len(images) != len(labels):
-        raise ValueError(f"{len(images)} images but {len(labels)} labels")
     if num_classes is None:  # LabeledDataset refuses NaN and inf; int() must not fail first
         num_classes = int(np.nan_to_num(labels.max())) + 1 if labels.size else 2
     return LabeledDataset(_normalize(images), labels, num_classes)
@@ -183,8 +182,7 @@ def synthetic_dataset(kind: str, size: int, shape: tuple[int, int] = (6, 6),
              half; the discriminative signal is a half-image mass aggregate.
     corners: 4 classes, a bright 2x2 block in one of the four corners.
     """
-    if size < 1:
-        raise ValueError("size must be >= 1")
+    _check_value("size", int, size, AT_LEAST_1)
     if kind not in _SYNTHETIC:
         raise ValueError(f"unknown synthetic dataset kind {kind!r}")
     num_classes, (min_n, min_m), draw = _SYNTHETIC[kind]

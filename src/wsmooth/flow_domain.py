@@ -13,12 +13,17 @@ its net inflow, so total mass is conserved even though individual pixels
 may go negative.  ``divergence`` and ``divergence_adjoint`` multiply by D
 and D^T, batched over leading axes; smoothing, training and the attack
 share them, and the grid oracle's arcs are [-D, D], so its directed edge
-flow is a (2, E) array of packed edges, forward over backward.
+flow is a (2, E) array of packed edges, forward over backward.  Every
+module imports this one, so ``_check_value`` here is the package's one
+type-and-range check of counts, class counts, radii, levels and fields.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+import sys
+import typing
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -27,6 +32,41 @@ import scipy.sparse as sp
 
 # Tolerance for the unit-mass check on incoming images.
 MASS_TOL = 1e-9
+
+# Ranges: the words an error message uses, and the test.
+AT_LEAST_0 = (">= 0", lambda v: v >= 0)
+AT_LEAST_1 = (">= 1", lambda v: v >= 1)
+AT_LEAST_2 = (">= 2", lambda v: v >= 2)
+POSITIVE = ("> 0", lambda v: v > 0)
+OPEN_UNIT = ("in (0, 1)", lambda v: 0 < v < 1)
+_KINDS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a finite number"),
+          str: (str, "a string")}
+
+
+def _check_value(name: str, kind: type, value, rule=None):
+    """``value`` if it is of ``kind`` (int: an integer but not a bool; float: a
+    finite number, returned as a float; str) and within ``rule``, a (words,
+    test) range; else ValueError("<name> must be <words>, got <value>")."""
+    types, words = _KINDS[kind]
+    # The bound also refuses nan, inf and integers too large for a float.
+    if (not isinstance(value, types) or isinstance(value, bool)
+            or kind is float and not abs(value) <= sys.float_info.max):
+        raise ValueError(f"{name} must be {words}, got {value!r}")
+    value = float(value) if kind is float else value
+    if rule is not None and not rule[1](value):
+        raise ValueError(f"{name} must be {rule[0]}, got {value!r}")
+    return value
+
+
+def _check_fields(config, **ranges):
+    """Check each field of a config dataclass with _check_value: its
+    annotated kind, and the range ``ranges`` gives under its name.  A
+    ``float | None`` field may also be None."""
+    for name, hint in typing.get_type_hints(type(config)).items():
+        value = getattr(config, name)
+        kinds = typing.get_args(hint) or (hint,)
+        if value is not None or type(None) not in kinds:
+            _check_value(name, kinds[0], value, ranges.get(name))
 
 
 def _as_float_grid(values, name: str = "values") -> np.ndarray:
@@ -47,7 +87,7 @@ def as_channels(x) -> np.ndarray:
 
 
 def _check_stack_shape(x: np.ndarray):
-    if x.ndim not in (3, 4) or 0 in x.shape[1:]:
+    if x.ndim not in (3, 4) or 0 in x.shape:
         raise ValueError(f"images must stack nonempty 2-D or 3-D arrays, got {x.shape}")
 
 

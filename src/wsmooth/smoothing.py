@@ -28,16 +28,14 @@ change.
 from __future__ import annotations
 
 import math
-import numbers
-import sys
-import typing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import betainc, betaincinv
 
-from .flow_domain import as_channels, divergence, divergence_adjoint, edge_count
+from .flow_domain import (AT_LEAST_0, AT_LEAST_1, OPEN_UNIT, POSITIVE, _check_value,
+                          as_channels, divergence, divergence_adjoint, edge_count)
 from .transport_oracle import GroundMetric
 
 # Sentinel prediction that names none of the classes, logit columns 0 ... K-1.
@@ -79,30 +77,6 @@ def _check_scheme(scheme: str):
         raise ValueError(f"unknown noise scheme {scheme!r}, expected one of {_SCHEMES}")
 
 
-# Ranges: the words an error message uses, and the test.
-AT_LEAST_0 = (">= 0", lambda v: v >= 0)
-AT_LEAST_1 = (">= 1", lambda v: v >= 1)
-POSITIVE = ("> 0", lambda v: v > 0)
-OPEN_UNIT = ("in (0, 1)", lambda v: 0 < v < 1)
-_KINDS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a finite number"),
-          str: (str, "a string")}
-
-
-def _check_value(name: str, kind: type, value, rule=None):
-    """``value`` if it is of ``kind`` (int: an integer but not a bool; float: a
-    finite number, returned as a float; str) and within ``rule``, a (words,
-    test) range; else ValueError("<name> must be <words>, got <value>")."""
-    types, words = _KINDS[kind]
-    # The bound also refuses nan, inf and integers too large for a float.
-    if (not isinstance(value, types) or isinstance(value, bool)
-            or kind is float and not abs(value) <= sys.float_info.max):
-        raise ValueError(f"{name} must be {words}, got {value!r}")
-    value = float(value) if kind is float else value
-    if rule is not None and not rule[1](value):
-        raise ValueError(f"{name} must be {rule[0]}, got {value!r}")
-    return value
-
-
 @dataclass(frozen=True)
 class NoiseSpec:
     """Smoothing noise description: scheme plus per-coordinate standard
@@ -120,17 +94,6 @@ class NoiseSpec:
     def scale(self) -> float:
         """Laplace scale parameter b with standard deviation sigma."""
         return self.sigma / math.sqrt(2.0)
-
-
-def _check_fields(config, **ranges):
-    """Check each field of a config dataclass with _check_value: its
-    annotated kind, and the range ``ranges`` gives under its name.  A
-    ``float | None`` field may also be None."""
-    for name, hint in typing.get_type_hints(type(config)).items():
-        value = getattr(config, name)
-        kinds = typing.get_args(hint) or (hint,)
-        if value is not None or type(None) not in kinds:
-            _check_value(name, kinds[0], value, ranges.get(name))
 
 
 @dataclass(frozen=True)
@@ -267,8 +230,8 @@ def prediction_from_counts(counts, alpha: float) -> SmoothedPrediction:
     counts = np.asarray(counts)
     if counts.ndim != 1 or counts.size < 2 or counts.dtype.kind not in "iu":
         raise ValueError(f"counts must be a 1-D integer tally of two or more classes, got {counts!r}")
-    if counts.sum() < 1:
-        raise ValueError("empty tally")
+    if counts.min() < 0 or counts.sum() < 1:
+        raise ValueError(f"counts must be nonnegative with at least one vote, got {counts!r}")
     _check_value("alpha", float, alpha, OPEN_UNIT)
     top = int(np.argmax(counts))
     n_top, n_run = int(counts[top]), int(np.partition(counts, -2)[-2])

@@ -22,8 +22,8 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 
-from .flow_domain import (MASS_TOL, _check_unit_mass, as_channels, divergence_matrix,
-                          flow_from_edge)
+from .flow_domain import (AT_LEAST_1, MASS_TOL, _check_unit_mass, _check_value, as_channels,
+                          divergence_matrix, flow_from_edge)
 
 # The dense LP has N^2 variables; past 64 pixels it stops being an oracle
 # and starts being a liability.
@@ -222,8 +222,7 @@ def run_oracle_checks(num_pairs: int = 50, seed: int = 0) -> list[CheckOutcome]:
     """
     from .flow_domain import apply_flow, l1_norm, solve_flow_1d
 
-    if num_pairs < 1:
-        raise ValueError("need at least one pair")
+    _check_value("num_pairs", int, num_pairs, AT_LEAST_1)
     rng = np.random.default_rng(seed)
     res = dict.fromkeys(_CHECK_TOLERANCES, 0.0)
 

@@ -64,6 +64,9 @@ class TestProjection:
             project_l1_ball(np.array([1.0]), -0.1)
         with pytest.raises(ValueError):
             project_l1_ball(np.array([1.0]), float("nan"))
+        for radius in (True, float("inf")):
+            with pytest.raises(ValueError, match=f"^radius must be a finite number, got {radius}$"):
+                project_l1_ball(np.array([1.0]), radius)
 
     def test_matches_brute_force_oracle(self, rng):
         worst = 0.0

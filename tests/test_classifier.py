@@ -46,8 +46,14 @@ class TestParams:
             ClassifierParams((2, 2), 2, [w], [b])
 
     def test_rejects_single_class(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^num_classes must be >= 2, got 1$"):
             ClassifierParams((2, 2), 1, [np.zeros((4, 1))], [np.zeros(1)])
+
+    @pytest.mark.parametrize("hidden, words", [(0, ">= 1, got 0"), (True, "an integer, got True"),
+                                               (2.5, "an integer, got 2.5")])
+    def test_init_params_rejects_bad_hidden_widths(self, hidden, words):
+        with pytest.raises(ValueError, match=f"^hidden must be {words}$"):
+            init_params((2, 2), 2, hidden=hidden)
 
     def test_forward_returns_the_layer_chain_logits(self, rng):
         params = small_params(rng)
@@ -256,9 +262,10 @@ class TestTraining:
             assert np.array_equal(pa, pb)
 
     def test_rejects_empty_dataset(self):
-        ds = synthetic_dataset("blobs", 5, seed=0).subset([])
-        with pytest.raises(ValueError):
-            train(ds, TrainConfig(epochs=1))
+        # An empty dataset cannot be built, so train never sees one.
+        ds = synthetic_dataset("blobs", 5, seed=0)
+        with pytest.raises(ValueError, match=r"^images must stack nonempty .* got \(0, 6, 6\)$"):
+            train(ds.subset([]), TrainConfig(epochs=1))
 
 
 class TestCheckpoints:

@@ -477,7 +477,7 @@ class TestConfigHandling:
         monkeypatch.setattr(sys, "argv", ["wsmooth", "oracle-check", "--pairs", "0"])
         assert main() == 2
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: --pairs 0")
+        assert err == ["error: --pairs 0: num_pairs must be >= 1, got 0"]
 
     @pytest.mark.parametrize("flags, needle", [
         (["--scheme", "pixel"], "laplace_pixel at sigma 0.1"),

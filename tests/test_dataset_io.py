@@ -199,6 +199,7 @@ class TestLabeledDataset:
                           (np.array([[[1.5, -0.5]]]), "^image 0 has a negative pixel$"),
                           (np.full((2, 4), 0.25), "^images must stack nonempty 2-D or 3-D"),
                           (np.full((2, 1, 0), 0.25), "^images must stack nonempty 2-D or 3-D"),
+                          (np.full((0, 2, 2), 0.25), "^images must stack nonempty 2-D or 3-D"),
                           (np.full((2, 1, 2), np.nan), "^image 0 has total mass nan, not 1")):
             with pytest.raises(ValueError, match=rule):
                 LabeledDataset(bad, np.array([0, 1])[: len(bad)], 2)
@@ -255,6 +256,12 @@ class TestMakeDataset:
         with pytest.raises(ValueError, match=r"^labels must lie in \[0, 3\)$"):
             make_dataset(x, np.array([0, 1, 3]), num_classes=3)
 
+    @pytest.mark.parametrize("num_classes, words", [(2.5, "an integer, got 2.5"),
+                                                    (1, ">= 2, got 1")])
+    def test_refuses_a_bad_class_count(self, num_classes, words):
+        with pytest.raises(ValueError, match=f"^num_classes must be {words}$"):
+            make_dataset(np.ones((2, 2, 2)), [0, 0], num_classes=num_classes)
+
     def test_degenerate_image_names_its_index(self):
         x = np.ones((3, 2, 2))
         x[1] = 0.0
@@ -299,6 +306,12 @@ class TestSynthetic:
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
             synthetic_dataset("stripes", 5)
+
+    @pytest.mark.parametrize("size, words", [(0, ">= 1, got 0"), (True, "an integer, got True"),
+                                             (2.5, "an integer, got 2.5")])
+    def test_rejects_bad_sizes(self, size, words):
+        with pytest.raises(ValueError, match=f"^size must be {words}$"):
+            synthetic_dataset("corners", size)
 
     def test_rejects_tiny_grids(self):
         with pytest.raises(ValueError):

@@ -305,6 +305,8 @@ class TestDecisionRule:
             prediction_from_counts(np.array([0, 0]), 0.05)
         with pytest.raises(ValueError):
             prediction_from_counts(np.array([5, 3]), 0.0)
+        with pytest.raises(ValueError, match="^counts must be nonnegative with at least one vote"):
+            prediction_from_counts([5, -3], 0.05)
         # A tally that is not an integer array is refused, not truncated.
         for counts in ([900.7, 100.9], [900.0, 100.0]):
             with pytest.raises(ValueError, match="counts must be a 1-D integer tally"):

@@ -379,6 +379,13 @@ class TestPerChannel:
         assert w1(x, xp) == pytest.approx(d_unit, abs=1e-10)
 
 
+@pytest.mark.parametrize("num_pairs, words", [(0, ">= 1, got 0"), (True, "an integer, got True"),
+                                              (2.5, "an integer, got 2.5")])
+def test_oracle_check_suite_refuses_bad_pair_counts(num_pairs, words):
+    with pytest.raises(ValueError, match=f"^num_pairs must be {words}$"):
+        run_oracle_checks(num_pairs=num_pairs)
+
+
 def test_oracle_check_suite_passes():
     outcomes = run_oracle_checks(num_pairs=25, seed=7)
     assert len(outcomes) == 8

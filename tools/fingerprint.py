@@ -63,6 +63,7 @@ from wsmooth import (  # noqa: E402
     make_dataset,
     median_certified_radius,
     prediction_from_counts,
+    project_l1_ball,
     robustness_curve,
     run_oracle_checks,
     smoothed_predict,
@@ -290,6 +291,13 @@ def error_cases() -> dict:
         "config/attack": lambda: AttackConfig(predict_alpha=1.0),
         "tally/float": lambda: prediction_from_counts([900.7, 100.9], 0.05),
         "radius/nan": lambda: median_certified_radius([0.3, np.nan, 0.1]),
+        "count/hidden": lambda: init_params((3, 3), 2, hidden=2.5),
+        "count/num_classes": lambda: make_dataset(np.ones((2, 2, 2)), [0, 1], num_classes=2.5),
+        "count/size": lambda: synthetic_dataset("corners", True),
+        "count/num_pairs": lambda: run_oracle_checks(True),
+        "radius/projection": lambda: project_l1_ball(np.ones(3), True),
+        "empty_dataset": lambda: synthetic_dataset("blobs", 5).subset([]),
+        "tally/negative": lambda: prediction_from_counts([5, -3], 0.05),
     }
     for rule, call in refusals.items():
         out[f"errors/{rule}"] = _refusal(call)
