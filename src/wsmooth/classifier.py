@@ -188,7 +188,7 @@ def train(dataset, config: TrainConfig, hidden: int | None = None) -> TrainResul
 
     Randomness (init, shuffling, noise) flows from config.seed through three
     spawned streams, so runs are bit-for-bit reproducible; with sigma 0 the
-    noise stream is never consumed, whatever the scheme.
+    sampler adds zeros and never consumes the noise stream, whatever the scheme.
     """
     X, y = dataset.as_arrays()
     root = np.random.default_rng(config.seed)
@@ -202,14 +202,12 @@ def train(dataset, config: TrainConfig, hidden: int | None = None) -> TrainResul
     starts = range(0, num, config.batch_size)
     for _ in range(config.epochs):
         perm = r_shuffle.permutation(num)
-        if spec.sigma > 0:
-            increments = _sample_increments(spec, cshape, len(starts), r_noise)
+        increments = _sample_increments(spec, cshape, len(starts), r_noise)
         epoch_loss = 0.0
         for b, start in enumerate(starts):
             idx = perm[start : start + config.batch_size]
             xb = X[idx]
-            if spec.sigma > 0:
-                xb += increments[b].reshape(X.shape[1:])
+            xb += increments[b].reshape(X.shape[1:])
             loss, grads = loss_and_gradients(params, xb, y[idx])
             for p, g, v in zip(params.arrays(), grads, velocity):
                 np.multiply(v, config.momentum, out=v)

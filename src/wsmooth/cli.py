@@ -2,11 +2,10 @@
 certify with the smoothed classifier, attack it, cross-check the transport
 oracles, and merge result tables.
 
-Settings come from an optional JSON config file, overridden by flags
-(flags beat the WSMOOTH_OUT_DIR environment variable, which beats the
-config file).  All randomness derives from one master seed, and every
-emitted table starts with a `# key=value ...` comment line recording the
-settings that produced it, so reruns are byte-for-byte identical.
+Settings come from an optional JSON config file, overridden by flags.  All
+randomness derives from one master seed, and every emitted table starts
+with a `# key=value ...` comment line recording the settings that produced
+it, so reruns are byte-for-byte identical.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import zipfile
 from pathlib import Path
@@ -176,9 +174,9 @@ def _load_json(path: Path | None) -> dict:
 
 def _merge_config(args: argparse.Namespace) -> dict:
     """Every key that is set, checked: schema defaults, then the config
-    file, then WSMOOTH_OUT_DIR, then flags.  Also the run's ``noise`` spec,
-    and the TrainConfig and AttackConfig built from the ``train`` and
-    ``attack`` sections, under those names."""
+    file, then flags.  Also the run's ``noise`` spec, and the TrainConfig
+    and AttackConfig built from the ``train`` and ``attack`` sections, under
+    those names."""
     path = getattr(args, "config", None)
     file_cfg = _load_json(path)
     values = {key: default for key, (_, _, default) in _SCHEMA.items() if default is not None}
@@ -191,8 +189,6 @@ def _merge_config(args: argparse.Namespace) -> dict:
             if "." in key or name not in _SCHEMA:
                 raise SystemExit(f"error: unknown config key {name!r} in {path}")
         values.update(given)
-    if os.environ.get("WSMOOTH_OUT_DIR"):
-        values["out_dir"] = os.environ["WSMOOTH_OUT_DIR"]
     values.update((key, v) for key, v in vars(args).items() if key in _SCHEMA and v is not None)
     cfg = {key: _checked(key, value) for key, value in values.items()}
     if len(cfg["dataset.shape"]) != 2:

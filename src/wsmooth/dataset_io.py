@@ -183,10 +183,12 @@ def synthetic_dataset(kind: str, size: int, shape: tuple[int, int] = (6, 6),
     corners: 4 classes, a bright 2x2 block in one of the four corners.
     """
     _check_value("size", int, size, AT_LEAST_1)
-    if kind not in _SYNTHETIC:
+    if _check_value("kind", str, kind) not in _SYNTHETIC:
         raise ValueError(f"unknown synthetic dataset kind {kind!r}")
     num_classes, (min_n, min_m), draw = _SYNTHETIC[kind]
-    n, m = shape
+    if np.array(shape, dtype=object).shape != (2,):
+        raise ValueError(f"shape must be (rows, columns), got {shape!r}")
+    n, m = (_check_value(f"shape[{i}]", int, side, AT_LEAST_1) for i, side in enumerate(shape))
     if n < min_n or m < min_m:
         raise ValueError(f"{kind} need at least a {min_n}x{min_m} grid")
     rng = np.random.default_rng(seed)

@@ -55,7 +55,7 @@ DRAW_VALUES = 1 << 16
 
 FLOW = "wasserstein_flow"
 PIXEL = "laplace_pixel"
-_SCHEMES = (FLOW, PIXEL)
+_SCHEME = (f"one of {(FLOW, PIXEL)}", lambda v: v in (FLOW, PIXEL))  # _check_value range
 
 # Certified-radius coefficients rho = c * sigma * ln(p / (1 - p)) per
 # (smoothing scheme, ground metric of the Wasserstein ball).  Flow smoothing
@@ -72,11 +72,6 @@ _RADIUS_COEFF = {
 }
 
 
-def _check_scheme(scheme: str):
-    if scheme not in _SCHEMES:
-        raise ValueError(f"unknown noise scheme {scheme!r}, expected one of {_SCHEMES}")
-
-
 @dataclass(frozen=True)
 class NoiseSpec:
     """Smoothing noise description: scheme plus per-coordinate standard
@@ -87,7 +82,7 @@ class NoiseSpec:
     sigma: float
 
     def __post_init__(self):
-        _check_scheme(self.scheme)
+        _check_value("scheme", str, self.scheme, _SCHEME)
         _check_value("sigma", float, self.sigma, AT_LEAST_0)
 
     @property
@@ -271,6 +266,7 @@ def smoothed_predict(params, x, spec: NoiseSpec, n: int = 10000, alpha: float = 
     """
     _check_value("n", int, n, AT_LEAST_1)
     _check_value("alpha", float, alpha, OPEN_UNIT)
+    _check_value("workers", int, workers, AT_LEAST_1)
     counts, remaining = 0, n
     for tally in _vote_counts(params, x, spec, n, rng, workers):
         counts = counts + tally
@@ -301,7 +297,7 @@ def radius_from_plower(p_lower: float, sigma: float, scheme: str,
     rho = c * sigma * ln(p / (1 - p)) with c depending on the smoothing
     scheme and the ground metric; see _RADIUS_COEFF.
     """
-    _check_scheme(scheme)
+    _check_value("scheme", str, scheme, _SCHEME)
     if not isinstance(ground, GroundMetric):
         raise ValueError(f"ground must be a GroundMetric, got {ground!r}")
     _check_value("p_lower", float, p_lower, ("in [0, 1]", lambda v: 0 <= v <= 1))
@@ -328,6 +324,7 @@ def certify(params, x, spec: NoiseSpec, n0: int = 1000, n: int = 10000,
     _check_value("n0", int, n0, AT_LEAST_1)
     _check_value("n", int, n, AT_LEAST_1)
     _check_value("alpha", float, alpha, OPEN_UNIT)
+    _check_value("workers", int, workers, AT_LEAST_1)
     r_guess, r_bound = np.random.default_rng(rng).spawn(2)
     top = int(np.argmax(sum(_vote_counts(params, x, spec, n0, r_guess, workers))))
     counts = sum(_vote_counts(params, x, spec, n, r_bound, workers))

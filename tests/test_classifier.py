@@ -213,15 +213,16 @@ class TestTraining:
             assert np.array_equal(pa, pb)
 
     def test_zero_sigma_flow_matches_zero_sigma_pixel(self):
-        # The noise stream must stay unconsumed when it would only add zeros,
-        # so the scheme cannot matter at sigma 0.
+        # At sigma 0 the sampler adds zeros and leaves the noise stream
+        # unconsumed, so the scheme cannot matter, with or without a hidden layer.
         ds = synthetic_dataset("blobs", 30, seed=4)
-        flow, pixel = (train(ds, TrainConfig(epochs=4, batch_size=10, learning_rate=0.5,
-                                             noise=scheme, sigma=0.0, seed=11))
-                       for scheme in (FLOW, PIXEL))
-        assert flow.epoch_losses == pixel.epoch_losses
-        for pa, pb in zip(flow.params.arrays(), pixel.params.arrays()):
-            assert np.array_equal(pa, pb)
+        for hidden in (None, 8):
+            flow, pixel = (train(ds, TrainConfig(epochs=4, batch_size=10, learning_rate=0.5,
+                                                 noise=scheme, sigma=0.0, seed=11), hidden)
+                           for scheme in (FLOW, PIXEL))
+            assert flow.epoch_losses == pixel.epoch_losses
+            for pa, pb in zip(flow.params.arrays(), pixel.params.arrays(), strict=True):
+                assert np.array_equal(pa, pb)
 
     def test_noise_changes_trajectory(self):
         ds = synthetic_dataset("blobs", 30, seed=4)

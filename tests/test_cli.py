@@ -579,11 +579,12 @@ class TestConfigHandling:
         with pytest.raises(SystemExit, match="valid JSON"):
             run(["train", "--config", str(path)])
 
-    def test_env_out_dir_between_config_and_flags(self, config_path, tmp_path, monkeypatch):
+    def test_out_dir_ignores_the_environment(self, config_path, tmp_path, monkeypatch):
         env_dir = tmp_path / "env_out"
         monkeypatch.setenv("WSMOOTH_OUT_DIR", str(env_dir))
         run(["train", "--config", str(config_path), "--epochs", "2"])
-        assert (env_dir / "train_summary.json").exists()
+        assert not env_dir.exists()
+        assert (tmp_path / "out" / "train_summary.json").exists()  # the config's out_dir
         flag_dir = tmp_path / "flag_out"
         run(["train", "--config", str(config_path), "--epochs", "2",
              "--out-dir", str(flag_dir)])

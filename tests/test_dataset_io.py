@@ -306,6 +306,22 @@ class TestSynthetic:
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
             synthetic_dataset("stripes", 5)
+        with pytest.raises(ValueError, match=r"^kind must be a string, got \['blobs'\]$"):
+            synthetic_dataset(["blobs"], 3)
+
+    @pytest.mark.parametrize("shape, words", [
+        ((6.5, 6), r"shape\[0\] must be an integer, got 6.5"),
+        ((6, 6.0), r"shape\[1\] must be an integer, got 6.0"),
+        ((True, 6), r"shape\[0\] must be an integer, got True"),
+        ((6, 0), r"shape\[1\] must be >= 1, got 0"),
+        ((6, 6, 6), r"shape must be \(rows, columns\), got \(6, 6, 6\)"),
+        (6, r"shape must be \(rows, columns\), got 6"),
+        (((6,), 6), r"shape\[0\] must be an integer, got \(6,\)"),
+    ], ids=["float_rows", "float_columns", "bool_rows", "zero_columns", "three_sides", "scalar",
+            "nested"])
+    def test_rejects_bad_shapes(self, shape, words):
+        with pytest.raises(ValueError, match=f"^{words}$"):
+            synthetic_dataset("blobs", 3, shape=shape)
 
     @pytest.mark.parametrize("size, words", [(0, ">= 1, got 0"), (True, "an integer, got True"),
                                              (2.5, "an integer, got 2.5")])

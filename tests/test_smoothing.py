@@ -103,8 +103,13 @@ class TestNoiseSpec:
         assert spec.scale == pytest.approx(0.1 / math.sqrt(2.0), abs=1e-15)
 
     def test_rejects_unknown_scheme(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^scheme must be one of \('wasserstein_flow', "
+                                             r"'laplace_pixel'\), got 'gaussian'$"):
             NoiseSpec("gaussian", 0.1)
+        with pytest.raises(ValueError, match="^scheme must be a string, got None$"):
+            NoiseSpec(None, 0.1)
+        with pytest.raises(ValueError, match=r"^scheme must be a string, got \['x'\]$"):
+            radius_from_plower(0.9, 0.1, ["x"])
 
     def test_rejects_negative_or_nan_sigma(self):
         with pytest.raises(ValueError):
@@ -710,6 +715,11 @@ class TestCertify:
                                 (dict(alpha=0), r"alpha must be in \(0, 1\), got 0.0")):
             with pytest.raises(ValueError, match=message):
                 smoothed_predict(clf, x, NoiseSpec(FLOW, 0.1), **budget)
+        for workers, message in ((2.5, "an integer, got 2.5"), (True, "an integer, got True"),
+                                 (0, ">= 1, got 0"), (-3, ">= 1, got -3")):
+            for call in (certify, smoothed_predict):
+                with pytest.raises(ValueError, match=f"^workers must be {message}$"):
+                    call(clf, x, NoiseSpec(FLOW, 0.1), workers=workers)
         assert draws == []
 
 

@@ -298,6 +298,10 @@ def error_cases() -> dict:
         "radius/projection": lambda: project_l1_ball(np.ones(3), True),
         "empty_dataset": lambda: synthetic_dataset("blobs", 5).subset([]),
         "tally/negative": lambda: prediction_from_counts([5, -3], 0.05),
+        "count/workers": lambda: certify(params, ninth, spec, 10, 10, workers=2.5),
+        "shape/synthetic": lambda: synthetic_dataset("blobs", 3, shape=(6.5, 6)),
+        "kind/synthetic": lambda: synthetic_dataset(["blobs"], 3),
+        "scheme/non_string": lambda: NoiseSpec(None, 0.1),
     }
     for rule, call in refusals.items():
         out[f"errors/{rule}"] = _refusal(call)
