@@ -104,59 +104,6 @@ def _number_list(text: str) -> list[float]:
         raise SystemExit(f"error: --radii must be comma-separated numbers, got {text!r}")
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="wsmooth",
-        description="Wasserstein-smoothed classification: train, certify, attack.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(p, flag, key, help):
-        kind = _SCHEMA[key][0]
-        p.add_argument(flag, dest=key, type=_number_list if kind == [float] else kind, help=help)
-
-    def add_common(p, model=True, workers=False):  # only the flags the command reads
-        p.add_argument("--config", type=Path, help="JSON settings file")
-        add(p, "--seed", "seed", "master seed for all randomness")
-        if model:
-            add(p, "--out-dir", "out_dir", "directory for outputs")
-            add(p, "--scheme", "scheme", "noise scheme: flow or pixel")
-            add(p, "--sigma", "sigma", "noise standard deviation (> 0)")
-            add(p, "--checkpoint", "checkpoint", "model checkpoint path (.npz)")
-        if workers:
-            add(p, "--workers", "workers", "sampling worker threads")
-
-    p = sub.add_parser("train", help="train a base classifier under smoothing noise")
-    add_common(p)
-    add(p, "--epochs", "train.epochs", "training epochs")
-
-    p = sub.add_parser("predict", help="smoothed predictions on the test split")
-    add_common(p, workers=True)
-    add(p, "--n", "predict.n", "prediction sample cap; the decision is the n-draw test's")
-    add(p, "--alpha", "predict.alpha", "abstention significance level")
-
-    p = sub.add_parser("certify", help="certified radii on the test split")
-    add_common(p, workers=True)
-    add(p, "--n0", "certify.n0", "class-guess sample count")
-    add(p, "--n", "certify.n", "bound sample count")
-    add(p, "--alpha", "certify.alpha", "confidence level alpha")
-
-    p = sub.add_parser("attack", help="flow-domain PGD attack curve on the test split")
-    add_common(p)
-    add(p, "--radii", "attack.radii", "comma-separated L1 budgets, e.g. 0,0.005,0.01")
-    add(p, "--max-images", "attack.max_images", "attack at most this many test images")
-
-    p = sub.add_parser("oracle-check", help="cross-validate the transport oracles")
-    add_common(p, model=False)
-    p.add_argument("--pairs", type=int, default=50, help="random image pairs per property")
-
-    p = sub.add_parser("report", help="merge certify tables into a comparison report")
-    add_common(p, model=False)
-    add(p, "--out-dir", "out_dir", "directory for the report")
-    p.add_argument("tables", nargs="+", type=Path, help="certificates.csv files to merge")
-    return parser
-
-
 def _load_json(path: Path | None) -> dict:
     if path is None:
         return {}
@@ -238,39 +185,32 @@ def _load_split(cfg: dict, split: str, num_classes: int | None = None) -> datase
         raise SystemExit(f"error: cannot load the {split} split: {exc}")
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _write_table(path: Path, meta: dict, header: list[str], rows: list[list]):
+def _write_table(path: Path, meta: dict, header, rows):
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         fh.write("# " + " ".join(f"{k}={v}" for k, v in meta.items()) + "\n")
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.write(",".join("" if v is None else str(v) for v in row) + "\n")
+
+
+def _header(cfg: dict, command: str, **fields) -> dict:
+    """The run's command, scheme, sigma and seed, then ``fields``: the
+    metadata line of its tables and the head of its summary."""
+    return {"command": command, "scheme": cfg["scheme"], "sigma": cfg["sigma"],
+            "seed": cfg["seed"], **fields}
 
 
 def _write_summary(cfg: dict, command: str, **fields) -> dict:
-    """Write ``<command>_summary.json`` to the output directory: the run's
-    command, scheme, sigma and seed, then ``fields``.  Returns the summary."""
-    summary = {"command": command, "scheme": cfg["scheme"], "sigma": cfg["sigma"],
-               "seed": cfg["seed"], **fields}
+    """Write ``<command>_summary.json`` to the output directory: the run
+    header, then ``fields``.  Returns the summary."""
+    summary = _header(cfg, command, **fields)
     out = Path(cfg["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
     with open(out / f"{command}_summary.json", "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return summary
-
-
-def _meta(cfg: dict, command: str, **extra) -> dict:
-    return {"command": command, "scheme": cfg["scheme"], "sigma": _fmt(cfg["sigma"]),
-            "seed": cfg["seed"], **extra}
 
 
 def _cmd_train(cfg: dict) -> int:
@@ -324,38 +264,47 @@ def _load_model(cfg: dict) -> tuple[clf.ClassifierParams, dataset_io.LabeledData
     return params, dataset
 
 
-def _certify_stats(rows: list[tuple]) -> dict:
-    """Summary statistics of a certify run from its per-image (label,
-    base_prediction, prediction, rho2) rows.  An abstention is never
-    correct, and a wrong class's radius is not a certified radius."""
+# The columns of certificates.csv: certify writes them, report reads them.
+_CERTIFY_COLUMNS = ("id", "label", "base_prediction", "prediction", "p_lower", "rho2", "abstained")
+
+
+def _certify_stats(rows: list[dict]) -> dict:
+    """Summary statistics of a certify run from its per-image rows, keyed
+    by _CERTIFY_COLUMNS.  An abstention is never correct, and a wrong
+    class's radius is not a certified radius."""
     num = len(rows)
+    correct = [r["prediction"] == r["label"] != ABSTAIN for r in rows]
     return {
-        "base_accuracy": sum(base == label for label, base, _, _ in rows) / num,
-        "accuracy": sum(pred == label != ABSTAIN for label, _, pred, _ in rows) / num,
-        "abstention_rate": sum(pred == ABSTAIN for _, _, pred, _ in rows) / num,
+        "base_accuracy": sum(r["base_prediction"] == r["label"] for r in rows) / num,
+        "accuracy": sum(correct) / num,
+        "abstention_rate": sum(r["prediction"] == ABSTAIN for r in rows) / num,
         "median_certified_radius": median_certified_radius(
-            [rho2 if pred == label != ABSTAIN else None for label, _, pred, rho2 in rows]),
+            [r["rho2"] if ok else None for r, ok in zip(rows, correct)]),
     }
+
+
+def _per_image(cfg: dict, command: str, decide, params, x_all, *settings) -> list:
+    """``decide(params, x, noise, *settings, stream)`` for each test image
+    x, with the run's workers, on one stream per image spawned from the
+    command's derived seed."""
+    streams = np.random.default_rng(_derived_seeds(cfg)[command]).spawn(len(x_all))
+    return [decide(params, x, cfg["noise"], *settings, stream, workers=cfg["workers"])
+            for x, stream in zip(x_all, streams)]
 
 
 def _cmd_predict(cfg: dict) -> int:
     params, dataset = _load_model(cfg)
     n, alpha = cfg["predict.n"], cfg["predict.alpha"]
-    rng = np.random.default_rng(_derived_seeds(cfg)["predict"])
-    streams = rng.spawn(len(dataset))
     x_all, y_all = dataset.as_arrays()
-    rows, draws = [], 0
-    for i in range(len(dataset)):
-        pred = smoothed_predict(params, x_all[i], cfg["noise"], n, alpha, streams[i],
-                                workers=cfg["workers"])
-        draws += pred.num_samples
-        rows.append([i, int(y_all[i]), pred.predicted, float(pred.p_value),
-                     int(pred.predicted == ABSTAIN)])
-    meta = _meta(cfg, "predict", n=n, alpha=_fmt(alpha))
-    _write_table(Path(cfg["out_dir"]) / "predictions.csv", meta,
+    preds = _per_image(cfg, "predict", smoothed_predict, params, x_all, n, alpha)
+    rows = [[i, int(y), p.predicted, float(p.p_value), int(p.predicted == ABSTAIN)]
+            for i, (y, p) in enumerate(zip(y_all, preds))]
+    _write_table(Path(cfg["out_dir"]) / "predictions.csv",
+                 _header(cfg, "predict", n=n, alpha=alpha),
                  ["id", "label", "prediction", "p_value", "abstained"], rows)
     summary = _write_summary(
-        cfg, "predict", n=n, alpha=alpha, num_images=len(dataset), draws=draws,
+        cfg, "predict", n=n, alpha=alpha, num_images=len(dataset),
+        draws=sum(p.num_samples for p in preds),
         accuracy=sum(pred == label for _, label, pred, _, _ in rows) / len(rows),
         abstention_rate=sum(abstained for *_, abstained in rows) / len(rows))
     print(f"predict: accuracy {summary['accuracy']:.3f}, "
@@ -366,24 +315,17 @@ def _cmd_predict(cfg: dict) -> int:
 def _cmd_certify(cfg: dict) -> int:
     params, dataset = _load_model(cfg)
     n0, n, alpha = cfg["certify.n0"], cfg["certify.n"], cfg["certify.alpha"]
-    rng = np.random.default_rng(_derived_seeds(cfg)["certify"])
-    streams = rng.spawn(len(dataset))
     x_all, y_all = dataset.as_arrays()
     base_predictions = np.argmax(params.forward_batch(x_all), axis=1)
-    rows = []
-    for i in range(len(dataset)):
-        cert = certify(params, x_all[i], cfg["noise"], n0, n, alpha, streams[i],
-                       workers=cfg["workers"])
-        rows.append([i, int(y_all[i]), int(base_predictions[i]), cert.predicted,
-                     float(cert.p_lower), cert.rho2, int(cert.predicted == ABSTAIN)])
-    meta = _meta(cfg, "certify", n0=n0, n=n, alpha=_fmt(alpha))
-    _write_table(Path(cfg["out_dir"]) / "certificates.csv", meta,
-                 ["id", "label", "base_prediction", "prediction", "p_lower", "rho2", "abstained"],
-                 rows)
-    stats = _certify_stats([(label, base, pred, rho2)
-                            for _, label, base, pred, _, rho2, _ in rows])
+    certs = _per_image(cfg, "certify", certify, params, x_all, n0, n, alpha)
+    rows = [dict(zip(_CERTIFY_COLUMNS, (i, int(y), int(base), c.predicted, float(c.p_lower),
+                                        c.rho2, int(c.predicted == ABSTAIN))))
+            for i, (y, base, c) in enumerate(zip(y_all, base_predictions, certs))]
+    _write_table(Path(cfg["out_dir"]) / "certificates.csv",
+                 _header(cfg, "certify", n0=n0, n=n, alpha=alpha), _CERTIFY_COLUMNS,
+                 map(dict.values, rows))
     summary = _write_summary(cfg, "certify", n0=n0, n=n, alpha=alpha, num_images=len(dataset),
-                             **stats)
+                             **_certify_stats(rows))
     median = summary["median_certified_radius"]
     med = "not certified" if median is None else f"{median:.6f}"
     print(f"certify: accuracy {summary['accuracy']:.3f}, "
@@ -402,20 +344,16 @@ def _cmd_attack(cfg: dict) -> int:
                                           _seed_int(cfg, "attack"))
     except ValueError as exc:
         raise SystemExit(f"error: attack: {exc}")
-    meta = _meta(cfg, "attack", iterations=acfg.iterations,
-                 gradient_samples=acfg.gradient_samples, predict_samples=acfg.predict_samples)
+    meta = _header(cfg, "attack", iterations=acfg.iterations,
+                   gradient_samples=acfg.gradient_samples, predict_samples=acfg.predict_samples)
     out = Path(cfg["out_dir"])
-    _write_table(out / "attack_curve.csv", meta, ["radius", "accuracy"],
-                 [[rho, acc] for rho, acc in curve])
-    res_rows = []
-    for i, res in enumerate(results):
-        res_rows.append([
-            i, int(dataset.labels[i]), int(res.clean_correct), int(res.success),
-            float(res.budget), res.iteration, res.oracle_radius,
-        ])
+    _write_table(out / "attack_curve.csv", meta, ["radius", "accuracy"], curve)
     _write_table(out / "attack_results.csv", meta,
                  ["id", "label", "clean_correct", "success", "budget",
-                  "first_iteration", "oracle_radius"], res_rows)
+                  "first_iteration", "oracle_radius"],
+                 [[i, int(label), int(res.clean_correct), int(res.success), float(res.budget),
+                   res.iteration, res.oracle_radius]
+                  for i, (label, res) in enumerate(zip(dataset.labels, results))])
     _write_summary(cfg, "attack", num_images=len(dataset), radii=radii,
                    clean_accuracy=float(np.mean([r.clean_correct for r in results])),
                    curve={repr(float(rho)): acc for rho, acc in curve})
@@ -470,10 +408,12 @@ def _cmd_report(cfg: dict, tables: list[Path]) -> int:
         try:
             sigma = NoiseSpec(_SCHEME_MAP[meta["scheme"]], float(meta["sigma"])).sigma
             int(meta["n0"]), int(meta["n"]), float(meta["alpha"])
-            parsed = [(r["id"], float(r["p_lower"]), int(r["label"]), int(r["base_prediction"]),
-                       int(r["prediction"]), float(r["rho2"]) if r["rho2"] else None)
-                      for r in rows]
-            stats = _certify_stats([p[2:] for p in parsed])
+            for r in rows:  # id must be present; an empty rho2 cell is no radius
+                r.update(id=r["id"], p_lower=float(r["p_lower"]), label=int(r["label"]),
+                         base_prediction=int(r["base_prediction"]),
+                         prediction=int(r["prediction"]),
+                         rho2=float(r["rho2"]) if r["rho2"] else None)
+            stats = _certify_stats(rows)
         except (KeyError, ValueError) as exc:
             raise SystemExit(f"error: {path} has malformed metadata or rows ({exc!r})")
         entries.append({
@@ -505,16 +445,59 @@ def _cmd_report(cfg: dict, tables: list[Path]) -> int:
     return 0
 
 
+_MODEL = {"out_dir": "directory for outputs", "scheme": "noise scheme: flow or pixel",
+          "sigma": "noise standard deviation (> 0)", "checkpoint": "model checkpoint path (.npz)"}
+_WORKERS = {"workers": "sampling worker threads"}
+
+# Each command: its handler, its help, and the config keys its flags set,
+# each with its flag's help.  Every command also takes --config and --seed;
+# oracle-check's --pairs and report's tables are added by _build_parser.
+_COMMANDS = {
+    "train": (_cmd_train, "train a base classifier under smoothing noise",
+              {**_MODEL, "train.epochs": "training epochs"}),
+    "predict": (_cmd_predict, "smoothed predictions on the test split", {
+        **_MODEL, **_WORKERS,
+        "predict.n": "prediction sample cap; the decision is the n-draw test's",
+        "predict.alpha": "abstention significance level"}),
+    "certify": (_cmd_certify, "certified radii on the test split", {
+        **_MODEL, **_WORKERS, "certify.n0": "class-guess sample count",
+        "certify.n": "bound sample count", "certify.alpha": "confidence level alpha"}),
+    "attack": (_cmd_attack, "flow-domain PGD attack curve on the test split", {
+        **_MODEL, "attack.radii": "comma-separated L1 budgets, e.g. 0,0.005,0.01",
+        "attack.max_images": "attack at most this many test images"}),
+    "oracle-check": (_cmd_oracle_check, "cross-validate the transport oracles", {}),
+    "report": (_cmd_report, "merge certify tables into a comparison report",
+               {"out_dir": _MODEL["out_dir"]}),
+}
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    """One subparser per _COMMANDS entry.  A key's flag is its last part
+    with "-" for "_" (train.epochs -> --epochs), and its dest is the key."""
+    parser = argparse.ArgumentParser(
+        prog="wsmooth",
+        description="Wasserstein-smoothed classification: train, certify, attack.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (_, about, flags) in _COMMANDS.items():
+        p = sub.add_parser(command, help=about)
+        p.add_argument("--config", type=Path, help="JSON settings file")
+        for key, flag_help in {"seed": "master seed for all randomness", **flags}.items():
+            kind = _SCHEMA[key][0]
+            p.add_argument("--" + key.split(".")[-1].replace("_", "-"), dest=key,
+                           type=_number_list if kind == [float] else kind, help=flag_help)
+    sub.choices["oracle-check"].add_argument("--pairs", type=int, default=50,
+                                             help="random image pairs per property")
+    sub.choices["report"].add_argument("tables", nargs="+", type=Path,
+                                       help="certificates.csv files to merge")
+    return parser
+
+
 def run(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    cfg = _merge_config(args)
-    commands = {
-        "train": _cmd_train, "predict": _cmd_predict, "certify": _cmd_certify,
-        "attack": _cmd_attack,
-        "oracle-check": lambda cfg: _cmd_oracle_check(cfg, args.pairs),
-        "report": lambda cfg: _cmd_report(cfg, args.tables),
-    }
-    return commands[args.command](cfg)
+    extras = {k: v for k, v in vars(args).items()  # --pairs, tables
+              if k not in _SCHEMA.keys() | {"command", "config"}}
+    return _COMMANDS[args.command][0](_merge_config(args), **extras)
 
 
 def main() -> int:

@@ -124,7 +124,10 @@ class LabeledDataset:
         return self.images, self.labels.copy()
 
     def subset(self, indices) -> "LabeledDataset":
-        indices = np.asarray(indices, dtype=int)
+        indices = np.asarray(indices)
+        if indices.size and indices.dtype.kind not in "iu":  # not a bool mask, not cast floats
+            raise ValueError(f"indices must be integers, got dtype {indices.dtype}")
+        indices = indices.astype(int)
         return LabeledDataset(self.images[indices], self.labels[indices], self.num_classes)
 
 

@@ -166,10 +166,11 @@ def _sample_increments(spec: NoiseSpec, cshape: tuple[int, int, int], size: int,
 def _fold_first_layer(params, channels: np.ndarray, spec: NoiseSpec):
     """The classifier e -> params(channels + D e) over noise draws e, as a
     ClassifierParams whose first layer is (D^T W0, channels W0 + b0)."""
-    w0 = params.weights[0]
-    if channels.size != w0.shape[0]:
-        raise ValueError(f"image of {channels.size} pixels fed to classifier "
-                         f"expecting {w0.shape[0]}")
+    w0, shape = params.weights[0], params.input_shape
+    expected = shape if len(shape) == 3 else (1, *shape)  # (n, m) is one channel
+    if channels.shape != expected:
+        raise ValueError(f"image of shape {channels.shape} fed to classifier "
+                         f"expecting {expected}")
     if not np.isfinite(channels).all():
         raise ValueError("image pixels must be finite")
     g = w0  # pixel noise: D = I

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import math
@@ -266,14 +267,20 @@ class TestOracleCheckCommand:
         assert "PASS" in proc.stdout
 
 
+def certify_row(label, base_prediction, prediction, rho2):
+    """A certify row keyed by its column names, as certify and report pass it."""
+    return {"label": label, "base_prediction": base_prediction, "prediction": prediction,
+            "rho2": rho2}
+
+
 class TestCertifyStats:
     def test_abstentions_and_wrong_classes_certify_nothing(self):
-        rows = [  # (label, base_prediction, prediction, rho2)
+        rows = [certify_row(*row) for row in [
             (0, 0, 0, 0.3),
             (1, 0, 1, 0.2),  # the base classifier is wrong, the smoothed one right
             (0, 0, ABSTAIN, None),
             (1, 1, 0, 0.5),  # wrong class: its radius is ignored
-        ]
+        ]]
         assert _certify_stats(rows) == {
             "base_accuracy": 0.75, "accuracy": 0.5, "abstention_rate": 0.25,
             # 2 of 4 must be correct at radius >= rho; counting the wrong
@@ -282,7 +289,7 @@ class TestCertifyStats:
         }
 
     def test_an_abstention_never_matches_a_label(self):
-        stats = _certify_stats([(ABSTAIN, 0, ABSTAIN, None)])
+        stats = _certify_stats([certify_row(ABSTAIN, 0, ABSTAIN, None)])
         assert stats["accuracy"] == 0.0
         assert stats["median_certified_radius"] is None
 
@@ -568,6 +575,31 @@ class TestConfigHandling:
         assert exc.value.code == 2
         assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    def test_each_command_takes_the_flags_readme_lists(self):
+        # README's "Command line" section: all commands take --config and
+        # --seed; train, predict, certify and attack the model flags; report
+        # --out-dir; oracle-check --pairs; predict and certify --workers.
+        model = {"--out-dir", "--scheme", "--sigma", "--checkpoint"}
+        listed = {
+            "train": model | {"--epochs"},
+            "predict": model | {"--workers", "--n", "--alpha"},
+            "certify": model | {"--workers", "--n0", "--n", "--alpha"},
+            "attack": model | {"--radii", "--max-images"},
+            "oracle-check": {"--pairs"},
+            "report": {"--out-dir"},
+        }
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("## Command line")[1].split("\n## ")[0]
+        sub = next(a for a in _build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert set(sub.choices) == set(listed)
+        for command, flags in listed.items():
+            actions = [a for a in sub.choices[command]._actions if a.dest != "help"]
+            options = {flag for a in actions for flag in a.option_strings}
+            assert options == flags | {"--config", "--seed"}, command
+            assert all(a.help for a in actions), command
+            assert all(f"`{flag}`" in section for flag in options), command
 
     def test_rejects_missing_config(self, tmp_path):
         with pytest.raises(SystemExit, match="not found"):

@@ -238,6 +238,21 @@ class TestLabeledDataset:
         assert np.array_equal(sub.labels, [1, 0])
         assert np.array_equal(sub.as_arrays()[0], ds.as_arrays()[0][[3, 0]])
 
+    @pytest.mark.parametrize("indices", [[True, False, True, False], [0.7, 2.2],
+                                         np.array([0.0, 1.0]), ["0"]],
+                             ids=["bool_mask", "fractions", "whole_floats", "strings"])
+    def test_subset_refuses_indices_that_are_not_integers(self, indices):
+        # A bool mask used to pick images 1, 0, 1, 0, and 0.7, 2.2 images 0 and 2.
+        ds = LabeledDataset(np.eye(4).reshape(4, 2, 2), np.array([0, 1, 0, 1]), 2)
+        with pytest.raises(ValueError, match="indices must be integers, got dtype"):
+            ds.subset(indices)
+
+    def test_subset_takes_integer_arrays_of_any_width(self):
+        ds = LabeledDataset(np.eye(4).reshape(4, 2, 2), np.array([0, 1, 0, 1]), 2)
+        for indices in (np.arange(3), np.array([2, 1], dtype=np.uint8), [np.int32(3)]):
+            sub = ds.subset(indices)
+            assert np.array_equal(sub.as_arrays()[0], ds.as_arrays()[0][np.asarray(indices)])
+
 
 class TestMakeDataset:
     def test_passes_labels_through(self):

@@ -246,8 +246,33 @@ class TestFold:
 
     def test_rejects_image_of_wrong_size(self):
         params = init_params((3, 3), 2, rng=np.random.default_rng(0))
-        with pytest.raises(ValueError, match="9"):
+        with pytest.raises(ValueError, match=r"shape \(1, 2, 2\) .* expecting \(1, 3, 3\)"):
             smoothed_predict(params, np.full((2, 2), 0.25), NoiseSpec(FLOW, 0.1), n=10)
+
+    @pytest.mark.parametrize("model_shape, image_shape", [
+        ((4, 6), (6, 4)), ((4, 6), (1, 6, 4)), ((2, 3, 4), (3, 2, 4)), ((2, 3, 4), (6, 4)),
+    ])
+    def test_rejects_image_of_same_size_but_other_shape(self, model_shape, image_shape):
+        # Only the pixel count used to be checked, so a (6, 4) image ran
+        # through a (4, 6) model over the wrong grid.
+        params = init_params(model_shape, 2, rng=np.random.default_rng(0))
+        x = np.full(image_shape, 1 / 24)
+        spec = NoiseSpec(FLOW, 0.1)
+        calls = (lambda: smoothed_predict(params, x, spec, n=10),
+                 lambda: certify(params, x, spec, n0=10, n=20),
+                 lambda: flow_pgd_attack(params, x, 1, spec, AttackConfig(iterations=1)))
+        for call in calls:
+            with pytest.raises(ValueError, match="image of shape .* fed to classifier expecting"):
+                call()
+
+    @pytest.mark.parametrize("model_shape", [(4, 6), (1, 4, 6)])
+    def test_one_channel_image_fits_either_form_of_its_shape(self, model_shape):
+        params = init_params(model_shape, 2, rng=np.random.default_rng(0))
+        spec = NoiseSpec(FLOW, 0.1)
+        x = np.full((4, 6), 1 / 24)
+        preds = [smoothed_predict(params, image, spec, 50, rng=np.random.default_rng(3))
+                 for image in (x, x[None])]
+        assert preds[0] == preds[1]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_image(self, bad):

@@ -302,6 +302,9 @@ def error_cases() -> dict:
         "shape/synthetic": lambda: synthetic_dataset("blobs", 3, shape=(6.5, 6)),
         "kind/synthetic": lambda: synthetic_dataset(["blobs"], 3),
         "scheme/non_string": lambda: NoiseSpec(None, 0.1),
+        "shape/image": lambda: certify(init_params((4, 6), 2), np.full((6, 4), 1 / 24), spec,
+                                       10, 10),
+        "subset/mask": lambda: synthetic_dataset("blobs", 4).subset([True, False, True, False]),
     }
     for rule, call in refusals.items():
         out[f"errors/{rule}"] = _refusal(call)
