@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .flow_domain import (AT_LEAST_0, AT_LEAST_1, AT_LEAST_2, POSITIVE, _check_fields,
-                          _check_value)
+                          _check_value, channel_shape)
 from .smoothing import FLOW, NoiseSpec, _sample_increments
 
 CHECKPOINT_VERSION = 1
@@ -196,7 +196,7 @@ def train(dataset, config: TrainConfig, hidden: int | None = None) -> TrainResul
     params = init_params(X.shape[1:], dataset.num_classes, hidden, r_init)
     velocity = [np.zeros_like(a) for a in params.arrays()]
     spec = NoiseSpec(config.noise, config.sigma)
-    cshape = X.shape[1:] if X.ndim == 4 else (1,) + X.shape[1:]
+    cshape = channel_shape(X.shape[1:])
     losses = []
     num = len(X)
     starts = range(0, num, config.batch_size)

@@ -23,7 +23,7 @@ import numpy as np
 from . import classifier as clf
 from . import dataset_io
 from .attack import AttackConfig, robustness_curve
-from .flow_domain import AT_LEAST_0, AT_LEAST_1, OPEN_UNIT, POSITIVE, _check_value
+from .flow_domain import AT_LEAST_0, AT_LEAST_1, OPEN_UNIT, POSITIVE, _check_value, channel_shape
 from .smoothing import (
     ABSTAIN,
     FLOW,
@@ -31,6 +31,7 @@ from .smoothing import (
     NoiseSpec,
     certify,
     median_certified_radius,
+    radius_from_plower,
     smoothed_predict,
 )
 from .transport_oracle import run_oracle_checks
@@ -138,9 +139,6 @@ def _merge_config(args: argparse.Namespace) -> dict:
         values.update(given)
     values.update((key, v) for key, v in vars(args).items() if key in _SCHEMA and v is not None)
     cfg = {key: _checked(key, value) for key, value in values.items()}
-    if len(cfg["dataset.shape"]) != 2:
-        raise SystemExit(f"error: dataset.shape must be [rows, columns], "
-                         f"got {cfg['dataset.shape']!r}")
     missing = [name for name in _IDX_PATHS if f"idx.{name}" not in cfg]
     if "idx" in file_cfg and missing:
         raise SystemExit(f"error: the idx section in {path} must name {', '.join(missing)}")
@@ -241,12 +239,13 @@ def _cmd_train(cfg: dict) -> int:
 def _load_model(cfg: dict) -> tuple[clf.ClassifierParams, dataset_io.LabeledDataset]:
     """The checkpoint's classifier and the test split, built with its class
     count, if it was trained under this run's noise on images of the split's
-    shape and class count."""
+    shape (by channel_shape, so (n, m) is (1, n, m)) and class count."""
     ckpt = Path(cfg["checkpoint"])
     if not ckpt.exists():
         raise SystemExit(f"error: checkpoint {ckpt} not found; run `wsmooth train` first")
     try:
         params, trained = clf.load_checkpoint(ckpt)
+        cshape = channel_shape(params.input_shape)
     except (OSError, ValueError, KeyError, zipfile.BadZipFile) as exc:
         raise SystemExit(f"error: checkpoint {ckpt} is not a readable wsmooth checkpoint: {exc!r}")
     noise = cfg["noise"]
@@ -255,7 +254,7 @@ def _load_model(cfg: dict) -> tuple[clf.ClassifierParams, dataset_io.LabeledData
             f"error: checkpoint {ckpt} was trained under {trained.noise} noise at sigma "
             f"{trained.sigma!r}, but this run smooths with {noise.scheme} at sigma {noise.sigma!r}")
     dataset = _load_split(cfg, "test", params.num_classes)
-    if params.input_shape != dataset.image_shape:
+    if cshape != channel_shape(dataset.image_shape):
         raise SystemExit(f"error: checkpoint {ckpt} takes {params.input_shape} images, but the "
                          f"dataset holds {dataset.image_shape} images")
     if params.num_classes != dataset.num_classes:
@@ -264,8 +263,9 @@ def _load_model(cfg: dict) -> tuple[clf.ClassifierParams, dataset_io.LabeledData
     return params, dataset
 
 
-# The columns of certificates.csv: certify writes them, report reads them.
+# certificates.csv's columns and metadata settings: certify writes them, report checks them.
 _CERTIFY_COLUMNS = ("id", "label", "base_prediction", "prediction", "p_lower", "rho2", "abstained")
+_CERTIFY_SETTINGS = ("scheme", "sigma", "seed", "certify.n0", "certify.n", "certify.alpha")
 
 
 def _certify_stats(rows: list[dict]) -> dict:
@@ -380,7 +380,8 @@ def _cmd_oracle_check(cfg: dict, pairs: int) -> int:
     return 0
 
 
-def _read_table(path: Path) -> tuple[dict, list[dict]]:
+def _read_table(path: Path) -> tuple[dict, list[str], dict[int, list[str]]]:
+    """A table's metadata, column names, and each nonblank row's cells by line number."""
     try:
         with open(path, encoding="utf-8") as fh:
             first = fh.readline()
@@ -388,41 +389,48 @@ def _read_table(path: Path) -> tuple[dict, list[dict]]:
                 raise SystemExit(f"error: {path} lacks the `# key=value` metadata line")
             meta = dict(tok.split("=", 1) for tok in first[1:].split())
             header = fh.readline().strip().split(",")
-            rows = [dict(zip(header, line.split(","))) for line in map(str.strip, fh) if line]
+            rows = {k: line.split(",") for k, line in enumerate(map(str.strip, fh), 3) if line}
     except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a token without "="
         raise SystemExit(f"error: cannot read table {path}: {exc}")
-    return meta, rows
+    return meta, header, rows
 
 
 def _cmd_report(cfg: dict, tables: list[Path]) -> int:
     entries = []
     for path in tables:
-        meta, rows = _read_table(path)
+        meta, columns, rows = _read_table(path)
         if meta.get("command") != "certify":
             raise SystemExit(f"error: {path} is not a certify table")
         if not rows:
             raise SystemExit(f"error: {path} holds no rows")
-        # Recompute every summary statistic from the per-image rows, as
-        # certify does; a bad scheme or sigma, a missing or non-numeric
-        # setting or cell, or a NaN radius refuses the table.
-        try:
-            sigma = NoiseSpec(_SCHEME_MAP[meta["scheme"]], float(meta["sigma"])).sigma
-            int(meta["n0"]), int(meta["n"]), float(meta["alpha"])
-            for r in rows:  # id must be present; an empty rho2 cell is no radius
-                r.update(id=r["id"], p_lower=float(r["p_lower"]), label=int(r["label"]),
-                         base_prediction=int(r["base_prediction"]),
-                         prediction=int(r["prediction"]),
-                         rho2=float(r["rho2"]) if r["rho2"] else None)
-            stats = _certify_stats(rows)
+        try:  # each setting by the rule of the config key that sets it
+            run_cfg = {key: _check_value(key, kind, kind(meta[key.split(".")[-1]]), rule)
+                       for key, (kind, rule, _) in _SCHEMA.items() if key in _CERTIFY_SETTINGS}
         except (KeyError, ValueError) as exc:
-            raise SystemExit(f"error: {path} has malformed metadata or rows ({exc!r})")
-        entries.append({
-            "scheme": meta["scheme"],
-            "sigma": sigma,
-            "seed": meta.get("seed", "?"),
-            "num_images": len(rows),
-            **stats,
-        })
+            raise SystemExit(f"error: {path} has malformed metadata ({exc!r})")
+        # Each row's certificate is re-derived from its p_lower as certify
+        # derives it, and a row whose cells say otherwise refuses the table.
+        for line, cells in rows.items():
+            try:
+                if len(cells) != len(columns):
+                    raise ValueError(f"{len(cells)} cells under {len(columns)} columns")
+                r = rows[line] = dict(zip(columns, cells))
+                rho2 = radius_from_plower(float(r["p_lower"]), run_cfg["sigma"],
+                                          _SCHEME_MAP[run_cfg["scheme"]])
+                abstains = rho2 is None  # exactly when p_lower <= 1/2
+                if ((r["rho2"] != "" if abstains else
+                     not math.isclose(float(r["rho2"]), rho2, rel_tol=1e-12))
+                        or int(r["abstained"]) != abstains
+                        or (int(r["prediction"]) == ABSTAIN) != abstains):
+                    raise ValueError(f"its rho2, prediction and abstained cells are not "
+                                     f"the certificate of p_lower {r['p_lower']}")
+                r.update(label=int(r["label"]), prediction=int(r["prediction"]),
+                         base_prediction=int(r["base_prediction"]), rho2=rho2, id=r["id"])
+            except (KeyError, ValueError) as exc:
+                raise SystemExit(f"error: {path} line {line} is malformed ({exc!r})")
+        entries.append({"scheme": run_cfg["scheme"], "sigma": run_cfg["sigma"],
+                        "seed": run_cfg["seed"], "num_images": len(rows),
+                        **_certify_stats(list(rows.values()))})
     entries.sort(key=lambda e: (e["scheme"], e["sigma"]))
     out = Path(cfg["out_dir"])
     header = ["scheme", "sigma", "seed", "num_images", "base_accuracy", "accuracy",

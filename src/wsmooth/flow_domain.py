@@ -76,14 +76,17 @@ def _as_float_grid(values, name: str = "values") -> np.ndarray:
     return a
 
 
+def channel_shape(shape) -> tuple[int, ...]:
+    """The (C, n, m) form of an image shape: (n, m) is the one-channel (1, n, m)."""
+    if len(shape) not in (2, 3):
+        raise ValueError(f"expected a 2-D or 3-D image, got shape {tuple(shape)}")
+    return tuple(shape) if len(shape) == 3 else (1, *shape)
+
+
 def as_channels(x) -> np.ndarray:
     """View an (n, m) or (C, n, m) image as a (C, n, m) float array."""
     a = np.asarray(x, dtype=float)
-    if a.ndim == 2:
-        return a[None]
-    if a.ndim != 3:
-        raise ValueError(f"expected a 2-D or 3-D image, got shape {a.shape}")
-    return a
+    return a.reshape(channel_shape(a.shape))
 
 
 def _check_stack_shape(x: np.ndarray):
@@ -190,7 +193,7 @@ def apply_flow(x, edges) -> RawGrid:
     caller must pass flows made for the image's own shape.
     """
     a = _as_float_grid(x.values if isinstance(x, RawGrid) else x, "image")
-    cshape = (1,) + a.shape
+    cshape = channel_shape(a.shape)
     f = np.asarray(edges, dtype=float)
     if f.shape != (edge_count(cshape),):
         raise ValueError(f"flow of shape {f.shape} applied to image of shape {a.shape}: "

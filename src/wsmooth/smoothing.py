@@ -35,7 +35,7 @@ import numpy as np
 from scipy.special import betainc, betaincinv
 
 from .flow_domain import (AT_LEAST_0, AT_LEAST_1, OPEN_UNIT, POSITIVE, _check_value,
-                          as_channels, divergence, divergence_adjoint, edge_count)
+                          as_channels, channel_shape, divergence, divergence_adjoint, edge_count)
 from .transport_oracle import GroundMetric
 
 # Sentinel prediction that names none of the classes, logit columns 0 ... K-1.
@@ -166,8 +166,7 @@ def _sample_increments(spec: NoiseSpec, cshape: tuple[int, int, int], size: int,
 def _fold_first_layer(params, channels: np.ndarray, spec: NoiseSpec):
     """The classifier e -> params(channels + D e) over noise draws e, as a
     ClassifierParams whose first layer is (D^T W0, channels W0 + b0)."""
-    w0, shape = params.weights[0], params.input_shape
-    expected = shape if len(shape) == 3 else (1, *shape)  # (n, m) is one channel
+    w0, expected = params.weights[0], channel_shape(params.input_shape)
     if channels.shape != expected:
         raise ValueError(f"image of shape {channels.shape} fed to classifier "
                          f"expecting {expected}")

@@ -16,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wsmooth
-from wsmooth import ABSTAIN, AttackConfig, TrainConfig
+from wsmooth import (ABSTAIN, AttackConfig, LabeledDataset, TrainConfig, save_checkpoint,
+                     synthetic_dataset, train)
 from wsmooth.cli import _SCHEMA, _build_parser, _certify_stats, _merge_config, main, run
 
 from analytic import write_idx
@@ -320,6 +321,31 @@ class TestReportCommand:
             med = summary["median_certified_radius"]
             assert row["median_certified_radius"] == ("" if med is None else repr(med))
 
+    @pytest.mark.parametrize("cell, change", [
+        ("rho2", lambda v: repr(float(v) * (1 + 1e-10))), ("rho2", lambda v: ""),
+        ("prediction", lambda v: str(ABSTAIN)), ("abstained", lambda v: "1"),
+    ], ids=["rho2_off", "rho2_empty", "prediction_abstains", "abstained_set"])
+    def test_refuses_a_row_that_is_not_its_certificate(self, config_path, tmp_path, monkeypatch,
+                                                        capsys, cell, change):
+        run(["train", "--config", str(config_path)])
+        run(["certify", "--config", str(config_path)])
+        lines = (tmp_path / "out" / "certificates.csv").read_text().splitlines()
+        columns = lines[1].split(",")
+        at = next(i for i, line in enumerate(lines[2:], 2)  # a certified row
+                  if line.split(",")[columns.index("rho2")])
+        cells = lines[at].split(",")
+        cells[columns.index(cell)] = change(cells[columns.index(cell)])
+        lines[at] = ",".join(cells)
+        table = tmp_path / "certificates.csv"
+        table.write_text("\n".join(lines) + "\n")
+        monkeypatch.setattr(sys, "argv", ["wsmooth", "report", "--out-dir",
+                                          str(tmp_path / "report"), str(table)])
+        capsys.readouterr()
+        assert main() == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {table} line {at + 1} is malformed")
+        assert not (tmp_path / "report").exists()
+
     def test_rejects_non_certify_table(self, config_path, tmp_path):
         run(["train", "--config", str(config_path)])
         run(["predict", "--config", str(config_path)])
@@ -340,9 +366,32 @@ class TestReportCommand:
         (b"# command=certify seed=\xff\n", "cannot read table"),
         (b"# command=certify seed=1 scheme=flow sigma=0.1 n0=100 n=800 alpha=0.05\n"
          b"id,label,base_prediction,prediction,p_lower,rho2,abstained\n0,1,1,1,0.9,nan,0\n",
-         "radii[0] must be a number or None, got nan"),
+         "line 3 is malformed (ValueError('its rho2, prediction and abstained cells are not "
+         "the certificate of p_lower 0.9'))"),
+        (b"# command=certify seed=1 scheme=flow sigma=0.1 n0=100 n=800 alpha=0.05\n"
+         b"id,label,base_prediction,prediction,p_lower,rho2,abstained\n"
+         b"0,1,1,1,5.0,-3.0,0\n1,0,0,0,0.2,7.5,zz\n",
+         "line 3 is malformed (ValueError('p_lower must be in [0, 1], got 5.0'))"),
+        (b"# command=certify seed=1 scheme=flow sigma=0.1 n0=100 n=800 alpha=0.05\n"
+         b"id,label,base_prediction,prediction,p_lower,rho2,abstained\n0,0,0,0,0.2,7.5,0\n",
+         "line 3 is malformed (ValueError('its rho2, prediction and abstained cells are not "
+         "the certificate of p_lower 0.2'))"),
+        (b"# command=certify seed=1 scheme=flow sigma=0.1 n0=-5 n=0 alpha=7\n"
+         b"id,label,base_prediction,prediction,p_lower,rho2,abstained\n0,0,0,-1,0.2,,1\n",
+         "malformed metadata (ValueError('certify.n0 must be >= 1, got -5'))"),
+        (b"# command=certify scheme=flow sigma=0.1 n0=100 n=800 alpha=0.05\n"
+         b"id,label,base_prediction,prediction,p_lower,rho2,abstained\n0,0,0,-1,0.2,,1\n",
+         "malformed metadata (KeyError('seed'))"),
+        (b"# command=certify seed=1 scheme=flow sigma=0.1 n0=100 n=800 alpha=0.05\n"
+         b"id,label,base_prediction,prediction,p_lower,rho2,abstained\n"
+         b"0,0,0,-1,0.2,,1\n\n1,0,0,-1,0.2,,1,7\n",
+         "line 5 is malformed (ValueError('8 cells under 7 columns'))"),
+        (b"# command=certify seed=1 scheme=flow sigma=0.1 n0=100 n=800 alpha=0.05\n"
+         b"id,label,base_prediction,prediction,p_lower,rho2,abstained\n0,0,0,-1,0.2,\n",
+         "line 3 is malformed (ValueError('6 cells under 7 columns'))"),
     ], ids=["bad_radius", "no_scheme", "missing", "token_without_equals", "not_utf8",
-            "nan_radius"])
+            "nan_radius", "p_lower_out_of_range", "radius_below_half", "settings_out_of_range",
+            "no_seed", "long_row", "short_row"])
     def test_rejects_malformed_table(self, tmp_path, monkeypatch, capsys, text, needle):
         table = tmp_path / "certificates.csv"
         if text is not None:
@@ -393,8 +442,10 @@ class TestConfigHandling:
         ({"dataset": {"kind": "stripes"}}, "unknown synthetic dataset kind 'stripes'"),
         ({"dataset": {"shape": [3, 3]}}, "blobs need at least a 4x3 grid"),
         ({"idx": {"label_base": 0}}, "unknown config key 'idx.label_base'"),
-        ({"dataset": {"shape": [3, 8, 8]}}, "dataset.shape must be [rows, columns], got [3, 8, 8]"),
-        ({"dataset": {"shape": [8]}}, "dataset.shape must be [rows, columns], got [8]"),
+        ({"dataset": {"shape": [3, 8, 8]}},
+         "cannot load the train split: shape must be (rows, columns), got (3, 8, 8)"),
+        ({"dataset": {"shape": [8]}},
+         "cannot load the train split: shape must be (rows, columns), got (8,)"),
     ])
     def test_bad_config_exits_with_one_error_line(self, tmp_path, monkeypatch, capsys,
                                                   cfg, needle):
@@ -513,6 +564,8 @@ class TestConfigHandling:
         ("list_meta", "ValueError(\"checkpoint meta is not a JSON object: [{"),
         ("truncated", "is not a readable wsmooth checkpoint: BadZipFile("),
         ("non_finite", "ValueError('weights and biases must be finite')"),
+        ("flat_shape", "ValueError('expected a 2-D or 3-D image, got shape (25,)')"),
+        ("four_sides", "ValueError('expected a 2-D or 3-D image, got shape (1, 1, 5, 5)')"),
     ])
     def test_refuses_a_checkpoint_that_does_not_fit(self, config_path, tmp_path, monkeypatch,
                                                      capsys, fault, needle):
@@ -536,7 +589,8 @@ class TestConfigHandling:
             ckpt.write_bytes(ckpt.read_bytes()[:40])
         else:
             bad = {"unknown_key": {"colour": 1}, "wrong_type": {"epochs": "3"}}.get(fault, {})
-            meta = {"version": 1, "input_shape": [5, 5], "num_classes": 2, "num_layers": 1,
+            sides = {"flat_shape": [25], "four_sides": [1, 1, 5, 5]}.get(fault, [5, 5])
+            meta = {"version": 1, "input_shape": sides, "num_classes": 2, "num_layers": 1,
                     "config": {"noise": "wasserstein_flow", "sigma": 0.1, **bad}}
             meta = [meta] if fault == "list_meta" else meta
             np.savez(ckpt, meta=np.array(json.dumps(meta)), w0=np.zeros((25, 2)), b0=np.zeros(2))
@@ -551,6 +605,29 @@ class TestConfigHandling:
         assert len(err) == 1 and err[0].startswith(f"error: checkpoint {ckpt} ")
         assert needle in err[0]
         assert not (tmp_path / "certify").exists()
+
+    def test_one_channel_checkpoint_fits_a_split_of_its_grid(self, config_path, tmp_path):
+        # (n, m) and (1, n, m) are one shape here, as in certify and predict.
+        x, y = synthetic_dataset("blobs", 40, (5, 5), seed=0).as_arrays()
+        tc = TrainConfig(epochs=25, batch_size=16, learning_rate=0.5, sigma=0.1)
+        params = train(LabeledDataset(x[:, None], y, 2), tc).params
+        assert params.input_shape == (1, 5, 5)
+        tables = []
+        for shape in ((5, 5), (1, 5, 5)):
+            ckpt, out = tmp_path / f"{len(shape)}.npz", tmp_path / f"out{len(shape)}"
+            save_checkpoint(ckpt, dataclasses.replace(params, input_shape=shape), tc)
+            for command in ("predict", "certify"):
+                run([command, "--config", str(config_path), "--checkpoint", str(ckpt),
+                     "--out-dir", str(out)])
+            tables.append([(out / name).read_bytes()
+                           for name in ("predictions.csv", "certificates.csv")])
+        assert tables[0] == tables[1]
+        cfg = json.loads(config_path.read_text())
+        cfg["dataset"]["shape"] = [6, 6]
+        config_path.write_text(json.dumps(cfg))
+        with pytest.raises(SystemExit, match=r"^error: checkpoint .* takes \(1, 5, 5\) images, "
+                                             r"but the dataset holds \(6, 6\) images$"):
+            run(["certify", "--config", str(config_path), "--checkpoint", str(ckpt)])
 
     def test_infinite_sigma_flag_exits_with_one_error_line(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(sys, "argv", ["wsmooth", "certify", "--sigma", "inf",

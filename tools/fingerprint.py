@@ -10,7 +10,8 @@ temporary directory and record the bytes of every file they write and what
 they print, and ``cli/schema`` records each config key's type name, range
 words and default.  ``errors/...`` cases feed one bad input per refusal
 rule and record the message and whether the exception is a ValueError, the
-type the CLI turns into its one-line ``error:`` exit.
+type the CLI turns into its one-line ``error:`` exit; ``errors/report/...``
+record that line for each certify table ``report`` refuses.
 
 The package is imported from PYTHONPATH when it is set there, otherwise from
 the ``src`` directory next to this script, so one copy of the tool can
@@ -58,6 +59,7 @@ from wsmooth import (  # noqa: E402
     flow_from_edge,
     flow_pgd_attack,
     init_params,
+    load_checkpoint,
     load_idx,
     loss_and_gradients,
     make_dataset,
@@ -66,6 +68,7 @@ from wsmooth import (  # noqa: E402
     project_l1_ball,
     robustness_curve,
     run_oracle_checks,
+    save_checkpoint,
     smoothed_predict,
     solve_flow_1d,
     synthetic_dataset,
@@ -330,11 +333,40 @@ CLI_COMMANDS = [
     ["certify", "--out-dir", "pixel", "--scheme", "pixel", "--alpha", "0.1"],
     ["report", "--out-dir", "report", "flow/certificates.csv", "pixel/certificates.csv"],
 ]
+# Certify tables that report refuses, one per rule, each with one bad header
+# or row: a p_lower outside [0, 1], then a radius at p_lower <= 1/2 with a bad
+# abstained cell; a radius p_lower does not give; settings out of range; no
+# seed; a row with too many cells and one with too few.
+_CERTIFY_HEAD = "# command=certify scheme=flow sigma=0.05 seed=3 n0=50 n=400 alpha=0.05\n"
+_CERTIFY_COLUMNS = "id,label,base_prediction,prediction,p_lower,rho2,abstained\n"
+REPORT_REFUSALS = {
+    "p_lower": _CERTIFY_HEAD + _CERTIFY_COLUMNS + "0,1,1,1,5.0,-3.0,0\n1,0,0,0,0.2,7.5,zz\n",
+    "radius": _CERTIFY_HEAD + _CERTIFY_COLUMNS + "0,1,1,1,0.9,0.2,0\n",
+    "settings": ("# command=certify scheme=flow sigma=0.05 seed=3 n0=-5 n=0 alpha=7\n"
+                 + _CERTIFY_COLUMNS + "0,1,1,-1,0.4,,1\n"),
+    "no_seed": ("# command=certify scheme=flow sigma=0.05 n0=50 n=400 alpha=0.05\n"
+                + _CERTIFY_COLUMNS + "0,1,1,-1,0.4,,1\n"),
+    "long_row": _CERTIFY_HEAD + _CERTIFY_COLUMNS + "0,1,1,-1,0.4,,1,1\n",
+    "short_row": _CERTIFY_HEAD + _CERTIFY_COLUMNS + "0,1,1,-1,0.4,\n",
+}
+
+
+def _cli(run, argv: list[str]) -> list:
+    """The exit status of one command, or its `error:` line, and what it printed."""
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        try:
+            status = run(argv + ["--config", "config.json"])
+        except SystemExit as exc:
+            status = exc.code
+    return [status, printed.getvalue()]
 
 
 def cli_cases() -> dict:
     """Run CLI_COMMANDS in a fresh directory; every file they leave, and
-    each command's exit status and printed lines.  Also the config schema."""
+    each command's exit status and printed lines.  Then predict and certify
+    as CLI_COMMANDS do with the flow model saved for (1, n, m) images, and
+    report on each of REPORT_REFUSALS.  Also the config schema."""
     from wsmooth.cli import _SCHEMA, run
 
     out = {"cli/schema": {
@@ -347,10 +379,18 @@ def cli_cases() -> dict:
         try:
             Path("config.json").write_text(json.dumps(CLI_CONFIG))
             for i, argv in enumerate(CLI_COMMANDS):
-                printed = io.StringIO()
-                with contextlib.redirect_stdout(printed):
-                    status = run(argv + ["--config", "config.json"])
-                out[f"cli/{i}/{argv[0]}"] = [status, printed.getvalue()]
+                out[f"cli/{i}/{argv[0]}"] = _cli(run, argv)
+            params, config = load_checkpoint("flow/model_flow_sigma0.05.npz")
+            save_checkpoint("channels.npz", dataclasses.replace(params, input_shape=(1, 5, 5)),
+                            config)
+            for argv in CLI_COMMANDS[1:3]:
+                out[f"cli/channels/{argv[0]}"] = _cli(
+                    run, [argv[0], "--out-dir", "channels", "--checkpoint", "channels.npz",
+                          *argv[3:]])
+            for rule, text in REPORT_REFUSALS.items():
+                Path(f"{rule}.csv").write_text(text)
+                out[f"errors/report/{rule}"] = _cli(run, ["report", "--out-dir", "refused",
+                                                          f"{rule}.csv"])
             for path in sorted(Path(".").rglob("*")):
                 if path.is_file():
                     out[f"cli/{path}"] = path.read_bytes()
