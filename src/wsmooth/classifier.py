@@ -153,7 +153,7 @@ def input_gradient_batch(params: ClassifierParams, X, labels) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """SGD-with-momentum hyperparameters and the training-time noise.
+    """The model width, SGD-with-momentum hyperparameters and the training-time noise.
 
     noise and sigma are a NoiseSpec's smoothing scheme and standard
     deviation; sigma = 0 trains without noise.  One noise draw is shared by
@@ -169,11 +169,12 @@ class TrainConfig:
     noise: str = FLOW
     sigma: float = 0.0
     seed: int = 0
+    hidden: int | None = None  # init_params' hidden-layer width; None: a linear model
 
     def __post_init__(self):
         _check_fields(self, epochs=AT_LEAST_1, batch_size=AT_LEAST_1, learning_rate=POSITIVE,
                       momentum=("in [0, 1)", lambda v: 0 <= v < 1), weight_decay=AT_LEAST_0,
-                      seed=AT_LEAST_0)
+                      seed=AT_LEAST_0, hidden=AT_LEAST_1)
         NoiseSpec(self.noise, self.sigma)  # refuses a bad scheme or sigma < 0
 
 
@@ -183,7 +184,7 @@ class TrainResult:
     epoch_losses: list[float] = field(default_factory=list)
 
 
-def train(dataset, config: TrainConfig, hidden: int | None = None) -> TrainResult:
+def train(dataset, config: TrainConfig) -> TrainResult:
     """Train a classifier on a labeled dataset under the configured noise.
 
     Randomness (init, shuffling, noise) flows from config.seed through three
@@ -193,7 +194,7 @@ def train(dataset, config: TrainConfig, hidden: int | None = None) -> TrainResul
     X, y = dataset.as_arrays()
     root = np.random.default_rng(config.seed)
     r_init, r_shuffle, r_noise = root.spawn(3)
-    params = init_params(X.shape[1:], dataset.num_classes, hidden, r_init)
+    params = init_params(X.shape[1:], dataset.num_classes, config.hidden, r_init)
     velocity = [np.zeros_like(a) for a in params.arrays()]
     spec = NoiseSpec(config.noise, config.sigma)
     cshape = channel_shape(X.shape[1:])

@@ -16,14 +16,15 @@ import math
 import sys
 import zipfile
 from pathlib import Path
-from typing import get_type_hints
+from typing import get_args, get_type_hints
 
 import numpy as np
 
 from . import classifier as clf
 from . import dataset_io
 from .attack import AttackConfig, robustness_curve
-from .flow_domain import AT_LEAST_0, AT_LEAST_1, OPEN_UNIT, POSITIVE, _check_value, channel_shape
+from .flow_domain import (AT_LEAST_0, AT_LEAST_1, AT_LEAST_2, OPEN_UNIT, POSITIVE, _check_value,
+                          channel_shape)
 from .smoothing import (
     ABSTAIN,
     FLOW,
@@ -43,9 +44,9 @@ _IDX_PATHS = ("train_images", "train_labels", "test_images", "test_labels")
 
 
 def _field_keys(section: str, cls: type, *skip: str) -> dict:
-    """The keys of the fields of ``cls`` but ``skip``: typed, and checked by ``cls``."""
-    return {f"{section}.{name}": (kind, None, None)
-            for name, kind in get_type_hints(cls).items() if name not in skip}
+    """Keys of the fields of ``cls`` but ``skip``: typed (X | None as X), checked by ``cls``."""
+    return {f"{section}.{name}": ((get_args(hint) or (hint,))[0], None, None)
+            for name, hint in get_type_hints(cls).items() if name not in skip}
 
 
 # Every config key ("section.key", or a bare top-level name) with the type
@@ -70,7 +71,6 @@ _SCHEMA = {
     **{f"idx.{name}": (str, None, None) for name in _IDX_PATHS},
     "idx.num_classes": (int, None, None),
     **_field_keys("train", clf.TrainConfig, "noise", "sigma", "seed"),  # set by top-level keys
-    "train.hidden": (int, AT_LEAST_1, None),
     "predict.n": (int, AT_LEAST_1, 10000),
     "predict.alpha": (float, OPEN_UNIT, 0.05),
     "certify.n0": (int, AT_LEAST_1, 1000),
@@ -214,7 +214,7 @@ def _write_summary(cfg: dict, command: str, **fields) -> dict:
 def _cmd_train(cfg: dict) -> int:
     dataset = _load_split(cfg, "train")
     tc = cfg["train"]
-    result = clf.train(dataset, tc, hidden=cfg.get("train.hidden"))
+    result = clf.train(dataset, tc)
     ckpt = Path(cfg["checkpoint"])
     ckpt.parent.mkdir(parents=True, exist_ok=True)
     clf.save_checkpoint(ckpt, result.params, tc)
@@ -322,8 +322,8 @@ def _cmd_certify(cfg: dict) -> int:
                                         c.rho2, int(c.predicted == ABSTAIN))))
             for i, (y, base, c) in enumerate(zip(y_all, base_predictions, certs))]
     _write_table(Path(cfg["out_dir"]) / "certificates.csv",
-                 _header(cfg, "certify", n0=n0, n=n, alpha=alpha), _CERTIFY_COLUMNS,
-                 map(dict.values, rows))
+                 _header(cfg, "certify", n0=n0, n=n, alpha=alpha, num_classes=params.num_classes),
+                 _CERTIFY_COLUMNS, map(dict.values, rows))
     summary = _write_summary(cfg, "certify", n0=n0, n=n, alpha=alpha, num_images=len(dataset),
                              **_certify_stats(rows))
     median = summary["median_certified_radius"]
@@ -406,26 +406,31 @@ def _cmd_report(cfg: dict, tables: list[Path]) -> int:
         try:  # each setting by the rule of the config key that sets it
             run_cfg = {key: _check_value(key, kind, kind(meta[key.split(".")[-1]]), rule)
                        for key, (kind, rule, _) in _SCHEMA.items() if key in _CERTIFY_SETTINGS}
+            k = _check_value("num_classes", int, int(meta["num_classes"]), AT_LEAST_2)
         except (KeyError, ValueError) as exc:
             raise SystemExit(f"error: {path} has malformed metadata ({exc!r})")
-        # Each row's certificate is re-derived from its p_lower as certify
-        # derives it, and a row whose cells say otherwise refuses the table.
+        label = (f"in [0, {k})", lambda v: 0 <= v < k)
+        class_cells = {"label": label, "base_prediction": label, "prediction": (
+            f"in [0, {k}) or {ABSTAIN}", lambda v: v == ABSTAIN or 0 <= v < k)}
+        # A row refuses the table unless its class cells are class indices (or
+        # ABSTAIN, for a prediction) and it is the certificate certify derives from its p_lower.
         for line, cells in rows.items():
             try:
                 if len(cells) != len(columns):
                     raise ValueError(f"{len(cells)} cells under {len(columns)} columns")
                 r = rows[line] = dict(zip(columns, cells))
+                for name, rule in class_cells.items():
+                    r[name] = _check_value(name, int, int(r[name]), rule)
                 rho2 = radius_from_plower(float(r["p_lower"]), run_cfg["sigma"],
                                           _SCHEME_MAP[run_cfg["scheme"]])
                 abstains = rho2 is None  # exactly when p_lower <= 1/2
                 if ((r["rho2"] != "" if abstains else
                      not math.isclose(float(r["rho2"]), rho2, rel_tol=1e-12))
                         or int(r["abstained"]) != abstains
-                        or (int(r["prediction"]) == ABSTAIN) != abstains):
+                        or (r["prediction"] == ABSTAIN) != abstains):
                     raise ValueError(f"its rho2, prediction and abstained cells are not "
                                      f"the certificate of p_lower {r['p_lower']}")
-                r.update(label=int(r["label"]), prediction=int(r["prediction"]),
-                         base_prediction=int(r["base_prediction"]), rho2=rho2, id=r["id"])
+                r.update(rho2=rho2, id=r["id"])
             except (KeyError, ValueError) as exc:
                 raise SystemExit(f"error: {path} line {line} is malformed ({exc!r})")
         entries.append({"scheme": run_cfg["scheme"], "sigma": run_cfg["sigma"],

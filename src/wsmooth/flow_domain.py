@@ -60,20 +60,13 @@ def _check_value(name: str, kind: type, value, rule=None):
 
 def _check_fields(config, **ranges):
     """Check each field of a config dataclass with _check_value: its
-    annotated kind, and the range ``ranges`` gives under its name.  A
-    ``float | None`` field may also be None."""
+    annotated kind, and the range ``ranges`` gives under its name.  An
+    ``X | None`` field may also be None."""
     for name, hint in typing.get_type_hints(type(config)).items():
         value = getattr(config, name)
         kinds = typing.get_args(hint) or (hint,)
         if value is not None or type(None) not in kinds:
             _check_value(name, kinds[0], value, ranges.get(name))
-
-
-def _as_float_grid(values, name: str = "values") -> np.ndarray:
-    a = np.asarray(values, dtype=float)
-    if a.ndim != 2 or a.size == 0:
-        raise ValueError(f"{name} must be a nonempty 2-D grid, got shape {a.shape}")
-    return a
 
 
 def channel_shape(shape) -> tuple[int, ...]:
@@ -110,7 +103,7 @@ def _check_unit_mass(x: np.ndarray):
 
 @dataclass
 class RawGrid:
-    """Real-valued grid with total mass 1; entries may be negative.
+    """Real-valued (n, m) or (C, n, m) image of total mass 1; entries may be negative.
 
     This is the codomain of flow application: mass is conserved but nothing
     keeps individual pixels nonnegative.
@@ -119,7 +112,9 @@ class RawGrid:
     values: np.ndarray
 
     def __post_init__(self):
-        a = _as_float_grid(self.values).copy()
+        a = np.array(self.values, dtype=float)
+        if 0 in channel_shape(a.shape):
+            raise ValueError(f"expected a nonempty image, got shape {a.shape}")
         total = float(a.sum())
         if not abs(total - 1.0) <= MASS_TOL:  # NaN fails too
             raise ValueError(f"total mass {total!r} is not 1 within {MASS_TOL}")
@@ -184,21 +179,21 @@ def divergence_adjoint(g: np.ndarray) -> np.ndarray:
 
 
 def apply_flow(x, edges) -> RawGrid:
-    """x + D f: the mass of ``x`` (an (n, m) array or a RawGrid) moved
-    along the packed flow ``edges`` of length edge_count((1, n, m)).
+    """x + D f: the mass of an (n, m) or (C, n, m) image ``x`` (checked as a
+    RawGrid) moved along a packed flow ``edges`` of that image's edge_count.
 
     The total is preserved up to float rounding, but pixels can go
-    negative; the result is a RawGrid.  The packed length 2nm - n - m is
-    the same for (n, m) and (m, n), so only the length is checked: the
-    caller must pass flows made for the image's own shape.
+    negative; the result is a RawGrid of x's shape.  The packed length
+    C(2nm - n - m) is the same for (n, m) and (m, n), so only the length is
+    checked: the caller must pass flows made for the image's own shape.
     """
-    a = _as_float_grid(x.values if isinstance(x, RawGrid) else x, "image")
+    a = RawGrid(x).values
     cshape = channel_shape(a.shape)
     f = np.asarray(edges, dtype=float)
     if f.shape != (edge_count(cshape),):
         raise ValueError(f"flow of shape {f.shape} applied to image of shape {a.shape}: "
                          f"expected ({edge_count(cshape)},)")
-    return RawGrid(a + divergence(f, cshape)[0])
+    return RawGrid(a + divergence(f, cshape).reshape(a.shape))
 
 
 def l1_norm(edges) -> float:

@@ -164,14 +164,14 @@ def min_flow_plan(x, xp) -> np.ndarray:
     return flow_from_edge(wasserstein_grid_l1(x, xp)[1])
 
 
-def per_minibatch_train(dataset, config: TrainConfig, hidden: int | None = None):
+def per_minibatch_train(dataset, config: TrainConfig):
     """classifier.train written with one noise draw per minibatch, drawn just
     before the minibatch is used: (params, epoch losses) that train must
     reproduce bit for bit, since every noise value takes one word of the
     noise stream in order however many draws one call makes."""
     X, y = dataset.as_arrays()
     r_init, r_shuffle, r_noise = np.random.default_rng(config.seed).spawn(3)
-    params = init_params(X.shape[1:], dataset.num_classes, hidden, r_init)
+    params = init_params(X.shape[1:], dataset.num_classes, config.hidden, r_init)
     velocity = [np.zeros_like(a) for a in params.arrays()]
     spec = NoiseSpec(config.noise, config.sigma)
     cshape = X.shape[1:] if X.ndim == 4 else (1,) + X.shape[1:]

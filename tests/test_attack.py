@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -234,6 +236,22 @@ class TestFlowPgd:
         res = flow_pgd_attack(params, split_image(0.75), 0, self.spec,
                               self.cfg(iterations=0), rng=7)
         assert not res.success and res.clean_correct
+
+    @pytest.mark.parametrize("x, label, message", [
+        (split_image(0.75), 7, "label must be in [0, 2), got 7"),
+        (split_image(0.75), -1, "label must be in [0, 2), got -1"),
+        (split_image(0.75), True, "label must be an integer, got True"),
+        (2 * split_image(0.75), 0, "image 0 has total mass 2.0, not 1 within 1e-09"),
+        (split_image(1.25), 0, "image 0 has a negative pixel"),
+    ], ids=["label_past_classes", "label_negative", "label_bool", "mass_2", "negative_pixel"])
+    def test_refuses_a_bad_label_or_image_before_any_draw(self, monkeypatch, x, label, message):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("the attack drew before refusing its input")
+        monkeypatch.setattr(attack, "smoothed_predict", no_draws)
+        monkeypatch.setattr(attack, "_edge_noise", no_draws)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            flow_pgd_attack(halves_classifier(), x, label, self.spec, self.cfg(iterations=0),
+                            rng=7)
 
 
 class TestFoldedGradient:

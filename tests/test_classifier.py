@@ -218,7 +218,7 @@ class TestTraining:
         ds = synthetic_dataset("blobs", 30, seed=4)
         for hidden in (None, 8):
             flow, pixel = (train(ds, TrainConfig(epochs=4, batch_size=10, learning_rate=0.5,
-                                                 noise=scheme, sigma=0.0, seed=11), hidden)
+                                                 noise=scheme, sigma=0.0, seed=11, hidden=hidden))
                            for scheme in (FLOW, PIXEL))
             assert flow.epoch_losses == pixel.epoch_losses
             for pa, pb in zip(flow.params.arrays(), pixel.params.arrays(), strict=True):
@@ -238,8 +238,8 @@ class TestTraining:
 
     def test_hidden_layer_trains(self):
         ds = synthetic_dataset("corners", 80, shape=(5, 5), seed=5)
-        cfg = TrainConfig(epochs=80, batch_size=20, learning_rate=0.2, seed=6)
-        result = train(ds, cfg, hidden=12)
+        cfg = TrainConfig(epochs=80, batch_size=20, learning_rate=0.2, seed=6, hidden=12)
+        result = train(ds, cfg)
         assert accuracy(result.params, ds) > 0.9
 
     @pytest.mark.parametrize("noise,sigma", [(FLOW, 0.05), (PIXEL, 0.05), (FLOW, 0.0)],
@@ -255,9 +255,9 @@ class TestTraining:
             raw = np.random.default_rng(9).random((20, 3, 4, 4))
             ds = make_dataset(raw, np.arange(20) % 3)
         cfg = TrainConfig(epochs=3, batch_size=16, learning_rate=0.5, noise=noise,
-                          sigma=sigma, seed=10)
-        result = train(ds, cfg, hidden=hidden)
-        params, losses = per_minibatch_train(ds, cfg, hidden=hidden)
+                          sigma=sigma, seed=10, hidden=hidden)
+        result = train(ds, cfg)
+        params, losses = per_minibatch_train(ds, cfg)
         assert result.epoch_losses == losses
         for pa, pb in zip(result.params.arrays(), params.arrays(), strict=True):
             assert np.array_equal(pa, pb)

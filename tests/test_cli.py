@@ -8,7 +8,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
-from typing import get_type_hints
+from typing import get_args, get_type_hints
 
 import numpy as np
 import pytest
@@ -16,9 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wsmooth
-from wsmooth import (ABSTAIN, AttackConfig, LabeledDataset, TrainConfig, save_checkpoint,
-                     synthetic_dataset, train)
-from wsmooth.cli import _SCHEMA, _build_parser, _certify_stats, _merge_config, main, run
+from wsmooth import (ABSTAIN, AttackConfig, LabeledDataset, TrainConfig, load_checkpoint,
+                     save_checkpoint, synthetic_dataset, train)
+from wsmooth.cli import (_SCHEMA, _build_parser, _certify_stats, _load_split, _merge_config, main,
+                         run)
 
 from analytic import write_idx
 
@@ -139,6 +140,23 @@ class TestTrainCommand:
         run(["train", "--config", str(config_path), "--epochs", "3"])
         summary = json.loads((tmp_path / "out" / "train_summary.json").read_text())
         assert summary["epochs"] == 3
+
+    @pytest.mark.parametrize("hidden", [None, 6], ids=["linear", "hidden6"])
+    def test_checkpoint_config_retrains_its_params(self, config_path, tmp_path, hidden):
+        # The config a checkpoint records, width included, is all train
+        # needs to rebuild the checkpoint's params bit for bit.
+        cfg = json.loads(config_path.read_text())
+        if hidden is not None:
+            cfg["train"]["hidden"] = hidden
+        config_path.write_text(json.dumps(cfg))
+        assert run(["train", "--config", str(config_path)]) == 0
+        saved, config = load_checkpoint(tmp_path / "out" / "model_flow_sigma0.1.npz")
+        assert config.hidden == hidden and saved.num_layers == (1 if hidden is None else 2)
+        args = _build_parser().parse_args(["train", "--config", str(config_path)])
+        dataset = _load_split(_merge_config(args), "train")
+        retrained = train(dataset, config).params
+        for a, b in zip(retrained.arrays(), saved.arrays(), strict=True):
+            assert np.array_equal(a, b)
 
 
     def test_flags_loss_at_or_above_chance(self, tmp_path, capsys):
@@ -355,7 +373,7 @@ class TestReportCommand:
 
 
     @pytest.mark.parametrize("text, needle", [
-        (b"# command=certify seed=1 scheme=flow sigma=0.1 n0=100 n=800 alpha=0.05\n"
+        (b"# command=certify seed=1 scheme=flow sigma=0.1 n0=100 n=800 alpha=0.05 num_classes=2\n"
          b"id,label,base_prediction,prediction,p_lower,rho2,abstained\n0,1,1,1,0.9,zzz,0\n",
          "malformed"),
         (b"# command=certify seed=1 sigma=0.1 n0=100 n=800 alpha=0.05\n"
@@ -364,15 +382,15 @@ class TestReportCommand:
         (None, "cannot read table"),
         (b"# command=certify junk\n", "cannot read table"),
         (b"# command=certify seed=\xff\n", "cannot read table"),
-        (b"# command=certify seed=1 scheme=flow sigma=0.1 n0=100 n=800 alpha=0.05\n"
+        (b"# command=certify seed=1 scheme=flow sigma=0.1 n0=100 n=800 alpha=0.05 num_classes=2\n"
          b"id,label,base_prediction,prediction,p_lower,rho2,abstained\n0,1,1,1,0.9,nan,0\n",
          "line 3 is malformed (ValueError('its rho2, prediction and abstained cells are not "
          "the certificate of p_lower 0.9'))"),
-        (b"# command=certify seed=1 scheme=flow sigma=0.1 n0=100 n=800 alpha=0.05\n"
+        (b"# command=certify seed=1 scheme=flow sigma=0.1 n0=100 n=800 alpha=0.05 num_classes=2\n"
          b"id,label,base_prediction,prediction,p_lower,rho2,abstained\n"
          b"0,1,1,1,5.0,-3.0,0\n1,0,0,0,0.2,7.5,zz\n",
          "line 3 is malformed (ValueError('p_lower must be in [0, 1], got 5.0'))"),
-        (b"# command=certify seed=1 scheme=flow sigma=0.1 n0=100 n=800 alpha=0.05\n"
+        (b"# command=certify seed=1 scheme=flow sigma=0.1 n0=100 n=800 alpha=0.05 num_classes=2\n"
          b"id,label,base_prediction,prediction,p_lower,rho2,abstained\n0,0,0,0,0.2,7.5,0\n",
          "line 3 is malformed (ValueError('its rho2, prediction and abstained cells are not "
          "the certificate of p_lower 0.2'))"),
@@ -382,11 +400,11 @@ class TestReportCommand:
         (b"# command=certify scheme=flow sigma=0.1 n0=100 n=800 alpha=0.05\n"
          b"id,label,base_prediction,prediction,p_lower,rho2,abstained\n0,0,0,-1,0.2,,1\n",
          "malformed metadata (KeyError('seed'))"),
-        (b"# command=certify seed=1 scheme=flow sigma=0.1 n0=100 n=800 alpha=0.05\n"
+        (b"# command=certify seed=1 scheme=flow sigma=0.1 n0=100 n=800 alpha=0.05 num_classes=2\n"
          b"id,label,base_prediction,prediction,p_lower,rho2,abstained\n"
          b"0,0,0,-1,0.2,,1\n\n1,0,0,-1,0.2,,1,7\n",
          "line 5 is malformed (ValueError('8 cells under 7 columns'))"),
-        (b"# command=certify seed=1 scheme=flow sigma=0.1 n0=100 n=800 alpha=0.05\n"
+        (b"# command=certify seed=1 scheme=flow sigma=0.1 n0=100 n=800 alpha=0.05 num_classes=2\n"
          b"id,label,base_prediction,prediction,p_lower,rho2,abstained\n0,0,0,-1,0.2,\n",
          "line 3 is malformed (ValueError('6 cells under 7 columns'))"),
     ], ids=["bad_radius", "no_scheme", "missing", "token_without_equals", "not_utf8",
@@ -402,6 +420,35 @@ class TestReportCommand:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and needle in err[0]
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("head, row, needle", [
+        ("num_classes=2", "0,-1,-1,-1,0.4,,1",  # counted as base-correct before
+         "line 3 is malformed (ValueError('label must be in [0, 2), got -1'))"),
+        ("num_classes=2", "0,1,2,-1,0.4,,1",
+         "line 3 is malformed (ValueError('base_prediction must be in [0, 2), got 2'))"),
+        ("num_classes=3", "0,1,1,3,0.4,,1",
+         "line 3 is malformed (ValueError('prediction must be in [0, 3) or -1, got 3'))"),
+        ("num_classes=1", "0,0,0,-1,0.4,,1",
+         "has malformed metadata (ValueError('num_classes must be >= 2, got 1'))"),
+        ("", "0,0,0,-1,0.4,,1", "has malformed metadata (KeyError('num_classes'))"),
+    ], ids=["label", "base_prediction", "prediction", "one_class", "written_before_num_classes"])
+    def test_refuses_class_cells_that_are_not_class_indices(self, tmp_path, monkeypatch, capsys,
+                                                           head, row, needle):
+        table = tmp_path / "certificates.csv"
+        table.write_text(f"# command=certify seed=1 scheme=flow sigma=0.1 n0=100 n=800 "
+                         f"alpha=0.05 {head}\n"
+                         f"id,label,base_prediction,prediction,p_lower,rho2,abstained\n{row}\n")
+        monkeypatch.setattr(sys, "argv", ["wsmooth", "report", "--out-dir",
+                                          str(tmp_path / "out"), str(table)])
+        assert main() == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {table} {needle}"]
+        assert not (tmp_path / "out").exists()
+
+    def test_certify_header_records_the_class_count(self, config_path, tmp_path):
+        run(["train", "--config", str(config_path)])
+        run(["certify", "--config", str(config_path)])
+        meta, rows = read_table(tmp_path / "out" / "certificates.csv")
+        assert meta["num_classes"] == str(synthetic_dataset("blobs", 10, (5, 5)).num_classes)
 
 
 class TestConfigHandling:
@@ -426,7 +473,7 @@ class TestConfigHandling:
         ({"seed": -1}, "seed must be >= 0"),
         ({"train": {"epochs": "3"}}, "train.epochs must be an integer"),
         ({"train": {"epochs": 2.7}}, "train.epochs must be an integer"),
-        ({"train": {"hidden": 0}}, "train.hidden must be >= 1"),
+        ({"train": {"hidden": 0}}, "train: hidden must be >= 1, got 0"),
         ({"idx": {}}, "idx section"),
         ({"dataset": {"train_size": 0}}, "dataset.train_size must be >= 1"),
         ({"certify": {"n": 0}}, "certify.n must be >= 1"),
@@ -459,19 +506,21 @@ class TestConfigHandling:
         assert not (tmp_path / "out").exists()
 
     def test_train_and_attack_keys_are_the_config_fields(self, tmp_path):
-        # Each field that no other key sets is a key of its annotated type,
-        # range-free and unset, and a value given for it reaches the class.
-        # Top-level keys set noise, sigma and seed; --radii sets max_radius.
-        own = {"train.hidden", "attack.radii", "attack.max_images"}
+        # Each field that no other key sets is a key of its annotated type
+        # (X for X | None), range-free and unset, and a value given for it
+        # reaches the class.  Top-level keys set noise, sigma and seed;
+        # --radii sets max_radius.
+        own = {"attack.radii", "attack.max_images"}
         fields, given = {}, {}
         for section, cls, skip in (("train", TrainConfig, {"noise", "sigma", "seed"}),
                                    ("attack", AttackConfig, {"max_radius", "initial_radius"})):
             hints = get_type_hints(cls)
             for f in dataclasses.fields(cls):
                 if f.name not in skip:
-                    fields[f"{section}.{f.name}"] = (hints[f.name], None, None)
+                    kind = (get_args(hints[f.name]) or (hints[f.name],))[0]
+                    fields[f"{section}.{f.name}"] = (kind, None, None)
                     given.setdefault(section, {})[f.name] = (
-                        f.default + 1 if hints[f.name] is int else math.nextafter(f.default, 0))
+                        (f.default or 0) + 1 if kind is int else math.nextafter(f.default, 0))
         assert {key: _SCHEMA[key] for key in fields if key in _SCHEMA} == fields
         assert {key for key in _SCHEMA if key.split(".")[0] in given} - set(fields) == own
         path = tmp_path / "cfg.json"

@@ -132,6 +132,27 @@ class TestApplyFlow:
             with pytest.raises(ValueError, match=r"image of shape \(2, 2\): expected \(4,\)$"):
                 apply_flow(x, bad)
 
+    @pytest.mark.parametrize("cshape", [(3, 4, 5), (2, 1, 6), (3, 1, 1)])
+    def test_channels_keep_their_shape(self, cshape):
+        rng = np.random.default_rng(sum(cshape))
+        x = rng.random(cshape)
+        x /= x.sum()
+        f = 0.01 * rng.normal(size=edge_count(cshape))
+        out = apply_flow(x, f).values
+        assert out.shape == cshape
+        assert np.array_equal(out, x + divergence(f, x.shape))
+
+    @pytest.mark.parametrize("bad, words", [
+        (np.ones(4) / 4, "expected a 2-D or 3-D image, got shape (4,)"),
+        (np.ones((1, 1, 2, 2)) / 4, "expected a 2-D or 3-D image, got shape (1, 1, 2, 2)"),
+        (np.zeros((0, 3)), "expected a nonempty image, got shape (0, 3)"),
+        (np.zeros((2, 0, 3)), "expected a nonempty image, got shape (2, 0, 3)"),
+    ])
+    def test_image_shape_is_the_package_rule(self, bad, words):
+        for call in (lambda: RawGrid(bad), lambda: apply_flow(bad, np.zeros(0))):
+            with pytest.raises(ValueError, match=f"^{re.escape(words)}$"):
+                call()
+
     def test_single_pixel_takes_the_empty_flow(self):
         assert np.array_equal(apply_flow(np.ones((1, 1)), np.zeros(0)).values, [[1.0]])
 
@@ -148,7 +169,7 @@ class TestApplyFlow:
     def test_additivity(self, pair, data):
         x, d1 = pair
         d2 = data.draw(flow_plans(shape=x.shape))
-        once = apply_flow(apply_flow(x, d1), d2).values
+        once = apply_flow(apply_flow(x, d1).values, d2).values
         combined = apply_flow(x, d1 + d2).values
         assert np.allclose(once, combined, atol=1e-12)
 
@@ -156,7 +177,7 @@ class TestApplyFlow:
     @given(image_flow_pairs())
     def test_inverse_plan_restores_image(self, pair):
         x, plan = pair
-        back = apply_flow(apply_flow(x, plan), -plan).values
+        back = apply_flow(apply_flow(x, plan).values, -plan).values
         assert np.allclose(back, x, atol=1e-12)
 
 

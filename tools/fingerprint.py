@@ -136,8 +136,8 @@ def cases() -> dict:
     models = {}
     for scheme in (FLOW, PIXEL):
         cfg = TrainConfig(epochs=15, batch_size=16, learning_rate=0.5, weight_decay=1e-4,
-                          noise=scheme, sigma=0.05, seed=21)
-        res = train(train_ds, cfg, hidden=8 if scheme == PIXEL else None)
+                          noise=scheme, sigma=0.05, seed=21, hidden=8 if scheme == PIXEL else None)
+        res = train(train_ds, cfg)
         models[scheme] = res.params
         out[f"train/{scheme}"] = _plain(res)
     # Three channels, and a last minibatch of 7 after two of 8.
@@ -145,7 +145,7 @@ def cases() -> dict:
     out["train/ragged/3ch"] = _plain(train(
         make_dataset(raw3, np.arange(23) % 2),
         TrainConfig(epochs=4, batch_size=8, learning_rate=0.5, noise=FLOW, sigma=0.05,
-                    seed=23), hidden=6))
+                    seed=23, hidden=6)))
 
     x_all, y_all = test_ds.as_arrays()
     for scheme, params in models.items():
@@ -209,6 +209,8 @@ def cases() -> dict:
     for shape in ((1, 7), (5, 6), (28, 28)):
         edges = 0.01 * rng.normal(size=2 * shape[0] * shape[1] - shape[0] - shape[1])
         out[f"flow/apply/{shape[0]}x{shape[1]}"] = _plain(apply_flow(_unit(rng, shape), edges))
+    out["flow/apply/3x5x6"] = _plain(apply_flow(_unit(rng, (3, 5, 6)),
+                                                0.01 * rng.normal(size=3 * 49)))
 
     rng = np.random.default_rng(51)
     for shape in ((4, 4), (3, 6), (1, 9), (12, 12)):
@@ -308,6 +310,8 @@ def error_cases() -> dict:
         "shape/image": lambda: certify(init_params((4, 6), 2), np.full((6, 4), 1 / 24), spec,
                                        10, 10),
         "subset/mask": lambda: synthetic_dataset("blobs", 4).subset([True, False, True, False]),
+        "attack/label": lambda: flow_pgd_attack(params, ninth, 7, spec, AttackConfig()),
+        "attack/unit_mass": lambda: flow_pgd_attack(params, 2 * ninth, 0, spec, AttackConfig()),
     }
     for rule, call in refusals.items():
         out[f"errors/{rule}"] = _refusal(call)
@@ -336,8 +340,10 @@ CLI_COMMANDS = [
 # Certify tables that report refuses, one per rule, each with one bad header
 # or row: a p_lower outside [0, 1], then a radius at p_lower <= 1/2 with a bad
 # abstained cell; a radius p_lower does not give; settings out of range; no
-# seed; a row with too many cells and one with too few.
-_CERTIFY_HEAD = "# command=certify scheme=flow sigma=0.05 seed=3 n0=50 n=400 alpha=0.05\n"
+# seed; a row with too many cells and one with too few; a label and a
+# prediction that are not class indices.
+_CERTIFY_HEAD = ("# command=certify scheme=flow sigma=0.05 seed=3 n0=50 n=400 alpha=0.05 "
+                 "num_classes=2\n")
 _CERTIFY_COLUMNS = "id,label,base_prediction,prediction,p_lower,rho2,abstained\n"
 REPORT_REFUSALS = {
     "p_lower": _CERTIFY_HEAD + _CERTIFY_COLUMNS + "0,1,1,1,5.0,-3.0,0\n1,0,0,0,0.2,7.5,zz\n",
@@ -348,6 +354,8 @@ REPORT_REFUSALS = {
                 + _CERTIFY_COLUMNS + "0,1,1,-1,0.4,,1\n"),
     "long_row": _CERTIFY_HEAD + _CERTIFY_COLUMNS + "0,1,1,-1,0.4,,1,1\n",
     "short_row": _CERTIFY_HEAD + _CERTIFY_COLUMNS + "0,1,1,-1,0.4,\n",
+    "label": _CERTIFY_HEAD + _CERTIFY_COLUMNS + "0,-1,-1,-1,0.4,,1\n",
+    "prediction": _CERTIFY_HEAD + _CERTIFY_COLUMNS + "0,1,1,2,0.9,0.2,0\n",
 }
 
 
