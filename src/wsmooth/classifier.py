@@ -26,16 +26,17 @@ CHECKPOINT_VERSION = 1
 class ClassifierParams:
     """Dense feed-forward parameters: zero or more ReLU hidden layers and a
     linear output layer of logits.  weights[i] has shape (d_in, d_out); the
-    first d_in is the flattened input size and the last d_out is num_classes."""
+    first d_in is the flattened input size and the last d_out is num_classes,
+    so the arrays alone fix the architecture."""
 
     input_shape: tuple[int, ...]
-    num_classes: int
     weights: list[np.ndarray]
     biases: list[np.ndarray]
+    num_classes: int = field(init=False)
 
     def __post_init__(self):
-        self.input_shape = tuple(int(s) for s in self.input_shape)
-        _check_value("num_classes", int, self.num_classes, AT_LEAST_2)
+        self.input_shape = tuple(int(_check_value(f"input_shape[{i}]", int, side, AT_LEAST_0))
+                                 for i, side in enumerate(self.input_shape))
         if len(self.weights) != len(self.biases) or not self.weights:
             raise ValueError("weights and biases must be nonempty lists of equal length")
         self.weights = [np.asarray(w, dtype=float) for w in self.weights]
@@ -50,16 +51,11 @@ class ClassifierParams:
                     f"do not chain from input width {d_in}"
                 )
             d_in = b.size
-        if d_in != self.num_classes:
-            raise ValueError(f"final layer width {d_in} != num_classes {self.num_classes}")
+        self.num_classes = _check_value("num_classes", int, d_in, AT_LEAST_2)
 
     @property
     def input_dim(self) -> int:
         return int(np.prod(self.input_shape))
-
-    @property
-    def num_layers(self) -> int:
-        return len(self.weights)
 
     def arrays(self) -> list[np.ndarray]:
         """Parameters in the fixed order [W0, b0, W1, b1, ...] used by
@@ -85,13 +81,13 @@ def init_params(input_shape, num_classes: int, hidden: int | None = None,
     dims = [int(np.prod(input_shape))]
     if hidden is not None:
         dims.append(_check_value("hidden", int, hidden, AT_LEAST_1))
-    dims.append(int(num_classes))
+    dims.append(_check_value("num_classes", int, num_classes, AT_LEAST_2))
     weights = []
     biases = []
     for d_in, d_out in zip(dims[:-1], dims[1:]):
         weights.append(rng.normal(0.0, 1.0 / math.sqrt(d_in), size=(d_in, d_out)))
         biases.append(np.zeros(d_out))
-    return ClassifierParams(tuple(input_shape), num_classes, weights, biases)
+    return ClassifierParams(tuple(input_shape), weights, biases)
 
 
 def _forward(params: ClassifierParams, X) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -132,7 +128,7 @@ def _backward(params: ClassifierParams, X, labels, mean: bool):
     if mean:
         delta /= len(labels)
     deltas = [delta]
-    for layer in range(params.num_layers - 1, 0, -1):
+    for layer in range(len(params.weights) - 1, 0, -1):
         deltas.append((deltas[-1] @ params.weights[layer].T) * (acts[layer] > 0))
     return losses, acts, deltas[::-1]
 
@@ -226,32 +222,36 @@ def accuracy(params: ClassifierParams, dataset) -> float:
     return float(np.mean(pred == y))
 
 
+def _check_hidden(params: ClassifierParams, config: TrainConfig):
+    """Refuse a config that would not rebuild the params: init_params makes
+    one hidden layer of width config.hidden, or none when it is None."""
+    widths = [b.size for b in params.biases[:-1]]
+    if widths != ([] if config.hidden is None else [config.hidden]):
+        raise ValueError(f"hidden {config.hidden!r} does not describe the hidden widths {widths}")
+
+
 def save_checkpoint(path, params: ClassifierParams, config: TrainConfig):
     """Write params and config to a single .npz container.
 
     Arrays go in as w0, b0, w1, b1, ...; a JSON string under "meta" carries
-    the format version, architecture and TrainConfig.
+    the format version, input shape and TrainConfig.  The class count and
+    depth are the arrays', and config.hidden must describe them.
     """
+    _check_hidden(params, config)
     arrays = {}
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         arrays[f"w{i}"] = w
         arrays[f"b{i}"] = b
-    meta = json.dumps(
-        {
-            "version": CHECKPOINT_VERSION,
-            "input_shape": list(params.input_shape),
-            "num_classes": params.num_classes,
-            "num_layers": params.num_layers,
-            "config": asdict(config),
-        }
-    )
+    meta = json.dumps({"version": CHECKPOINT_VERSION, "input_shape": list(params.input_shape),
+                       "config": asdict(config)})
     with open(path, "wb") as fh:
         np.savez(fh, meta=np.array(meta), **arrays)
 
 
 def load_checkpoint(path) -> tuple[ClassifierParams, TrainConfig]:
-    """Inverse of save_checkpoint.  Raises ValueError for an unknown format
-    version and for a meta that does not describe the params and config."""
+    """Inverse of save_checkpoint: every layer the file holds, under its
+    recorded config.  Raises ValueError for an unknown format version and
+    for a meta that does not describe the params and config."""
     with np.load(path, allow_pickle=False) as z:
         meta = json.loads(str(z["meta"]))
         if not isinstance(meta, dict):
@@ -259,9 +259,11 @@ def load_checkpoint(path) -> tuple[ClassifierParams, TrainConfig]:
         if meta.get("version") != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {meta.get('version')!r}")
         try:
-            layers = range(meta["num_layers"])
-            params = ClassifierParams(tuple(meta["input_shape"]), meta["num_classes"],
-                                      [z[f"w{i}"] for i in layers], [z[f"b{i}"] for i in layers])
-            return params, TrainConfig(**meta["config"])
+            layers = range(len(z.files) // 2)  # meta, w0, b0, w1, b1, ...
+            params = ClassifierParams(tuple(meta["input_shape"]), [z[f"w{i}"] for i in layers],
+                                      [z[f"b{i}"] for i in layers])
+            config = TrainConfig(**meta["config"])
+            _check_hidden(params, config)
+            return params, config
         except (KeyError, TypeError, ValueError) as exc:  # a missing or unknown key, a bad value
             raise ValueError(f"checkpoint meta does not fit: {exc!r}") from None

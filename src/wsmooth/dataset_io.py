@@ -128,6 +128,9 @@ class LabeledDataset:
         if indices.size and indices.dtype.kind not in "iu":  # not a bool mask, not cast floats
             raise ValueError(f"indices must be integers, got dtype {indices.dtype}")
         indices = indices.astype(int)
+        outside = indices[(indices < 0) | (indices >= len(self.labels))]
+        if outside.size:  # numpy would take -1 as the last image
+            raise ValueError(f"indices must be in [0, {len(self.labels)}), got {outside[0]}")
         return LabeledDataset(self.images[indices], self.labels[indices], self.num_classes)
 
 

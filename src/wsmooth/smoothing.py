@@ -191,7 +191,8 @@ def _vote_counts(params, x, spec: NoiseSpec, n: int, rng, workers: int):
     folded = _fold_first_layer(params, channels, spec)
     sizes = [VOTE_BATCH] * (n // VOTE_BATCH) + ([n % VOTE_BATCH] if n % VOTE_BATCH else [])
     streams = np.random.default_rng(rng).spawn(len(sizes))
-    rows = min(max(1, DRAW_VALUES // folded.input_shape[0]), VOTE_BATCH // 4)
+    # An image with no edges (1 x 1 under flow noise) draws 0 values a row.
+    rows = min(max(1, DRAW_VALUES // max(1, folded.input_shape[0])), VOTE_BATCH // 4)
 
     def blocks(stream, size):
         for start in range(0, size, rows):

@@ -131,7 +131,7 @@ class RegionThresholdClassifier:
         weight[:, self.positive_index] = block.ravel()
         bias = np.zeros(2)
         bias[self.positive_index] = -self.threshold
-        return ClassifierParams((n, m), 2, [weight], [bias])
+        return ClassifierParams((n, m), [weight], [bias])
 
     def exact_positive_probability(self, x, sigma: float) -> float:
         """Exact probability that flow noise of standard deviation sigma

@@ -35,7 +35,7 @@ def halves_classifier(n=4, m=4, scale=50.0):
     top = (np.arange(n * m) // m) < n // 2
     w[top, 0] = scale
     w[~top, 1] = scale
-    return ClassifierParams((n, m), 2, [w], [np.zeros(2)])
+    return ClassifierParams((n, m), [w], [np.zeros(2)])
 
 
 def split_image(top_mass, n=4, m=4):
@@ -236,6 +236,18 @@ class TestFlowPgd:
         res = flow_pgd_attack(params, split_image(0.75), 0, self.spec,
                               self.cfg(iterations=0), rng=7)
         assert not res.success and res.clean_correct
+
+    @pytest.mark.parametrize("scheme", [FLOW, PIXEL])
+    @pytest.mark.parametrize("shape, channels", [((1, 1), 1), ((3, 1, 1), 3)],
+                             ids=["1x1", "3x1x1"])
+    def test_an_image_with_no_edges_has_no_mass_to_move(self, scheme, shape, channels):
+        x = np.full(shape, 1 / np.prod(shape))
+        params = ClassifierParams(shape, [np.random.default_rng(0).normal(size=(x.size, 2))],
+                                  [np.array([5.0, 0.0])])
+        res = flow_pgd_attack(params, x, 0, NoiseSpec(scheme, 0.1),
+                              self.cfg(iterations=4, predict_samples=100), rng=7)
+        assert res.clean_correct and not res.success
+        assert res.budget == 0.0 and res.plans.shape == (channels, 0)
 
     @pytest.mark.parametrize("x, label, message", [
         (split_image(0.75), 7, "label must be in [0, 2), got 7"),

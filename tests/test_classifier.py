@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -31,11 +32,7 @@ def small_params(rng, hidden=5, input_shape=(3, 3), num_classes=3):
 class TestParams:
     def test_rejects_mismatched_layer_chain(self):
         with pytest.raises(ValueError, match="do not chain from input width 4"):
-            ClassifierParams((2, 2), 2, [np.zeros((4, 3))], [np.zeros(2)])
-
-    def test_rejects_wrong_output_width(self):
-        with pytest.raises(ValueError, match="final layer width 2 != num_classes 3"):
-            ClassifierParams((2, 2), 3, [np.zeros((4, 2))], [np.zeros(2)])
+            ClassifierParams((2, 2), [np.zeros((4, 3))], [np.zeros(2)])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", ["weight", "bias"])
@@ -43,11 +40,21 @@ class TestParams:
         w, b = np.zeros((4, 2)), np.zeros(2)
         (w if where == "weight" else b)[1] = bad
         with pytest.raises(ValueError, match="must be finite"):
-            ClassifierParams((2, 2), 2, [w], [b])
+            ClassifierParams((2, 2), [w], [b])
 
     def test_rejects_single_class(self):
         with pytest.raises(ValueError, match="^num_classes must be >= 2, got 1$"):
-            ClassifierParams((2, 2), 1, [np.zeros((4, 1))], [np.zeros(1)])
+            ClassifierParams((2, 2), [np.zeros((4, 1))], [np.zeros(1)])
+
+    @pytest.mark.parametrize("shape, words", [
+        ((2.7, 2), "input_shape[0] must be an integer, got 2.7"),
+        ((-2, -2), "input_shape[0] must be >= 0, got -2"),
+        ((4, True), "input_shape[1] must be an integer, got True"),
+    ])
+    def test_rejects_impossible_input_sides(self, shape, words):
+        # (2.7, 2) used to become (2, 2), and (-2, -2) passed as 4 pixels.
+        with pytest.raises(ValueError, match=f"^{re.escape(words)}$"):
+            ClassifierParams(shape, [np.zeros((4, 2))], [np.zeros(2)])
 
     @pytest.mark.parametrize("hidden, words", [(0, ">= 1, got 0"), (True, "an integer, got True"),
                                                (2.5, "an integer, got 2.5")])
@@ -63,7 +70,7 @@ class TestParams:
         assert np.array_equal(params.forward_batch(X), logits)
 
     def test_predicts_the_index_of_the_top_logit(self, rng):
-        params = ClassifierParams((1, 2), 2, [np.array([[1.0, 0.0], [0.0, 1.0]])], [np.zeros(2)])
+        params = ClassifierParams((1, 2), [np.array([[1.0, 0.0], [0.0, 1.0]])], [np.zeros(2)])
         images = np.array([[[0.7, 0.3]], [[0.3, 0.7]]])
         assert accuracy(params, LabeledDataset(images, np.array([0, 1]), 2)) == 1.0
         assert accuracy(params, LabeledDataset(images, np.array([1, 0]), 2)) == 0.0
@@ -273,7 +280,7 @@ class TestCheckpoints:
     def test_round_trip_exact(self, rng, tmp_path):
         params = small_params(rng)
         cfg = TrainConfig(epochs=3, learning_rate=0.05, noise="laplace_pixel",
-                          sigma=0.1, seed=42)
+                          sigma=0.1, seed=42, hidden=5)
         path = tmp_path / "model.npz"
         save_checkpoint(path, params, cfg)
         loaded, loaded_cfg = load_checkpoint(path)
@@ -286,7 +293,7 @@ class TestCheckpoints:
     def test_rejects_unknown_version(self, rng, tmp_path):
         params = small_params(rng)
         path = tmp_path / "model.npz"
-        save_checkpoint(path, params, TrainConfig())
+        save_checkpoint(path, params, TrainConfig(hidden=5))
         with np.load(path) as z:
             payload = {k: z[k] for k in z.files}
         meta = payload["meta"].item().replace('"version": 1', '"version": 99')
@@ -297,7 +304,7 @@ class TestCheckpoints:
 
     def test_rejects_non_finite_weights(self, rng, tmp_path):
         path = tmp_path / "model.npz"
-        save_checkpoint(path, small_params(rng), TrainConfig())
+        save_checkpoint(path, small_params(rng), TrainConfig(hidden=5))
         with np.load(path) as z:
             payload = {k: z[k] for k in z.files}
         payload["w0"][0, 0] = np.nan
@@ -309,7 +316,7 @@ class TestCheckpoints:
                                             ("epochs", True), ("seed", -1)])
     def test_rejects_config_values_train_cannot_use(self, rng, tmp_path, key, value):
         path = tmp_path / "model.npz"
-        save_checkpoint(path, small_params(rng), TrainConfig())
+        save_checkpoint(path, small_params(rng), TrainConfig(hidden=5))
         with np.load(path) as z:
             payload = {k: z[k] for k in z.files}
         meta = json.loads(payload["meta"].item())
@@ -318,3 +325,42 @@ class TestCheckpoints:
         np.savez(tmp_path / "bad.npz", **payload)
         with pytest.raises(ValueError, match=key):
             load_checkpoint(tmp_path / "bad.npz")
+
+    def test_meta_is_the_input_shape_and_config(self, rng, tmp_path):
+        # The class count and depth are the arrays'.  Files that also
+        # recorded num_classes and num_layers load unchanged.
+        params, cfg = small_params(rng), TrainConfig(hidden=5)
+        path = tmp_path / "model.npz"
+        save_checkpoint(path, params, cfg)
+        with np.load(path) as z:
+            payload = {k: z[k] for k in z.files}
+        meta = json.loads(payload["meta"].item())
+        assert set(meta) == {"version", "input_shape", "config"}
+        meta.update(num_classes=3, num_layers=2)
+        payload["meta"] = np.array(json.dumps(meta))
+        np.savez(tmp_path / "older.npz", **payload)
+        loaded, loaded_cfg = load_checkpoint(tmp_path / "older.npz")
+        assert loaded_cfg == cfg and loaded.num_classes == 3
+        for a, b in zip(params.arrays(), loaded.arrays(), strict=True):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("hidden", [9, None])
+    def test_refuses_to_save_a_config_that_would_not_rebuild_its_params(self, rng, tmp_path,
+                                                                        hidden):
+        path = tmp_path / "model.npz"
+        with pytest.raises(ValueError,
+                           match=rf"^hidden {hidden} does not describe the hidden widths \[4\]$"):
+            save_checkpoint(path, small_params(rng, hidden=4), TrainConfig(hidden=hidden))
+        assert not path.exists()
+
+    def test_refuses_a_hidden_layer_saved_without_its_width(self, rng, tmp_path):
+        # Files written before TrainConfig recorded hidden hold no width.
+        params = small_params(rng)
+        meta = {"version": 1, "input_shape": [3, 3], "num_classes": 3, "num_layers": 2,
+                "config": {"epochs": 3}}
+        path = tmp_path / "model.npz"
+        (w0, w1), (b0, b1) = params.weights, params.biases
+        np.savez(path, meta=np.array(json.dumps(meta)), w0=w0, b0=b0, w1=w1, b1=b1)
+        with pytest.raises(ValueError, match=r"^checkpoint meta does not fit: ValueError\('hidden "
+                                             r"None does not describe the hidden widths \[5\]'\)$"):
+            load_checkpoint(path)

@@ -151,7 +151,7 @@ class TestTrainCommand:
         config_path.write_text(json.dumps(cfg))
         assert run(["train", "--config", str(config_path)]) == 0
         saved, config = load_checkpoint(tmp_path / "out" / "model_flow_sigma0.1.npz")
-        assert config.hidden == hidden and saved.num_layers == (1 if hidden is None else 2)
+        assert config.hidden == hidden and len(saved.weights) == (1 if hidden is None else 2)
         args = _build_parser().parse_args(["train", "--config", str(config_path)])
         dataset = _load_split(_merge_config(args), "train")
         retrained = train(dataset, config).params
@@ -615,6 +615,8 @@ class TestConfigHandling:
         ("non_finite", "ValueError('weights and biases must be finite')"),
         ("flat_shape", "ValueError('expected a 2-D or 3-D image, got shape (25,)')"),
         ("four_sides", "ValueError('expected a 2-D or 3-D image, got shape (1, 1, 5, 5)')"),
+        ("unrecorded_hidden", "does not fit: ValueError('hidden None does not describe the "
+                              "hidden widths [4]')"),
     ])
     def test_refuses_a_checkpoint_that_does_not_fit(self, config_path, tmp_path, monkeypatch,
                                                      capsys, fault, needle):
@@ -633,6 +635,11 @@ class TestConfigHandling:
             ckpt.write_text("not a checkpoint\n")
         elif fault == "no_meta":
             np.savez(ckpt, w0=np.zeros((25, 2)), b0=np.zeros(2))
+        elif fault == "unrecorded_hidden":  # a hidden layer, saved before the config held its width
+            meta = {"version": 1, "input_shape": [5, 5], "num_classes": 2, "num_layers": 2,
+                    "config": {"noise": "wasserstein_flow", "sigma": 0.1}}
+            np.savez(ckpt, meta=np.array(json.dumps(meta)), w0=np.zeros((25, 4)),
+                     b0=np.zeros(4), w1=np.zeros((4, 2)), b1=np.zeros(2))
         elif fault == "truncated":
             np.savez(ckpt, w0=np.zeros((25, 2)), b0=np.zeros(2))
             ckpt.write_bytes(ckpt.read_bytes()[:40])

@@ -247,6 +247,13 @@ class TestLabeledDataset:
         with pytest.raises(ValueError, match="indices must be integers, got dtype"):
             ds.subset(indices)
 
+    @pytest.mark.parametrize("indices, got", [([10], 10), ([-1], -1), ([0, 4], 4)])
+    def test_subset_refuses_indices_outside_the_dataset(self, indices, got):
+        # 10 used to raise IndexError, and -1 picked the last image.
+        ds = LabeledDataset(np.eye(4).reshape(4, 2, 2), np.array([0, 1, 0, 1]), 2)
+        with pytest.raises(ValueError, match=rf"^indices must be in \[0, 4\), got {got}$"):
+            ds.subset(indices)
+
     def test_subset_takes_integer_arrays_of_any_width(self):
         ds = LabeledDataset(np.eye(4).reshape(4, 2, 2), np.array([0, 1, 0, 1]), 2)
         for indices in (np.arange(3), np.array([2, 1], dtype=np.uint8), [np.int32(3)]):

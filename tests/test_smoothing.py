@@ -52,7 +52,7 @@ def linear_instance(scheme):
     g = divergence_adjoint(u[None]).ravel() if scheme == FLOW else u.ravel()
     x = np.full((4, 4), 1 / 16)
     bias = 0.85 * LINEAR_SIGMA * np.linalg.norm(g) - float(u.ravel() @ x.ravel())
-    params = ClassifierParams((4, 4), 2, [np.stack([u.ravel(), np.zeros(16)], axis=1)],
+    params = ClassifierParams((4, 4), [np.stack([u.ravel(), np.zeros(16)], axis=1)],
                               [np.array([bias, 0.0])])
     logits = params.forward_batch(x.reshape(1, -1))[0]
     return params, x, float(logits[0] - logits[1]), g
@@ -716,6 +716,21 @@ class TestCertify:
                        rng=np.random.default_rng(8))
         assert cert.predicted == 0
         assert cert.rho2 == 0.0
+
+    @pytest.mark.parametrize("scheme", [FLOW, PIXEL])
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 1, 1)], ids=["1x1", "3x1x1"])
+    def test_an_image_with_no_edges_votes_for_its_base_class(self, scheme, shape):
+        # A one-pixel grid has no edges, so flow noise draws nothing and
+        # cannot move it; the bias margin keeps pixel noise from flipping it.
+        x = np.full(shape, 1 / math.prod(shape))
+        params = ClassifierParams(shape, [np.random.default_rng(0).normal(size=(x.size, 2))],
+                                  [np.array([5.0, 0.0])])
+        spec = NoiseSpec(scheme, 0.1)
+        pred = smoothed_predict(params, x, spec, 100, rng=np.random.default_rng(1))
+        assert (pred.predicted, pred.top_counts) == (0, (100, 0))
+        cert = certify(params, x, spec, n0=10, n=100, rng=np.random.default_rng(1))
+        assert cert.predicted == 0
+        assert cert.p_lower == clopper_pearson_lower(100, 100, 0.05)
 
     def test_rejects_bad_budgets(self, monkeypatch):
         clf = RegionThresholdClassifier((2, 2), "rows", 0, threshold=0.3).params()

@@ -191,6 +191,12 @@ def cases() -> dict:
         params3, x3, label3, NoiseSpec(FLOW, 0.02),
         AttackConfig(iterations=10, gradient_samples=32, max_radius=0.5, predict_samples=300),
         rng=44))
+    # A one-pixel grid has no edges: flow noise draws nothing.
+    for shape in ((1, 1), (3, 1, 1)):
+        params = init_params(shape, 2, rng=np.random.default_rng(45))
+        out[f"certify/edge_free/{'x'.join(map(str, shape))}"] = _plain(certify(
+            params, np.full(shape, 1 / np.prod(shape)), flow_spec, 10, 100, 0.05,
+            np.random.default_rng(46)))
     # Weak random models that flip while every pixel stays nonnegative, so
     # the attack's exact oracle radius is computed on one and three channels.
     small_spec = NoiseSpec(FLOW, 0.01)
@@ -283,9 +289,7 @@ def error_cases() -> dict:
         "shape/flow": lambda: apply_flow(quarter, np.zeros(5)),
         "width/batch": lambda: params.forward_batch(np.zeros((1, 4, 4))),
         "width/image": lambda: smoothed_predict(params, quarter, NoiseSpec(FLOW, 0.1), 10),
-        "layer_chain": lambda: ClassifierParams((2, 2), 2, [np.zeros((4, 3))], [np.zeros(2)]),
-        "layer_chain/output": lambda: ClassifierParams((2, 2), 3, [np.zeros((4, 2))],
-                                                       [np.zeros(2)]),
+        "layer_chain": lambda: ClassifierParams((2, 2), [np.zeros((4, 3))], [np.zeros(2)]),
         "lp_cap": lambda: wasserstein_lp(np.full((9, 9), 1 / 81), np.full((9, 9), 1 / 81)),
         "channel_mass": lambda: wasserstein_grid_l1(np.stack([0.7 * quarter, 0.3 * quarter]),
                                                     np.stack([0.4 * quarter, 0.6 * quarter])),
@@ -312,6 +316,10 @@ def error_cases() -> dict:
         "subset/mask": lambda: synthetic_dataset("blobs", 4).subset([True, False, True, False]),
         "attack/label": lambda: flow_pgd_attack(params, ninth, 7, spec, AttackConfig()),
         "attack/unit_mass": lambda: flow_pgd_attack(params, 2 * ninth, 0, spec, AttackConfig()),
+        "checkpoint/hidden": lambda: save_checkpoint(os.devnull, init_params((3, 3), 2, hidden=4),
+                                                     TrainConfig(hidden=9)),
+        "shape/input_side": lambda: ClassifierParams((2.7, 2), [np.zeros((4, 2))], [np.zeros(2)]),
+        "subset/range": lambda: synthetic_dataset("blobs", 3).subset([10]),
     }
     for rule, call in refusals.items():
         out[f"errors/{rule}"] = _refusal(call)
