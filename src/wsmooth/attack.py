@@ -152,16 +152,15 @@ def flow_pgd_attack(classifier, x, label: int, spec: NoiseSpec,
     """Attack one labeled image; stops at the first evaluated prediction that
     disagrees with the label (abstention included).
 
-    Before any draw it refuses a label that is not a class index and a
-    finite image that is not unit mass (a non-finite one, as smoothed_predict
-    does).  Predictions are only re-evaluated when the perturbation actually
-    moved, so a zero-gradient plateau cannot flip an image by resampling alone.
+    Before any draw it refuses a label that is not a class index and an
+    image that is not unit mass.  Predictions are only re-evaluated when the
+    perturbation actually moved, so a zero-gradient plateau cannot flip an
+    image by resampling alone.
     """
     k = classifier.num_classes
     _check_value("label", int, label, (f"in [0, {k})", lambda v: 0 <= v < k))
     channels = as_channels(x)
-    if np.isfinite(channels).all():
-        _check_unit_mass(channels[None])
+    _check_unit_mass(channels[None])
     cshape = channels.shape
     streams = iter(np.random.default_rng(rng).spawn(1 + 2 * config.iterations))
 

@@ -78,7 +78,8 @@ def init_params(input_shape, num_classes: int, hidden: int | None = None,
     otherwise one ReLU hidden layer of that width.  Weights are Gaussian
     with std 1/sqrt(fan-in), biases zero."""
     rng = np.random.default_rng(rng)
-    dims = [int(np.prod(input_shape))]
+    dims = [math.prod(_check_value(f"input_shape[{i}]", int, side, AT_LEAST_1)
+                      for i, side in enumerate(input_shape))]
     if hidden is not None:
         dims.append(_check_value("hidden", int, hidden, AT_LEAST_1))
     dims.append(_check_value("num_classes", int, num_classes, AT_LEAST_2))

@@ -58,27 +58,18 @@ def _normalize(x: np.ndarray) -> np.ndarray:
     """Divide each image of a float (N, n, m) or (N, C, n, m) stack by its
     grand total, in place, so every image becomes a distribution.
 
-    Intensities must be finite and nonnegative, and an image's total must
-    be positive and finite: the first image that breaks a rule is named.
+    An image's total must be positive and finite, else the first image whose
+    total is not is named; LabeledDataset then checks the pixels themselves.
     An image whose total is exactly 1 comes back bit for bit.
     """
     _check_stack_shape(x)
-    axes = tuple(range(1, x.ndim))
-    with np.errstate(over="ignore", invalid="ignore"):
-        totals = x.sum(axis=axes, keepdims=True)
-    bad = np.flatnonzero(~np.isfinite(totals))
-    if bad.size:
-        i = bad[0]
-        why = ("total mass overflowed" if np.isfinite(x[i]).all()
-               else "raw intensities must be finite (found NaN or inf)")
-        raise ValueError(f"image {i}: {why}")
-    bad = np.flatnonzero(x.min(axis=axes) < 0)
-    if bad.size:
-        raise ValueError(f"image {bad[0]}: raw intensities must be nonnegative")
-    bad = np.flatnonzero(totals == 0)
-    if bad.size:
-        raise ValueError(f"image {bad[0]} has zero total mass")
-    x /= totals
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN totals fail, unwarned
+        totals = x.sum(axis=tuple(range(1, x.ndim)), keepdims=True)
+        bad = np.flatnonzero(~((totals > 0) & (totals < np.inf)))
+        if bad.size:
+            raise ValueError(f"image {bad[0]} has total mass {float(totals.flat[bad[0]])!r}, "
+                             f"not positive and finite")
+        x /= totals
     return x
 
 
@@ -125,6 +116,8 @@ class LabeledDataset:
 
     def subset(self, indices) -> "LabeledDataset":
         indices = np.asarray(indices)
+        if indices.ndim != 1:
+            raise ValueError(f"indices must be 1-D, got shape {indices.shape}")
         if indices.size and indices.dtype.kind not in "iu":  # not a bool mask, not cast floats
             raise ValueError(f"indices must be integers, got dtype {indices.dtype}")
         indices = indices.astype(int)
@@ -137,8 +130,8 @@ class LabeledDataset:
 def make_dataset(images, labels, num_classes: int | None = None) -> LabeledDataset:
     """Normalize raw grids; labels pass through, num_classes defaults to the top + 1.
 
-    Zero-mass images are rejected outright; drop them beforehand if the
-    source may contain any.
+    An image whose total is not positive and finite (zero mass included) is
+    refused; drop such images beforehand if the source may contain any.
     """
     images = np.array(images, dtype=float)
     labels = np.asarray(labels)

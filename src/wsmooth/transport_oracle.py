@@ -23,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .flow_domain import (AT_LEAST_1, MASS_TOL, _check_unit_mass, _check_value, as_channels,
-                          divergence_matrix, flow_from_edge)
+                          channel_shape, divergence_matrix, flow_from_edge)
 
 # The dense LP has N^2 variables; past 64 pixels it stops being an oracle
 # and starts being a liability.
@@ -89,10 +89,10 @@ def wasserstein_lp(x, xp, metric: GroundMetric = GroundMetric.L1) -> tuple[float
     """Exact 1-Wasserstein distance by solving the coupling LP directly.
 
     Minimizes sum(C * P) over couplings P with row marginal x and column
-    marginal xp.  Returns the distance and the optimal (N, N) coupling over
-    flattened pixel pairs: entry (s, t) is the mass moved from source pixel
-    s to target pixel t.  Dense in the number of pixel pairs, so inputs are
-    capped at MAX_LP_PIXELS pixels.
+    marginal xp, two (n, m) or two (1, n, m) images.  Returns the distance
+    and the optimal (N, N) coupling over flattened pixel pairs: entry (s, t)
+    is the mass moved from source pixel s to target pixel t.  Dense in the
+    number of pixel pairs, so inputs are capped at MAX_LP_PIXELS pixels.
 
     When the ground cost is a metric, some optimal coupling keeps the mass
     the images share, min(x, xp), in place (Kantorovich-Rubinstein duality),
@@ -100,13 +100,16 @@ def wasserstein_lp(x, xp, metric: GroundMetric = GroundMetric.L1) -> tuple[float
     the sinks {d < 0}.  Both GroundMetric members are metrics; the reduction
     would be wrong for a non-metric cost such as the squared distance.
     """
+    if not isinstance(metric, GroundMetric):
+        raise ValueError(f"metric must be a GroundMetric, got {metric!r}")
     a, b = _coerce_pair(x, xp)
-    if a.ndim != 2:
-        raise ValueError(f"expected an (n, m) image, got shape {a.shape}")
+    channels, n, m = channel_shape(a.shape)
+    if channels != 1:
+        raise ValueError(f"expected an (n, m) or (1, n, m) image, got shape {a.shape}")
     npix = a.size
     if npix > MAX_LP_PIXELS:
         raise ValueError(f"{npix} pixels exceeds the dense LP cap of {MAX_LP_PIXELS}")
-    cost = metric.cost_matrix(a.shape)
+    cost = metric.cost_matrix((n, m))
     a, b = a.ravel(), b.ravel()
     coupling = np.diag(np.minimum(a, b))
     surplus = a - b

@@ -56,6 +56,20 @@ class TestParams:
         with pytest.raises(ValueError, match=f"^{re.escape(words)}$"):
             ClassifierParams(shape, [np.zeros((4, 2))], [np.zeros(2)])
 
+    @pytest.mark.parametrize("shape, words", [((0, 3), "input_shape[0] must be >= 1, got 0"),
+                                              ((3, 0), "input_shape[1] must be >= 1, got 0")])
+    def test_init_params_rejects_empty_input_sides(self, shape, words):
+        # Used to end in ZeroDivisionError at the 1/sqrt(fan-in) scale.
+        with pytest.raises(ValueError, match=f"^{re.escape(words)}$"):
+            init_params(shape, 2)
+
+    @pytest.mark.parametrize("weights, biases", [([], []), ([np.zeros((4, 2))], [])],
+                             ids=["empty", "unequal"])
+    def test_rejects_layer_lists_that_are_empty_or_unequal(self, weights, biases):
+        with pytest.raises(ValueError, match="^weights and biases must be nonempty lists of "
+                                             "equal length$"):
+            ClassifierParams((2, 2), weights, biases)
+
     @pytest.mark.parametrize("hidden, words", [(0, ">= 1, got 0"), (True, "an integer, got True"),
                                                (2.5, "an integer, got 2.5")])
     def test_init_params_rejects_bad_hidden_widths(self, hidden, words):
@@ -83,6 +97,12 @@ class TestParams:
         for backprop in (loss_and_gradients, input_gradient_batch):
             with pytest.raises(ValueError, match="batch of width 16"):
                 backprop(params, wide, np.array([0, 1]))
+
+    def test_backprop_needs_one_label_per_row(self, rng):
+        params = small_params(rng)
+        for backprop in (loss_and_gradients, input_gradient_batch):
+            with pytest.raises(ValueError, match="^one label per batch row required$"):
+                backprop(params, np.zeros((3, 3, 3)), np.array([0, 1]))
 
 
 class TestGradients:

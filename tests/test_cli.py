@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wsmooth
+from wsmooth import transport_oracle
 from wsmooth import (ABSTAIN, AttackConfig, LabeledDataset, TrainConfig, load_checkpoint,
                      save_checkpoint, synthetic_dataset, train)
 from wsmooth.cli import (_SCHEMA, _build_parser, _certify_stats, _load_split, _merge_config, main,
@@ -277,6 +278,14 @@ class TestOracleCheckCommand:
         assert sum(1 for line in lines if line.startswith("PASS")) == 8
         assert not any(line.startswith("FAIL") for line in lines)
 
+    def test_a_failing_property_exits_with_status_1(self, monkeypatch, capsys):
+        monkeypatch.setitem(transport_oracle._CHECK_TOLERANCES, "lp_vs_grid_l1", -1.0)
+        assert run(["oracle-check", "--pairs", "2"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines if line.startswith("FAIL")] == [
+            "FAIL lp_vs_grid_l1"]
+        assert lines[-1] == "1 oracle properties failed"
+
     def test_console_script_entry_point(self, tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "wsmooth.cli", "oracle-check", "--pairs", "3"],
@@ -407,9 +416,13 @@ class TestReportCommand:
         (b"# command=certify seed=1 scheme=flow sigma=0.1 n0=100 n=800 alpha=0.05 num_classes=2\n"
          b"id,label,base_prediction,prediction,p_lower,rho2,abstained\n0,0,0,-1,0.2,\n",
          "line 3 is malformed (ValueError('6 cells under 7 columns'))"),
+        (b"id,label,base_prediction,prediction,p_lower,rho2,abstained\n0,0,0,-1,0.2,,1\n",
+         "lacks the `# key=value` metadata line"),
+        (b"# command=certify seed=1 scheme=flow sigma=0.1 n0=100 n=800 alpha=0.05 num_classes=2\n"
+         b"id,label,base_prediction,prediction,p_lower,rho2,abstained\n\n", "holds no rows"),
     ], ids=["bad_radius", "no_scheme", "missing", "token_without_equals", "not_utf8",
             "nan_radius", "p_lower_out_of_range", "radius_below_half", "settings_out_of_range",
-            "no_seed", "long_row", "short_row"])
+            "no_seed", "long_row", "short_row", "no_metadata_line", "no_rows"])
     def test_rejects_malformed_table(self, tmp_path, monkeypatch, capsys, text, needle):
         table = tmp_path / "certificates.csv"
         if text is not None:
@@ -443,6 +456,18 @@ class TestReportCommand:
         assert main() == 2
         assert capsys.readouterr().err.splitlines() == [f"error: {table} {needle}"]
         assert not (tmp_path / "out").exists()
+
+    def test_prints_n_a_when_no_image_is_certified_correct(self, tmp_path, capsys):
+        table = tmp_path / "certificates.csv"
+        table.write_text("# command=certify seed=1 scheme=flow sigma=0.1 n0=100 n=800 "
+                         "alpha=0.05 num_classes=2\n"
+                         "id,label,base_prediction,prediction,p_lower,rho2,abstained\n"
+                         "0,0,0,-1,0.2,,1\n")
+        assert run(["report", "--out-dir", str(tmp_path / "out"), str(table)]) == 0
+        header, row = capsys.readouterr().out.splitlines()
+        assert row.split()[-1] == "n/a" and header.split()[-1] == "median_certified_radius"
+        _, rows = read_table(tmp_path / "out" / "report.csv")
+        assert rows[0]["median_certified_radius"] == ""
 
     def test_certify_header_records_the_class_count(self, config_path, tmp_path):
         run(["train", "--config", str(config_path)])
@@ -493,6 +518,7 @@ class TestConfigHandling:
          "cannot load the train split: shape must be (rows, columns), got (3, 8, 8)"),
         ({"dataset": {"shape": [8]}},
          "cannot load the train split: shape must be (rows, columns), got (8,)"),
+        ([1, 2], "must hold a JSON object"),
     ])
     def test_bad_config_exits_with_one_error_line(self, tmp_path, monkeypatch, capsys,
                                                   cfg, needle):

@@ -113,17 +113,17 @@ class TestNormalize:
         assert np.array_equal(_normalized(x), x)
 
     def test_rejects_negative_intensities(self):
-        with pytest.raises(ValueError, match="^image 0: raw intensities must be nonnegative$"):
+        with pytest.raises(ValueError, match="^image 0 has a negative pixel$"):
             _normalized(np.array([[1.0, -0.5]]))
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_rejects_non_finite_intensities(self, bad):
-        # Checked before dividing, so no RuntimeWarning and no "mass nan".
+        # Checked before dividing, so no RuntimeWarning.
         with pytest.raises(ValueError, match="finite"):
             _normalized(np.array([[1.0, bad], [0.0, 2.0]]))
 
     def test_rejects_zero_mass(self):
-        with pytest.raises(ValueError, match="^image 0 has zero total mass$"):
+        with pytest.raises(ValueError, match="^image 0 has total mass 0.0, not positive"):
             _normalized(np.zeros((2, 2)))
 
     def test_rejects_wrong_rank(self):
@@ -135,15 +135,15 @@ class TestNormalize:
         img = _normalized(np.ones((3, 2, 2)))
         assert img.shape == (3, 2, 2)
         assert img.sum() == pytest.approx(1.0, abs=1e-15)
-        with pytest.raises(ValueError, match="^image 0 has zero total mass$"):
+        with pytest.raises(ValueError, match="^image 0 has total mass 0.0, not positive"):
             _normalized(np.zeros((2, 2, 2)))
-        with pytest.raises(ValueError, match="^image 0: raw intensities must be nonnegative$"):
+        with pytest.raises(ValueError, match="^image 0 has total mass -4.0, not positive"):
             _normalized(-np.ones((1, 2, 2)))
 
     def test_overflowing_total_is_refused_without_a_warning(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="^image 0: total mass overflowed"):
+            with pytest.raises(ValueError, match="^image 0 has total mass inf, not positive"):
                 make_dataset(np.full((1, 2, 2), 1e308), [0], num_classes=2)
 
     @pytest.mark.parametrize("dtype", [np.uint8, np.float64])
@@ -247,6 +247,14 @@ class TestLabeledDataset:
         with pytest.raises(ValueError, match="indices must be integers, got dtype"):
             ds.subset(indices)
 
+    def test_subset_refuses_indices_that_are_not_1_d(self):
+        # A (2, 2) index array used to stack two images per entry and be
+        # refused as "image 0 has total mass 2.0".
+        ds = LabeledDataset(np.eye(4).reshape(4, 2, 2), np.array([0, 1, 0, 1]), 2)
+        for indices, shape in (([[0, 1], [2, 3]], r"\(2, 2\)"), (1, r"\(\)")):
+            with pytest.raises(ValueError, match=rf"^indices must be 1-D, got shape {shape}$"):
+                ds.subset(indices)
+
     @pytest.mark.parametrize("indices, got", [([10], 10), ([-1], -1), ([0, 4], 4)])
     def test_subset_refuses_indices_outside_the_dataset(self, indices, got):
         # 10 used to raise IndexError, and -1 picked the last image.
@@ -287,15 +295,17 @@ class TestMakeDataset:
     def test_degenerate_image_names_its_index(self):
         x = np.ones((3, 2, 2))
         x[1] = 0.0
-        with pytest.raises(ValueError, match="^image 1 has zero total mass$"):
+        with pytest.raises(ValueError, match="^image 1 has total mass 0.0, not positive"):
             make_dataset(x, np.array([0, 0, 1]))
 
     @pytest.mark.parametrize("broken, needle", [
-        (np.nan, "finite"), (-np.inf, "finite"), (-1.0, "nonnegative"), (1e308, "overflowed")])
+        (np.nan, "total mass nan"), (-np.inf, "total mass -inf"), (-1.0, "total mass 0.0"),
+        (1e308, "total mass inf")], ids=["nan-finite", "-inf-finite", "-1.0-nonnegative",
+                                         "1e+308-overflowed"])
     def test_names_the_first_bad_raw_image(self, broken, needle):
         x = np.ones((5, 2, 2))
         x[2, 0] = x[4, 0] = broken
-        with pytest.raises(ValueError, match=f"^image 2: .*{needle}"):
+        with pytest.raises(ValueError, match=f"^image 2 has {needle}, not positive"):
             make_dataset(x, np.zeros(5), num_classes=2)
 
 

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -6,17 +7,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wsmooth import (
+    AttackConfig,
     LabeledDataset,
+    NoiseSpec,
     RawGrid,
     apply_flow,
     flow_from_edge,
+    flow_pgd_attack,
+    init_params,
     l1_norm,
+    make_dataset,
     solve_flow_1d,
     wasserstein_grid_l1,
     wasserstein_lp,
 )
 from wsmooth.flow_domain import (MASS_TOL, as_channels, divergence, divergence_adjoint,
                                  divergence_matrix, edge_count)
+from wsmooth.smoothing import FLOW
 from wsmooth.transport_oracle import _grid_equations
 
 from analytic import edge_from_flow
@@ -338,6 +345,12 @@ class TestSolveFlow1d:
     def test_half_shift(self):
         np.testing.assert_allclose(solve_flow_1d([1, 0], [0.5, 0.5]), [0.5])
 
+    def test_refuses_inputs_that_are_not_1_d_or_differ_in_length(self):
+        with pytest.raises(ValueError, match="^inputs must be 1-D distributions$"):
+            solve_flow_1d([[0.5, 0.5]], [0.5, 0.5])
+        with pytest.raises(ValueError, match=r"^length mismatch \(2,\) vs \(3,\)$"):
+            solve_flow_1d([0.5, 0.5], [0.2, 0.3, 0.5])
+
     def test_requires_matching_mass(self):
         with pytest.raises(ValueError, match="^image 0 has total mass 0.7"):
             solve_flow_1d([0.5, 0.2], [0.5, 0.5])
@@ -363,6 +376,41 @@ class TestSolveFlow1d:
         # On a 1 x width grid the packed layout is the horizontal edges alone.
         recon = apply_flow(x[None, :], delta).values[0]
         assert np.allclose(recon, xp, atol=1e-12)
+
+
+QUARTER = np.full((2, 2), 0.25)
+
+# Each image entry point, and how its refusal starts: a stack or a pair names
+# the bad image, which is image 1 here; the attack's one image is image 0.
+PIXEL_RULE_ENTRIES = {
+    "LabeledDataset": (lambda bad: LabeledDataset(np.stack([QUARTER, bad]), [0, 1], 2),
+                       "^image 1 has "),
+    "make_dataset": (lambda bad: make_dataset(np.stack([QUARTER, bad]), [0, 1], 2),
+                     "^image 1 has "),
+    "wasserstein_grid_l1": (lambda bad: wasserstein_grid_l1(QUARTER, bad), "^image 1 has "),
+    "wasserstein_lp": (lambda bad: wasserstein_lp(QUARTER, bad), "^image 1 has "),
+    "solve_flow_1d": (lambda bad: solve_flow_1d(QUARTER.ravel(), bad.ravel()), "^image 1 has "),
+    "apply_flow": (lambda bad: apply_flow(bad, np.zeros(4)), "^total mass .* is not 1"),
+    "flow_pgd_attack": (lambda bad: flow_pgd_attack(init_params((2, 2), 2, rng=0), bad, 0,
+                                                    NoiseSpec(FLOW, 0.1),
+                                                    AttackConfig(iterations=1)),
+                        "^image 0 has "),
+}
+
+
+class TestOnePixelRule:
+    @pytest.mark.parametrize("bad", [np.array([[1e308, 1e308], [0.0, 0.0]]),
+                                     np.array([[np.inf, -np.inf], [0.5, 0.5]])],
+                             ids=["overflow", "inf_pair"])
+    @pytest.mark.parametrize("entry", list(PIXEL_RULE_ENTRIES))
+    def test_refuses_an_image_whose_total_is_not_finite_without_a_warning(self, entry, bad):
+        # Each sum used to warn "overflow (or invalid value) encountered in
+        # reduce" before, or under an error filter instead of, its refusal.
+        call, needle = PIXEL_RULE_ENTRIES[entry]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match=needle):
+                call(bad)
 
 
 class TestEdgeConversions:

@@ -279,11 +279,13 @@ class TestFold:
         params = init_params((2, 2), 2, rng=np.random.default_rng(0))
         x = np.array([[0.5, 0.5], [0.0, bad]])
         spec = NoiseSpec(FLOW, 0.1)
-        calls = (lambda: smoothed_predict(params, x, spec, n=10),
-                 lambda: certify(params, x, spec, n0=10, n=20),
-                 lambda: flow_pgd_attack(params, x, 1, spec, AttackConfig(iterations=1)))
-        for call in calls:
-            with pytest.raises(ValueError, match="image pixels must be finite"):
+        # The attack refuses it by the unit-mass rule of every image entry point.
+        calls = ((lambda: smoothed_predict(params, x, spec, n=10), "image pixels must be finite"),
+                 (lambda: certify(params, x, spec, n0=10, n=20), "image pixels must be finite"),
+                 (lambda: flow_pgd_attack(params, x, 1, spec, AttackConfig(iterations=1)),
+                  "^image 0 has (total mass (nan|inf), not 1|a negative pixel)"))
+        for call, needle in calls:
+            with pytest.raises(ValueError, match=needle):
                 call()
 
 

@@ -60,6 +60,24 @@ class TestCouplingLp:
         with pytest.raises(ValueError):
             wasserstein_lp(np.full((2, 2), 0.3), np.full((2, 2), 0.25))
 
+    @pytest.mark.parametrize("metric", list(GroundMetric))
+    def test_one_channel_image_gives_the_n_m_distance(self, metric, rng):
+        x, xp = (rng.dirichlet(np.ones(12)).reshape(3, 4) for _ in range(2))
+        dist, plan = wasserstein_lp(x, xp, metric)
+        dist_c, plan_c = wasserstein_lp(x[None], xp[None], metric)
+        assert dist_c == dist and np.array_equal(plan_c, plan)
+
+    def test_rejects_more_than_one_channel(self):
+        x = np.full((3, 2, 2), 1 / 12)
+        with pytest.raises(ValueError, match=r"^expected an \(n, m\) or \(1, n, m\) image, "
+                                             r"got shape \(3, 2, 2\)$"):
+            wasserstein_lp(x, x)
+
+    def test_rejects_a_metric_that_is_not_a_ground_metric(self):
+        x = np.full((2, 2), 0.25)
+        with pytest.raises(ValueError, match="^metric must be a GroundMetric, got 'L1'$"):
+            wasserstein_lp(x, x, "L1")
+
     @settings(max_examples=30, deadline=None)
     @given(image_pairs(min_side=2, max_side=3))
     def test_metric_sandwich(self, pair):

@@ -270,6 +270,7 @@ def error_cases() -> dict:
             os.chdir(home)
     quarter = np.full((2, 2), 0.25)
     negative = np.array([[0.75, 0.5], [0.0, -0.25]])
+    overflow, inf_pair = np.array([[1e308, 1e308], [0, 0]]), np.array([[np.inf, -np.inf], [1, 0]])
     params = init_params((3, 3), 2, rng=np.random.default_rng(0))
     ninth, spec = np.full((3, 3), 1 / 9), NoiseSpec(FLOW, 0.1)
     refusals = {
@@ -320,6 +321,15 @@ def error_cases() -> dict:
                                                      TrainConfig(hidden=9)),
         "shape/input_side": lambda: ClassifierParams((2.7, 2), [np.zeros((4, 2))], [np.zeros(2)]),
         "subset/range": lambda: synthetic_dataset("blobs", 3).subset([10]),
+        "unit_mass/overflow": lambda: LabeledDataset(np.stack([quarter, overflow]), [0, 1], 2),
+        "unit_mass/inf_pair": lambda: LabeledDataset(np.stack([quarter, inf_pair]), [0, 1], 2),
+        "attack/non_finite": lambda: flow_pgd_attack(params, np.full((3, 3), np.nan), 0, spec,
+                                                     AttackConfig()),
+        "shape/init_side": lambda: init_params((3, 0), 2),
+        "shape/lp_channels": lambda: wasserstein_lp(np.full((3, 2, 2), 1 / 12),
+                                                    np.full((3, 2, 2), 1 / 12)),
+        "metric/lp": lambda: wasserstein_lp(quarter, quarter, "L1"),
+        "subset/rank": lambda: synthetic_dataset("blobs", 4).subset([[0, 1], [2, 3]]),
     }
     for rule, call in refusals.items():
         out[f"errors/{rule}"] = _refusal(call)
