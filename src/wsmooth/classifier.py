@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -181,12 +182,15 @@ class TrainResult:
     epoch_losses: list[float] = field(default_factory=list)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def train(dataset, config: TrainConfig) -> TrainResult:
     """Train a classifier on a labeled dataset under the configured noise.
 
     Randomness (init, shuffling, noise) flows from config.seed through three
     spawned streams, so runs are bit-for-bit reproducible; with sigma 0 the
     sampler adds zeros and never consumes the noise stream, whatever the scheme.
+    A diverged run overflows to inf and NaN without a RuntimeWarning; its
+    non-finite weights are refused where they would be kept, by save_checkpoint.
     """
     X, y = dataset.as_arrays()
     root = np.random.default_rng(config.seed)
@@ -232,12 +236,17 @@ def _check_hidden(params: ClassifierParams, config: TrainConfig):
 
 
 def save_checkpoint(path, params: ClassifierParams, config: TrainConfig):
-    """Write params and config to a single .npz container.
+    """Write params and config to a single .npz container, making its
+    directory if needed.
 
     Arrays go in as w0, b0, w1, b1, ...; a JSON string under "meta" carries
     the format version, input shape and TrainConfig.  The class count and
-    depth are the arrays', and config.hidden must describe them.
+    depth are the arrays', and config.hidden must describe them.  What
+    load_checkpoint refuses, non-finite weights included, is refused before
+    anything is written: training updates the arrays in place, past
+    ClassifierParams' own check.
     """
+    params = ClassifierParams(params.input_shape, params.weights, params.biases)
     _check_hidden(params, config)
     arrays = {}
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
@@ -245,6 +254,7 @@ def save_checkpoint(path, params: ClassifierParams, config: TrainConfig):
         arrays[f"b{i}"] = b
     meta = json.dumps({"version": CHECKPOINT_VERSION, "input_shape": list(params.input_shape),
                        "config": asdict(config)})
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "wb") as fh:
         np.savez(fh, meta=np.array(meta), **arrays)
 

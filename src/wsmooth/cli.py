@@ -216,12 +216,13 @@ def _cmd_train(cfg: dict) -> int:
     tc = cfg["train"]
     result = clf.train(dataset, tc)
     ckpt = Path(cfg["checkpoint"])
-    ckpt.parent.mkdir(parents=True, exist_ok=True)
-    clf.save_checkpoint(ckpt, result.params, tc)
+    try:
+        clf.save_checkpoint(ckpt, result.params, tc)
+    except ValueError as exc:  # non-finite weights: the run diverged
+        raise SystemExit(f"error: train: {exc}; the run diverged and nothing was written")
     train_acc = clf.accuracy(result.params, dataset)
     final_loss = result.epoch_losses[-1]
-    # A uniform guess over K classes scores cross-entropy ln K; NaN or inf
-    # compares false, so a diverged run is flagged too.
+    # A uniform guess over K classes scores cross-entropy ln K.
     chance = math.log(dataset.num_classes)
     at_chance = not final_loss < chance
     _write_summary(cfg, "train", num_images=len(dataset), epochs=tc.epochs,

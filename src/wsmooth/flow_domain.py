@@ -87,13 +87,13 @@ def _check_stack_shape(x: np.ndarray):
         raise ValueError(f"images must stack nonempty 2-D or 3-D arrays, got {x.shape}")
 
 
-def _check_unit_mass(x: np.ndarray):
-    """Refuse a float (N, n, m) or (N, C, n, m) stack by its first image with
-    a negative pixel or a grand total not 1 within MASS_TOL (NaN, inf too)."""
+def _check_unit_mass(x: np.ndarray, nonnegative: bool = True):
+    """Refuse a float (N, n, m) or (N, C, n, m) stack by its first image with a
+    negative pixel (if ``nonnegative``) or a grand total not 1 within MASS_TOL (NaN, inf too)."""
     _check_stack_shape(x)
     axes = tuple(range(1, x.ndim))
     with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN totals fail, unwarned
-        negative, totals = (x < 0).any(axis=axes), x.sum(axis=axes)
+        negative, totals = nonnegative & (x < 0).any(axis=axes), x.sum(axis=axes)
     bad = np.flatnonzero(negative | ~(np.abs(totals - 1.0) <= MASS_TOL))
     if bad.size:
         i = bad[0]
@@ -114,12 +114,7 @@ class RawGrid:
 
     def __post_init__(self):
         a = np.array(self.values, dtype=float)
-        if 0 in channel_shape(a.shape):
-            raise ValueError(f"expected a nonempty image, got shape {a.shape}")
-        with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN totals fail, unwarned
-            total = float(a.sum())
-        if not abs(total - 1.0) <= MASS_TOL:  # NaN fails too
-            raise ValueError(f"total mass {total!r} is not 1 within {MASS_TOL}")
+        _check_unit_mass(as_channels(a)[None], nonnegative=False)
         a.setflags(write=False)
         self.values = a
 

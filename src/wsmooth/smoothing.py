@@ -34,8 +34,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import betainc, betaincinv
 
-from .flow_domain import (AT_LEAST_0, AT_LEAST_1, OPEN_UNIT, POSITIVE, _check_value,
-                          as_channels, channel_shape, divergence, divergence_adjoint, edge_count)
+from .flow_domain import (AT_LEAST_0, AT_LEAST_1, OPEN_UNIT, POSITIVE, _check_unit_mass,
+                          _check_value, as_channels, channel_shape, divergence,
+                          divergence_adjoint, edge_count)
 from .transport_oracle import GroundMetric
 
 # Sentinel prediction that names none of the classes, logit columns 0 ... K-1.
@@ -170,8 +171,6 @@ def _fold_first_layer(params, channels: np.ndarray, spec: NoiseSpec):
     if channels.shape != expected:
         raise ValueError(f"image of shape {channels.shape} fed to classifier "
                          f"expecting {expected}")
-    if not np.isfinite(channels).all():
-        raise ValueError("image pixels must be finite")
     g = w0  # pixel noise: D = I
     if spec.scheme == FLOW:
         g = divergence_adjoint(w0.T.reshape((-1,) + channels.shape)).T
@@ -263,11 +262,13 @@ def smoothed_predict(params, x, spec: NoiseSpec, n: int = 10000, alpha: float = 
     n draws, but drawing stops at the first block where no outcome of the
     draws left can change it; num_samples, top_counts and p_value then
     describe the draws actually made.  The stopping point is defined in
-    draw order, so it does not depend on the worker count.
+    draw order, so it does not depend on the worker count.  The image must
+    have total mass 1; its pixels may be negative, as the attack's are.
     """
     _check_value("n", int, n, AT_LEAST_1)
     _check_value("alpha", float, alpha, OPEN_UNIT)
     _check_value("workers", int, workers, AT_LEAST_1)
+    _check_unit_mass(as_channels(x)[None], nonnegative=False)
     counts, remaining = 0, n
     for tally in _vote_counts(params, x, spec, n, rng, workers):
         counts = counts + tally
@@ -279,7 +280,11 @@ def smoothed_predict(params, x, spec: NoiseSpec, n: int = 10000, alpha: float = 
 
 def clopper_pearson_lower(k: int, n: int, alpha: float) -> float:
     """One-sided Clopper-Pearson lower confidence bound for a binomial
-    proportion at level 1 - alpha."""
+    proportion at level 1 - alpha: betaincinv's root p of I_p(k, n - k + 1)
+    = alpha where betainc gives back alpha within 1e-6 relative, else 0
+    (always valid).  Below about alpha = 1e-120 betaincinv can give NaN
+    (k = 4, n = 5, alpha = 1e-200) or a p above the bound (k = 485, n = 500,
+    alpha = 1e-300), and betainc can underflow to 0."""
     _check_value("n", int, n, AT_LEAST_1)
     _check_value("k", int, k, (f"in [0, {n}]", lambda v: 0 <= v <= n))
     _check_value("alpha", float, alpha, OPEN_UNIT)
@@ -287,7 +292,8 @@ def clopper_pearson_lower(k: int, n: int, alpha: float) -> float:
         return 0.0
     if k == n:
         return float(alpha ** (1.0 / n))
-    return float(betaincinv(k, n - k + 1, alpha))
+    p_lower = float(betaincinv(k, n - k + 1, alpha))
+    return p_lower if abs(betainc(k, n - k + 1, p_lower) - alpha) <= 1e-6 * alpha else 0.0
 
 
 def radius_from_plower(p_lower: float, sigma: float, scheme: str,
@@ -320,12 +326,14 @@ def certify(params, x, spec: NoiseSpec, n0: int = 1000, n: int = 10000,
 
     The candidate class is frozen before the bounding draws, so the
     Clopper-Pearson bound is valid even though the guess used data.  If the
-    bound does not clear 1/2 the certificate abstains.
+    bound does not clear 1/2 the certificate abstains.  The image must be
+    a distribution: nonnegative, of total mass 1.
     """
     _check_value("n0", int, n0, AT_LEAST_1)
     _check_value("n", int, n, AT_LEAST_1)
     _check_value("alpha", float, alpha, OPEN_UNIT)
     _check_value("workers", int, workers, AT_LEAST_1)
+    _check_unit_mass(as_channels(x)[None])
     r_guess, r_bound = np.random.default_rng(rng).spawn(2)
     top = int(np.argmax(sum(_vote_counts(params, x, spec, n0, r_guess, workers))))
     counts = sum(_vote_counts(params, x, spec, n, r_bound, workers))

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 from scipy import integrate, stats
+from scipy.special import gammaln
 
 from wsmooth import (ClassifierParams, NoiseSpec, TrainConfig, flow_from_edge, init_params,
                      loss_and_gradients, wasserstein_grid_l1)
@@ -44,6 +45,16 @@ def laplace_sum_sf(u: float, k: int) -> float:
                 / 2.0 ** (k + i)
             )
     return math.exp(-u) * total
+
+
+def binomial_log_sf(k: int, n: int, p: float) -> float:
+    """log P(X >= k) for X ~ Binomial(n, p), 0 < p < 1, as a sum of
+    log-space terms: exact to float rounding where betainc underflows."""
+    j = np.arange(k, n + 1)
+    terms = (gammaln(n + 1) - gammaln(j + 1) - gammaln(n - j + 1)
+             + j * np.log(p) + (n - j) * np.log1p(-p))
+    top = terms.max()
+    return float(top + np.log(np.exp(terms - top).sum()))
 
 
 def laplace_sum_sf_quad(u: float, k: int) -> float:

@@ -222,6 +222,27 @@ class TestFlowPgd:
         assert res.oracle_radius == pytest.approx(
             wasserstein_grid_l1(x, perturbed / perturbed.sum())[0], abs=1e-12)
 
+    @pytest.mark.parametrize("scheme", [FLOW, PIXEL])
+    def test_iterates_with_negative_pixels_are_evaluated(self, monkeypatch, scheme):
+        # x + D delta keeps total 1 but not its signs; smoothed_predict takes
+        # it by the unit-total rule and the attack runs its whole schedule.
+        rng = np.random.default_rng(0)
+        x = rng.dirichlet(np.ones(16)).reshape(4, 4)
+        params = init_params((4, 4), 2, rng=rng)
+        spec = NoiseSpec(scheme, 0.05)
+        label = smoothed_predict(params, x, spec, 300, 0.05, np.random.default_rng(1)).predicted
+        lowest = []
+
+        def spy(params, image, *args):
+            lowest.append(image.min())
+            return smoothed_predict(params, image, *args)
+        monkeypatch.setattr(attack, "smoothed_predict", spy)
+        res = flow_pgd_attack(params, x, label, spec,
+                              self.cfg(iterations=15, gradient_samples=16, predict_samples=300),
+                              rng=5)
+        assert res.clean_correct and not res.success
+        assert len(lowest) == 16 and min(lowest) < 0
+
     def test_robust_image_survives_small_budget(self):
         params = halves_classifier()
         # 0.9 top mass needs ~0.2 moved; a 0.05 cap cannot reach it.

@@ -332,6 +332,19 @@ class TestCheckpoints:
         with pytest.raises(ValueError, match="must be finite"):
             load_checkpoint(tmp_path / "bad.npz")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_refuses_to_save_what_it_would_not_load(self, rng, tmp_path, bad):
+        # Training updates the arrays in place, past ClassifierParams' own check.
+        params = small_params(rng)
+        params.biases[-1][0] = bad
+        path = tmp_path / "new" / "model.npz"
+        with pytest.raises(ValueError, match="^weights and biases must be finite$"):
+            save_checkpoint(path, params, TrainConfig(hidden=5))
+        assert not path.parent.exists()
+        params.biases[-1][0] = 0.0
+        save_checkpoint(path, params, TrainConfig(hidden=5))  # makes its directory
+        assert load_checkpoint(path)[0].num_classes == params.num_classes
+
     @pytest.mark.parametrize("key, value", [("epochs", 2.5), ("batch_size", 2.5),
                                             ("epochs", True), ("seed", -1)])
     def test_rejects_config_values_train_cannot_use(self, rng, tmp_path, key, value):

@@ -175,6 +175,21 @@ class TestTrainCommand:
         assert summary["loss_at_or_above_chance"] is True
         assert capsys.readouterr().out.count("warning: final loss") == 1
 
+    def test_a_diverged_run_exits_with_one_error_line_and_writes_nothing(
+            self, config_path, tmp_path, monkeypatch, capsys):
+        # At this rate the weights overflow to inf and NaN within the run.
+        cfg = json.loads(config_path.read_text())
+        cfg["train"].update(learning_rate=1e200, epochs=3)
+        config_path.write_text(json.dumps(cfg))
+        monkeypatch.setattr(sys, "argv", ["wsmooth", "train", "--config", str(config_path)])
+        assert main() == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: train: weights and biases must be finite; the run diverged and nothing "
+            "was written"]
+        assert not (tmp_path / "out").exists()
+
     def test_trained_model_is_not_flagged(self, config_path, tmp_path, capsys):
         run(["train", "--config", str(config_path)])
         summary = json.loads((tmp_path / "out" / "train_summary.json").read_text())

@@ -12,18 +12,20 @@ from wsmooth import (
     NoiseSpec,
     RawGrid,
     apply_flow,
+    certify,
     flow_from_edge,
     flow_pgd_attack,
     init_params,
     l1_norm,
     make_dataset,
+    smoothed_predict,
     solve_flow_1d,
     wasserstein_grid_l1,
     wasserstein_lp,
 )
 from wsmooth.flow_domain import (MASS_TOL, as_channels, divergence, divergence_adjoint,
                                  divergence_matrix, edge_count)
-from wsmooth.smoothing import FLOW
+from wsmooth.smoothing import FLOW, PIXEL
 from wsmooth.transport_oracle import _grid_equations
 
 from analytic import edge_from_flow
@@ -67,7 +69,7 @@ class TestTypes:
     def test_raw_grid_allows_negative_but_checks_mass(self):
         RawGrid(np.array([[1.5, -0.5]]))
         for bad in (np.array([[1.5, 0.5]]), np.array([[np.nan, 1.0]])):
-            with pytest.raises(ValueError, match="^total mass .* is not 1 within"):
+            with pytest.raises(ValueError, match="^image 0 has total mass .*, not 1 within"):
                 RawGrid(bad)
 
     def test_unit_mass_is_grand_total_over_channels(self):
@@ -152,8 +154,8 @@ class TestApplyFlow:
     @pytest.mark.parametrize("bad, words", [
         (np.ones(4) / 4, "expected a 2-D or 3-D image, got shape (4,)"),
         (np.ones((1, 1, 2, 2)) / 4, "expected a 2-D or 3-D image, got shape (1, 1, 2, 2)"),
-        (np.zeros((0, 3)), "expected a nonempty image, got shape (0, 3)"),
-        (np.zeros((2, 0, 3)), "expected a nonempty image, got shape (2, 0, 3)"),
+        (np.zeros((0, 3)), "images must stack nonempty 2-D or 3-D arrays, got (1, 1, 0, 3)"),
+        (np.zeros((2, 0, 3)), "images must stack nonempty 2-D or 3-D arrays, got (1, 2, 0, 3)"),
     ])
     def test_image_shape_is_the_package_rule(self, bad, words):
         for call in (lambda: RawGrid(bad), lambda: apply_flow(bad, np.zeros(0))):
@@ -381,7 +383,7 @@ class TestSolveFlow1d:
 QUARTER = np.full((2, 2), 0.25)
 
 # Each image entry point, and how its refusal starts: a stack or a pair names
-# the bad image, which is image 1 here; the attack's one image is image 0.
+# the bad image, which is image 1 here; a single image is image 0.
 PIXEL_RULE_ENTRIES = {
     "LabeledDataset": (lambda bad: LabeledDataset(np.stack([QUARTER, bad]), [0, 1], 2),
                        "^image 1 has "),
@@ -390,7 +392,12 @@ PIXEL_RULE_ENTRIES = {
     "wasserstein_grid_l1": (lambda bad: wasserstein_grid_l1(QUARTER, bad), "^image 1 has "),
     "wasserstein_lp": (lambda bad: wasserstein_lp(QUARTER, bad), "^image 1 has "),
     "solve_flow_1d": (lambda bad: solve_flow_1d(QUARTER.ravel(), bad.ravel()), "^image 1 has "),
-    "apply_flow": (lambda bad: apply_flow(bad, np.zeros(4)), "^total mass .* is not 1"),
+    "apply_flow": (lambda bad: apply_flow(bad, np.zeros(4)), "^image 0 has "),
+    "certify": (lambda bad: certify(init_params((2, 2), 2, rng=0), bad, NoiseSpec(PIXEL, 0.1),
+                                    n0=10, n=20), "^image 0 has "),
+    "smoothed_predict": (lambda bad: smoothed_predict(init_params((2, 2), 2, rng=0), bad,
+                                                      NoiseSpec(PIXEL, 0.1), n=10),
+                         "^image 0 has "),
     "flow_pgd_attack": (lambda bad: flow_pgd_attack(init_params((2, 2), 2, rng=0), bad, 0,
                                                     NoiseSpec(FLOW, 0.1),
                                                     AttackConfig(iterations=1)),

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
+from scipy.special import betaincinv
 
 from wsmooth import (
     ABSTAIN,
@@ -29,8 +30,8 @@ from wsmooth.flow_domain import divergence, divergence_adjoint, edge_count
 from wsmooth.smoothing import (DRAW_VALUES, FLOW, PIXEL, VOTE_BATCH, _edge_noise,
                                _fold_first_layer, _sample_increments, _vote_counts)
 
-from analytic import (RegionThresholdClassifier, laplace_sum_sf, laplace_sum_sf_quad,
-                      linear_vote_probability)
+from analytic import (RegionThresholdClassifier, binomial_log_sf, laplace_sum_sf,
+                      laplace_sum_sf_quad, linear_vote_probability)
 
 # p_lower with log-odds exactly 1, so certified radii reduce to the bare
 # coefficients times sigma.
@@ -279,14 +280,57 @@ class TestFold:
         params = init_params((2, 2), 2, rng=np.random.default_rng(0))
         x = np.array([[0.5, 0.5], [0.0, bad]])
         spec = NoiseSpec(FLOW, 0.1)
-        # The attack refuses it by the unit-mass rule of every image entry point.
-        calls = ((lambda: smoothed_predict(params, x, spec, n=10), "image pixels must be finite"),
-                 (lambda: certify(params, x, spec, n0=10, n=20), "image pixels must be finite"),
-                 (lambda: flow_pgd_attack(params, x, 1, spec, AttackConfig(iterations=1)),
-                  "^image 0 has (total mass (nan|inf), not 1|a negative pixel)"))
-        for call, needle in calls:
+        # Each refuses it by the unit-mass rule of every image entry point, so
+        # no fold of a non-finite image is ever made.
+        calls = (lambda: smoothed_predict(params, x, spec, n=10),
+                 lambda: certify(params, x, spec, n0=10, n=20),
+                 lambda: flow_pgd_attack(params, x, 1, spec, AttackConfig(iterations=1)))
+        needle = "^image 0 has (total mass -?(nan|inf), not 1|a negative pixel)"
+        for call in calls:
             with pytest.raises(ValueError, match=needle):
                 call()
+
+
+# Images that are not distributions, and how the unit-mass rule names each.
+# Before certify checked them, each got a certificate under pixel noise.
+NOT_DISTRIBUTIONS = {
+    "overflow": (np.array([[1e308, 1e308], [0.0, 0.0]]), "total mass inf, not 1"),
+    "mass_2": (np.full((2, 2), 0.5), "total mass 2.0, not 1"),
+    "negative": (np.array([[-0.5, 1.5], [0.0, 0.0]]), "a negative pixel"),
+    "mass_12": (np.full((2, 2), 3.0), "total mass 12.0, not 1"),
+}
+
+
+class TestImageRule:
+    @pytest.fixture
+    def no_draws(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a refused image must not be sampled")
+        monkeypatch.setattr(smoothing, "_vote_counts", refuse)
+
+    @pytest.mark.parametrize("scheme", [FLOW, PIXEL])
+    @pytest.mark.parametrize("name", list(NOT_DISTRIBUTIONS))
+    def test_certify_refuses_an_image_that_is_not_a_distribution(self, name, scheme, no_draws):
+        bad, why = NOT_DISTRIBUTIONS[name]
+        params = init_params((2, 2), 2, rng=np.random.default_rng(0))
+        with pytest.raises(ValueError, match=f"^image 0 has {why}"):
+            certify(params, bad, NoiseSpec(scheme, 0.1), n0=10, n=20)
+
+    @pytest.mark.parametrize("name", ["overflow", "mass_2", "mass_12"])
+    def test_smoothed_predict_refuses_a_total_other_than_1(self, name, no_draws):
+        bad, why = NOT_DISTRIBUTIONS[name]
+        params = init_params((2, 2), 2, rng=np.random.default_rng(0))
+        with pytest.raises(ValueError, match=f"^image 0 has {why}"):
+            smoothed_predict(params, bad, NoiseSpec(PIXEL, 0.1), n=10)
+
+    @pytest.mark.parametrize("scheme", [FLOW, PIXEL])
+    def test_smoothed_predict_takes_a_unit_total_with_negative_pixels(self, scheme):
+        # The attack's iterates x + D delta keep total 1 but may go negative.
+        params = init_params((2, 2), 2, rng=np.random.default_rng(0))
+        x = NOT_DISTRIBUTIONS["negative"][0]
+        pred = smoothed_predict(params, x, NoiseSpec(scheme, 0.1), n=200,
+                                rng=np.random.default_rng(1))
+        assert pred.predicted in (ABSTAIN, 0, 1) and 1 <= pred.num_samples <= 200
 
 
 class TestDecisionRule:
@@ -611,6 +655,30 @@ class TestClopperPearson:
             clopper_pearson_lower(0.5, 10, 0.05)
         with pytest.raises(ValueError, match="k must be an integer, got True"):
             clopper_pearson_lower(True, 10, 0.05)
+
+    def test_grid_is_finite_and_never_above_the_exact_bound(self):
+        # The bound p solves P(X >= k | p) = I_p(k, n - k + 1) = alpha.  Far
+        # below usual levels betaincinv gives NaN (k = 4, n = 5, alpha =
+        # 1e-200) or a p above the bound (k = 485, n = 500, alpha = 1e-300),
+        # so the exact tail is summed in log space here.
+        nan = overshoot = 0
+        for alpha in (1e-300, 1e-250, 1e-200, 1e-150, 1e-100, 1e-20, 0.05, 0.5):
+            for n in [*range(1, 31), 100, 500, 1000, 10000]:
+                ks = np.unique(np.r_[np.linspace(0, n, 21).astype(int), np.arange(n - 30, n + 1)])
+                for k in (int(k) for k in ks if k >= 0):
+                    p = clopper_pearson_lower(k, n, alpha)
+                    assert math.isfinite(p) and 0 <= p <= 1
+                    if 0 < p:
+                        assert binomial_log_sf(k, n, p) <= math.log(alpha) + 1e-6
+                    if 0 < k < n:
+                        raw = float(betaincinv(k, n - k + 1, alpha))
+                        nan += math.isnan(raw)
+                        if raw > 0:
+                            overshoot += binomial_log_sf(k, n, raw) > math.log(alpha) + 1e-6
+                        # At usual levels no bound, and so no certificate, moves.
+                        assert p == raw or (p == 0 and alpha < 1e-100)
+        assert nan > 0 and overshoot > 0  # the grid holds both faults
+        assert clopper_pearson_lower(4, 5, 1e-200) == clopper_pearson_lower(485, 500, 1e-300) == 0
 
 
 class TestRadiusFormulas:

@@ -273,6 +273,8 @@ def error_cases() -> dict:
     overflow, inf_pair = np.array([[1e308, 1e308], [0, 0]]), np.array([[np.inf, -np.inf], [1, 0]])
     params = init_params((3, 3), 2, rng=np.random.default_rng(0))
     ninth, spec = np.full((3, 3), 1 / 9), NoiseSpec(FLOW, 0.1)
+    diverged = init_params((3, 3), 2, rng=np.random.default_rng(0))
+    diverged.weights[0][0, 0] = np.nan  # as training leaves a diverged run's arrays
     refusals = {
         "pairing/make_dataset": lambda: make_dataset(np.ones((3, 2, 2)), [0, 1]),
         "pairing/dataset": lambda: LabeledDataset(np.full((3, 2, 2), 0.25), [0, 1], 2),
@@ -330,6 +332,11 @@ def error_cases() -> dict:
                                                     np.full((3, 2, 2), 1 / 12)),
         "metric/lp": lambda: wasserstein_lp(quarter, quarter, "L1"),
         "subset/rank": lambda: synthetic_dataset("blobs", 4).subset([[0, 1], [2, 3]]),
+        "certify/unit_mass": lambda: certify(params, 2 * ninth, NoiseSpec(PIXEL, 0.1), 10, 10),
+        "certify/negative": lambda: certify(
+            params, np.array([[-0.5, 1.5, 0], [0, 0, 0], [0, 0, 0]]), spec, 10, 10),
+        "predict/unit_mass": lambda: smoothed_predict(params, 12 * ninth, spec, 10),
+        "checkpoint/non_finite": lambda: save_checkpoint(os.devnull, diverged, TrainConfig()),
     }
     for rule, call in refusals.items():
         out[f"errors/{rule}"] = _refusal(call)
