@@ -6,7 +6,9 @@ growing radius.  Gradients of the expected cross-entropy are estimated by
 Monte Carlo over the smoothing noise on the folded classifier that votes in
 smoothing, whose input is the noise draw itself: under flow noise its
 gradient is already in the flow coordinates, and under pixel noise it is
-pulled back through the adjoint of the divergence.  After each ascent step
+pulled back through the adjoint of the divergence.  D^T is folded into the
+first layer once per attack for all its gradients (and once per evaluated
+prediction); each iterate only sets the first bias.  After each ascent step
 the plan is projected onto the current L1 ball.  The attacked prediction
 is the abstaining decision of the test on predict_samples draws (drawing
 stops once that decision is settled), and abstention counts as a
@@ -24,8 +26,7 @@ from .classifier import input_gradient_batch
 from .flow_domain import (AT_LEAST_0, AT_LEAST_1, OPEN_UNIT, POSITIVE, _check_fields,
                           _check_unit_mass, _check_value, as_channels, divergence,
                           divergence_adjoint, edge_count)
-from .smoothing import (PIXEL, NoiseSpec, SmoothedPrediction, _edge_noise, _fold_first_layer,
-                        smoothed_predict)
+from .smoothing import PIXEL, NoiseSpec, SmoothedPrediction, _edge_noise, _fold, smoothed_predict
 from .transport_oracle import wasserstein_grid_l1
 
 
@@ -115,23 +116,19 @@ class AttackResult:
     oracle_radius: float | None
 
 
-def _flow_gradient(classifier, perturbed: np.ndarray, label: int, spec: NoiseSpec,
+def _flow_gradient(model, cshape: tuple[int, int, int], label: int, spec: NoiseSpec,
                    samples: int, rng) -> np.ndarray:
     """Monte Carlo gradient of the expected cross-entropy with respect to the
-    packed flow coordinates.
-
-    The classifier sees perturbed + D e with perturbed = x + D delta, so
-    delta and the flow noise e enter the same way.  The gradient is taken
-    with respect to the noise input of the classifier folded at
-    ``perturbed``: under flow noise it is already in packed edge
-    coordinates; under pixel noise (D = I) it is a pixel gradient, pulled
-    back through the adjoint of the divergence.
+    packed flow coordinates, through ``model``, the classifier folded at the
+    perturbed image x + D delta (smoothing._fold).  delta and the flow noise
+    e enter that image the same way, so under flow noise the gradient in the
+    draw is already in packed edge coordinates; under pixel noise (D = I) it
+    is a pixel gradient, pulled back through the adjoint of the divergence.
     """
-    folded = _fold_first_layer(classifier, perturbed, spec)
-    noise = _edge_noise(spec, perturbed.shape, samples, rng)
-    grad = input_gradient_batch(folded, noise, np.full(samples, label)).mean(axis=0)
+    noise = _edge_noise(spec, cshape, samples, rng)
+    grad = input_gradient_batch(model, noise, np.full(samples, label)).mean(axis=0)
     if spec.scheme == PIXEL:
-        return divergence_adjoint(grad.reshape(perturbed.shape))
+        return divergence_adjoint(grad.reshape(cshape))
     return grad
 
 
@@ -153,15 +150,16 @@ def flow_pgd_attack(classifier, x, label: int, spec: NoiseSpec,
     disagrees with the label (abstention included).
 
     Before any draw it refuses a label that is not a class index and an
-    image that is not unit mass.  Predictions are only re-evaluated when the
-    perturbation actually moved, so a zero-gradient plateau cannot flip an
-    image by resampling alone.
+    image that is not unit mass or not of the classifier's shape.  Predictions
+    are only re-evaluated when the perturbation actually moved, so a
+    zero-gradient plateau cannot flip an image by resampling alone.
     """
     k = classifier.num_classes
     _check_value("label", int, label, (f"in [0, {k})", lambda v: 0 <= v < k))
     channels = as_channels(x)
     _check_unit_mass(channels[None])
     cshape = channels.shape
+    fold = _fold(classifier, cshape, spec)
     streams = iter(np.random.default_rng(rng).spawn(1 + 2 * config.iterations))
 
     clean_pred = smoothed_predict(
@@ -177,7 +175,7 @@ def flow_pgd_attack(classifier, x, label: int, spec: NoiseSpec,
     pred = clean_pred
     for it in range(1, config.iterations + 1):
         grad_rng, eval_rng = next(streams), next(streams)
-        grad = _flow_gradient(classifier, perturbed, label, spec, config.gradient_samples,
+        grad = _flow_gradient(fold(perturbed), cshape, label, spec, config.gradient_samples,
                               grad_rng)
         gnorm = np.abs(grad).sum()
         if gnorm > 0:

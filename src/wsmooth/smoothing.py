@@ -10,9 +10,9 @@ scheme, where D = I), each made by inverse transform from one uniform
 64-bit word of the generator.  It reaches the pixels as the increment D e.
 Training adds that increment to images; the voting engine, _vote_counts,
 and the attack gradient never form the noisy images.  The first layer is
-affine, so (x + D e) W0 + b0 = e (D^T W0) + (x W0 + b0): each call folds
-D^T and the image into the first layer once and scores the raw draws with
-that classifier, which sees exactly the pre-activations of the noisy images.
+affine, so (x + D e) W0 + b0 = e (D^T W0) + (x W0 + b0): _fold makes D^T W0
+once per certify (both stages), attack or smoothed_predict call, each image
+sets only the first bias, and the raw draws are scored with that classifier.
 Sampling is deterministic given a seeded generator and independent of the
 worker count: draws are partitioned into fixed-size batches, each batch
 gets its own child stream via Generator.spawn, and partial results are
@@ -164,40 +164,37 @@ def _sample_increments(spec: NoiseSpec, cshape: tuple[int, int, int], size: int,
     return divergence(noise, cshape)
 
 
-def _fold_first_layer(params, channels: np.ndarray, spec: NoiseSpec):
-    """The classifier e -> params(channels + D e) over noise draws e, as a
-    ClassifierParams whose first layer is (D^T W0, channels W0 + b0)."""
+def _fold(params, cshape: tuple[int, int, int], spec: NoiseSpec):
+    """Map an image x of channel shape ``cshape`` to the classifier e -> params(x + D e)
+    over noise draws e, a ClassifierParams whose first layer is (D^T W0, x W0 + b0).
+    D^T W0 is made once here; each image only sets the first bias."""
     w0, expected = params.weights[0], channel_shape(params.input_shape)
-    if channels.shape != expected:
-        raise ValueError(f"image of shape {channels.shape} fed to classifier "
-                         f"expecting {expected}")
-    g = w0  # pixel noise: D = I
-    if spec.scheme == FLOW:
-        g = divergence_adjoint(w0.T.reshape((-1,) + channels.shape)).T
-    return replace(params, input_shape=(g.shape[0],), weights=[g, *params.weights[1:]],
-                   biases=[channels.reshape(-1) @ w0 + params.biases[0], *params.biases[1:]])
+    if cshape != expected:
+        raise ValueError(f"image of shape {cshape} fed to classifier expecting {expected}")
+    g = w0 if spec.scheme == PIXEL else divergence_adjoint(w0.T.reshape((-1,) + cshape)).T
+    folded = replace(params, input_shape=(g.shape[0],), weights=[g, *params.weights[1:]])
+    return lambda x: replace(folded, biases=[x.reshape(-1) @ w0 + params.biases[0],
+                                             *params.biases[1:]])
 
 
-def _vote_counts(params, x, spec: NoiseSpec, n: int, rng, workers: int):
-    """Vote tallies of ``n`` noise draws, one tally per scoring block, in
-    draw order: batch by batch, block by block.
+def _vote_counts(model, spec: NoiseSpec, cshape: tuple[int, int, int], n: int, rng, workers: int):
+    """Vote tallies of a folded ``model`` (_fold) on ``n`` noise draws for
+    ``cshape`` images, one tally per block, in draw order: batch by batch.
 
     With one worker the blocks are drawn as they are consumed.  With more,
     ``workers`` batches are scored at a time and their tallies handed out
     in order, so the sequence does not depend on the worker count.
     """
-    channels = as_channels(x)
-    folded = _fold_first_layer(params, channels, spec)
     sizes = [VOTE_BATCH] * (n // VOTE_BATCH) + ([n % VOTE_BATCH] if n % VOTE_BATCH else [])
     streams = np.random.default_rng(rng).spawn(len(sizes))
     # An image with no edges (1 x 1 under flow noise) draws 0 values a row.
-    rows = min(max(1, DRAW_VALUES // max(1, folded.input_shape[0])), VOTE_BATCH // 4)
+    rows = min(max(1, DRAW_VALUES // max(1, model.input_shape[0])), VOTE_BATCH // 4)
 
     def blocks(stream, size):
         for start in range(0, size, rows):
-            noise = _edge_noise(spec, channels.shape, min(rows, size - start), stream)
-            yield np.bincount(np.argmax(folded.forward_batch(noise), axis=1),
-                              minlength=params.num_classes)
+            noise = _edge_noise(spec, cshape, min(rows, size - start), stream)
+            yield np.bincount(np.argmax(model.forward_batch(noise), axis=1),
+                              minlength=model.num_classes)
 
     batches = [blocks(stream, size) for stream, size in zip(streams, sizes)]
     if workers <= 1 or len(batches) <= 1:
@@ -268,9 +265,11 @@ def smoothed_predict(params, x, spec: NoiseSpec, n: int = 10000, alpha: float = 
     _check_value("n", int, n, AT_LEAST_1)
     _check_value("alpha", float, alpha, OPEN_UNIT)
     _check_value("workers", int, workers, AT_LEAST_1)
-    _check_unit_mass(as_channels(x)[None], nonnegative=False)
+    channels = as_channels(x)
+    _check_unit_mass(channels[None], nonnegative=False)
+    model = _fold(params, channels.shape, spec)(channels)
     counts, remaining = 0, n
-    for tally in _vote_counts(params, x, spec, n, rng, workers):
+    for tally in _vote_counts(model, spec, channels.shape, n, rng, workers):
         counts = counts + tally
         remaining -= int(tally.sum())
         if _decided(counts, remaining, alpha):
@@ -333,10 +332,12 @@ def certify(params, x, spec: NoiseSpec, n0: int = 1000, n: int = 10000,
     _check_value("n", int, n, AT_LEAST_1)
     _check_value("alpha", float, alpha, OPEN_UNIT)
     _check_value("workers", int, workers, AT_LEAST_1)
-    _check_unit_mass(as_channels(x)[None])
+    channels = as_channels(x)
+    _check_unit_mass(channels[None])
+    model = _fold(params, channels.shape, spec)(channels)
     r_guess, r_bound = np.random.default_rng(rng).spawn(2)
-    top = int(np.argmax(sum(_vote_counts(params, x, spec, n0, r_guess, workers))))
-    counts = sum(_vote_counts(params, x, spec, n, r_bound, workers))
+    top = int(np.argmax(sum(_vote_counts(model, spec, channels.shape, n0, r_guess, workers))))
+    counts = sum(_vote_counts(model, spec, channels.shape, n, r_bound, workers))
     p_lower = clopper_pearson_lower(int(counts[top]), n, alpha)
     if p_lower > 0.5:
         # sigma = 0 draws no noise, so unanimity is expected and certifies a

@@ -21,7 +21,8 @@ from scipy.special import gammaln
 
 from wsmooth import (ClassifierParams, NoiseSpec, TrainConfig, flow_from_edge, init_params,
                      loss_and_gradients, wasserstein_grid_l1)
-from wsmooth.smoothing import _sample_increments
+from wsmooth.flow_domain import as_channels
+from wsmooth.smoothing import _fold, _sample_increments, _vote_counts
 
 
 def laplace_sum_sf(u: float, k: int) -> float:
@@ -173,6 +174,14 @@ def min_flow_plan(x, xp) -> np.ndarray:
     """The grid oracle's optimal edge flow from x to xp, netted into a signed
     packed flow: feasible, with L1 norm equal to the Wasserstein distance."""
     return flow_from_edge(wasserstein_grid_l1(x, xp)[1])
+
+
+def image_vote_counts(params, x, spec: NoiseSpec, n: int, rng, workers: int):
+    """The per-block vote tallies of ``n`` draws on the image x, as certify
+    and smoothed_predict make them: params folded at x, then _vote_counts."""
+    channels = as_channels(x)
+    model = _fold(params, channels.shape, spec)(channels)
+    return _vote_counts(model, spec, channels.shape, n, rng, workers)
 
 
 def per_minibatch_train(dataset, config: TrainConfig):

@@ -24,9 +24,9 @@ from wsmooth import (
 from wsmooth import attack, smoothing
 from wsmooth.attack import _flow_gradient
 from wsmooth.flow_domain import divergence, divergence_adjoint, edge_count
-from wsmooth.smoothing import FLOW, PIXEL, _sample_increments, _vote_counts
+from wsmooth.smoothing import FLOW, PIXEL, _fold, _sample_increments
 
-from analytic import brute_force_l1_projection
+from analytic import brute_force_l1_projection, image_vote_counts
 
 
 def halves_classifier(n=4, m=4, scale=50.0):
@@ -276,7 +276,10 @@ class TestFlowPgd:
         (split_image(0.75), True, "label must be an integer, got True"),
         (2 * split_image(0.75), 0, "image 0 has total mass 2.0, not 1 within 1e-09"),
         (split_image(1.25), 0, "image 0 has a negative pixel"),
-    ], ids=["label_past_classes", "label_negative", "label_bool", "mass_2", "negative_pixel"])
+        (np.full((2, 8), 1 / 16), 0,
+         "image of shape (1, 2, 8) fed to classifier expecting (1, 4, 4)"),
+    ], ids=["label_past_classes", "label_negative", "label_bool", "mass_2", "negative_pixel",
+            "shape_2x8"])
     def test_refuses_a_bad_label_or_image_before_any_draw(self, monkeypatch, x, label, message):
         def no_draws(*args, **kwargs):
             raise AssertionError("the attack drew before refusing its input")
@@ -302,9 +305,32 @@ class TestFoldedGradient:
         inc = _sample_increments(spec, cshape, samples, np.random.default_rng(4))
         g_pix = input_gradient_batch(params, perturbed[None] + inc, np.full(samples, label))
         reference = divergence_adjoint(g_pix.mean(axis=0))
-        grad = _flow_gradient(params, perturbed, label, spec, samples, np.random.default_rng(4))
+        grad = _flow_gradient(_fold(params, cshape, spec)(perturbed), cshape, label, spec,
+                              samples, np.random.default_rng(4))
         assert grad.shape == reference.shape
         assert np.abs(grad - reference).max() <= 1e-12 * np.abs(reference).max()
+
+    def test_the_gradients_share_one_fold(self, monkeypatch):
+        # Under flow noise every fold of D^T W0 is one divergence_adjoint call:
+        # one for all the attack's gradients, plus one in each predict.
+        folds, predicts = [], []
+
+        def counting_adjoint(g):
+            folds.append(g.shape)
+            return divergence_adjoint(g)
+
+        def counting_predict(*a, **kw):
+            predicts.append(a[1])
+            return smoothed_predict(*a, **kw)
+
+        monkeypatch.setattr(smoothing, "divergence_adjoint", counting_adjoint)
+        monkeypatch.setattr(attack, "smoothed_predict", counting_predict)
+        cfg = AttackConfig(iterations=40, gradient_samples=32, max_radius=0.5,
+                           growth_interval=5, predict_samples=1000)
+        res = flow_pgd_attack(halves_classifier(), split_image(0.56), 0, NoiseSpec(FLOW, 0.01),
+                              cfg, rng=7)
+        assert res.success and res.iteration >= 2
+        assert len(folds) == 1 + len(predicts)
 
     @pytest.mark.parametrize("scheme", [FLOW, PIXEL])
     def test_attack_runs_under_both_schemes(self, scheme):
@@ -350,7 +376,7 @@ class TestEarlyStop:
             return pred
 
         def full_predict(params, x, spec, n, alpha, rng=None, workers=1):
-            return prediction_from_counts(sum(_vote_counts(params, x, spec, n, rng, workers)),
+            return prediction_from_counts(sum(image_vote_counts(params, x, spec, n, rng, workers)),
                                           alpha)
 
         monkeypatch.setattr(attack, "smoothed_predict", counting_predict)

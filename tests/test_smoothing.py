@@ -27,11 +27,11 @@ from wsmooth import (
 from wsmooth import smoothing
 from wsmooth.classifier import _forward
 from wsmooth.flow_domain import divergence, divergence_adjoint, edge_count
-from wsmooth.smoothing import (DRAW_VALUES, FLOW, PIXEL, VOTE_BATCH, _edge_noise,
-                               _fold_first_layer, _sample_increments, _vote_counts)
+from wsmooth.smoothing import (DRAW_VALUES, FLOW, PIXEL, VOTE_BATCH, _edge_noise, _fold,
+                               _sample_increments)
 
-from analytic import (RegionThresholdClassifier, binomial_log_sf, laplace_sum_sf,
-                      laplace_sum_sf_quad, linear_vote_probability)
+from analytic import (RegionThresholdClassifier, binomial_log_sf, image_vote_counts,
+                      laplace_sum_sf, laplace_sum_sf_quad, linear_vote_probability)
 
 # p_lower with log-odds exactly 1, so certified radii reduce to the bare
 # coefficients times sigma.
@@ -232,18 +232,37 @@ class TestFold:
     @pytest.mark.parametrize("hidden", [None, 16])
     @pytest.mark.parametrize("cshape", [(1, 1, 7), (1, 7, 1), (3, 1, 7), (3, 7, 1), (3, 4, 5)])
     def test_folded_logits_equal_noisy_forward(self, scheme, hidden, cshape):
-        # (x + D e) W0 + b0 = e (D^T W0) + (x W0 + b0), through every layer.
+        # (x + D e) W0 + b0 = e (D^T W0) + (x W0 + b0), through every layer,
+        # for two images that share one fold of D^T W0.
         rng = np.random.default_rng(sum(cshape) + (hidden or 0))
         params = init_params(cshape, 3, hidden=hidden, rng=rng)
-        x = rng.dirichlet(np.ones(int(np.prod(cshape)))).reshape(cshape)
+        images = rng.dirichlet(np.ones(int(np.prod(cshape))), size=2).reshape((2,) + cshape)
+        assert not np.array_equal(images[0], images[1])
         spec = NoiseSpec(scheme, 0.3)
         noise = _edge_noise(spec, cshape, 200, rng)
         if scheme == PIXEL:
             inc = noise.reshape((200,) + cshape)
         else:
             inc = divergence(noise, cshape)
-        folded = _forward(_fold_first_layer(params, x, spec), noise)[0]
-        assert np.abs(folded - _forward(params, x[None] + inc)[0]).max() <= 1e-12
+        fold = _fold(params, cshape, spec)
+        for x in images:
+            folded = _forward(fold(x), noise)[0]
+            assert np.abs(folded - _forward(params, x[None] + inc)[0]).max() <= 1e-12
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_certify_folds_once_for_both_stages(self, monkeypatch, workers):
+        # Under flow noise every fold of D^T W0 is one divergence_adjoint call.
+        folds = []
+
+        def counting_adjoint(g):
+            folds.append(g.shape)
+            return divergence_adjoint(g)
+
+        monkeypatch.setattr(smoothing, "divergence_adjoint", counting_adjoint)
+        params = init_params((4, 5), 3, hidden=8, rng=np.random.default_rng(0))
+        certify(params, np.full((4, 5), 1 / 20), NoiseSpec(FLOW, 0.1), n0=1500, n=2500,
+                rng=np.random.default_rng(1), workers=workers)
+        assert folds == [(8, 1, 4, 5)]
 
     def test_rejects_image_of_wrong_size(self):
         params = init_params((3, 3), 2, rng=np.random.default_rng(0))
@@ -416,8 +435,8 @@ class TestSmoothedPredict:
         rng = np.random.default_rng(31)
         x = rng.dirichlet(np.ones(9)).reshape(3, 3)
         sigma = 0.15
-        counts = sum(_vote_counts(region.params(), x, NoiseSpec(FLOW, sigma), 20000,
-                                  np.random.default_rng(8), workers=1))
+        counts = sum(image_vote_counts(region.params(), x, NoiseSpec(FLOW, sigma), 20000,
+                                       np.random.default_rng(8), workers=1))
         p_exact = region.exact_positive_probability(x, sigma)
         votes_for_positive = counts[region.positive_index]
         se = math.sqrt(p_exact * (1 - p_exact) / 20000)
@@ -470,14 +489,14 @@ class TestDrawBlocks:
         params = init_params(BLOCK_SHAPE, 3, hidden=8, rng=np.random.default_rng(n))
         x = np.full(BLOCK_SHAPE, 1 / 64)
         spec = NoiseSpec(FLOW, 0.3)
-        counts = sum(_vote_counts(params, x, spec, n, np.random.default_rng(9), workers=1))
+        counts = sum(image_vote_counts(params, x, spec, n, np.random.default_rng(9), workers=1))
         assert counts.sum() == n
-        assert np.array_equal(counts, sum(_vote_counts(params, x, spec, n,
-                                                       np.random.default_rng(9), workers=3)))
+        assert np.array_equal(counts, sum(image_vote_counts(params, x, spec, n,
+                                                            np.random.default_rng(9), workers=3)))
         pred = [smoothed_predict(params, x, spec, n=n, rng=np.random.default_rng(10), workers=w)
                 for w in (1, 3)]
         assert pred[0] == pred[1] and pred[0].num_samples in block_ends(n, BLOCK_ROWS)
-        full = sum(_vote_counts(params, x, spec, n, np.random.default_rng(10), workers=1))
+        full = sum(image_vote_counts(params, x, spec, n, np.random.default_rng(10), workers=1))
         assert pred[0].predicted == prediction_from_counts(full, 0.05).predicted
         cert = [certify(params, x, spec, n0=n, n=n, rng=np.random.default_rng(11), workers=w)
                 for w in (1, 3)]
@@ -488,9 +507,9 @@ class TestDrawBlocks:
         params = init_params(BLOCK_SHAPE, 3, hidden=8, rng=np.random.default_rng(2))
         x = np.random.default_rng(3).dirichlet(np.ones(64)).reshape(BLOCK_SHAPE)
         spec = NoiseSpec(FLOW, 0.3)
-        default = sum(_vote_counts(params, x, spec, 2125, np.random.default_rng(9), workers=1))
+        default = sum(image_vote_counts(params, x, spec, 2125, np.random.default_rng(9), workers=1))
         monkeypatch.setattr(smoothing, "DRAW_VALUES", rows * edge_count((1,) + BLOCK_SHAPE))
-        counts = sum(_vote_counts(params, x, spec, 2125, np.random.default_rng(9), workers=1))
+        counts = sum(image_vote_counts(params, x, spec, 2125, np.random.default_rng(9), workers=1))
         assert np.array_equal(counts, default)
         assert np.count_nonzero(default) > 1
 
@@ -504,8 +523,8 @@ class TestDrawBlocks:
         spec = NoiseSpec(FLOW, 0.02)
         assert region.exact_positive_probability(x, 0.02) == pytest.approx(0.989, abs=1e-3)
         pred = smoothed_predict(region.params(), x, spec, n=2000, rng=np.random.default_rng(0))
-        full = sum(_vote_counts(region.params(), x, spec, 2000, np.random.default_rng(0),
-                                workers=1))
+        full = sum(image_vote_counts(region.params(), x, spec, 2000, np.random.default_rng(0),
+                                     workers=1))
         assert pred.num_samples <= 1250
         assert pred.predicted == prediction_from_counts(full, 0.05).predicted != ABSTAIN
 

@@ -174,6 +174,9 @@ def cases() -> dict:
     for i in range(2):
         out[f"attack/{i}"] = _plain(flow_pgd_attack(
             models[FLOW], x_all[i], int(y_all[i]), flow_spec, acfg, rng=31))
+    # Pixel noise pulls each gradient back through D^T; a hidden layer of 8.
+    out[f"attack/{PIXEL}"] = _plain(flow_pgd_attack(
+        models[PIXEL], x_all[0], int(y_all[0]), NoiseSpec(PIXEL, 0.05), acfg, rng=31))
     # Growth every iteration takes the curve's schedule to its largest radius.
     rows, results = robustness_curve(
         models[FLOW], test_ds.subset([0, 1, 2]), flow_spec, [0.0, 0.1, 0.5],
