@@ -18,7 +18,7 @@ successful attack.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -101,19 +101,24 @@ class AttackResult:
     budget is its L1 norm, which upper bounds the true Wasserstein cost.
     oracle_radius is the exact Wasserstein-L1 distance between the clean
     and perturbed image when the perturbed image stayed nonnegative (None
-    otherwise).  iteration is the first iteration whose abstaining
-    prediction disagreed with the label, with 0 meaning the clean prediction
-    was already wrong.  prediction is the last evaluated one; its counts are
-    of the draws actually made.
+    otherwise).  iteration is the outcome: 0 when the clean prediction was
+    already wrong, t when the abstaining prediction of iteration t first
+    disagreed with the label, None when the image survived; success and
+    clean_correct are read from it.  prediction is the last evaluated one;
+    its counts are of the draws actually made.
     """
 
-    success: bool
-    clean_correct: bool
     plans: np.ndarray
     budget: float
     iteration: int | None
     prediction: SmoothedPrediction
     oracle_radius: float | None
+    success: bool = field(init=False)
+    clean_correct: bool = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "success", self.iteration is not None)
+        object.__setattr__(self, "clean_correct", self.iteration != 0)
 
 
 def _flow_gradient(model, cshape: tuple[int, int, int], label: int, spec: NoiseSpec,
@@ -167,12 +172,12 @@ def flow_pgd_attack(classifier, x, label: int, spec: NoiseSpec,
     )
     delta = np.zeros(edge_count(cshape))
     if clean_pred.predicted != label:
-        return AttackResult(True, False, delta.reshape(cshape[0], -1), 0.0, 0, clean_pred, 0.0)
+        return AttackResult(delta.reshape(cshape[0], -1), 0.0, 0, clean_pred, 0.0)
 
     last_evaluated = delta
     perturbed = channels
     step = config.max_radius / 10.0
-    pred = clean_pred
+    pred, broken = clean_pred, None
     for it in range(1, config.iterations + 1):
         grad_rng, eval_rng = next(streams), next(streams)
         grad = _flow_gradient(fold(perturbed), cshape, label, spec, config.gradient_samples,
@@ -188,14 +193,10 @@ def flow_pgd_attack(classifier, x, label: int, spec: NoiseSpec,
                                 config.predict_alpha, eval_rng)
         last_evaluated = delta
         if pred.predicted != label:
-            return AttackResult(
-                True, True, delta.reshape(cshape[0], -1), float(np.abs(delta).sum()),
-                it, pred, _oracle_radius(channels, perturbed),
-            )
-    return AttackResult(
-        False, True, delta.reshape(cshape[0], -1), float(np.abs(delta).sum()),
-        None, pred, None,
-    )
+            broken = it
+            break
+    return AttackResult(delta.reshape(cshape[0], -1), float(np.abs(delta).sum()), broken, pred,
+                        _oracle_radius(channels, perturbed) if broken else None)
 
 
 def robustness_curve(classifier, dataset, spec: NoiseSpec, radii,
@@ -222,17 +223,8 @@ def robustness_curve(classifier, dataset, spec: NoiseSpec, radii,
         raise ValueError(f"the schedule reaches L1 budget {reach:g} after "
                          f"{config.iterations} iterations, short of the largest radius {max_r:g}")
     children = np.random.default_rng(rng).spawn(len(dataset))
-    x_all, y_all = dataset.as_arrays()
-    results = []
-    success_radius = np.empty(len(dataset))
-    for i in range(len(dataset)):
-        res = flow_pgd_attack(classifier, x_all[i], int(y_all[i]), spec, config, children[i])
-        results.append(res)
-        if not res.clean_correct:
-            success_radius[i] = 0.0
-        elif res.success:
-            success_radius[i] = res.budget
-        else:
-            success_radius[i] = math.inf
-    rows = [(rho, float(np.mean(success_radius > rho))) for rho in radii]
+    results = [flow_pgd_attack(classifier, x, int(y), spec, config, child)
+               for x, y, child in zip(*dataset.as_arrays(), children)]
+    breaking = np.array([res.budget if res.success else math.inf for res in results])
+    rows = [(rho, float(np.mean(breaking > rho))) for rho in radii]
     return rows, results

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import zipfile
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -261,9 +262,16 @@ def save_checkpoint(path, params: ClassifierParams, config: TrainConfig):
 
 def load_checkpoint(path) -> tuple[ClassifierParams, TrainConfig]:
     """Inverse of save_checkpoint: every layer the file holds, under its
-    recorded config.  Raises ValueError for an unknown format version and
-    for a meta that does not describe the params and config."""
-    with np.load(path, allow_pickle=False) as z:
+    recorded config.  Raises ValueError for a file that is not an .npz
+    archive with a meta entry, for an unknown format version and for a meta
+    that does not describe the params and config."""
+    with open(path, "rb") as fh:
+        try:
+            z = np.load(fh, allow_pickle=False)
+        except (EOFError, ValueError, zipfile.BadZipFile) as exc:  # empty, pickled, a broken zip
+            raise ValueError(f"not an .npz archive: {exc!r}") from None
+        if not isinstance(z, np.lib.npyio.NpzFile) or "meta" not in z.files:  # a bare array
+            raise ValueError("not an .npz archive with a meta entry")
         meta = json.loads(str(z["meta"]))
         if not isinstance(meta, dict):
             raise ValueError(f"checkpoint meta is not a JSON object: {meta!r:.60}")

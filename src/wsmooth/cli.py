@@ -14,7 +14,6 @@ import argparse
 import json
 import math
 import sys
-import zipfile
 from pathlib import Path
 from typing import get_args, get_type_hints
 
@@ -247,7 +246,7 @@ def _load_model(cfg: dict) -> tuple[clf.ClassifierParams, dataset_io.LabeledData
     try:
         params, trained = clf.load_checkpoint(ckpt)
         cshape = channel_shape(params.input_shape)
-    except (OSError, ValueError, KeyError, zipfile.BadZipFile) as exc:
+    except (OSError, ValueError) as exc:
         raise SystemExit(f"error: checkpoint {ckpt} is not a readable wsmooth checkpoint: {exc!r}")
     noise = cfg["noise"]
     if (trained.noise, trained.sigma) != (noise.scheme, noise.sigma):
@@ -515,15 +514,17 @@ def run(argv=None) -> int:
 
 
 def main() -> int:
-    """Console entry point: an `error: ...` exit prints its one line to
-    stderr and ends with status 2, the status argparse uses for bad usage."""
+    """Console entry point: an `error: ...` exit or an OSError prints one line
+    to stderr and ends with status 2, the status argparse uses for bad usage."""
     try:
         return run(sys.argv[1:])
     except SystemExit as exc:
         if not isinstance(exc.code, str):
             raise
         print(exc.code, file=sys.stderr)
-        return 2
+    except OSError as exc:  # a directory for a file, a file for a directory, ...
+        print(f"error: {exc}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -414,6 +414,32 @@ class TestRobustnessCurve:
         # Generous budget kills every borderline image; only nothing survives.
         assert accs[-1] == 0.0
 
+    def test_each_outcome_sets_its_breaking_budget(self):
+        # A wrong clean prediction (iteration 0) breaks at budget 0, a broken
+        # image at its final budget, a survivor (None) at no budget.
+        ds = make_dataset(np.array([split_image(0.56), split_image(0.56), split_image(0.9)]),
+                          np.array([1, 0, 0]), num_classes=2)
+        cfg = AttackConfig(iterations=20, gradient_samples=32, growth_interval=1,
+                           predict_samples=400)
+        radii = [0.0, 0.05, 0.1]
+        rows, results = robustness_curve(halves_classifier(), ds, NoiseSpec(FLOW, 0.05), radii,
+                                         cfg, rng=7)
+        assert [res.iteration for res in results] == [0, 6, None]
+        assert results[0].budget == 0.0 and 0.05 < results[1].budget <= 0.1
+        for res in results:
+            assert res.success == (res.iteration is not None)
+            assert res.clean_correct == (res.iteration != 0)
+        breaking = []
+        for res in results:
+            if res.iteration == 0:
+                breaking.append(0.0)
+            elif res.iteration is None:
+                breaking.append(np.inf)
+            else:
+                breaking.append(res.budget)
+        assert rows == [(rho, sum(b > rho for b in breaking) / len(breaking)) for rho in radii]
+        assert rows == [(0.0, 2 / 3), (0.05, 2 / 3), (0.1, 1 / 3)]
+
     def test_unsorted_radii_are_sorted(self):
         params, ds, cfg = self.build()
         spec = NoiseSpec(FLOW, 0.05)

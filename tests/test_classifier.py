@@ -322,6 +322,26 @@ class TestCheckpoints:
         with pytest.raises(ValueError):
             load_checkpoint(tmp_path / "bad.npz")
 
+    @pytest.mark.parametrize("fault, message", [
+        ("empty", r"not an \.npz archive: EOFError\("),
+        ("npy_array", r"not an \.npz archive with a meta entry$"),
+        ("no_meta", r"not an \.npz archive with a meta entry$"),
+        ("not_zip", r"not an \.npz archive: BadZipFile\("),
+    ], ids=["empty", "npy_array", "no_meta", "not_zip"])
+    def test_refuses_a_file_that_is_not_a_checkpoint(self, tmp_path, fault, message):
+        path = tmp_path / "model.npz"
+        if fault == "empty":
+            path.write_bytes(b"")
+        elif fault == "npy_array":
+            with open(path, "wb") as fh:
+                np.save(fh, np.zeros((25, 2)))
+        else:
+            np.savez(path, w0=np.zeros((25, 2)), b0=np.zeros(2))
+            if fault == "not_zip":  # the zip magic, cut before its directory
+                path.write_bytes(path.read_bytes()[:40])
+        with pytest.raises(ValueError, match=f"^{message}"):
+            load_checkpoint(path)
+
     def test_rejects_non_finite_weights(self, rng, tmp_path):
         path = tmp_path / "model.npz"
         save_checkpoint(path, small_params(rng), TrainConfig(hidden=5))

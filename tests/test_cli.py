@@ -648,11 +648,17 @@ class TestConfigHandling:
     @pytest.mark.parametrize("fault, needle", [
         ("shape", "takes (5, 5) images, but the dataset holds (6, 6) images"),
         ("text", "is not a readable wsmooth checkpoint: ValueError("),
-        ("no_meta", "is not a readable wsmooth checkpoint: KeyError("),
+        ("no_meta", "is not a readable wsmooth checkpoint: ValueError('not an .npz archive with "
+                    "a meta entry')"),
         ("unknown_key", "does not fit: TypeError(\"TrainConfig.__init__() got an unexpected"),
         ("wrong_type", "does not fit: ValueError(\"epochs must be an integer"),
         ("list_meta", "ValueError(\"checkpoint meta is not a JSON object: [{"),
-        ("truncated", "is not a readable wsmooth checkpoint: BadZipFile("),
+        ("truncated", "is not a readable wsmooth checkpoint: ValueError(\"not an .npz archive: "
+                      "BadZipFile("),
+        ("empty", "is not a readable wsmooth checkpoint: ValueError(\"not an .npz archive: "
+                  "EOFError("),
+        ("npy_array", "is not a readable wsmooth checkpoint: ValueError('not an .npz archive with "
+                      "a meta entry')"),
         ("non_finite", "ValueError('weights and biases must be finite')"),
         ("flat_shape", "ValueError('expected a 2-D or 3-D image, got shape (25,)')"),
         ("four_sides", "ValueError('expected a 2-D or 3-D image, got shape (1, 1, 5, 5)')"),
@@ -684,6 +690,11 @@ class TestConfigHandling:
         elif fault == "truncated":
             np.savez(ckpt, w0=np.zeros((25, 2)), b0=np.zeros(2))
             ckpt.write_bytes(ckpt.read_bytes()[:40])
+        elif fault == "empty":
+            ckpt.write_bytes(b"")
+        elif fault == "npy_array":
+            with open(ckpt, "wb") as fh:
+                np.save(fh, np.zeros((25, 2)))
         else:
             bad = {"unknown_key": {"colour": 1}, "wrong_type": {"epochs": "3"}}.get(fault, {})
             sides = {"flat_shape": [25], "four_sides": [1, 1, 5, 5]}.get(fault, [5, 5])
@@ -784,6 +795,26 @@ class TestConfigHandling:
         path.write_text("{not json")
         with pytest.raises(SystemExit, match="valid JSON"):
             run(["train", "--config", str(path)])
+
+    @pytest.mark.parametrize("flag, what, needle", [
+        ("--config", "dir", "Is a directory"),
+        ("--out-dir", "file", "File exists"),
+        ("--checkpoint", "dir", "Is a directory"),
+    ])
+    def test_an_os_error_on_a_named_path_is_one_error_line(self, config_path, tmp_path,
+                                                          monkeypatch, capsys, flag, what, needle):
+        path = tmp_path / "named"
+        if what == "dir":
+            path.mkdir()
+        else:
+            path.write_text("")
+        config = [] if flag == "--config" else ["--config", str(config_path)]
+        monkeypatch.setattr(sys, "argv", ["wsmooth", "train", flag, str(path)] + config)
+        capsys.readouterr()
+        assert main() == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert needle in err[0] and str(path) in err[0]
 
     def test_out_dir_ignores_the_environment(self, config_path, tmp_path, monkeypatch):
         env_dir = tmp_path / "env_out"

@@ -182,6 +182,17 @@ def cases() -> dict:
         models[FLOW], test_ds.subset([0, 1, 2]), flow_spec, [0.0, 0.1, 0.5],
         dataclasses.replace(acfg, growth_interval=1), rng=31)
     out["robustness_curve"] = _plain((rows, results))
+    # One image per outcome on a top-vs-bottom linear classifier: a wrong
+    # clean prediction, an image broken at iteration 6 and a survivor.
+    weights = np.zeros((16, 2))
+    weights[:8, 0] = weights[8:, 1] = 50.0
+    split = np.zeros((3, 4, 4))
+    for image, top in zip(split, (0.56, 0.56, 0.9)):
+        image[1], image[2] = top / 4, (1 - top) / 4
+    out["robustness_curve/outcomes"] = _plain(robustness_curve(
+        ClassifierParams((4, 4), [weights], [np.zeros(2)]), make_dataset(split, [1, 0, 0], 2),
+        flow_spec, [0.0, 0.05, 0.1], AttackConfig(iterations=20, gradient_samples=32,
+                                                  growth_interval=1, predict_samples=400), rng=7))
 
     rng = np.random.default_rng(41)
     x3 = _unit(rng, (3, 5, 5))
@@ -250,8 +261,9 @@ def _refusal(call):
 
 
 def error_cases() -> dict:
-    """One bad input per refusal rule.  The IDX files are read by relative
-    name from a temporary directory, so their messages do not depend on it."""
+    """One bad input per refusal rule.  The IDX and checkpoint files are read
+    by relative name from a temporary directory, so their messages do not
+    depend on it."""
     images = struct.pack(">iiii", 0x803, 3, 2, 2) + bytes(12)
     labels = struct.pack(">ii", 0x801, 3) + bytes(3)
     idx = {"magic": (struct.pack(">iiii", 0x801, 1, 1, 1) + b"\0", labels),
@@ -260,6 +272,11 @@ def error_cases() -> dict:
            "payload": (images[:-1], labels),
            "trailing": (images, labels + b"\0"),
            "pairing": (images, struct.pack(">ii", 0x801, 2) + bytes(2))}
+    npy, npz = io.BytesIO(), io.BytesIO()
+    np.save(npy, np.zeros((4, 2)))
+    np.savez(npz, w0=np.zeros((4, 2)), b0=np.zeros(2))
+    checkpoints = {"empty": b"", "npy": npy.getvalue(), "no_meta": npz.getvalue(),
+                   "not_zip": npz.getvalue()[:40]}
     out = {}
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
@@ -269,6 +286,9 @@ def error_cases() -> dict:
                 Path("images.idx").write_bytes(raw_images)
                 Path("labels.idx").write_bytes(raw_labels)
                 out[f"errors/idx/{rule}"] = _refusal(lambda: load_idx("images.idx", "labels.idx"))
+            for rule, raw in checkpoints.items():
+                Path("model.npz").write_bytes(raw)
+                out[f"errors/checkpoint/{rule}"] = _refusal(lambda: load_checkpoint("model.npz"))
         finally:
             os.chdir(home)
     quarter = np.full((2, 2), 0.25)
