@@ -58,19 +58,17 @@ def project_l1_ball(v, radius: float) -> np.ndarray:
 class AttackConfig:
     """Attack schedule and budgets.
 
-    The L1 radius starts at initial_radius (default max_radius / 10) and
-    multiplies by growth_factor every growth_interval iterations, capped at
-    max_radius.  Each ascent step moves a fixed L1 length max_radius / 10
-    along the L1-normalized gradient; step direction is free, only its
-    length is fixed.  predict_samples caps the draws of each evaluated
-    prediction: its decision is that of the test on all predict_samples
-    draws, but drawing stops once no further draw can change it.
+    The L1 radius starts at max_radius / 10 and multiplies by growth_factor
+    every growth_interval iterations, capped at max_radius.  Each ascent
+    step moves the first budget's L1 length along the L1-normalized
+    gradient.  predict_samples caps the draws of each evaluated prediction:
+    its decision is that of the test on all predict_samples draws, but
+    drawing stops once no further draw can change it.
     """
 
     iterations: int = 200
     gradient_samples: int = 128
     max_radius: float = 1.0
-    initial_radius: float | None = None
     growth_factor: float = 1.5
     growth_interval: int = 10
     predict_samples: int = 10000
@@ -78,17 +76,13 @@ class AttackConfig:
 
     def __post_init__(self):
         _check_fields(self, iterations=AT_LEAST_0, gradient_samples=AT_LEAST_1,
-                      max_radius=POSITIVE, initial_radius=POSITIVE, growth_factor=AT_LEAST_1,
-                      growth_interval=AT_LEAST_1, predict_samples=AT_LEAST_1,
-                      predict_alpha=OPEN_UNIT)
-        if self.initial_radius is not None and self.initial_radius > self.max_radius:
-            raise ValueError(f"initial_radius must be <= max_radius, got {self.initial_radius!r}")
+                      max_radius=POSITIVE, growth_factor=AT_LEAST_1, growth_interval=AT_LEAST_1,
+                      predict_samples=AT_LEAST_1, predict_alpha=OPEN_UNIT)
 
     def radius_at(self, iteration: int) -> float:
         """Allowed L1 budget at a 1-based attack iteration."""
-        start = self.initial_radius if self.initial_radius is not None else self.max_radius / 10.0
         growth = self.growth_factor ** ((iteration - 1) // self.growth_interval)
-        return min(start * growth, self.max_radius)
+        return min(self.max_radius / 10.0 * growth, self.max_radius)
 
 
 @dataclass(frozen=True)
@@ -176,7 +170,7 @@ def flow_pgd_attack(classifier, x, label: int, spec: NoiseSpec,
 
     last_evaluated = delta
     perturbed = channels
-    step = config.max_radius / 10.0
+    step = config.radius_at(1)
     pred, broken = clean_pred, None
     for it in range(1, config.iterations + 1):
         grad_rng, eval_rng = next(streams), next(streams)
@@ -203,10 +197,11 @@ def robustness_curve(classifier, dataset, spec: NoiseSpec, radii,
                      config: AttackConfig, rng=None) -> tuple[list[tuple[float, float]], list[AttackResult]]:
     """Attacked accuracy as a function of the L1 flow budget.
 
-    Each image is attacked once up to max(radii); an image counts as correct
-    at budget rho unless its clean prediction was wrong or the attack first
-    succeeded within budget rho.  Success at one budget therefore implies
-    success at every larger budget, and the budget-0 accuracy is exactly the
+    Each image is attacked once, the schedule's max_radius set to max(radii)
+    (radii all 0 give the clean predictions and no attack); it counts as
+    correct at budget rho unless its clean prediction was wrong or the attack
+    first succeeded within budget rho.  Success at one budget therefore
+    implies success at every larger budget, and the budget-0 accuracy is the
     clean smoothed accuracy of this run.  A failed attack says nothing past
     its schedule's last budget, so larger radii are refused.
     """
@@ -214,10 +209,7 @@ def robustness_curve(classifier, dataset, spec: NoiseSpec, radii,
     if not radii:
         raise ValueError("radii must be a nonempty list, got []")
     max_r = max(radii)
-    if max_r > 0 and max_r != config.max_radius:
-        init = config.initial_radius
-        config = replace(config, max_radius=max_r,
-                         initial_radius=min(init, max_r) if init is not None else None)
+    config = replace(config, max_radius=max_r) if max_r > 0 else replace(config, iterations=0)
     reach = config.radius_at(config.iterations) if config.iterations else 0.0
     if max_r > reach:
         raise ValueError(f"the schedule reaches L1 budget {reach:g} after "

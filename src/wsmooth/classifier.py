@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import zipfile
+import zlib
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -263,8 +264,8 @@ def save_checkpoint(path, params: ClassifierParams, config: TrainConfig):
 def load_checkpoint(path) -> tuple[ClassifierParams, TrainConfig]:
     """Inverse of save_checkpoint: every layer the file holds, under its
     recorded config.  Raises ValueError for a file that is not an .npz
-    archive with a meta entry, for an unknown format version and for a meta
-    that does not describe the params and config."""
+    archive with a meta entry or has a corrupt member, for an unknown format
+    version and for a meta that does not describe the params and config."""
     with open(path, "rb") as fh:
         try:
             z = np.load(fh, allow_pickle=False)
@@ -272,17 +273,21 @@ def load_checkpoint(path) -> tuple[ClassifierParams, TrainConfig]:
             raise ValueError(f"not an .npz archive: {exc!r}") from None
         if not isinstance(z, np.lib.npyio.NpzFile) or "meta" not in z.files:  # a bare array
             raise ValueError("not an .npz archive with a meta entry")
-        meta = json.loads(str(z["meta"]))
-        if not isinstance(meta, dict):
-            raise ValueError(f"checkpoint meta is not a JSON object: {meta!r:.60}")
-        if meta.get("version") != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {meta.get('version')!r}")
         try:
-            layers = range(len(z.files) // 2)  # meta, w0, b0, w1, b1, ...
-            params = ClassifierParams(tuple(meta["input_shape"]), [z[f"w{i}"] for i in layers],
-                                      [z[f"b{i}"] for i in layers])
-            config = TrainConfig(**meta["config"])
-            _check_hidden(params, config)
-            return params, config
-        except (KeyError, TypeError, ValueError) as exc:  # a missing or unknown key, a bad value
-            raise ValueError(f"checkpoint meta does not fit: {exc!r}") from None
+            arrays = {name: z[name] for name in z.files}
+        except (zipfile.BadZipFile, zlib.error) as exc:  # a member that fails its CRC or inflate
+            raise ValueError(f"not an .npz archive: {exc!r}") from None
+    meta = json.loads(str(arrays["meta"]))
+    if not isinstance(meta, dict):
+        raise ValueError(f"checkpoint meta is not a JSON object: {meta!r:.60}")
+    if meta.get("version") != CHECKPOINT_VERSION:
+        raise ValueError(f"unsupported checkpoint version {meta.get('version')!r}")
+    try:
+        layers = range(len(arrays) // 2)  # meta, w0, b0, w1, b1, ...
+        params = ClassifierParams(tuple(meta["input_shape"]), [arrays[f"w{i}"] for i in layers],
+                                  [arrays[f"b{i}"] for i in layers])
+        config = TrainConfig(**meta["config"])
+        _check_hidden(params, config)
+        return params, config
+    except (KeyError, TypeError, ValueError) as exc:  # a missing or unknown key, a bad value
+        raise ValueError(f"checkpoint meta does not fit: {exc!r}") from None

@@ -77,8 +77,7 @@ _SCHEMA = {
     "certify.alpha": (float, OPEN_UNIT, 0.05),
     "attack.radii": ([float], AT_LEAST_0, [0.0, 0.005, 0.01, 0.02]),
     "attack.max_images": (int, AT_LEAST_1, None),
-    # --radii sets max_radius through robustness_curve; initial_radius is not exposed.
-    **_field_keys("attack", AttackConfig, "max_radius", "initial_radius"),
+    **_field_keys("attack", AttackConfig, "max_radius"),  # set through --radii
 }
 _SECTIONS = {key.split(".")[0] for key in _SCHEMA if "." in key}
 

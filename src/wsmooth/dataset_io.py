@@ -90,9 +90,10 @@ class LabeledDataset:
     def __post_init__(self):
         self.images = np.asarray(self.images, dtype=float).view()
         _check_unit_mass(self.images)
-        with np.errstate(invalid="ignore"):  # NaN and inf cast to junk, refused below
-            labels, self.labels = self.labels, np.asarray(self.labels).astype(int, copy=False)
-        if not np.array_equal(self.labels, labels):
+        labels = np.asarray(self.labels)
+        with np.errstate(invalid="ignore"):  # NaN and inf cast to junk, non-numbers to None
+            self.labels = labels.astype(int, copy=False) if labels.dtype.kind in "biuf" else None
+        if self.labels is None or not np.array_equal(self.labels, labels):
             raise ValueError("labels must be integers")
         if self.labels.ndim != 1 or len(self.images) != self.labels.size:
             raise ValueError(
@@ -135,8 +136,9 @@ def make_dataset(images, labels, num_classes: int | None = None) -> LabeledDatas
     """
     images = np.array(images, dtype=float)
     labels = np.asarray(labels)
-    if num_classes is None:  # LabeledDataset refuses NaN and inf; int() must not fail first
-        num_classes = int(np.nan_to_num(labels.max())) + 1 if labels.size else 2
+    if num_classes is None:  # int() must not fail first on labels LabeledDataset refuses
+        numeric = labels.size and labels.dtype.kind in "biuf"
+        num_classes = int(np.nan_to_num(labels.max())) + 1 if numeric else 2
     return LabeledDataset(_normalize(images), labels, num_classes)
 
 

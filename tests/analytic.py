@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import struct
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -220,6 +221,19 @@ def write_idx(path, array):
     as a big-endian int32, then the row-major bytes."""
     a = np.ascontiguousarray(array, dtype=np.uint8)
     Path(path).write_bytes(struct.pack(f">{1 + a.ndim}i", 0x800 + a.ndim, *a.shape) + a.tobytes())
+
+
+def flip_member_byte(path, member: str, at_start: bool = False):
+    """Invert one byte of an archive member's stored data, in the middle
+    (which a stored member fails by its CRC) or at its start (where a
+    deflated member's first block header fails to inflate)."""
+    with zipfile.ZipFile(path) as zf:
+        info = zf.getinfo(member)
+    raw = bytearray(Path(path).read_bytes())
+    header = info.header_offset
+    name_len, extra_len = struct.unpack("<HH", raw[header + 26:header + 30])
+    raw[header + 30 + name_len + extra_len + (0 if at_start else info.compress_size // 2)] ^= 0xFF
+    Path(path).write_bytes(bytes(raw))
 
 
 def per_image_normalized(raw) -> np.ndarray:

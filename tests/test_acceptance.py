@@ -299,8 +299,8 @@ def test_criterion_8_attack_cannot_break_certificates(desk_data, trend_sweep):
     flips = 0
     for i in certified:
         budget = math.sqrt(2.0) * trend_sweep["radii_star"][i]  # the L1-ground radius
-        cfg = AttackConfig(iterations=25, gradient_samples=64, max_radius=budget,
-                           initial_radius=budget, predict_samples=4000)
+        cfg = AttackConfig(iterations=26, gradient_samples=64, max_radius=budget,
+                           growth_factor=10.0, growth_interval=1, predict_samples=4000)
         res = flow_pgd_attack(params, x_all[i], int(y_all[i]), spec, cfg,
                               attack_rng.spawn(1)[0])
         flips += int(res.success)
@@ -308,8 +308,7 @@ def test_criterion_8_attack_cannot_break_certificates(desk_data, trend_sweep):
 
     subset = test_ds.subset(np.arange(16))
     curve_cfg = AttackConfig(iterations=25, gradient_samples=64, max_radius=2.0,
-                             initial_radius=0.5, growth_interval=5,
-                             predict_samples=2000)
+                             growth_factor=2.0, growth_interval=5, predict_samples=2000)
     curve, results = robustness_curve(params, subset, spec,
                                       [0.0, 0.25, 0.5, 1.0, 2.0], curve_cfg, 13)
     accs = [acc for _, acc in curve]

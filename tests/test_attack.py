@@ -108,10 +108,10 @@ class TestAttackConfig:
         assert cfg.max_radius == 1.0 and cfg.radius_at(1) == pytest.approx(0.1)
 
     def test_step_is_a_tenth_of_max_radius(self):
-        # One step inside a ball that does not bind moves L1 length exactly
+        # One step, as long as the first budget, moves L1 length exactly
         # max_radius / 10, flipped or not.
         cfg = AttackConfig(iterations=1, gradient_samples=32, max_radius=2.0,
-                           initial_radius=2.0, predict_samples=200)
+                           predict_samples=200)
         res = flow_pgd_attack(halves_classifier(), split_image(0.7), 0, NoiseSpec(FLOW, 0.05),
                               cfg, rng=3)
         assert res.clean_correct and res.budget == pytest.approx(0.2, rel=1e-12)
@@ -124,18 +124,12 @@ class TestAttackConfig:
         assert cfg.radius_at(21) == pytest.approx(0.225)
         assert cfg.radius_at(1000) == 1.0  # capped
 
-    def test_explicit_initial_radius(self):
-        cfg = AttackConfig(max_radius=2.0, initial_radius=0.5)
-        assert cfg.radius_at(1) == 0.5
-
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"iterations": -1},
             {"gradient_samples": 0},
             {"max_radius": 0.0},
-            {"initial_radius": 0.0},
-            {"initial_radius": 2.0, "max_radius": 1.0},
             {"growth_factor": 0.9},
             {"growth_interval": 0},
             {"max_radius": float("inf")},
@@ -144,7 +138,6 @@ class TestAttackConfig:
             {"predict_samples": True},
             {"growth_factor": float("nan")},
             {"growth_factor": float("inf")},
-            {"initial_radius": True},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -439,6 +432,19 @@ class TestRobustnessCurve:
                 breaking.append(res.budget)
         assert rows == [(rho, sum(b > rho for b in breaking) / len(breaking)) for rho in radii]
         assert rows == [(0.0, 2 / 3), (0.05, 2 / 3), (0.1, 1 / 3)]
+
+    def test_zero_radii_attack_nothing(self):
+        # Radii of only 0 give the clean predictions: no image is attacked,
+        # so the survivor is not reported broken past the largest radius.
+        ds = make_dataset(np.array([split_image(0.56), split_image(0.56), split_image(0.9)]),
+                          np.array([1, 0, 0]), num_classes=2)
+        cfg = AttackConfig(iterations=20, gradient_samples=32, growth_interval=1,
+                           predict_samples=400)
+        rows, results = robustness_curve(halves_classifier(), ds, NoiseSpec(FLOW, 0.05), [0.0],
+                                         cfg, rng=7)
+        assert [res.iteration for res in results] == [0, None, None]
+        assert all(res.budget == 0.0 and not res.plans.any() for res in results)
+        assert rows == [(0.0, 2 / 3)]
 
     def test_unsorted_radii_are_sorted(self):
         params, ds, cfg = self.build()

@@ -22,7 +22,7 @@ from wsmooth import (
 )
 from wsmooth.smoothing import FLOW, PIXEL
 
-from analytic import finite_difference_grads, per_minibatch_train
+from analytic import finite_difference_grads, flip_member_byte, per_minibatch_train
 
 
 def small_params(rng, hidden=5, input_shape=(3, 3), num_classes=3):
@@ -327,14 +327,24 @@ class TestCheckpoints:
         ("npy_array", r"not an \.npz archive with a meta entry$"),
         ("no_meta", r"not an \.npz archive with a meta entry$"),
         ("not_zip", r"not an \.npz archive: BadZipFile\("),
-    ], ids=["empty", "npy_array", "no_meta", "not_zip"])
-    def test_refuses_a_file_that_is_not_a_checkpoint(self, tmp_path, fault, message):
+        ("bad_crc", r"not an \.npz archive: BadZipFile\(\"Bad CRC-32 for file 'w0\.npy'\"\)$"),
+        ("bad_inflate", r"not an \.npz archive: error\('Error -3 while decompressing"),
+    ], ids=["empty", "npy_array", "no_meta", "not_zip", "bad_crc", "bad_inflate"])
+    def test_refuses_a_file_that_is_not_a_checkpoint(self, rng, tmp_path, fault, message):
         path = tmp_path / "model.npz"
         if fault == "empty":
             path.write_bytes(b"")
         elif fault == "npy_array":
             with open(path, "wb") as fh:
                 np.save(fh, np.zeros((25, 2)))
+        elif fault == "bad_crc":  # one flipped byte of a saved checkpoint
+            save_checkpoint(path, small_params(rng), TrainConfig(hidden=5))
+            flip_member_byte(path, "w0.npy")
+        elif fault == "bad_inflate":  # a compressed archive, its meta's deflate stream broken
+            save_checkpoint(path, small_params(rng), TrainConfig(hidden=5))
+            with np.load(path) as z:
+                np.savez_compressed(path, **{k: z[k] for k in z.files})
+            flip_member_byte(path, "meta.npy", at_start=True)
         else:
             np.savez(path, w0=np.zeros((25, 2)), b0=np.zeros(2))
             if fault == "not_zip":  # the zip magic, cut before its directory

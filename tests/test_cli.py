@@ -22,7 +22,7 @@ from wsmooth import (ABSTAIN, AttackConfig, LabeledDataset, TrainConfig, load_ch
 from wsmooth.cli import (_SCHEMA, _build_parser, _certify_stats, _load_split, _merge_config, main,
                          run)
 
-from analytic import write_idx
+from analytic import flip_member_byte, write_idx
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
@@ -554,7 +554,7 @@ class TestConfigHandling:
         own = {"attack.radii", "attack.max_images"}
         fields, given = {}, {}
         for section, cls, skip in (("train", TrainConfig, {"noise", "sigma", "seed"}),
-                                   ("attack", AttackConfig, {"max_radius", "initial_radius"})):
+                                   ("attack", AttackConfig, {"max_radius"})):
             hints = get_type_hints(cls)
             for f in dataclasses.fields(cls):
                 if f.name not in skip:
@@ -659,6 +659,8 @@ class TestConfigHandling:
                   "EOFError("),
         ("npy_array", "is not a readable wsmooth checkpoint: ValueError('not an .npz archive with "
                       "a meta entry')"),
+        ("bad_crc", "is not a readable wsmooth checkpoint: ValueError('not an .npz archive: "
+                    "BadZipFile(\"Bad CRC-32 for file \\'w0.npy\\'\")')"),
         ("non_finite", "ValueError('weights and biases must be finite')"),
         ("flat_shape", "ValueError('expected a 2-D or 3-D image, got shape (25,)')"),
         ("four_sides", "ValueError('expected a 2-D or 3-D image, got shape (1, 1, 5, 5)')"),
@@ -669,9 +671,11 @@ class TestConfigHandling:
                                                      capsys, fault, needle):
         ckpt = tmp_path / "model.npz"
         cfg = json.loads(config_path.read_text())
-        if fault in ("shape", "non_finite"):
+        if fault in ("shape", "non_finite", "bad_crc"):
             run(["train", "--config", str(config_path), "--checkpoint", str(ckpt)])
-        if fault == "shape":
+        if fault == "bad_crc":  # one flipped byte inside a member
+            flip_member_byte(ckpt, "w0.npy")
+        elif fault == "shape":
             cfg["dataset"]["shape"] = [6, 6]
         elif fault == "non_finite":
             with np.load(ckpt) as z:

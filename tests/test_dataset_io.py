@@ -179,9 +179,10 @@ class TestLabeledDataset:
         with pytest.raises(ValueError, match=r"^labels must lie in \[0, 2\)$"):
             LabeledDataset(self.images(2), np.array([0, 2]), 2)
 
-    @pytest.mark.parametrize("bad", [0.9, 1.2, np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("bad", [0.9, 1.2, np.nan, np.inf, -np.inf, "a", None, 1j])
     def test_rejects_labels_that_are_not_integers(self, bad):
-        # The cast to int would truncate 0.9 and 1.2 to classes 0 and 1.
+        # The cast to int would truncate 0.9 and 1.2 to classes 0 and 1; a
+        # string, None or a complex number is not cast at all.
         with pytest.raises(ValueError, match=r"^labels must be integers$"):
             LabeledDataset(self.images(2), [0, bad], 2)
 
@@ -276,7 +277,8 @@ class TestMakeDataset:
         assert np.array_equal(ds.labels, [0, 1, 2, 2])
         assert ds.num_classes == 3
 
-    @pytest.mark.parametrize("labels", [[0.5, 1.7], [0, np.nan], [0, np.inf]])
+    @pytest.mark.parametrize("labels", [[0.5, 1.7], [0, np.nan], [0, np.inf], ["a", "b"],
+                                        [None, None], [1j, 0]])
     def test_refuses_labels_that_are_not_integers(self, labels):
         with pytest.raises(ValueError, match=r"^labels must be integers$"):
             make_dataset(np.ones((2, 2, 2)), labels)

@@ -39,6 +39,7 @@ import pickle
 import struct
 import sys
 import tempfile
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -189,10 +190,15 @@ def cases() -> dict:
     split = np.zeros((3, 4, 4))
     for image, top in zip(split, (0.56, 0.56, 0.9)):
         image[1], image[2] = top / 4, (1 - top) / 4
+    halves = ClassifierParams((4, 4), [weights], [np.zeros(2)])
+    split_ds = make_dataset(split, [1, 0, 0], 2)
+    outcomes_cfg = AttackConfig(iterations=20, gradient_samples=32, growth_interval=1,
+                                predict_samples=400)
     out["robustness_curve/outcomes"] = _plain(robustness_curve(
-        ClassifierParams((4, 4), [weights], [np.zeros(2)]), make_dataset(split, [1, 0, 0], 2),
-        flow_spec, [0.0, 0.05, 0.1], AttackConfig(iterations=20, gradient_samples=32,
-                                                  growth_interval=1, predict_samples=400), rng=7))
+        halves, split_ds, flow_spec, [0.0, 0.05, 0.1], outcomes_cfg, rng=7))
+    # Radii of only 0: the clean predictions, no attack.
+    out["robustness_curve/zero_radius"] = _plain(robustness_curve(
+        halves, split_ds, flow_spec, [0.0], outcomes_cfg, rng=7))
 
     rng = np.random.default_rng(41)
     x3 = _unit(rng, (3, 5, 5))
@@ -260,6 +266,18 @@ def _refusal(call):
     return None
 
 
+def _flip_member_byte(raw: bytes, member: str, at_start: bool = False) -> bytes:
+    """raw with one byte of an archive member's stored data inverted: in the
+    middle, which a stored member fails by its CRC, or at the start, where a
+    deflated member's first block header fails to inflate."""
+    with zipfile.ZipFile(io.BytesIO(raw)) as zf:
+        info = zf.getinfo(member)
+    out, header = bytearray(raw), info.header_offset
+    name_len, extra_len = struct.unpack("<HH", out[header + 26:header + 30])
+    out[header + 30 + name_len + extra_len + (0 if at_start else info.compress_size // 2)] ^= 0xFF
+    return bytes(out)
+
+
 def error_cases() -> dict:
     """One bad input per refusal rule.  The IDX and checkpoint files are read
     by relative name from a temporary directory, so their messages do not
@@ -272,11 +290,16 @@ def error_cases() -> dict:
            "payload": (images[:-1], labels),
            "trailing": (images, labels + b"\0"),
            "pairing": (images, struct.pack(">ii", 0x801, 2) + bytes(2))}
-    npy, npz = io.BytesIO(), io.BytesIO()
+    npy, npz, stored, deflated = io.BytesIO(), io.BytesIO(), io.BytesIO(), io.BytesIO()
     np.save(npy, np.zeros((4, 2)))
     np.savez(npz, w0=np.zeros((4, 2)), b0=np.zeros(2))
+    members = {"meta": np.array("{}"), "w0": np.zeros((25, 2)), "b0": np.zeros(2)}
+    np.savez(stored, **members)
+    np.savez_compressed(deflated, **members)
     checkpoints = {"empty": b"", "npy": npy.getvalue(), "no_meta": npz.getvalue(),
-                   "not_zip": npz.getvalue()[:40]}
+                   "not_zip": npz.getvalue()[:40],
+                   "bad_crc": _flip_member_byte(stored.getvalue(), "w0.npy"),
+                   "bad_inflate": _flip_member_byte(deflated.getvalue(), "meta.npy", at_start=True)}
     out = {}
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
@@ -360,6 +383,9 @@ def error_cases() -> dict:
             params, np.array([[-0.5, 1.5, 0], [0, 0, 0], [0, 0, 0]]), spec, 10, 10),
         "predict/unit_mass": lambda: smoothed_predict(params, 12 * ninth, spec, 10),
         "checkpoint/non_finite": lambda: save_checkpoint(os.devnull, diverged, TrainConfig()),
+        "labels/str": lambda: make_dataset(np.ones((2, 2, 2)), ["a", "b"]),
+        "labels/none": lambda: LabeledDataset(np.full((2, 2, 2), 0.25), [None, None], 2),
+        "labels/complex": lambda: make_dataset(np.ones((2, 2, 2)), [1j, 0]),
     }
     for rule, call in refusals.items():
         out[f"errors/{rule}"] = _refusal(call)
